@@ -1,26 +1,24 @@
 //! PR benchmark: streaming transient sinks — million-bit PRBS-31
 //! transistor-level eye at flat memory.
 //!
-//! Four legs:
+//! Three legs:
 //!
 //! 1. **equivalence** — PRBS-7 on the full input interface: the eye
 //!    folded on the fly by [`EyeSink`] must match the same accumulator
 //!    fed from the dense record to ≤ 1e-12 (the implementation achieves
 //!    bit-identity, which is also asserted);
-//! 2. **spill** — the same run teed into the compressed disk spill;
-//!    the file must decode back bit-exactly and beat raw `f64` size;
-//! 3. **flat-memory** — ≥ 10⁶ bits of PRBS-31 through a transistor-level
+//! 2. **flat-memory** — ≥ 10⁶ bits of PRBS-31 through a transistor-level
 //!    CML buffer, eye + metrics folded streaming. Peak RSS is sampled
 //!    (`VmHWM`) before and after; the delta must stay under a fixed
 //!    budget that does not scale with bit count. (The PWL drive knots
 //!    are the one remaining O(bits) term, ~32 B/bit, and are included
 //!    in the budget.)
-//! 4. **fan-in** — a 6-segment amplitude sweep, each segment streaming
+//! 3. **fan-in** — a 6-segment amplitude sweep, each segment streaming
 //!    its own eye, merged with `par_fold`: N-thread results must be
 //!    bit-identical to serial, demonstrating deterministic sink fan-in.
 //!
 //! Run with: `cargo run --release --bin bench_pr6 [--smoke] [--bits N] [--threads N]`
-//! `--smoke` truncates leg 3 to a short PRBS-15 pattern for CI.
+//! `--smoke` truncates leg 2 to a short PRBS-15 pattern for CI.
 
 // Driver-style target: aborting on a malformed result with a message
 // is the intended failure mode, so expect/unwrap are fine here.
@@ -63,10 +61,10 @@ fn rss() -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Leg 1 + 2: PRBS-7 equivalence and spill on the full input interface
+// Leg 1: PRBS-7 equivalence on the full input interface
 // ---------------------------------------------------------------------
 
-fn equivalence_and_spill(smoke: bool) -> (Value, Value) {
+fn equivalence(smoke: bool) -> Value {
     let n_bits = if smoke { 16 } else { 40 };
     let pdk = Pdk018::typical();
     let cfg = InputInterfaceConfig::paper_default();
@@ -84,17 +82,11 @@ fn equivalence_and_spill(smoke: bool) -> (Value, Value) {
     let eye_cfg = EyeAccumulatorConfig::new(UI, 1e-12, -1.0, 1.0).with_skip(4.0 * UI);
     let probes = TranProbes::new().differential("vout", out.p, out.n);
 
-    // Streamed: eye folds during the run, teed into the disk spill.
-    let spill_path = std::env::temp_dir().join(format!("bench_pr6_{}.cmw", std::process::id()));
+    // Streamed: eye folds during the run.
     let mut eye = EyeSink::new("vout", eye_cfg.clone());
-    let mut spill = SpillSink::create(&spill_path);
     let t0 = Instant::now();
-    let stats = {
-        let mut tee = Tee::new(&mut eye, &mut spill);
-        tran::run_streaming(&ckt, &tcfg, &probes, &mut tee).expect("streamed transient")
-    };
+    let stats = tran::run_streaming(&ckt, &tcfg, &probes, &mut eye).expect("streamed transient");
     let streamed_ms = t0.elapsed().as_secs_f64() * 1e3;
-    drop(spill);
 
     // Dense reference: classic full-record run, fold afterwards.
     let t0 = Instant::now();
@@ -139,34 +131,7 @@ fn equivalence_and_spill(smoke: bool) -> (Value, Value) {
     );
     assert!(a.height > 0.0, "eye closed on the PRBS-7 reference");
 
-    // Leg 2: decode the spill and compare bit-for-bit.
-    let contents = SpillReader::read(&spill_path).expect("read spill");
-    let compressed = std::fs::metadata(&spill_path)
-        .expect("spill metadata")
-        .len();
-    std::fs::remove_file(&spill_path).ok();
-    let ckpt = spill_path.with_extension("cmw.ckpt");
-    std::fs::remove_file(ckpt).ok();
-    let n = contents.times.len();
-    let raw = ((contents.cols.len() + 1) * n * 8) as u64;
-    let lossless = n == dense.len()
-        && contents
-            .times
-            .iter()
-            .zip(dense.times())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-        && contents.cols[0]
-            .iter()
-            .zip(&vout)
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-    println!(
-        "leg 2  spill: {n} samples, {compressed} B compressed vs {raw} B raw ({:.2}x) | lossless: {lossless}",
-        raw as f64 / compressed as f64
-    );
-    assert!(lossless, "spill decode is not bit-exact");
-    assert!(compressed < raw, "spill did not beat raw f64 size");
-
-    let leg1 = obj(vec![
+    obj(vec![
         ("n_bits", Value::Num(n_bits as f64)),
         ("samples", Value::Num(stats.samples as f64)),
         ("chunks", Value::Num(stats.chunks as f64)),
@@ -177,19 +142,11 @@ fn equivalence_and_spill(smoke: bool) -> (Value, Value) {
         ("rms_jitter_s", Value::Num(a.rms_jitter)),
         ("worst_metric_diff", Value::Num(worst)),
         ("bit_identical", Value::Bool(bit_identical)),
-    ]);
-    let leg2 = obj(vec![
-        ("samples", Value::Num(n as f64)),
-        ("compressed_bytes", Value::Num(compressed as f64)),
-        ("raw_bytes", Value::Num(raw as f64)),
-        ("ratio", Value::Num(raw as f64 / compressed as f64)),
-        ("lossless", Value::Bool(lossless)),
-    ]);
-    (leg1, leg2)
+    ])
 }
 
 // ---------------------------------------------------------------------
-// Leg 3: million-bit PRBS-31 at flat memory
+// Leg 2: million-bit PRBS-31 at flat memory
 // ---------------------------------------------------------------------
 
 fn flat_memory(smoke: bool, bits_flag: Option<usize>, tel: &Telemetry) -> Value {
@@ -236,7 +193,7 @@ fn flat_memory(smoke: bool, bits_flag: Option<usize>, tel: &Telemetry) -> Value 
     let m = eye.accumulator().metrics();
     let sm = metrics.metrics();
     println!(
-        "leg 3  flat-memory: {pattern} {n_bits} bits, {} samples in {} chunks, {elapsed:.1} s ({:.0} steps/s)",
+        "leg 2  flat-memory: {pattern} {n_bits} bits, {} samples in {} chunks, {elapsed:.1} s ({:.0} steps/s)",
         stats.samples,
         stats.chunks,
         stats.samples as f64 / elapsed
@@ -299,7 +256,7 @@ fn flat_memory(smoke: bool, bits_flag: Option<usize>, tel: &Telemetry) -> Value 
 }
 
 // ---------------------------------------------------------------------
-// Leg 4: deterministic parallel fan-in
+// Leg 3: deterministic parallel fan-in
 // ---------------------------------------------------------------------
 
 fn fan_in(smoke: bool) -> Value {
@@ -346,7 +303,7 @@ fn fan_in(smoke: bool) -> Value {
         && ms.rms_jitter.to_bits() == mp.rms_jitter.to_bits()
         && ms.pp_jitter.to_bits() == mp.pp_jitter.to_bits();
     println!(
-        "leg 4  fan-in: {} segments x {n_bits} bits | serial {serial_ms:.0} ms, {threads} threads {parallel_ms:.0} ms ({:.2}x) | identical: {identical}",
+        "leg 3  fan-in: {} segments x {n_bits} bits | serial {serial_ms:.0} ms, {threads} threads {parallel_ms:.0} ms ({:.2}x) | identical: {identical}",
         amplitudes.len(),
         serial_ms / parallel_ms
     );
@@ -386,17 +343,16 @@ fn main() {
     );
     let tel = Telemetry::enabled_with_env_sinks();
 
-    let (leg1, leg2) = equivalence_and_spill(smoke);
-    let leg3 = flat_memory(smoke, bits, &tel);
-    let leg4 = fan_in(smoke);
+    let leg1 = equivalence(smoke);
+    let leg2 = flat_memory(smoke, bits, &tel);
+    let leg3 = fan_in(smoke);
 
     let report = obj(vec![
         ("bench", Value::Str("bench_pr6".into())),
         ("smoke", Value::Bool(smoke)),
         ("equivalence", leg1),
-        ("spill", leg2),
-        ("flat_memory", leg3),
-        ("fan_in", leg4),
+        ("flat_memory", leg2),
+        ("fan_in", leg3),
         ("telemetry", tel.report().to_value()),
     ]);
     let json = serde_json::to_string_pretty(&report).expect("render BENCH_pr6.json");

@@ -4,7 +4,7 @@
 //! Parameter sweeps, corner runs and Monte Carlo loops all re-solve the
 //! same circuit *structure* over and over; before PR 9 every run paid
 //! the full lint precheck, symbolic sparse analysis and AC pattern
-//! discovery again. This benchmark measures that fixed cost three ways
+//! discovery again. This benchmark measures that fixed cost two ways
 //! on the paper's builtin blocks, running `reps` rounds of lint-checked
 //! operating point plus a small AC sweep per block:
 //!
@@ -12,14 +12,11 @@
 //!    round re-derives everything, the pre-PR baseline;
 //! 2. **warm** — in-memory cache enabled: round one primes the interner,
 //!    later rounds hit it (this leg *includes* the priming round, so the
-//!    speedup below is end-to-end, not best-case);
-//! 3. **disk** — disk tier primed once, then the in-memory interner is
-//!    dropped before every round, forcing each artifact to rehydrate
-//!    through the validated on-disk path.
+//!    speedup below is end-to-end, not best-case).
 //!
 //! Asserts the warm leg is ≥ 1.3x faster than cold (≥ 1.05x in smoke
 //! mode, where rounds are few and timing noise is proportionally
-//! larger), that all three legs produce bit-identical solutions, and
+//! larger), that both legs produce bit-identical solutions, and
 //! that the warm leg's telemetry shows hits with zero validation
 //! failures. Writes `BENCH_pr9.json` in the current directory.
 //!
@@ -35,7 +32,6 @@ use cml_spice::analysis::{ac, op, NewtonOptions};
 use cml_spice::prelude::*;
 use cml_spice::telemetry::{Counters, Telemetry};
 use serde::Value;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// The repeated-topology pool: every round re-solves these blocks.
@@ -89,21 +85,12 @@ struct Leg {
     counters: Counters,
 }
 
-/// Times `reps` rounds of the workload. `reset` runs before each round
-/// (outside the timer it is not — cache management is part of the cost
-/// a real sweep would pay).
-fn run_leg<F: FnMut()>(
-    circuits: &[(String, Circuit)],
-    freqs: &[f64],
-    reps: usize,
-    o: &NewtonOptions,
-    mut reset: F,
-) -> Leg {
+/// Times `reps` rounds of the workload.
+fn run_leg(circuits: &[(String, Circuit)], freqs: &[f64], reps: usize, o: &NewtonOptions) -> Leg {
     let tel = Telemetry::enabled();
     let mut bits = Vec::new();
     let t0 = Instant::now();
     for rep in 0..reps {
-        reset();
         let round = one_round(circuits, freqs, o, &tel);
         if rep == 0 {
             bits = round;
@@ -122,7 +109,6 @@ fn counters_json(c: &Counters) -> Value {
     obj(vec![
         ("cache_hits", Value::Num(c.cache_hits as f64)),
         ("cache_misses", Value::Num(c.cache_misses as f64)),
-        ("cache_disk_loads", Value::Num(c.cache_disk_loads as f64)),
         (
             "cache_validation_failures",
             Value::Num(c.cache_validation_failures as f64),
@@ -142,24 +128,18 @@ fn main() {
         .collect();
     let freqs = logspace(1e6, 60e9, n_freqs);
 
-    // Scratch disk tier for the rehydration leg; removed at the end.
-    let disk_dir: PathBuf = std::env::temp_dir().join(format!("bench-pr9-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&disk_dir);
-    std::fs::create_dir_all(&disk_dir).expect("create scratch cache dir");
-
     // Untimed warmup so the cold leg doesn't also pay first-touch costs.
     cml_cache::set_enabled(true);
-    cml_cache::set_disk_dir(None);
     one_round(&circuits, &freqs, &opts(false), &Telemetry::disabled());
 
     // --- 1. cold: cache off, every round re-derives everything ---------
-    let cold = run_leg(&circuits, &freqs, reps, &opts(false), || {});
+    let cold = run_leg(&circuits, &freqs, reps, &opts(false));
     println!("  cold {:8.3} ms/round ({reps} rounds)", cold.ms);
 
     // --- 2. warm: in-memory tier, round one primes, the rest hit -------
     cml_cache::intern::clear_in_memory();
     cml_cache::reset_stats();
-    let warm = run_leg(&circuits, &freqs, reps, &opts(true), || {});
+    let warm = run_leg(&circuits, &freqs, reps, &opts(true));
     let warm_stats = cml_cache::stats();
     println!(
         "  warm {:8.3} ms/round (hit rate {:.1} %)",
@@ -167,40 +147,18 @@ fn main() {
         warm_stats.hit_rate() * 1e2
     );
 
-    // --- 3. disk: interner dropped every round, artifacts rehydrate ----
-    cml_cache::set_disk_dir(Some(disk_dir.clone()));
-    cml_cache::intern::clear_in_memory();
-    cml_cache::reset_stats();
-    one_round(&circuits, &freqs, &opts(true), &Telemetry::disabled()); // prime disk
-    let disk = run_leg(&circuits, &freqs, reps, &opts(true), || {
-        cml_cache::intern::clear_in_memory();
-    });
-    let disk_stats = cml_cache::disk::disk_stats();
-    println!(
-        "  disk {:8.3} ms/round ({} entries, {} bytes on disk)",
-        disk.ms, disk_stats.entries, disk_stats.total_bytes
-    );
-    cml_cache::set_disk_dir(None);
-    let _ = std::fs::remove_dir_all(&disk_dir);
-
-    // --- Soundness: all three legs agree to the bit ---------------------
+    // --- Soundness: both legs agree to the bit --------------------------
     assert_eq!(cold.bits, warm.bits, "warm leg diverged from cold");
-    assert_eq!(cold.bits, disk.bits, "disk leg diverged from cold");
     assert_eq!(cold.counters.cache_hits, 0, "cache-off leg hit the cache");
     assert!(warm.counters.cache_hits > 0, "warm leg never hit the cache");
     assert_eq!(
         warm.counters.cache_validation_failures, 0,
         "warm leg rejected its own artifacts"
     );
-    assert!(
-        disk.counters.cache_disk_loads > 0,
-        "disk leg never loaded from disk"
-    );
 
     let speedup = cold.ms / warm.ms;
-    let disk_speedup = cold.ms / disk.ms;
     println!(
-        "  speedup: warm {speedup:.2}x, disk {disk_speedup:.2}x over cold \
+        "  speedup: warm {speedup:.2}x over cold \
          ({} solution words compared per round)",
         cold.bits.len()
     );
@@ -221,18 +179,13 @@ fn main() {
         ),
         ("cold_ms_per_round", Value::Num(cold.ms)),
         ("warm_ms_per_round", Value::Num(warm.ms)),
-        ("disk_ms_per_round", Value::Num(disk.ms)),
         ("warm_speedup", Value::Num(speedup)),
-        ("disk_speedup", Value::Num(disk_speedup)),
         ("min_speedup", Value::Num(min_speedup)),
         ("bits_compared", Value::Num(cold.bits.len() as f64)),
         ("bit_identical", Value::Bool(true)),
         ("warm_hit_rate", Value::Num(warm_stats.hit_rate())),
-        ("disk_entries", Value::Num(disk_stats.entries as f64)),
-        ("disk_bytes", Value::Num(disk_stats.total_bytes as f64)),
         ("cold_counters", counters_json(&cold.counters)),
         ("warm_counters", counters_json(&warm.counters)),
-        ("disk_counters", counters_json(&disk.counters)),
     ]);
     let json = serde_json::to_string_pretty(&json_report).expect("render BENCH_pr9.json");
     std::fs::write("BENCH_pr9.json", format!("{json}\n")).expect("write BENCH_pr9.json");

@@ -1,10 +1,11 @@
-//! Minimal little-endian binary codec for cache payloads.
+//! Minimal little-endian binary codec for persisted payloads (the
+//! `CMLF` flight bundles).
 //!
 //! Deliberately tiny and dependency-free: fixed-width little-endian
 //! integers, `f64` bit patterns, and length-prefixed vectors. Every
 //! reader method is fallible — a truncated or corrupt payload surfaces
-//! as `None` at the exact field that went bad, and the disk tier turns
-//! that into a validation failure plus cold fallback, never garbage.
+//! as `None` at the exact field that went bad, and the consumer turns
+//! that into a typed error, never garbage.
 
 /// Append-only payload writer.
 #[derive(Debug, Default)]
@@ -50,14 +51,6 @@ impl ByteWriter {
     /// Appends an `f64` by exact bit pattern.
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
-    }
-
-    /// Appends a length-prefixed `usize` slice.
-    pub fn put_usize_slice(&mut self, vs: &[usize]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.put_usize(v);
-        }
     }
 
     /// Appends a length-prefixed `f64` slice (bit patterns).
@@ -141,23 +134,9 @@ impl<'a> ByteReader<'a> {
         self.get_u64().map(f64::from_bits)
     }
 
-    /// Reads a length-prefixed `usize` vector. The length is sanity
+    /// Reads a length-prefixed `f64` vector. The length is sanity
     /// bounded by the remaining bytes, so a corrupt length cannot
     /// trigger a huge allocation.
-    pub fn get_usize_vec(&mut self) -> Option<Vec<usize>> {
-        let n = self.get_usize()?;
-        if n > self.remaining() / 8 {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_usize()?);
-        }
-        Some(out)
-    }
-
-    /// Reads a length-prefixed `f64` vector, with the same allocation
-    /// bound as [`get_usize_vec`](Self::get_usize_vec).
     pub fn get_f64_vec(&mut self) -> Option<Vec<f64>> {
         let n = self.get_usize()?;
         if n > self.remaining() / 8 {
@@ -177,7 +156,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Whether the reader consumed the payload exactly (trailing bytes
-    /// in a cache file are as suspicious as missing ones).
+    /// in a payload are as suspicious as missing ones).
     #[must_use]
     pub fn exhausted(&self) -> bool {
         self.remaining() == 0
@@ -197,7 +176,6 @@ mod tests {
         w.put_u64(u64::MAX - 3);
         w.put_usize(42);
         w.put_f64(-0.0);
-        w.put_usize_slice(&[1, 2, 3]);
         w.put_f64_slice(&[f64::NAN, 1.5e-300]);
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
@@ -206,7 +184,6 @@ mod tests {
         assert_eq!(r.get_u64(), Some(u64::MAX - 3));
         assert_eq!(r.get_usize(), Some(42));
         assert_eq!(r.get_f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
-        assert_eq!(r.get_usize_vec(), Some(vec![1, 2, 3]));
         let fs = r.get_f64_vec().expect("f64 vec");
         assert_eq!(fs.len(), 2);
         assert!(fs[0].is_nan());
@@ -228,7 +205,6 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_usize(usize::MAX / 2); // insane length prefix, no elements
         let bytes = w.finish();
-        assert_eq!(ByteReader::new(&bytes).get_usize_vec(), None);
         assert_eq!(ByteReader::new(&bytes).get_f64_vec(), None);
     }
 }

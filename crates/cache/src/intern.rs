@@ -1,4 +1,4 @@
-//! Tier 1: the process-wide in-memory artifact interner.
+//! The process-wide in-memory artifact interner.
 //!
 //! A sharded `RwLock` map from [`Key`] to type-erased `Arc` artifacts.
 //! The load-bearing property is **compute-under-write-lock**: a miss
@@ -81,9 +81,9 @@ fn insert_capped(guard: &mut Shard, key: Key, value: Erased) {
     }
 }
 
-/// Probes tier 1 for `key` without computing anything. Counts a global
-/// hit on success; counts nothing on absence (the caller decides what a
-/// miss means — it may still find the artifact on disk).
+/// Probes the interner for `key` without computing anything. Counts a
+/// global hit on success; counts nothing on absence (the caller decides
+/// what a miss means).
 pub fn lookup<T: Send + Sync + 'static>(key: Key) -> Option<Arc<T>> {
     let found = read_probe::<T>(shard_for(key), key);
     if found.is_some() {
@@ -144,8 +144,8 @@ pub fn len() -> usize {
         .sum()
 }
 
-/// Empties tier 1 (simulates a process restart; used by the disk-tier
-/// equivalence tests and the `cml-lint cache clear` CLI).
+/// Empties the interner (simulates a process restart; used by the
+/// cold-vs-warm equivalence tests and benches).
 pub fn clear_in_memory() {
     for s in shards() {
         let mut guard = write_guard(s);

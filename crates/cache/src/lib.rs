@@ -1,49 +1,39 @@
-//! Two-tier content-addressed artifact store for topology-keyed solver
+//! Process-wide content-addressed store for topology-keyed solver
 //! artifacts.
 //!
 //! Every expensive pre-numeric artifact in the simulator — recorded
-//! stamp patterns, symbolic Gilbert–Peierls analyses, frozen AC pivot
-//! orders, lint verdicts, analysis warm-start vectors — is a pure
-//! function of circuit structure (and, for value-dependent artifacts,
-//! of a content digest). This crate stores them twice:
+//! stamp patterns, symbolic Gilbert–Peierls analyses, factored AC
+//! reference states, lint verdicts, analysis warm-start vectors — is a
+//! pure function of circuit structure (and, for value-dependent
+//! artifacts, of a content digest). This crate interns them in memory
+//! ([`intern`]): a sharded `RwLock` map from [`Key`] to `Arc`-shared
+//! artifacts. Compute-under-write-lock guarantees exactly one cold
+//! derivation per unique key process-wide, which is what keeps the
+//! cache hit/miss telemetry thread-count-invariant.
 //!
-//! * **Tier 1** — a process-wide in-memory interner ([`intern`]):
-//!   a sharded `RwLock` map from [`Key`] to `Arc`-shared artifacts.
-//!   Compute-under-write-lock guarantees exactly one cold derivation
-//!   per unique key process-wide, which is what keeps the cache
-//!   hit/miss telemetry thread-count-invariant.
-//! * **Tier 2** — an opt-in on-disk store ([`disk`]): one versioned,
-//!   checksummed binary file per entry under `CML_CACHE_DIR`, written
-//!   atomically (tmp + rename) with size-capped LRU eviction.
+//! The store is *advisory by construction*: consumers re-validate
+//! content-keyed artifacts against the live circuit and fall back to
+//! cold derivation on any mismatch, so a colliding entry can never
+//! change results.
 //!
-//! The store is *advisory by construction*: consumers re-validate every
-//! loaded artifact against the live circuit (dimensions, pattern sanity,
-//! pivot-order invariants) and fall back to cold derivation on any
-//! mismatch, so a stale or corrupt entry can never change results.
-//!
-//! Configuration comes from the environment on first touch and can be
-//! overridden programmatically (tests and the `cml-lint cache` CLI):
-//! `CML_CACHE=off|0|false|no` disables both tiers, `CML_CACHE_DIR`
-//! enables the disk tier, `CML_CACHE_MAX_MB` caps it (default 256 MB).
+//! `CML_CACHE=off|0|false|no` disables the cache; [`set_enabled`]
+//! overrides the environment programmatically (tests and benches).
 
 #![forbid(unsafe_code)]
 
 pub mod codec;
-pub mod disk;
 pub mod intern;
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------
 // Keys
 // ---------------------------------------------------------------------
 
-/// What family of artifact a [`Key`] names. The kind is part of the key
-/// (two artifact families derived from the same topology hash must not
-/// collide) and of the on-disk header (a file of the wrong kind fails
-/// validation instead of deserializing as garbage).
+/// What family of artifact a [`Key`] names. The kind is part of the key:
+/// two artifact families derived from the same topology hash must not
+/// collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ArtifactKind {
@@ -54,8 +44,8 @@ pub enum ArtifactKind {
     TranPattern = 2,
     /// AC `G + jωC` stamp pattern + symbolic LU (topology-keyed).
     AcPattern = 3,
-    /// Numerically factored AC reference state with its frozen pivot
-    /// order (content-keyed by the assembled matrix bits).
+    /// Numerically factored AC reference state (content-keyed by the
+    /// assembled matrix bits).
     AcFactor = 4,
     /// A passing lint precheck verdict (topology-keyed; every blocking
     /// lint code is structural).
@@ -65,39 +55,10 @@ pub enum ArtifactKind {
 }
 
 impl ArtifactKind {
-    /// Every kind, for CLI iteration.
-    pub const ALL: [ArtifactKind; 6] = [
-        ArtifactKind::DcPattern,
-        ArtifactKind::TranPattern,
-        ArtifactKind::AcPattern,
-        ArtifactKind::AcFactor,
-        ArtifactKind::LintVerdict,
-        ArtifactKind::WarmStart,
-    ];
-
-    /// Stable numeric tag (the on-disk header byte).
+    /// Stable numeric tag (mixed into the interner's shard index).
     #[must_use]
     pub fn as_u8(self) -> u8 {
         self as u8
-    }
-
-    /// Inverse of [`as_u8`](Self::as_u8).
-    #[must_use]
-    pub fn from_u8(v: u8) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.as_u8() == v)
-    }
-
-    /// Stable short label (the on-disk file-name prefix).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            ArtifactKind::DcPattern => "dcpat",
-            ArtifactKind::TranPattern => "trpat",
-            ArtifactKind::AcPattern => "acpat",
-            ArtifactKind::AcFactor => "acfac",
-            ArtifactKind::LintVerdict => "lint",
-            ArtifactKind::WarmStart => "warm",
-        }
     }
 }
 
@@ -129,7 +90,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Streaming FNV-1a 64-bit hasher: deterministic across processes and
 /// platforms (unlike `DefaultHasher`, whose seed is randomized), which
-/// is what makes the digests usable as on-disk cache identities.
+/// is what makes the digests usable as persistent identities (circuit
+/// hashes, flight-bundle checksums).
 #[derive(Debug, Clone)]
 pub struct Fnv64(u64);
 
@@ -200,133 +162,57 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 // Configuration
 // ---------------------------------------------------------------------
 
-/// Default disk-tier size cap when `CML_CACHE_MAX_MB` is unset.
-pub const DEFAULT_MAX_DISK_MB: u64 = 256;
-
-/// Runtime cache configuration (a mutable snapshot of the env gates, so
-/// tests and the CLI can reconfigure without process-global env races).
-#[derive(Debug, Clone)]
-pub struct CacheConfig {
-    /// Master switch for both tiers (`CML_CACHE=off` clears it).
-    pub enabled: bool,
-    /// Disk-tier directory (`CML_CACHE_DIR`); `None` keeps the cache
-    /// memory-only.
-    pub disk_dir: Option<PathBuf>,
-    /// Disk-tier size cap in bytes (`CML_CACHE_MAX_MB`).
-    pub max_disk_bytes: u64,
-}
-
-fn config_cell() -> &'static RwLock<CacheConfig> {
-    static CELL: OnceLock<RwLock<CacheConfig>> = OnceLock::new();
+fn enabled_cell() -> &'static AtomicBool {
+    static CELL: OnceLock<AtomicBool> = OnceLock::new();
     CELL.get_or_init(|| {
-        let enabled = !matches!(
+        AtomicBool::new(!matches!(
             std::env::var("CML_CACHE")
                 .map(|v| v.trim().to_ascii_lowercase())
                 .as_deref(),
             Ok("off" | "0" | "false" | "no")
-        );
-        let disk_dir = std::env::var("CML_CACHE_DIR")
-            .ok()
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .map(PathBuf::from);
-        let max_mb = std::env::var("CML_CACHE_MAX_MB")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_MAX_DISK_MB);
-        RwLock::new(CacheConfig {
-            enabled,
-            disk_dir,
-            max_disk_bytes: max_mb.saturating_mul(1024 * 1024),
-        })
+        ))
     })
 }
 
-/// Snapshot of the current configuration.
-#[must_use]
-pub fn config() -> CacheConfig {
-    match config_cell().read() {
-        Ok(g) => g.clone(),
-        Err(p) => p.into_inner().clone(),
-    }
-}
-
-/// Whether the cache (both tiers) is enabled.
+/// Whether the cache is enabled (`CML_CACHE=off` clears it).
 #[must_use]
 pub fn enabled() -> bool {
-    config().enabled
-}
-
-/// Current disk-tier directory, if the disk tier is active.
-#[must_use]
-pub fn disk_dir() -> Option<PathBuf> {
-    let c = config();
-    if c.enabled {
-        c.disk_dir
-    } else {
-        None
-    }
-}
-
-fn with_config_mut(f: impl FnOnce(&mut CacheConfig)) {
-    match config_cell().write() {
-        Ok(mut g) => f(&mut g),
-        Err(p) => f(&mut p.into_inner()),
-    }
+    enabled_cell().load(Ordering::Relaxed)
 }
 
 /// Enables or disables the cache process-wide (overrides `CML_CACHE`).
 pub fn set_enabled(on: bool) {
-    with_config_mut(|c| c.enabled = on);
-}
-
-/// Points the disk tier at `dir` (or disables it with `None`);
-/// overrides `CML_CACHE_DIR`.
-pub fn set_disk_dir(dir: Option<PathBuf>) {
-    with_config_mut(|c| c.disk_dir = dir);
-}
-
-/// Overrides the disk-tier size cap in bytes.
-pub fn set_max_disk_bytes(bytes: u64) {
-    with_config_mut(|c| c.max_disk_bytes = bytes);
+    enabled_cell().store(on, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------
 // Global statistics (process-wide observability, *not* telemetry)
 // ---------------------------------------------------------------------
 //
-// These atomics feed the `cml-lint cache stats` CLI and bench hit-rate
-// assertions. The deterministic, thread-count-invariant accounting that
-// analyses report lives in `cml-telemetry` counters at the (single
-// compute per key) call sites — the two deliberately do not share
-// storage, because the global atomics aggregate across *all* work in
-// the process, including unrelated concurrent runs.
+// These atomics feed bench hit-rate reports and assertions. The
+// deterministic, thread-count-invariant accounting that analyses report
+// lives in `cml-telemetry` counters at the (single compute per key) call
+// sites — the two deliberately do not share storage, because the global
+// atomics aggregate across *all* work in the process, including
+// unrelated concurrent runs.
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
-static DISK_LOADS: AtomicU64 = AtomicU64::new(0);
-static DISK_STORES: AtomicU64 = AtomicU64::new(0);
 static VALIDATION_FAILURES: AtomicU64 = AtomicU64::new(0);
 static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Records a tier-1 hit. Public for consumers that probe the interner
+/// Records an interner hit. Public for consumers that probe the interner
 /// manually (e.g. content-keyed artifacts that bit-compare before use).
 pub fn note_hit() {
     HITS.fetch_add(1, Ordering::Relaxed);
 }
-/// Records a cold derivation (neither tier served the artifact).
+/// Records a cold derivation.
 pub fn note_miss() {
     MISSES.fetch_add(1, Ordering::Relaxed);
 }
-pub(crate) fn note_disk_load() {
-    DISK_LOADS.fetch_add(1, Ordering::Relaxed);
-}
-pub(crate) fn note_disk_store() {
-    DISK_STORES.fetch_add(1, Ordering::Relaxed);
-}
-/// Records a failed artifact validation (corrupt/stale entry rejected).
-/// Public because consumers validate *deserialized* artifacts against
-/// live circuit structure, which this crate cannot see.
+/// Records a failed artifact validation (colliding entry rejected).
+/// Public because consumers validate artifacts against live circuit
+/// structure, which this crate cannot see.
 pub fn note_validation_failure() {
     VALIDATION_FAILURES.fetch_add(1, Ordering::Relaxed);
 }
@@ -337,25 +223,21 @@ pub(crate) fn note_eviction() {
 /// Point-in-time copy of the process-wide cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Tier-1 lookups served from the interner.
+    /// Lookups served from the interner.
     pub hits: u64,
-    /// Lookups that required a cold derivation (neither tier had it).
+    /// Lookups that required a cold derivation.
     pub misses: u64,
-    /// Artifacts loaded and validated from the disk tier.
-    pub disk_loads: u64,
-    /// Artifacts written to the disk tier.
-    pub disk_stores: u64,
-    /// Loads rejected by validation (bad header, checksum, or semantic
-    /// re-verification against the live circuit).
+    /// Interned artifacts rejected by re-verification against the live
+    /// circuit.
     pub validation_failures: u64,
-    /// Entries evicted (in-memory shard cap or disk LRU cap).
+    /// Entries evicted at the in-memory shard cap.
     pub evictions: u64,
     /// Live entries currently interned in memory.
     pub in_memory_entries: u64,
 }
 
 impl StatsSnapshot {
-    /// Tier-1 hit rate over all lookups; 0 when nothing was looked up.
+    /// Hit rate over all lookups; 0 when nothing was looked up.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -373,26 +255,22 @@ pub fn stats() -> StatsSnapshot {
     StatsSnapshot {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
-        disk_loads: DISK_LOADS.load(Ordering::Relaxed),
-        disk_stores: DISK_STORES.load(Ordering::Relaxed),
         validation_failures: VALIDATION_FAILURES.load(Ordering::Relaxed),
         evictions: EVICTIONS.load(Ordering::Relaxed),
         in_memory_entries: intern::len() as u64,
     }
 }
 
-/// Zeroes the process-wide statistics (bench legs, tests, CLI).
+/// Zeroes the process-wide statistics (bench legs, tests).
 pub fn reset_stats() {
     HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
-    DISK_LOADS.store(0, Ordering::Relaxed);
-    DISK_STORES.store(0, Ordering::Relaxed);
     VALIDATION_FAILURES.store(0, Ordering::Relaxed);
     EVICTIONS.store(0, Ordering::Relaxed);
 }
 
 /// Serializes unit tests that touch the process-global interner,
-/// config, or stats (cargo runs tests of one binary concurrently).
+/// enable flag, or stats (cargo runs tests of one binary concurrently).
 #[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -432,28 +310,14 @@ mod tests {
     }
 
     #[test]
-    fn kind_roundtrip() {
-        for k in ArtifactKind::ALL {
-            assert_eq!(ArtifactKind::from_u8(k.as_u8()), Some(k));
-        }
-        assert_eq!(ArtifactKind::from_u8(0), None);
-        assert_eq!(ArtifactKind::from_u8(200), None);
-    }
-
-    #[test]
     fn config_setters_roundtrip() {
         let _g = test_guard();
-        let before = config();
+        let before = enabled();
         set_enabled(false);
         assert!(!enabled());
-        assert_eq!(disk_dir(), None, "disabled cache hides the disk dir");
         set_enabled(true);
         assert!(enabled());
-        set_max_disk_bytes(1234);
-        assert_eq!(config().max_disk_bytes, 1234);
         // Restore whatever the environment dictated.
-        set_enabled(before.enabled);
-        set_disk_dir(before.disk_dir.clone());
-        set_max_disk_bytes(before.max_disk_bytes);
+        set_enabled(before);
     }
 }

@@ -5,21 +5,16 @@
 //! cml-lint [analyze] [--format text|json|sarif] [--level error|warning|info]
 //!          [--builtin buffer|equalizer|bmvr|la|all] [--codes]
 //!          [FILES... | -]
-//! cml-lint cache stats|clear|verify [--format text|json]
 //! cml-lint forensics BUNDLE... [--format text|json] [--replay]
 //! ```
 //!
 //! The default mode runs the structural netlist linter (`L` codes). The
 //! `analyze` subcommand runs the abstract-interpretation circuit analyzer
 //! instead (`A` codes): interval operating-point bounds, conditioning
-//! prediction, and the stiffness spectrum. The `cache` subcommand
-//! inspects and manages the on-disk topology artifact store
-//! (`CML_CACHE_DIR`): `stats` summarizes it, `clear` empties it, and
-//! `verify` re-validates every entry's header and checksum, deleting
-//! any corrupt file. The `forensics` subcommand validates and inspects
-//! the `CMLF` flight bundles the solver dumps on failure
-//! (`CML_FLIGHT_DIR`); with `--replay` it re-runs the recorded failure
-//! and checks the residual trajectory reproduces bit-for-bit.
+//! prediction, and the stiffness spectrum. The `forensics` subcommand
+//! validates and inspects the `CMLF` flight bundles the solver dumps on
+//! failure (`CML_FLIGHT_DIR`); with `--replay` it re-runs the recorded
+//! failure and checks the residual trajectory reproduces bit-for-bit.
 //!
 //! Each positional argument is a netlist file in the dialect emitted by
 //! `Circuit::netlist()` (`-` reads stdin). Exit status: 0 when every
@@ -351,143 +346,8 @@ fn forensics_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `cml-lint cache stats|clear|verify [--format text|json]`.
-fn cache_main(args: &[String]) -> ExitCode {
-    const CACHE_USAGE: &str = "usage: cml-lint cache stats|clear|verify [--format text|json]";
-    let mut action: Option<&str> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            a @ ("stats" | "clear" | "verify") if action.is_none() => action = Some(a),
-            "--format" => match it.next().map(String::as_str) {
-                Some("json") => json = true,
-                Some("text") => json = false,
-                other => {
-                    eprintln!("cml-lint: --format expects text|json, got {other:?}\n{CACHE_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!("{CACHE_USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("cml-lint: unknown cache argument '{other}'\n{CACHE_USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let Some(action) = action else {
-        eprintln!("cml-lint: cache needs an action\n{CACHE_USAGE}");
-        return ExitCode::from(2);
-    };
-    if cml_cache::disk_dir().is_none() {
-        eprintln!(
-            "cml-lint: no disk cache configured (set CML_CACHE_DIR, and keep CML_CACHE enabled)"
-        );
-        return ExitCode::from(2);
-    }
-    match action {
-        "stats" => {
-            let stats = cml_cache::disk::disk_stats();
-            let dir = stats
-                .dir
-                .as_ref()
-                .map_or_else(String::new, |d| d.display().to_string());
-            if json {
-                let per_kind: Vec<Value> = stats
-                    .per_kind
-                    .iter()
-                    .map(|(kind, n)| {
-                        Value::Obj(vec![
-                            ("kind".to_string(), Value::Str((*kind).to_string())),
-                            ("entries".to_string(), Value::Num(*n as f64)),
-                        ])
-                    })
-                    .collect();
-                let v = Value::Obj(vec![
-                    ("dir".to_string(), Value::Str(dir)),
-                    ("entries".to_string(), Value::Num(stats.entries as f64)),
-                    (
-                        "total_bytes".to_string(),
-                        Value::Num(stats.total_bytes as f64),
-                    ),
-                    ("per_kind".to_string(), Value::Arr(per_kind)),
-                ]);
-                if let Err(code) = print_json(&v) {
-                    return code;
-                }
-            } else {
-                println!("cache dir: {dir}");
-                println!("entries:   {} ({} bytes)", stats.entries, stats.total_bytes);
-                for (kind, n) in &stats.per_kind {
-                    if *n > 0 {
-                        println!("  {kind:<6} {n}");
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        "clear" => {
-            let removed = cml_cache::disk::clear();
-            if json {
-                let v = Value::Obj(vec![("removed".to_string(), Value::Num(removed as f64))]);
-                if let Err(code) = print_json(&v) {
-                    return code;
-                }
-            } else {
-                println!(
-                    "removed {removed} cache entr{}",
-                    if removed == 1 { "y" } else { "ies" }
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        _ => {
-            let report = cml_cache::disk::verify();
-            if json {
-                let v = Value::Obj(vec![
-                    ("ok".to_string(), Value::Num(report.ok as f64)),
-                    ("corrupt".to_string(), Value::Num(report.corrupt as f64)),
-                    (
-                        "corrupt_files".to_string(),
-                        Value::Arr(
-                            report
-                                .corrupt_files
-                                .iter()
-                                .map(|f| Value::Str(f.clone()))
-                                .collect(),
-                        ),
-                    ),
-                ]);
-                if let Err(code) = print_json(&v) {
-                    return code;
-                }
-            } else {
-                println!(
-                    "{} entr{} valid",
-                    report.ok,
-                    if report.ok == 1 { "y" } else { "ies" }
-                );
-                for f in &report.corrupt_files {
-                    println!("  removed corrupt entry {f}");
-                }
-            }
-            if report.corrupt > 0 {
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("cache") {
-        return cache_main(&args[1..]);
-    }
     if args.first().map(String::as_str) == Some("forensics") {
         return forensics_main(&args[1..]);
     }

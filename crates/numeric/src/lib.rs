@@ -68,7 +68,7 @@ pub use error::NumericError;
 pub use interval::Interval;
 pub use lanes::{F64s, F64x2, F64x4, F64x8};
 pub use scalar::{LaneScalar, Scalar};
-pub use sparse_lu::{FrozenLu, RefactorOutcome, SparseLu};
+pub use sparse_lu::{RefactorOutcome, SparseLu};
 
 /// Relative comparison of two floats with a combined absolute/relative
 /// tolerance, the convention used across the simulator's convergence checks.

@@ -585,249 +585,6 @@ impl<T: Scalar> SparseLu<T> {
     }
 }
 
-/// A factored [`SparseLu`] with its scratch stripped: the complete
-/// symbolic analysis (CSC pattern, column ordering, frozen pivot order,
-/// reach lists) plus the numeric factors, as plain vectors. This is the
-/// serialization surface for the topology artifact cache — a consumer
-/// encodes the fields, and [`SparseLu::from_frozen`] re-validates every
-/// structural invariant before grafting them back into a live solver,
-/// so a corrupt or stale payload is rejected instead of producing a
-/// solver that replays garbage.
-///
-/// The numeric payload (`lx`/`ux`) is carried bit-exact, so a solver
-/// rebuilt from a `FrozenLu` exported after [`SparseLu::factor`] on a
-/// matrix `A` behaves bitwise-identically to the original on every
-/// subsequent `refactor_frozen`/`solve` — the property the AC cache's
-/// cold-vs-warm equivalence rests on.
-#[derive(Debug, Clone)]
-pub struct FrozenLu<T: Scalar = f64> {
-    /// Matrix dimension.
-    pub n: usize,
-    /// CSC column pointers of the input pattern.
-    pub cp: Vec<usize>,
-    /// CSC row index per slot.
-    pub cri: Vec<usize>,
-    /// CSC slot → CSR slot value-gather map.
-    pub cmap: Vec<usize>,
-    /// Column elimination order.
-    pub q: Vec<usize>,
-    /// Row → elimination step (frozen pivot order).
-    pub pinv: Vec<usize>,
-    /// Elimination step → row (inverse of `pinv`).
-    pub pivot_row: Vec<usize>,
-    /// L column pointers.
-    pub lp: Vec<usize>,
-    /// L row indices in pivot space.
-    pub li: Vec<usize>,
-    /// L row indices in original space.
-    pub li_orig: Vec<usize>,
-    /// L values (unit diagonal first per column).
-    pub lx: Vec<T>,
-    /// U column pointers.
-    pub up: Vec<usize>,
-    /// U row indices (diagonal last per column).
-    pub ui: Vec<usize>,
-    /// U values.
-    pub ux: Vec<T>,
-    /// Reach-list pointers.
-    pub reach_ptr: Vec<usize>,
-    /// Per-column topological reach lists (original rows).
-    pub reach: Vec<usize>,
-}
-
-impl<T: Scalar> SparseLu<T> {
-    /// Snapshots the factored state for serialization. `None` before a
-    /// successful [`factor`](Self::factor) — an unfactored solver has
-    /// no pivot order worth freezing.
-    #[must_use]
-    pub fn export_frozen(&self) -> Option<FrozenLu<T>> {
-        if !self.factored {
-            return None;
-        }
-        Some(FrozenLu {
-            n: self.n,
-            cp: self.cp.clone(),
-            cri: self.cri.clone(),
-            cmap: self.cmap.clone(),
-            q: self.q.clone(),
-            pinv: self.pinv.clone(),
-            pivot_row: self.pivot_row.clone(),
-            lp: self.lp.clone(),
-            li: self.li.clone(),
-            li_orig: self.li_orig.clone(),
-            lx: self.lx.clone(),
-            up: self.up.clone(),
-            ui: self.ui.clone(),
-            ux: self.ux.clone(),
-            reach_ptr: self.reach_ptr.clone(),
-            reach: self.reach.clone(),
-        })
-    }
-
-    /// Rebuilds a factored solver from a [`FrozenLu`], validating every
-    /// structural invariant the replay path depends on. The checks make
-    /// a malformed payload *structurally* unable to index out of bounds
-    /// or desynchronize the replay loops; numeric correctness is the
-    /// caller's contract (the cache layer keys frozen factors by a
-    /// digest of the exact matrix bits they were factored from, and
-    /// re-verifies those bits on load).
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::DimensionMismatch`] describing the first violated
-    /// invariant. Callers treat any error as a cache validation failure
-    /// and fall back to a cold factorization.
-    pub fn from_frozen(f: FrozenLu<T>) -> Result<Self, NumericError> {
-        fn bad(what: &str) -> NumericError {
-            NumericError::DimensionMismatch {
-                expected: "a structurally valid FrozenLu".into(),
-                got: what.into(),
-            }
-        }
-        // Monotone pointer array of length n+1 whose last entry equals
-        // the indexed vectors' length.
-        fn check_ptr(
-            ptr: &[usize],
-            n: usize,
-            terminal: usize,
-            name: &str,
-        ) -> Result<(), NumericError> {
-            if ptr.len() != n + 1 {
-                return Err(bad(&format!("{name} has length {}", ptr.len())));
-            }
-            if ptr[0] != 0 || ptr.windows(2).any(|w| w[0] > w[1]) {
-                return Err(bad(&format!("{name} is not monotone from 0")));
-            }
-            if ptr[n] != terminal {
-                return Err(bad(&format!("{name} terminal {} != {terminal}", ptr[n])));
-            }
-            Ok(())
-        }
-        fn check_perm(p: &[usize], n: usize, name: &str) -> Result<(), NumericError> {
-            if p.len() != n {
-                return Err(bad(&format!("{name} has length {}", p.len())));
-            }
-            let mut seen = vec![false; n];
-            for &v in p {
-                if v >= n || seen[v] {
-                    return Err(bad(&format!("{name} is not a permutation")));
-                }
-                seen[v] = true;
-            }
-            Ok(())
-        }
-
-        let n = f.n;
-        let nnz = f.cri.len();
-        if f.cmap.len() != nnz {
-            return Err(bad("cmap length != pattern nnz"));
-        }
-        check_ptr(&f.cp, n, nnz, "cp")?;
-        if f.lx.len() != f.li_orig.len() || f.li.len() != f.li_orig.len() {
-            return Err(bad("L index/value lengths disagree"));
-        }
-        check_ptr(&f.lp, n, f.li_orig.len(), "lp")?;
-        if f.ux.len() != f.ui.len() {
-            return Err(bad("U index/value lengths disagree"));
-        }
-        check_ptr(&f.up, n, f.ui.len(), "up")?;
-        check_ptr(&f.reach_ptr, n, f.reach.len(), "reach_ptr")?;
-        check_perm(&f.q, n, "q")?;
-        check_perm(&f.pinv, n, "pinv")?;
-        check_perm(&f.pivot_row, n, "pivot_row")?;
-        for r in 0..n {
-            if f.pivot_row[f.pinv[r]] != r {
-                return Err(bad("pinv and pivot_row are not mutual inverses"));
-            }
-        }
-        if f.cri.iter().any(|&r| r >= n) || f.reach.iter().any(|&r| r >= n) {
-            return Err(bad("row index out of range"));
-        }
-        if f.li_orig.iter().any(|&r| r >= n) || f.ui.iter().any(|&k| k >= n) {
-            return Err(bad("factor index out of range"));
-        }
-        if f.cmap.iter().any(|&s| s >= nnz) {
-            return Err(bad("cmap slot out of range"));
-        }
-        for (p, &i) in f.li_orig.iter().enumerate() {
-            if f.li[p] != f.pinv[i] {
-                return Err(bad("li is not pinv∘li_orig"));
-            }
-        }
-        for k in 0..n {
-            // Each L column leads with its unit-diagonal pivot slot and
-            // each U column ends on its diagonal.
-            if f.lp[k + 1] <= f.lp[k] || f.up[k + 1] <= f.up[k] {
-                return Err(bad("empty factor column"));
-            }
-            if f.li_orig[f.lp[k]] != f.pivot_row[k] {
-                return Err(bad("L column does not lead with its pivot row"));
-            }
-            if (f.lx[f.lp[k]] - T::ONE).modulus() != 0.0 {
-                return Err(bad("L diagonal is not exactly one"));
-            }
-            if f.ui[f.up[k + 1] - 1] != k {
-                return Err(bad("U column does not end on its diagonal"));
-            }
-            // The replay loop walks the reach list writing U slots
-            // (entries pivotal before step k) and L slots (entries
-            // pivotal after k) through sequential cursors; re-walk it
-            // here demanding exact index agreement, so a forged reach
-            // list cannot silently desynchronize the replay cursors.
-            let mut ucur = f.up[k];
-            let mut lcur = f.lp[k] + 1;
-            let mut diag = 0usize;
-            for &i in &f.reach[f.reach_ptr[k]..f.reach_ptr[k + 1]] {
-                match f.pinv[i].cmp(&k) {
-                    std::cmp::Ordering::Less => {
-                        if ucur >= f.up[k + 1] - 1 || f.ui[ucur] != f.pinv[i] {
-                            return Err(bad("reach list disagrees with U column"));
-                        }
-                        ucur += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        if lcur >= f.lp[k + 1] || f.li_orig[lcur] != i {
-                            return Err(bad("reach list disagrees with L column"));
-                        }
-                        lcur += 1;
-                    }
-                    std::cmp::Ordering::Equal => diag += 1,
-                }
-            }
-            if ucur != f.up[k + 1] - 1 || lcur != f.lp[k + 1] || diag != 1 {
-                return Err(bad("reach list disagrees with factor column sizes"));
-            }
-        }
-        Ok(SparseLu {
-            n,
-            cp: f.cp,
-            cri: f.cri,
-            cmap: f.cmap,
-            q: f.q,
-            pinv: f.pinv,
-            pivot_row: f.pivot_row,
-            lp: f.lp,
-            li: f.li,
-            li_orig: f.li_orig,
-            lx: f.lx,
-            up: f.up,
-            ui: f.ui,
-            ux: f.ux,
-            reach_ptr: f.reach_ptr,
-            reach: f.reach,
-            x: vec![T::ZERO; n],
-            xi: vec![0; n],
-            stack: Vec::with_capacity(n),
-            pstack: Vec::with_capacity(n),
-            mark: vec![0; n],
-            mark_gen: 0,
-            work: vec![T::ZERO; n],
-            factored: true,
-            last_dead_pivot: None,
-        })
-    }
-}
-
 impl<T: LaneScalar> SparseLu<T> {
     /// Masked frozen replay for lane-packed scalars: like
     /// [`refactor_frozen`](Self::refactor_frozen), but a pivot that dies
@@ -1352,104 +1109,6 @@ mod tests {
         let third = lane_csrs(n, 9009);
         let packed3 = pack_lanes(&third);
         assert_eq!(lu.refactor_frozen_masked(&packed3, 0b1111).unwrap(), 0);
-    }
-
-    #[test]
-    fn frozen_roundtrip_is_bit_identical() {
-        let n = 24;
-        let m = random_system(n, 31);
-        let csr = m.to_csr().unwrap();
-        let mut lu = SparseLu::new(&csr).unwrap();
-        assert!(lu.export_frozen().is_none(), "unfactored has no freeze");
-        lu.factor(&csr).unwrap();
-        let frozen = lu.export_frozen().unwrap();
-        let mut thawed = SparseLu::from_frozen(frozen).unwrap();
-        // Same frozen pivot order ⇒ replay + solve are the same
-        // arithmetic in the same order ⇒ bitwise-equal solutions.
-        let mut st = 606u64;
-        let mut csr2 = csr.clone();
-        for v in csr2.vals_mut() {
-            *v += 0.01 * lcg(&mut st);
-        }
-        lu.refactor_frozen(&csr2).unwrap();
-        thawed.refactor_frozen(&csr2).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let xa = lu.solve(&b).unwrap();
-        let xb = thawed.solve(&b).unwrap();
-        for (a, bb) in xa.iter().zip(&xb) {
-            assert_eq!(a.to_bits(), bb.to_bits());
-        }
-    }
-
-    #[test]
-    fn frozen_roundtrip_complex() {
-        let n = 16;
-        let csr = complex_system(n, 5);
-        let mut lu = SparseLu::new(&csr).unwrap();
-        lu.factor(&csr).unwrap();
-        let mut thawed = SparseLu::from_frozen(lu.export_frozen().unwrap()).unwrap();
-        let b: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::new((i as f64).cos(), 0.5))
-            .collect();
-        let xa = lu.solve(&b).unwrap();
-        let xb = thawed.solve(&b).unwrap();
-        for (a, bb) in xa.iter().zip(&xb) {
-            assert_eq!(a.re.to_bits(), bb.re.to_bits());
-            assert_eq!(a.im.to_bits(), bb.im.to_bits());
-        }
-    }
-
-    #[test]
-    fn corrupt_frozen_is_rejected() {
-        let n = 12;
-        let m = random_system(n, 77);
-        let csr = m.to_csr().unwrap();
-        let mut lu = SparseLu::new(&csr).unwrap();
-        lu.factor(&csr).unwrap();
-        let good = lu.export_frozen().unwrap();
-        // Pristine copy thaws fine.
-        assert!(SparseLu::from_frozen(good.clone()).is_ok());
-        // Each corruption below must be caught by validation.
-        let mut c = good.clone();
-        c.pinv.swap(0, 1); // breaks mutual-inverse with pivot_row
-        assert!(SparseLu::from_frozen(c).is_err());
-        let mut c = good.clone();
-        c.cmap[0] = c.cri.len(); // slot out of range
-        assert!(SparseLu::from_frozen(c).is_err());
-        let mut c = good.clone();
-        c.lx[c.lp[3]] = 1.5; // unit diagonal violated
-        assert!(SparseLu::from_frozen(c).is_err());
-        // Swap two U-bound entries of one column's reach list: changes
-        // the elimination order, so validation must reject it. (Pure
-        // U/L interleaving changes are legitimately accepted — the
-        // replay cursors are independent.)
-        let mut c = good.clone();
-        let (mut a_slot, mut b_slot) = (usize::MAX, usize::MAX);
-        'outer: for k in 0..n {
-            let mut first = usize::MAX;
-            for t in c.reach_ptr[k]..c.reach_ptr[k + 1] {
-                if c.pinv[c.reach[t]] < k {
-                    if first == usize::MAX {
-                        first = t;
-                    } else {
-                        (a_slot, b_slot) = (first, t);
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        assert_ne!(a_slot, usize::MAX, "need a column with 2+ U entries");
-        c.reach.swap(a_slot, b_slot);
-        assert!(SparseLu::from_frozen(c).is_err());
-        let mut c = good.clone();
-        c.up[1] = c.up[n]; // non-monotone pointer
-        assert!(SparseLu::from_frozen(c).is_err());
-        let mut c = good.clone();
-        c.ux.pop(); // value/index length mismatch
-        assert!(SparseLu::from_frozen(c).is_err());
-        let mut c = good;
-        c.li[2] = (c.li[2] + 1) % n; // li no longer pinv∘li_orig
-        assert!(SparseLu::from_frozen(c).is_err());
     }
 
     #[test]

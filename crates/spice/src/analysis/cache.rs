@@ -5,28 +5,26 @@
 //! re-derive per analysis invocation even though it is a pure function
 //! of circuit structure: DC/transient Jacobian stamp patterns with
 //! their symbolic LU analyses, the AC `G + jωC` pattern, the factored
-//! AC reference state with its frozen pivot order, lint verdicts, and
-//! interval-analysis warm-start vectors.
+//! AC reference state, lint verdicts, and interval-analysis warm-start
+//! vectors.
 //!
 //! # Soundness
 //!
-//! The cache is advisory: a stale, corrupt, or colliding entry must
-//! never change results, only cost a cold derivation. Every consumer in
-//! this module therefore re-validates what it loads:
+//! The cache is advisory: a colliding entry must never change results,
+//! only cost a cold derivation.
 //!
 //! * **Patterns** (topology-keyed) are stored *pre-factorization* —
 //!   the expensive parts (stamp-recording pass, symmetrization, CSR
 //!   construction, symbolic analysis and min-degree ordering) are
 //!   reused, while every numeric value is assembled and factored fresh
 //!   by the caller exactly as on the cold path, so warm results are
-//!   bit-identical by construction. Disk payloads are structurally
-//!   revalidated (dimension match, canonical CSR shape) before use.
+//!   bit-identical by construction.
 //! * **AC factored states** (content-keyed) additionally carry the
 //!   exact bit pattern of the assembled reference matrix; a cached
-//!   frozen pivot order is used only after a full bitwise comparison
+//!   factorization is used only after a full bitwise comparison
 //!   against the live assembly, which makes even a 64-bit digest
-//!   collision harmless. The frozen snapshot itself passes
-//!   [`SparseLu::from_frozen`]'s structural validation.
+//!   collision harmless. A hit hands out a clone of the solver exactly
+//!   as the cold path left it after factoring.
 //! * **Lint verdicts**: only *passing* verdicts are interned (keyed by
 //!   the content hash, so a value edit re-lints); failures re-lint on
 //!   every call and keep their diagnostics fresh.
@@ -34,55 +32,31 @@
 //! # Telemetry
 //!
 //! The `cache_*` counters are recorded here, at the single
-//! compute-per-key call sites, on the caller's [`Telemetry`]: tier-1
-//! hits (`cache_hits`), cold derivations (`cache_misses`), validated
-//! disk loads (`cache_disk_loads`) and rejected artifacts
-//! (`cache_validation_failures`). Because the interner computes under
-//! the shard write lock (at most one cold derivation per key
-//! process-wide), these totals are thread-count-invariant.
+//! compute-per-key call sites, on the caller's [`Telemetry`]: hits
+//! (`cache_hits`), cold derivations (`cache_misses`) and rejected
+//! artifacts (`cache_validation_failures`). Because the interner
+//! computes under the shard write lock (at most one cold derivation per
+//! key process-wide), these totals are thread-count-invariant.
 
 use super::{AcSparseState, ModeKind, SparseState, System};
 use crate::circuit::Circuit;
-use crate::element::{StampMode, StampSlots};
+use crate::element::StampMode;
 use crate::SpiceError;
-use cml_cache::codec::{ByteReader, ByteWriter};
-use cml_cache::disk::{self, DiskLoad};
 use cml_cache::{intern, ArtifactKind, Fnv64, Key};
 use cml_numeric::sparse::CsrMatrix;
-use cml_numeric::{Complex64, FrozenLu, Scalar, SparseLu};
+use cml_numeric::{Complex64, SparseLu};
 use cml_telemetry::{EventKind, Telemetry};
-use std::cell::Cell;
 use std::sync::Arc;
 
-/// How a tier-1 miss was filled by the interner's make closure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fill {
-    /// Validated payload from the disk tier.
-    Disk,
-    /// Cold derivation.
-    Cold,
-}
-
-/// Records the telemetry outcome of one interner round trip. `kind`
-/// names the artifact family in the structured [`EventKind::CacheRejected`]
-/// event logged when a validation layer rejected a stored payload.
-fn count_outcome(tel: &Telemetry, was_hit: bool, fill: Fill, rejected: bool, kind: &'static str) {
+/// Records the telemetry outcome of one interner round trip.
+fn count_outcome(tel: &Telemetry, was_hit: bool) {
     tel.count(|c| {
         if was_hit {
             c.cache_hits += 1;
         } else {
-            match fill {
-                Fill::Disk => c.cache_disk_loads += 1,
-                Fill::Cold => c.cache_misses += 1,
-            }
-            if rejected {
-                c.cache_validation_failures += 1;
-            }
+            c.cache_misses += 1;
         }
     });
-    if !was_hit && rejected {
-        tel.event(|| EventKind::CacheRejected { kind: kind.into() });
-    }
 }
 
 /// Topology-level key: circuit structure hash folded with the MNA
@@ -96,102 +70,12 @@ fn topology_key(sys: &System<'_>, kind: ArtifactKind) -> Key {
     Key::new(kind, h.finish())
 }
 
-// ---------------------------------------------------------------------
-// Pattern payloads (DcPattern / TranPattern / AcPattern)
-// ---------------------------------------------------------------------
-
-/// Serializes a fixed-pattern CSR shape (values are *not* stored — the
-/// artifact is pre-numeric by design).
-fn encode_pattern<T: Scalar>(mat: &CsrMatrix<T>) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(24 + 8 * (mat.row_ptr().len() + mat.col_idx().len()));
-    w.put_usize(mat.rows());
-    w.put_usize_slice(mat.row_ptr());
-    w.put_usize_slice(mat.col_idx());
-    w.finish()
-}
-
-/// Deserializes and structurally validates a CSR pattern against the
-/// live system: the dimension must match and the stored shape must be
-/// exactly the canonical form [`CsrMatrix::from_pattern`] produces —
-/// anything else is rejected (→ cold derivation).
-fn decode_pattern<T: Scalar>(sys: &System<'_>, payload: &[u8]) -> Option<CsrMatrix<T>> {
-    let mut r = ByteReader::new(payload);
-    let dim = r.get_usize()?;
-    if dim != sys.dim() {
-        return None;
-    }
-    let row_ptr = r.get_usize_vec()?;
-    let col_idx = r.get_usize_vec()?;
-    if !r.exhausted() {
-        return None;
-    }
-    if row_ptr.len() != dim + 1 || row_ptr[0] != 0 || *row_ptr.last()? != col_idx.len() {
-        return None;
-    }
-    let mut positions = Vec::with_capacity(col_idx.len());
-    for row in 0..dim {
-        let (lo, hi) = (row_ptr[row], row_ptr[row + 1]);
-        if lo > hi || hi > col_idx.len() {
-            return None;
-        }
-        for &col in &col_idx[lo..hi] {
-            if col >= dim {
-                return None;
-            }
-            positions.push((row, col));
-        }
-    }
-    let mat = CsrMatrix::<T>::from_pattern(dim, dim, &positions).ok()?;
-    // Canonicality check: rebuilding from the stored positions must
-    // reproduce the stored arrays bit-for-bit, so a warm solve walks
-    // exactly the slots a cold discovery would have produced.
-    if mat.row_ptr() != row_ptr.as_slice() || mat.col_idx() != col_idx.as_slice() {
-        return None;
-    }
-    Some(mat)
-}
-
-/// Builds a pristine (pre-factor) [`SparseState`] around a validated
-/// pattern, mirroring the tail of [`System::build_sparse`].
-fn sparse_state_from_pattern(
-    sys: &System<'_>,
-    mat: CsrMatrix<f64>,
-    kind: ModeKind,
-) -> Option<SparseState> {
-    let lu = SparseLu::new(&mat).ok()?;
-    let diag_slots: Option<Vec<usize>> = (0..sys.n_nodes()).map(|i| mat.find(i, i)).collect();
-    let nnz = mat.vals().len();
-    Some(SparseState {
-        mat,
-        lu,
-        lin_vals: vec![0.0; nnz],
-        diag_slots: diag_slots?,
-        slots_full: StampSlots::default(),
-        slots_lin: StampSlots::default(),
-        slots_nonlin: StampSlots::default(),
-        kind,
-    })
-}
-
-/// Complex twin of [`sparse_state_from_pattern`], mirroring the tail of
-/// [`System::build_ac_sparse`].
-fn ac_state_from_pattern(sys: &System<'_>, mat: CsrMatrix<Complex64>) -> Option<AcSparseState> {
-    let lu = SparseLu::new(&mat).ok()?;
-    let diag_slots: Option<Vec<usize>> = (0..sys.n_nodes()).map(|i| mat.find(i, i)).collect();
-    Some(AcSparseState {
-        mat,
-        lu,
-        slots: StampSlots::default(),
-        diag_slots: diag_slots?,
-    })
-}
-
 /// Cached variant of [`System::build_sparse`]: serves the DC- or
-/// transient-mode stamp pattern plus symbolic LU from the interner (or
-/// the disk tier), deriving cold at most once per topology
-/// process-wide. The returned state is a pristine pre-factor clone —
-/// numeric assembly and factorization happen in the caller exactly as
-/// on the cold path, which is what keeps warm results bit-identical.
+/// transient-mode stamp pattern plus symbolic LU from the interner,
+/// deriving cold at most once per topology process-wide. The returned
+/// state is a pristine pre-factor clone — numeric assembly and
+/// factorization happen in the caller exactly as on the cold path,
+/// which is what keeps warm results bit-identical.
 pub(super) fn sparse_state_cached(
     sys: &System<'_>,
     x0: &[f64],
@@ -205,49 +89,28 @@ pub(super) fn sparse_state_cached(
         ModeKind::Tran => ArtifactKind::TranPattern,
     };
     let key = topology_key(sys, kind);
-    let fill = Cell::new(Fill::Cold);
-    let rejected = Cell::new(false);
     let (arc, was_hit) = intern::get_or_insert_with::<SparseState, _>(key, || {
-        match disk::load_detailed(key) {
-            DiskLoad::Data(payload) => {
-                if let Some(sp) = decode_pattern::<f64>(sys, &payload)
-                    .and_then(|mat| sparse_state_from_pattern(sys, mat, mode_kind))
-                {
-                    fill.set(Fill::Disk);
-                    return Some(Arc::new(sp));
-                }
-                // Header-valid but semantically unusable for this
-                // system: drop it so future processes don't re-fail.
-                rejected.set(true);
-                cml_cache::note_validation_failure();
-                disk::remove(key);
-            }
-            DiskLoad::Rejected => rejected.set(true),
-            DiskLoad::Absent => {}
-        }
-        let sp = sys.build_sparse(x0, state, mode)?;
-        disk::store(key, &encode_pattern(&sp.mat));
-        Some(Arc::new(sp))
+        sys.build_sparse(x0, state, mode).map(Arc::new)
     })?;
-    count_outcome(tel, was_hit, fill.get(), rejected.get(), "jacobian-pattern");
+    count_outcome(tel, was_hit);
     Some(arc.as_ref().clone())
 }
 
 // ---------------------------------------------------------------------
-// AC: cached pattern + content-keyed frozen factorization
+// AC: cached pattern + content-keyed factorization
 // ---------------------------------------------------------------------
 
 /// A factored AC reference state: the exact value bits of the assembled
-/// `G + jω₀C` matrix it was factored from, plus the frozen
-/// factorization snapshot. Consulted only after `bits` compares equal
-/// to the live assembly, so the frozen pivot order can never be applied
-/// to a matrix it wasn't derived from.
-#[derive(Debug, Clone)]
+/// `G + jω₀C` matrix it was factored from, plus the solver as the cold
+/// path left it after factoring. Consulted only after `bits` compares
+/// equal to the live assembly, so the factors and their pivot order can
+/// never be applied to a matrix they weren't derived from.
+#[derive(Debug)]
 struct AcFactorArtifact {
     /// `(re, im)` bit patterns of every CSR value slot, interleaved.
     bits: Vec<u64>,
-    /// Frozen factorization (validated by [`SparseLu::from_frozen`]).
-    frozen: FrozenLu<Complex64>,
+    /// The factored reference solver.
+    lu: SparseLu<Complex64>,
 }
 
 /// Interleaved `(re, im)` bit patterns of the assembled matrix values.
@@ -260,104 +123,12 @@ fn matrix_bits(mat: &CsrMatrix<Complex64>) -> Vec<u64> {
     out
 }
 
-fn put_u64_slice(w: &mut ByteWriter, vs: &[u64]) {
-    w.put_usize(vs.len());
-    for &v in vs {
-        w.put_u64(v);
-    }
-}
-
-fn get_u64_vec(r: &mut ByteReader<'_>) -> Option<Vec<u64>> {
-    let n = r.get_usize()?;
-    if n > r.remaining() / 8 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.get_u64()?);
-    }
-    Some(out)
-}
-
-fn put_complex_slice(w: &mut ByteWriter, vs: &[Complex64]) {
-    w.put_usize(vs.len());
-    for z in vs {
-        w.put_f64(z.re);
-        w.put_f64(z.im);
-    }
-}
-
-fn get_complex_vec(r: &mut ByteReader<'_>) -> Option<Vec<Complex64>> {
-    let n = r.get_usize()?;
-    if n > r.remaining() / 16 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let re = r.get_f64()?;
-        let im = r.get_f64()?;
-        out.push(Complex64 { re, im });
-    }
-    Some(out)
-}
-
-fn encode_ac_factor(art: &AcFactorArtifact) -> Vec<u8> {
-    let f = &art.frozen;
-    let mut w = ByteWriter::new();
-    put_u64_slice(&mut w, &art.bits);
-    w.put_usize(f.n);
-    w.put_usize_slice(&f.cp);
-    w.put_usize_slice(&f.cri);
-    w.put_usize_slice(&f.cmap);
-    w.put_usize_slice(&f.q);
-    w.put_usize_slice(&f.pinv);
-    w.put_usize_slice(&f.pivot_row);
-    w.put_usize_slice(&f.lp);
-    w.put_usize_slice(&f.li);
-    w.put_usize_slice(&f.li_orig);
-    put_complex_slice(&mut w, &f.lx);
-    w.put_usize_slice(&f.up);
-    w.put_usize_slice(&f.ui);
-    put_complex_slice(&mut w, &f.ux);
-    w.put_usize_slice(&f.reach_ptr);
-    w.put_usize_slice(&f.reach);
-    w.finish()
-}
-
-fn decode_ac_factor(payload: &[u8]) -> Option<AcFactorArtifact> {
-    let mut r = ByteReader::new(payload);
-    let bits = get_u64_vec(&mut r)?;
-    let frozen = FrozenLu {
-        n: r.get_usize()?,
-        cp: r.get_usize_vec()?,
-        cri: r.get_usize_vec()?,
-        cmap: r.get_usize_vec()?,
-        q: r.get_usize_vec()?,
-        pinv: r.get_usize_vec()?,
-        pivot_row: r.get_usize_vec()?,
-        lp: r.get_usize_vec()?,
-        li: r.get_usize_vec()?,
-        li_orig: r.get_usize_vec()?,
-        lx: get_complex_vec(&mut r)?,
-        up: r.get_usize_vec()?,
-        ui: r.get_usize_vec()?,
-        ux: get_complex_vec(&mut r)?,
-        reach_ptr: r.get_usize_vec()?,
-        reach: r.get_usize_vec()?,
-    };
-    if !r.exhausted() {
-        return None;
-    }
-    Some(AcFactorArtifact { bits, frozen })
-}
-
 /// Cached variant of the AC sweep's reference preparation: serves the
-/// `G + jωC` stamp pattern from the topology tier, assembles the
-/// reference matrix at `f0` fresh, then serves the *factorization*
-/// from the content tier keyed by (and bit-compared against) the exact
-/// assembled matrix bits. Falls back to cold derivation at every
-/// validation boundary; returns `None` (→ dense sweep) exactly when
-/// the uncached path would.
+/// `G + jωC` stamp pattern by topology, assembles the reference matrix
+/// at `f0` fresh, then serves the *factorization* keyed by (and
+/// bit-compared against) the exact assembled matrix bits. Falls back to
+/// cold derivation at every validation boundary; returns `None` (→ dense
+/// sweep) exactly when the uncached path would.
 pub(super) fn prepare_ac_sparse_cached(
     sys: &System<'_>,
     x_op: &[f64],
@@ -367,31 +138,12 @@ pub(super) fn prepare_ac_sparse_cached(
 ) -> Option<AcSparseState> {
     let omega0 = 2.0 * std::f64::consts::PI * f0;
 
-    // Tier: topology-keyed pattern + symbolic analysis.
+    // Topology-keyed pattern + symbolic analysis.
     let pat_key = topology_key(sys, ArtifactKind::AcPattern);
-    let fill = Cell::new(Fill::Cold);
-    let rejected = Cell::new(false);
     let (arc, was_hit) = intern::get_or_insert_with::<AcSparseState, _>(pat_key, || {
-        match disk::load_detailed(pat_key) {
-            DiskLoad::Data(payload) => {
-                if let Some(sp) = decode_pattern::<Complex64>(sys, &payload)
-                    .and_then(|mat| ac_state_from_pattern(sys, mat))
-                {
-                    fill.set(Fill::Disk);
-                    return Some(Arc::new(sp));
-                }
-                rejected.set(true);
-                cml_cache::note_validation_failure();
-                disk::remove(pat_key);
-            }
-            DiskLoad::Rejected => rejected.set(true),
-            DiskLoad::Absent => {}
-        }
-        let sp = sys.build_ac_sparse(x_op, omega0)?;
-        disk::store(pat_key, &encode_pattern(&sp.mat));
-        Some(Arc::new(sp))
+        sys.build_ac_sparse(x_op, omega0).map(Arc::new)
     })?;
-    count_outcome(tel, was_hit, fill.get(), rejected.get(), "ac-pattern");
+    count_outcome(tel, was_hit);
     let mut sp: AcSparseState = arc.as_ref().clone();
 
     // Reference assembly at f0, always fresh (values are never cached).
@@ -413,10 +165,10 @@ pub(super) fn prepare_ac_sparse_cached(
         }
     }
 
-    // Tier: content-keyed frozen factorization. The digest folds the
-    // topology key with every assembled value bit; the artifact then
-    // re-verifies those bits in full, so even a digest collision only
-    // costs a cold factorization.
+    // Content-keyed factorization. The digest folds the topology key
+    // with every assembled value bit; the artifact then re-verifies
+    // those bits in full, so even a digest collision only costs a cold
+    // factorization.
     let bits = matrix_bits(&sp.mat);
     let mut h = Fnv64::new();
     h.write_u64(pat_key.hash);
@@ -429,42 +181,17 @@ pub(super) fn prepare_ac_sparse_cached(
     let mut factor_rejected = false;
     if let Some(art) = intern::lookup::<AcFactorArtifact>(fac_key) {
         if art.bits == bits {
-            if let Ok(lu) = SparseLu::from_frozen(art.frozen.clone()) {
-                sp.lu = lu;
-                tel.count(|c| c.cache_hits += 1);
-                return Some(sp);
-            }
+            sp.lu = art.lu.clone();
+            tel.count(|c| c.cache_hits += 1);
+            return Some(sp);
         }
-        // Digest collision or an un-replayable snapshot: derive cold.
+        // Digest collision: derive cold.
         factor_rejected = true;
         cml_cache::note_validation_failure();
-    } else {
-        match disk::load_detailed(fac_key) {
-            DiskLoad::Data(payload) => {
-                let grafted = decode_ac_factor(&payload)
-                    .filter(|art| art.bits == bits)
-                    .and_then(|art| {
-                        SparseLu::from_frozen(art.frozen.clone())
-                            .ok()
-                            .map(|lu| (art, lu))
-                    });
-                if let Some((art, lu)) = grafted {
-                    sp.lu = lu;
-                    intern::insert(fac_key, Arc::new(art));
-                    tel.count(|c| c.cache_disk_loads += 1);
-                    return Some(sp);
-                }
-                factor_rejected = true;
-                cml_cache::note_validation_failure();
-                disk::remove(fac_key);
-            }
-            DiskLoad::Rejected => factor_rejected = true,
-            DiskLoad::Absent => {}
-        }
     }
 
-    // Cold: numeric reference factorization, then publish the frozen
-    // snapshot to both tiers.
+    // Cold: numeric reference factorization, then intern the factored
+    // solver.
     sp.lu.factor(&sp.mat).ok()?;
     cml_cache::note_miss();
     tel.count(|c| {
@@ -478,11 +205,13 @@ pub(super) fn prepare_ac_sparse_cached(
             kind: "ac-factor".into(),
         });
     }
-    if let Some(frozen) = sp.lu.export_frozen() {
-        let art = Arc::new(AcFactorArtifact { bits, frozen });
-        disk::store(fac_key, &encode_ac_factor(&art));
-        intern::insert(fac_key, art);
-    }
+    intern::insert(
+        fac_key,
+        Arc::new(AcFactorArtifact {
+            bits,
+            lu: sp.lu.clone(),
+        }),
+    );
     Some(sp)
 }
 
@@ -521,7 +250,7 @@ pub(crate) fn lint_precheck_cached(
     });
     match got {
         Some((_ok, was_hit)) => {
-            count_outcome(tel, was_hit, Fill::Cold, false, "lint-verdict");
+            count_outcome(tel, was_hit);
             Ok(())
         }
         None => {
@@ -544,8 +273,7 @@ pub(crate) fn lint_precheck_cached(
 
 /// Cached variant of [`crate::analyze::warm_start_vector`], keyed by
 /// the circuit *content* hash (interval analysis reads element values)
-/// folded with `gmin` and the MNA dimension. Memory-only: the vector
-/// is cheap to store and is already advisory — any stale value would
+/// folded with `gmin` and the MNA dimension. The vector is advisory — any stale value would
 /// only change the Newton starting point, never the converged result,
 /// but the content key makes even that impossible.
 pub(super) fn warm_start_cached(
@@ -569,7 +297,7 @@ pub(super) fn warm_start_cached(
     });
     match got {
         Some((arc, was_hit)) if arc.len() == dim => {
-            count_outcome(tel, was_hit, Fill::Cold, false, "warm-start");
+            count_outcome(tel, was_hit);
             arc.as_ref().clone()
         }
         // Length mismatch can only mean a key collision; derive fresh.

@@ -10,7 +10,6 @@ pub mod cache;
 pub mod dc;
 pub mod op;
 pub mod sink;
-pub mod spill;
 pub mod tran;
 
 use crate::circuit::{Circuit, NodeId};

@@ -17,8 +17,8 @@
 //!   behaviour as just another sink — the dense
 //!   [`super::tran::run`] entry point is a thin wrapper over it, so
 //!   every existing caller is source-compatible;
-//! * [`Tee`] fans one stream out to two sinks (e.g. eye fold + disk
-//!   spill in a single pass).
+//! * [`Tee`] fans one stream out to two sinks (e.g. eye fold + signal
+//!   metrics in a single pass).
 //!
 //! Chunk size comes from [`super::tran::TranConfig::chunk_size`]
 //! (default 1024 samples, `CML_TRAN_CHUNK` env override). See

@@ -238,7 +238,8 @@ impl Circuit {
     /// Computed lazily and cached; any mutation ([`node`](Self::node),
     /// [`add`](Self::add), [`add_boxed`](Self::add_boxed)) invalidates
     /// the cache. FNV-1a over length-prefixed fields, so the digest is
-    /// stable across processes — it doubles as the on-disk cache key.
+    /// stable across processes — flight bundles record it so a dump can
+    /// be matched to its circuit on another machine.
     #[must_use]
     pub fn topology_hash(&self) -> u64 {
         *self.topo_hash.get_or_init(|| {

@@ -58,15 +58,6 @@ pub enum SpiceError {
         /// Description of the broken invariant.
         message: String,
     },
-    /// An I/O operation inside a waveform sink failed (e.g. the spill
-    /// sink could not write its file). Stringified rather than wrapping
-    /// [`std::io::Error`] so the error type stays `Clone + PartialEq`.
-    Io {
-        /// What the sink was doing (`"spill write"`, `"checkpoint"`, …).
-        context: &'static str,
-        /// The underlying I/O error, stringified.
-        message: String,
-    },
 }
 
 impl fmt::Display for SpiceError {
@@ -104,9 +95,6 @@ impl fmt::Display for SpiceError {
             SpiceError::Internal { message } => {
                 write!(f, "internal simulator error: {message}")
             }
-            SpiceError::Io { context, message } => {
-                write!(f, "i/o error during {context}: {message}")
-            }
         }
     }
 }
@@ -116,17 +104,6 @@ impl Error for SpiceError {
         match self {
             SpiceError::Numeric(e) => Some(e),
             _ => None,
-        }
-    }
-}
-
-impl SpiceError {
-    /// Wraps an [`std::io::Error`] from a waveform sink.
-    #[must_use]
-    pub fn io(context: &'static str, e: &std::io::Error) -> Self {
-        SpiceError::Io {
-            context,
-            message: e.to_string(),
         }
     }
 }

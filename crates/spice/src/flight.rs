@@ -15,13 +15,12 @@
 //!
 //! # Format (`CMLF`, version 1)
 //!
-//! The header follows the `cml-cache` disk tier's `CMLC` idiom: magic,
-//! version, payload length, FNV-1a checksum over the payload, then the
-//! payload encoded with the shared little-endian
-//! [`codec`](cml_cache::codec). Files are written tmp+rename so a
-//! crashed dump never leaves a half-written bundle, and readers
-//! validate magic → version → length → checksum → field decode →
-//! content fingerprint before trusting a byte.
+//! The header is magic, version, payload length and an FNV-1a checksum
+//! over the payload, then the payload encoded with the shared
+//! little-endian [`codec`](cml_cache::codec). Files are written
+//! tmp+rename so a crashed dump never leaves a half-written bundle, and
+//! readers validate magic → version → length → checksum → field decode
+//! → content fingerprint before trusting a byte.
 //!
 //! Inside the payload, a **content fingerprint** (FNV-1a over the
 //! deterministic fields only — hashes, netlist, options, seed, error,
@@ -130,7 +129,8 @@ fn error_tag(err: &SpiceError) -> u8 {
         SpiceError::Numeric(_) => 5,
         SpiceError::LintRejected { .. } => 6,
         SpiceError::Internal { .. } => 7,
-        SpiceError::Io { .. } => 8,
+        // Tag 8 is reserved (a removed variant); never reuse it, so old
+        // bundles keep their meaning.
     }
 }
 

@@ -17,8 +17,8 @@
 //! * **Transient analysis** — trapezoidal (default) or backward-Euler
 //!   companion models with per-step Newton iteration ([`analysis::tran`]),
 //!   streaming accepted samples through columnar [`analysis::sink`]s
-//!   (with a compressed disk spill + checkpoint/resume sink in
-//!   [`analysis::spill`]) so run length is not bounded by memory.
+//!   into in-memory accumulators, so run length is not bounded by
+//!   memory.
 //!
 //! Device models: resistor, capacitor, inductor, independent V/I sources
 //! (DC / pulse / sine / PWL waveforms), VCVS/VCCS controlled sources, a
@@ -77,7 +77,6 @@ pub mod prelude {
     pub use crate::analysis::sink::{
         DenseSink, Tee, TranMeta, TranProbes, TranStats, WaveChunk, WaveSink,
     };
-    pub use crate::analysis::spill::{SpillReader, SpillSink};
     pub use crate::analysis::tran::{self, TranConfig, TranResult};
     pub use crate::analyze::{self, AnalysisReport, AnalyzeCode, Finding as AnalyzeFinding};
     pub use crate::circuit::{Circuit, NodeId};

@@ -87,8 +87,8 @@ pub enum EventKind {
         /// Magnitude of the dead pivot (NaN when unknown).
         pivot: f64,
     },
-    /// An artifact loaded from the cache disk tier was rejected by
-    /// validation and healed by a cold derivation.
+    /// An interned cache artifact was rejected by validation and healed
+    /// by a cold derivation.
     CacheRejected {
         /// Artifact kind label (`"pattern"`, `"lint"`, …).
         kind: Cow<'static, str>,

@@ -199,20 +199,18 @@ pub struct Counters {
     /// analyzer's soundness contract.
     pub prediction_violations: u64,
     /// Topology-cache artifacts served from the in-memory interner
-    /// (tier 1 of `cml-cache`): a symbolic analysis, stamp pattern,
-    /// frozen AC factorization, or lint verdict was reused instead of
+    /// (`cml-cache`): a symbolic analysis, stamp pattern, factored AC
+    /// reference state, or lint verdict was reused instead of
     /// re-derived. Counted at the single-compute-per-key call sites, so
     /// the total is thread-count-invariant.
     pub cache_hits: u64,
-    /// Topology-cache lookups that required a cold derivation (neither
-    /// the interner nor the disk tier had a usable artifact).
+    /// Topology-cache lookups that required a cold derivation (the
+    /// interner had no usable artifact).
     pub cache_misses: u64,
-    /// Artifacts loaded from the on-disk tier and accepted by both
-    /// header and semantic validation.
-    pub cache_disk_loads: u64,
-    /// Cache loads rejected by validation (corrupt file, version or
-    /// dimension mismatch, pivot-order insanity) and healed by a cold
-    /// derivation. Nonzero values never change results — only cost.
+    /// Interned artifacts rejected by validation against the live
+    /// circuit (a digest collision or a pattern that cannot carry the
+    /// circuit's stamps) and healed by a cold derivation. Nonzero values
+    /// never change results — only cost.
     pub cache_validation_failures: u64,
     /// Structured events emitted into the event log ([`Telemetry::event`]
     /// and [`Telemetry::degradation`]). Every emission site is a
@@ -270,7 +268,6 @@ impl Default for Counters {
             prediction_violations: 0,
             cache_hits: 0,
             cache_misses: 0,
-            cache_disk_loads: 0,
             cache_validation_failures: 0,
             events_emitted: 0,
             degradation_warnings: 0,
@@ -318,7 +315,6 @@ impl Counters {
         self.prediction_violations += other.prediction_violations;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.cache_disk_loads += other.cache_disk_loads;
         self.cache_validation_failures += other.cache_validation_failures;
         self.events_emitted += other.events_emitted;
         self.degradation_warnings += other.degradation_warnings;
@@ -447,7 +443,6 @@ impl Counters {
             ),
             ("cache_hits".into(), num(self.cache_hits)),
             ("cache_misses".into(), num(self.cache_misses)),
-            ("cache_disk_loads".into(), num(self.cache_disk_loads)),
             (
                 "cache_validation_failures".into(),
                 num(self.cache_validation_failures),

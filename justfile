@@ -68,8 +68,8 @@ bench-pr8:
     cargo run --release -p cml-bench --bin bench_pr8
 
 # Regenerate the topology-artifact-cache benchmark artifact (cold vs
-# warm vs disk-rehydrated repeated-topology workload; asserts >= 1.3x
-# warm speedup with bit-identical results across all three legs).
+# warm repeated-topology workload; asserts >= 1.3x warm speedup with
+# bit-identical results across both legs).
 bench-pr9:
     cargo run --release -p cml-bench --bin bench_pr9
 

@@ -4,18 +4,15 @@
 //! The cache's contract is that it changes cost, never results. These
 //! tests pin that contract from every direction: warm in-process runs
 //! are bit-identical to cold ones across op/AC/transient on the paper's
-//! builtin blocks; a simulated process restart that rehydrates from the
-//! disk tier is bit-identical too; corrupt disk entries are detected,
-//! counted and deleted while the run falls back to a cold derivation
-//! with unchanged results; the four cache telemetry counters are
-//! invariant under the AC worker-thread count; the batched multi-variant
-//! solver derives its symbolic analysis once per *batch*, not once per
+//! builtin blocks; the three cache telemetry counters are invariant
+//! under the AC worker-thread count; the batched multi-variant solver
+//! derives its symbolic analysis once per *batch*, not once per
 //! variant; and a property test shows that topology-hash-equal circuits
 //! (same structure, different element values) can interchange symbolic
 //! analyses without perturbing a single bit of the solution.
 //!
-//! All tests serialize on one mutex: the interner, the disk-tier
-//! configuration and the stats counters are process-global.
+//! All tests serialize on one mutex: the interner, the enable flag and
+//! the stats counters are process-global.
 
 // Driver-style target: aborting on a malformed result with a message
 // is the intended failure mode, so expect/unwrap are fine here.
@@ -29,7 +26,6 @@ use cml_spice::analysis::{ac, batch, op, NewtonOptions};
 use cml_spice::prelude::*;
 use cml_spice::telemetry::Telemetry;
 use proptest::prelude::*;
-use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes every test in this binary (see module docs).
@@ -38,36 +34,12 @@ fn lock() -> MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Puts the process-global cache into a known state: empty interner,
-/// zeroed stats, the given disk directory (usually `None`).
-fn fresh_cache(dir: Option<PathBuf>) {
+/// Puts the process-global cache into a known state: enabled, empty
+/// interner, zeroed stats.
+fn fresh_cache() {
     cml_cache::set_enabled(true);
-    cml_cache::set_disk_dir(dir);
     cml_cache::intern::clear_in_memory();
     cml_cache::reset_stats();
-}
-
-/// A unique scratch directory for one disk-tier test, removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("cml-cache-eqv-{tag}-{}", std::process::id()));
-        // A leftover from a killed previous run must not pollute stats.
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        ScratchDir(dir)
-    }
-
-    fn path(&self) -> PathBuf {
-        self.0.clone()
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn cached_opts() -> NewtonOptions {
@@ -174,7 +146,7 @@ fn warm_process_is_bit_identical_to_cold() {
     let freqs = logspace(1e6, 60e9, 48);
     for name in BLOCKS {
         let ckt = cml_lint::builtin_circuit(name).expect("builtin block");
-        fresh_cache(None);
+        fresh_cache();
         let cold_op = op::solve_with(&ckt, &cached_opts(), None).expect("cold op");
         let cold_ac =
             ac::sweep_with(&ckt, cold_op.solution(), &freqs, &cached_opts(), 2).expect("cold ac");
@@ -200,7 +172,7 @@ fn warm_process_is_bit_identical_to_cold() {
     let ckt = step_buffer();
     let mut cfg = TranConfig::new(0.3e-9, 2e-12);
     cfg.newton = cached_opts();
-    fresh_cache(None);
+    fresh_cache();
     let cold = tran::run(&ckt, &cfg).expect("cold tran");
     let warm = tran::run(&ckt, &cfg).expect("warm tran");
     let mut off_cfg = cfg.clone();
@@ -211,116 +183,23 @@ fn warm_process_is_bit_identical_to_cold() {
 }
 
 #[test]
-fn disk_rehydration_is_bit_identical_to_cold() {
-    let _g = lock();
-    let scratch = ScratchDir::new("rehydrate");
-    let freqs = logspace(1e6, 60e9, 48);
-    for name in BLOCKS {
-        let ckt = cml_lint::builtin_circuit(name).expect("builtin block");
-        fresh_cache(Some(scratch.path()));
-        let cold_op = op::solve_with(&ckt, &cached_opts(), None).expect("cold op");
-        let cold_ac =
-            ac::sweep_with(&ckt, cold_op.solution(), &freqs, &cached_opts(), 1).expect("cold ac");
-        assert!(
-            cml_cache::disk::disk_stats().entries > 0,
-            "{name}: cold run stored nothing on disk"
-        );
-        // Simulated restart: empty interner, zeroed stats, same disk dir.
-        cml_cache::intern::clear_in_memory();
-        cml_cache::reset_stats();
-        let tel = Telemetry::enabled();
-        let disk_op = op::solve_traced(&ckt, &cached_opts(), None, &tel).expect("disk op");
-        let disk_ac = ac::sweep_traced(&ckt, disk_op.solution(), &freqs, &cached_opts(), 1, &tel)
-            .expect("disk ac");
-        let counters = tel.report().counters;
-        assert!(
-            counters.cache_disk_loads > 0,
-            "{name}: rehydrating run never loaded from disk"
-        );
-        assert_eq!(
-            counters.cache_validation_failures, 0,
-            "{name}: clean disk entries were rejected"
-        );
-        assert_op_bits_equal(name, cold_op.solution(), disk_op.solution(), "disk-vs-cold");
-        assert_ac_bits_equal(name, &ckt, &cold_ac, &disk_ac, freqs.len());
-    }
-}
-
-#[test]
-fn corrupt_disk_entries_fall_back_to_cold_with_identical_results() {
-    let _g = lock();
-    let scratch = ScratchDir::new("corrupt");
-    let freqs = logspace(1e6, 60e9, 32);
-    let ckt = cml_lint::builtin_circuit("equalizer").expect("builtin block");
-    fresh_cache(Some(scratch.path()));
-    let cold_op = op::solve_with(&ckt, &cached_opts(), None).expect("cold op");
-    let cold_ac =
-        ac::sweep_with(&ckt, cold_op.solution(), &freqs, &cached_opts(), 1).expect("cold ac");
-    // Vandalize every stored entry: truncate half, bit-flip the rest.
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(scratch.path())
-        .expect("read cache dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "cmlc"))
-        .collect();
-    entries.sort();
-    assert!(!entries.is_empty(), "cold run stored nothing to corrupt");
-    for (i, path) in entries.iter().enumerate() {
-        let mut bytes = std::fs::read(path).expect("read entry");
-        if i % 2 == 0 {
-            bytes.truncate(bytes.len() / 2);
-        } else {
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0x40;
-        }
-        std::fs::write(path, &bytes).expect("rewrite entry");
-    }
-    // Restart against the vandalized store: every load must be rejected,
-    // counted, deleted — and the cold fallback must reproduce the exact
-    // cold-run bits.
-    cml_cache::intern::clear_in_memory();
-    cml_cache::reset_stats();
-    let tel = Telemetry::enabled();
-    let re_op = op::solve_traced(&ckt, &cached_opts(), None, &tel).expect("fallback op");
-    let re_ac = ac::sweep_traced(&ckt, re_op.solution(), &freqs, &cached_opts(), 1, &tel)
-        .expect("fallback ac");
-    let counters = tel.report().counters;
-    assert!(
-        counters.cache_validation_failures > 0,
-        "corrupt entries were never flagged"
-    );
-    assert_eq!(counters.cache_disk_loads, 0, "a corrupt entry was loaded");
-    assert_op_bits_equal("equalizer", cold_op.solution(), re_op.solution(), "corrupt");
-    assert_ac_bits_equal("equalizer", &ckt, &cold_ac, &re_ac, freqs.len());
-    // The vandalized files were deleted on rejection, and the fallback
-    // re-stored clean replacements — so a verify pass now comes up clean.
-    let report = cml_cache::disk::verify();
-    assert_eq!(report.corrupt, 0, "rejected entries were left on disk");
-    assert!(report.ok > 0, "fallback run did not re-store entries");
-}
-
-#[test]
 fn cache_counters_are_thread_count_invariant() {
     let _g = lock();
     let ckt = cml_lint::builtin_circuit("equalizer").expect("builtin block");
     let x_op = {
-        fresh_cache(None);
+        fresh_cache();
         op::solve_with(&ckt, &cached_opts(), None).expect("operating point")
     };
     let freqs = logspace(1e6, 60e9, 64);
-    let cache_counts = |threads: usize, warm: bool| -> [u64; 4] {
+    let cache_counts = |threads: usize, warm: bool| -> [u64; 3] {
         if !warm {
-            fresh_cache(None);
+            fresh_cache();
         }
         let tel = Telemetry::enabled();
         ac::sweep_traced(&ckt, x_op.solution(), &freqs, &cached_opts(), threads, &tel)
             .expect("ac sweep");
         let c = tel.report().counters;
-        [
-            c.cache_hits,
-            c.cache_misses,
-            c.cache_disk_loads,
-            c.cache_validation_failures,
-        ]
+        [c.cache_hits, c.cache_misses, c.cache_validation_failures]
     };
     // Cold sweeps: each starts from an empty interner.
     let cold = cache_counts(1, false);
@@ -333,7 +212,7 @@ fn cache_counters_are_thread_count_invariant() {
         );
     }
     // Warm sweeps: each starts from the same fully-primed interner.
-    fresh_cache(None);
+    fresh_cache();
     ac::sweep_with(&ckt, x_op.solution(), &freqs, &cached_opts(), 1).expect("prime");
     let warm = cache_counts(1, true);
     assert!(warm[0] > 0 && warm[1] == 0, "warm sweep was not all hits");
@@ -359,7 +238,7 @@ fn batch_derives_symbolic_analysis_once_per_batch() {
             .collect()
     };
     let cold_counts = |k: usize| -> (u64, Vec<Vec<f64>>) {
-        fresh_cache(None);
+        fresh_cache();
         let tel = Telemetry::enabled();
         let res = batch::op_batch_traced(&ladder(k), &cached_opts(), &tel).expect("batch op");
         let sols = (0..k).map(|v| res.solution(v).to_vec()).collect();
@@ -417,7 +296,7 @@ proptest! {
             "same structure must hash equal"
         );
         // Prime with A, solve B warm off A's symbolic artifacts.
-        fresh_cache(None);
+        fresh_cache();
         op::solve_with(&a, &cached_opts(), None).expect("prime with A");
         let warm = op::solve_with(&b, &cached_opts(), None).expect("warm B");
         let cold = op::solve_with(&b, &uncached_opts(), None).expect("uncached B");

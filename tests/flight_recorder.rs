@@ -15,7 +15,9 @@
 //!   totals are thread-invariant under fork/absorb for any worker
 //!   count, like every other counter.
 //! * **Typed corruption** — a damaged bundle surfaces a specific
-//!   `FlightError`, never a panic or a garbage decode.
+//!   `FlightError`, never a panic or a garbage decode; the reader is
+//!   total over every truncation and every single-bit flip of a real
+//!   bundle.
 //!
 //! Tests serialize on one mutex: the flight directory override is
 //! process-global.
@@ -273,4 +275,69 @@ fn corrupt_bundles_surface_typed_errors() {
     ));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Decodes `bytes`, turning a panic inside the reader into a test
+/// failure that names the mutation.
+fn decode_or_fail(case: &str, bytes: &[u8]) -> Result<FlightBundle, FlightError> {
+    std::panic::catch_unwind(|| FlightBundle::from_bytes(bytes))
+        .unwrap_or_else(|_| panic!("{case}: the bundle reader panicked"))
+}
+
+#[test]
+fn bundle_reader_is_total_over_truncations_and_bit_flips() {
+    let _g = lock();
+    let dir = scratch_dir("totality");
+    flight::set_dir(Some(dir.clone()));
+    let tel = Telemetry::enabled();
+    let _ = op::solve_traced(&mosfet_circuit(), &diverging_opts(), None, &tel);
+    flight::set_dir(None);
+    let files = cmlf_files(&dir);
+    assert_eq!(files.len(), 1);
+    let bytes = std::fs::read(&files[0]).expect("read bundle");
+    let _ = std::fs::remove_dir_all(&dir);
+    let original = FlightBundle::from_bytes(&bytes).expect("fresh bundle validates");
+
+    // Every strict prefix, including the empty one.
+    for len in 0..bytes.len() {
+        if let Ok(b) = decode_or_fail(&format!("truncated to {len} B"), &bytes[..len]) {
+            assert_eq!(
+                b, original,
+                "truncated to {len} B: decoded a different bundle"
+            );
+        }
+    }
+
+    // One bit flipped in every byte, cycling through the bit positions.
+    for i in 0..bytes.len() {
+        let mut flipped = bytes.clone();
+        flipped[i] ^= 1 << (i % 8);
+        if let Ok(b) = decode_or_fail(&format!("bit flip at byte {i}"), &flipped) {
+            assert_eq!(
+                b, original,
+                "bit flip at byte {i}: decoded a different bundle"
+            );
+        }
+    }
+
+    // The checksum stops the flips above before field decoding, so
+    // repeat the payload flips with the checksum recomputed: the field
+    // decoder and the fingerprint check must then hold the line alone.
+    // Flips in the fields the fingerprint excludes (timestamps, the
+    // wall-clock report) may decode, but never as a different failure.
+    // Header: magic, version, payload length, then the checksum.
+    const HEADER_LEN: usize = 4 + 4 + 8 + 8;
+    for i in HEADER_LEN..bytes.len() {
+        let mut resealed = bytes.clone();
+        resealed[i] ^= 1 << (i % 8);
+        let checksum = cml_cache::fnv1a64(&resealed[HEADER_LEN..]);
+        resealed[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        if let Ok(b) = decode_or_fail(&format!("resealed flip at byte {i}"), &resealed) {
+            assert_eq!(
+                b.content_fingerprint(),
+                original.content_fingerprint(),
+                "resealed flip at byte {i}: decoded a different failure"
+            );
+        }
+    }
 }

@@ -22,7 +22,6 @@ use cml_sig::prbs::Prbs;
 use cml_sig::streaming::{EyeAccumulator, EyeAccumulatorConfig};
 use cml_spice::analysis::tran;
 use cml_spice::prelude::*;
-use cml_spice::SpiceError;
 
 /// 10 Gb/s unit interval.
 const UI: f64 = 100e-12;
@@ -158,71 +157,6 @@ fn streamed_eye_matches_dense_fold_on_transistor_prbs7() {
     assert_eq!(a.rms_jitter.to_bits(), b.rms_jitter.to_bits());
     assert_eq!(a.pp_jitter.to_bits(), b.pp_jitter.to_bits());
     assert_eq!(eye.accumulator().samples(), reference.samples());
-}
-
-/// Tee partner that aborts the run after a fixed number of chunks —
-/// simulates a crash mid-simulation for the resume test.
-struct AbortAfter {
-    left: usize,
-}
-
-impl WaveSink for AbortAfter {
-    fn chunk(&mut self, _chunk: &WaveChunk<'_>) -> Result<(), SpiceError> {
-        if self.left == 0 {
-            return Err(SpiceError::InvalidConfig {
-                message: "simulated interruption".into(),
-            });
-        }
-        self.left -= 1;
-        Ok(())
-    }
-}
-
-#[test]
-fn spill_resume_after_interruption_is_byte_identical_end_to_end() {
-    let (ckt, node) = pulse_rlc();
-    let cfg = TranConfig::new(20e-9, 2e-11).with_chunk_size(64);
-    let probes = TranProbes::new().voltage("v", node).current("i", "V1");
-    let dir = std::env::temp_dir().join(format!("cml_stream_eq_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // Reference: one uninterrupted spill.
-    let ref_path = dir.join("ref.cmw");
-    let mut sink = SpillSink::create(&ref_path);
-    tran::run_streaming(&ckt, &cfg, &probes, &mut sink).unwrap();
-    drop(sink);
-
-    // Interrupted run: the spill sink persists 3 chunks, then the tee
-    // partner kills the run (spill side already checkpointed).
-    let path = dir.join("resumed.cmw");
-    let mut spill = SpillSink::create(&path);
-    let mut abort = AbortAfter { left: 3 };
-    {
-        let mut tee = Tee::new(&mut spill, &mut abort);
-        let err = tran::run_streaming(&ckt, &cfg, &probes, &mut tee).unwrap_err();
-        assert!(matches!(err, SpiceError::InvalidConfig { .. }));
-    }
-    drop(spill);
-
-    // Resume: replay the (deterministic) run; persisted chunks are
-    // skipped, the rest appended. The file must equal the reference
-    // byte for byte.
-    let mut resumed = SpillSink::resume(&path).unwrap();
-    assert!(resumed.persisted_samples() > 0);
-    tran::run_streaming(&ckt, &cfg, &probes, &mut resumed).unwrap();
-    drop(resumed);
-    let a = std::fs::read(&ref_path).unwrap();
-    let b = std::fs::read(&path).unwrap();
-    assert_eq!(a, b, "resumed spill differs from uninterrupted spill");
-
-    // And the spill decodes back to the dense record bit-for-bit.
-    let dense = tran::run(&ckt, &cfg).unwrap();
-    let contents = SpillReader::read(&ref_path).unwrap();
-    assert_eq!(contents.col_names, vec!["v".to_string(), "i".to_string()]);
-    let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(to_bits(&contents.times), to_bits(dense.times()));
-    assert_eq!(to_bits(&contents.cols[0]), to_bits(&dense.voltage(node)));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -10,8 +10,10 @@
 //! allocator). A property test drives random open/close scripts through
 //! the span API and asserts the resulting forest always checks out.
 //!
-//! All tests serialize on one mutex: the allocation counter is global,
-//! so the zero-allocation test must not race sibling tests' allocations.
+//! The allocation counter is per thread: the zero-allocation test reads
+//! only what its own thread allocated, so the test harness and sibling
+//! tests running on other threads cannot leak into its count. All tests
+//! also serialize on one mutex.
 
 // Driver-style target: aborting on a malformed result with a message
 // is the intended failure mode, so expect/unwrap are fine here.
@@ -26,19 +28,32 @@ use cml_spice::prelude::*;
 use cml_spice::telemetry::{Counters, Telemetry};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard};
 
-/// Global allocator that counts allocations, so the disabled-telemetry
-/// path can be shown to cost zero allocations — not just "few".
+/// Global allocator that counts allocations per thread, so the
+/// disabled-telemetry path can be shown to cost zero allocations — not
+/// just "few".
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialized and
+    /// drop-free, so touching it from inside the allocator never
+    /// allocates or registers a destructor.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn thread_allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates to `System` unchanged; only a counter is added.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with` cannot fail for a drop-free const thread-local, but
+        // an allocator must never panic, so the result is ignored.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -196,7 +211,7 @@ fn disabled_hot_paths_do_not_allocate() {
         let _t = tel.timer(cml_spice::telemetry::Phase::NewtonSolve);
         tel.count(|c| c.newton_iterations += 1);
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = thread_allocations();
     for _ in 0..10_000 {
         let _span = tel.span("solver", "newton");
         let _fine = tel.span_fine("solver", "factor");
@@ -207,7 +222,7 @@ fn disabled_hot_paths_do_not_allocate() {
         let fork = probe.fork(3);
         tel.absorb(fork.into_parts());
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,

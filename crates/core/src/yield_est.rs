@@ -26,8 +26,7 @@
 //!
 //! Every trial derives its own RNG stream from
 //! [`cml_runner::point_seed`], so estimates are a pure function of
-//! `(parameters, seed)` — independent of thread count, chunk size and
-//! lane width.
+//! `(parameters, seed)` — independent of thread count and chunk size.
 
 use cml_pdk::{Corner, Pdk018};
 use cml_runner::{par_fold, point_seed};
@@ -63,10 +62,6 @@ pub struct YieldConfig {
     /// carry the likelihood ratio as a weight. `1.0` is plain Monte
     /// Carlo (all weights exactly 1).
     pub sigma_scale: f64,
-    /// Batch lane width for the transistor-level path (1, 2, 4 or 8);
-    /// `0` uses the process default ([`batch::batch_lanes`], i.e. the
-    /// `CML_BATCH_LANES` environment variable).
-    pub lanes: usize,
     /// Warm-start every batched solve from the nominal bias point —
     /// the main throughput lever for small-perturbation sweeps. Turn
     /// off to make the batched Newton trajectory identical to the cold
@@ -84,7 +79,6 @@ impl YieldConfig {
             threads: 1,
             chunk: 2048,
             sigma_scale: 1.0,
-            lanes: 0,
             warm_start: true,
         }
     }
@@ -107,13 +101,6 @@ impl YieldConfig {
     #[must_use]
     pub fn with_sigma_scale(mut self, kappa: f64) -> Self {
         self.sigma_scale = kappa;
-        self
-    }
-
-    /// Sets the batch lane width (transistor-level path).
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
         self
     }
 
@@ -140,14 +127,6 @@ impl YieldConfig {
             .step_by(self.chunk)
             .map(|start| (start, self.chunk.min(self.trials - start)))
             .collect()
-    }
-
-    fn resolved_lanes(&self) -> usize {
-        if self.lanes == 0 {
-            batch::batch_lanes()
-        } else {
-            self.lanes
-        }
     }
 }
 
@@ -672,7 +651,6 @@ fn transistor_impl(
     cfg.validate();
     spec.validate();
     let opts = NewtonOptions::default();
-    let lanes = cfg.resolved_lanes();
     let nominal_dvths = vec![0.0; spec.stages];
     let names = ChainNames::new(spec.stages);
 
@@ -718,7 +696,7 @@ fn transistor_impl(
                 let warm = cfg
                     .warm_start
                     .then(|| warms[start % spec.corners.len()].as_slice());
-                let res = batch::op_batch_with_lanes(&ckts, &opts, warm, lanes, &wtel)?;
+                let res = batch::op_batch(&ckts, &opts, warm, &wtel)?;
                 for (v, &w) in weights.iter().enumerate() {
                     let off = res.voltage(v, outp) - res.voltage(v, outn);
                     estimate.add(off.abs(), w);
@@ -775,7 +753,6 @@ pub fn pair_offsets_batched(
     cfg.validate();
     spec.validate();
     let opts = NewtonOptions::default();
-    let lanes = cfg.resolved_lanes();
     let nominal_dvths = vec![0.0; spec.stages];
     let names = ChainNames::new(spec.stages);
     let pdks: Vec<Pdk018> = spec
@@ -799,13 +776,7 @@ pub fn pair_offsets_batched(
                 pair_circuit(spec, &pdks[ci], &dvths, &names).0
             })
             .collect();
-        let res = batch::op_batch_with_lanes(
-            &ckts,
-            &opts,
-            warm.as_deref(),
-            lanes,
-            &Telemetry::disabled(),
-        )?;
+        let res = batch::op_batch(&ckts, &opts, warm.as_deref(), &Telemetry::disabled())?;
         for v in 0..res.len() {
             offsets.push(res.voltage(v, outp) - res.voltage(v, outn));
         }

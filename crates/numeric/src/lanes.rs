@@ -32,8 +32,8 @@ pub struct F64s<const N: usize>([f64; N]);
 pub type F64x2 = F64s<2>;
 /// Four-lane pack (one AVX2 / NEON×2 register).
 pub type F64x4 = F64s<4>;
-/// Eight-lane pack (one AVX-512 register, or two AVX2 ops — the default
-/// batch width; see `CML_BATCH_LANES`).
+/// Eight-lane pack (one AVX-512 register, or two AVX2 ops — the lane
+/// width of the batched operating-point solver).
 pub type F64x8 = F64s<8>;
 
 impl<const N: usize> F64s<N> {

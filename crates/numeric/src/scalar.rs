@@ -103,7 +103,7 @@ pub trait LaneScalar: Scalar {
 
 /// `f64` is the trivial one-lane pack: lane masks degenerate to bit 0.
 /// This lets lockstep drivers be written once over [`LaneScalar`] and
-/// still instantiate a true scalar loop (`CML_BATCH_LANES=1`).
+/// still instantiate a true scalar loop.
 impl LaneScalar for f64 {
     const LANES: usize = 1;
 

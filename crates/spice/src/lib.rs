@@ -71,7 +71,7 @@ pub use cml_telemetry as telemetry;
 /// Convenient glob-import surface for building and simulating circuits.
 pub mod prelude {
     pub use crate::analysis::ac::{self, AcResult};
-    pub use crate::analysis::batch::{self, BatchOpResult, BatchTranResult};
+    pub use crate::analysis::batch::{self, BatchOpResult};
     pub use crate::analysis::dc::{self, DcSweepResult};
     pub use crate::analysis::op::{self, OpResult};
     pub use crate::analysis::sink::{

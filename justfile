@@ -94,7 +94,10 @@ bench-pr10:
 # flight bundle on a forced divergence, round-trips it, replays it
 # bit-exactly, and renders the prometheus exposition; `cml-lint
 # forensics` then re-validates the preserved bundle through the CLI.
+# The perfbench leg builds the benchmark against the current crates and
+# runs every workload at smoke size.
 bench-smoke:
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
     cargo run --release -p cml-bench --bin bench_pr2 -- --smoke
     cargo run --release -p cml-bench --bin bench_pr4 -- --smoke
     CML_TELEMETRY=json:/tmp/cml_telemetry_smoke.json cargo run --release -p cml-bench --bin bench_pr5 -- --smoke

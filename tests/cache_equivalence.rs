@@ -240,7 +240,7 @@ fn batch_derives_symbolic_analysis_once_per_batch() {
     let cold_counts = |k: usize| -> (u64, Vec<Vec<f64>>) {
         fresh_cache();
         let tel = Telemetry::enabled();
-        let res = batch::op_batch_traced(&ladder(k), &cached_opts(), &tel).expect("batch op");
+        let res = batch::op_batch(&ladder(k), &cached_opts(), None, &tel).expect("batch op");
         let sols = (0..k).map(|v| res.solution(v).to_vec()).collect();
         (tel.report().counters.cache_misses, sols)
     };
@@ -255,7 +255,7 @@ fn batch_derives_symbolic_analysis_once_per_batch() {
     );
     // A second batch in the same process is all hits...
     let tel = Telemetry::enabled();
-    let res = batch::op_batch_traced(&ladder(8), &cached_opts(), &tel).expect("warm batch");
+    let res = batch::op_batch(&ladder(8), &cached_opts(), None, &tel).expect("warm batch");
     let c = tel.report().counters;
     assert_eq!(c.cache_misses, 0, "warm batch re-derived artifacts");
     assert!(c.cache_hits > 0, "warm batch never hit the cache");

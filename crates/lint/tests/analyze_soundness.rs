@@ -6,13 +6,12 @@
 //! cross-checks and the warm-start path.
 
 use cml_lint::{builtin_circuit, BUILTIN_NAMES};
-use cml_spice::analysis::op;
-use cml_spice::analysis::NewtonOptions;
+use cml_spice::analysis::tran::{self, TranConfig};
+use cml_spice::analysis::{op, NewtonOptions};
 use cml_spice::analyze;
 use cml_spice::circuit::Circuit;
 use cml_spice::element::DcTransfer;
 use cml_spice::telemetry::Telemetry;
-use cml_spice::NodeId;
 
 /// Whether the cell contains elements the interval pass cannot model
 /// (controlled sources); for those, unbounded boxes and `A001` are the
@@ -91,18 +90,31 @@ fn telemetry_cross_check_is_clean_on_builtins() {
         let report = analyze::analyze_traced(&ckt, &analyze::AnalyzeOptions::default(), &tel);
         let _op = op::solve_traced(&ckt, &NewtonOptions::default(), None, &tel)
             .unwrap_or_else(|e| panic!("op({which}) failed: {e}"));
-        let counters = tel.report().counters;
-        assert!(counters.analyze_runs >= 1, "{which}: analyze_runs");
-        let violations = analyze::check_counters_traced(&report, &counters, &tel);
+        let check = |after: &str| {
+            let counters = tel.report().counters;
+            assert!(counters.analyze_runs >= 1, "{which}: analyze_runs");
+            let violations = analyze::check_counters_traced(&report, &counters, &tel);
+            assert!(
+                violations.is_empty(),
+                "{which}: conditioning prediction contradicted after {after}: {}",
+                violations
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            );
+        };
+        check("op");
+        // The prediction must also survive a transient forced onto the
+        // sparse path, the only path that can fall back to dense.
+        let mut cfg = TranConfig::new(50e-12, 1e-12);
+        cfg.newton.sparse_threshold = 1;
+        tran::run_traced(&ckt, &cfg, &tel).unwrap_or_else(|e| panic!("tran({which}) failed: {e}"));
         assert!(
-            violations.is_empty(),
-            "{which}: conditioning prediction contradicted: {}",
-            violations
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
+            tel.report().counters.tran_steps > 0,
+            "{which}: no tran steps"
         );
+        check("a sparse transient");
     }
 }
 
@@ -117,13 +129,12 @@ fn warm_start_converges_to_same_operating_point() {
         };
         let warm = op::solve_with(&ckt, &warm_opts, None)
             .unwrap_or_else(|e| panic!("warm op({which}): {e}"));
-        for raw in 1..ckt.num_nodes() {
-            let node = NodeId::from_raw(u32::try_from(raw).expect("node id"));
-            let (vc, vw) = (cold.voltage(node), warm.voltage(node));
+        // Every unknown, branch currents included, not just node voltages.
+        assert_eq!(cold.solution().len(), warm.solution().len());
+        for (i, (c, w)) in cold.solution().iter().zip(warm.solution()).enumerate() {
             assert!(
-                (vc - vw).abs() <= 1e-4 + 1e-3 * vc.abs(),
-                "{which}: node {} cold {vc} vs warm {vw}",
-                ckt.node_name(node)
+                (c - w).abs() <= 1e-6 * (1.0 + c.abs()),
+                "{which}: unknown {i} cold {c} vs warm {w}"
             );
         }
     }

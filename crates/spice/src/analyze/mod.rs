@@ -580,9 +580,3 @@ pub fn check_counters_traced(
     }
     out
 }
-
-/// Non-traced wrapper around [`check_counters_traced`].
-#[must_use]
-pub fn check_counters(report: &AnalysisReport, counters: &Counters) -> Vec<Finding> {
-    check_counters_traced(report, counters, &Telemetry::default())
-}

@@ -49,8 +49,8 @@
 //! per Newton solve, one per factor/refactor/back-substitute call) would
 //! dominate a hot transient loop, so they are gated behind the `fine`
 //! flag (`CML_TELEMETRY=...,fine` or [`Telemetry::enabled_fine`]); the
-//! default enabled mode stays under the 2 % overhead budget measured by
-//! `bench_pr5`.
+//! default enabled mode stays under the 2 % overhead budget that
+//! `tests/perf_budgets.rs` gates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -401,7 +401,7 @@ impl Counters {
     }
 
     /// Renders the counters as a JSON object (the `counters` block of
-    /// the JSON sink and of the `BENCH_pr*.json` telemetry sections).
+    /// the JSON sink).
     #[must_use]
     pub fn to_value(&self) -> Value {
         let num = |n: u64| Value::Num(n as f64);
@@ -697,7 +697,7 @@ impl Telemetry {
     }
 
     /// A recording handle with coarse spans and all counters (the mode
-    /// whose overhead `bench_pr5` bounds at < 2 %).
+    /// whose overhead `tests/perf_budgets.rs` bounds at < 2 %).
     #[must_use]
     pub fn enabled() -> Self {
         Telemetry {
@@ -727,18 +727,6 @@ impl Telemetry {
         match std::env::var(TELEMETRY_ENV) {
             Ok(v) if !v.trim().is_empty() => Telemetry::enabled().with_env_spec(&v),
             _ => Telemetry::disabled(),
-        }
-    }
-
-    /// An enabled handle that *additionally* honours [`TELEMETRY_ENV`]
-    /// sinks when the variable is set — the constructor the bench
-    /// binaries use, so their counter blocks exist regardless of the
-    /// environment while `CML_TELEMETRY=json:...` still exports files.
-    #[must_use]
-    pub fn enabled_with_env_sinks() -> Self {
-        match std::env::var(TELEMETRY_ENV) {
-            Ok(v) if !v.trim().is_empty() => Telemetry::enabled().with_env_spec(&v),
-            _ => Telemetry::enabled(),
         }
     }
 
@@ -1237,8 +1225,7 @@ impl SolverReport {
         Ok(())
     }
 
-    /// Renders the report as the JSON tree written by the `json:` sink
-    /// and embedded as the `telemetry` block of `BENCH_pr*.json`.
+    /// Renders the report as the JSON tree written by the `json:` sink.
     #[must_use]
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![

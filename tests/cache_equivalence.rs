@@ -164,8 +164,19 @@ fn warm_process_is_bit_identical_to_cold() {
         );
         assert_op_bits_equal(name, cold_op.solution(), warm_op.solution(), "warm-vs-cold");
         assert_ac_bits_equal(name, &ckt, &cold_ac, &warm_ac, freqs.len());
+        assert_eq!(
+            cml_cache::stats().validation_failures,
+            0,
+            "{name}: warm run rejected its own artifacts"
+        );
         // And the cache must be invisible next to a cache-free run.
-        let off_op = op::solve_with(&ckt, &uncached_opts(), None).expect("uncached op");
+        let tel = Telemetry::enabled();
+        let off_op = op::solve_traced(&ckt, &uncached_opts(), None, &tel).expect("uncached op");
+        assert_eq!(
+            tel.report().counters.cache_hits,
+            0,
+            "{name}: cache-off run hit the cache"
+        );
         assert_op_bits_equal(name, cold_op.solution(), off_op.solution(), "off-vs-cold");
     }
     // Transient: cold, warm and cache-off trajectories all agree.

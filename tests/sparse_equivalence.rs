@@ -8,7 +8,10 @@
 //! across the whole trajectory, linear and transistor-level circuits
 //! alike. A property test additionally checks the sparse factorization
 //! against the dense one on random diagonally-dominant MNA-shaped
-//! systems of varying bandwidth.
+//! systems of varying bandwidth. On the transistor-level PRBS-7 eye,
+//! the LTE-adaptive step controller must also reproduce the fixed-step
+//! eye to within 1 %, without the sparse path ever falling back to
+//! dense.
 
 // Driver-style target: aborting on a malformed result with a message
 // is the intended failure mode, so expect/unwrap are fine here.
@@ -20,9 +23,14 @@ use cml_core::cells::{add_diff_drive, add_supply, DiffPort};
 use cml_numeric::sparse::TripletMatrix;
 use cml_numeric::{DenseMatrix, SparseLu};
 use cml_pdk::Pdk018;
+use cml_sig::eye::{EyeDiagram, EyeMetrics};
+use cml_sig::nrz::NrzConfig;
+use cml_sig::prbs::Prbs;
+use cml_sig::UniformWave;
 use cml_spice::analysis::tran::{self, TranConfig, TranResult};
 use cml_spice::analysis::{op, NewtonOptions};
 use cml_spice::prelude::*;
+use cml_spice::telemetry::Telemetry;
 use proptest::prelude::*;
 
 fn rc_ladder(n_stages: usize) -> Circuit {
@@ -66,7 +74,8 @@ fn buffer_circuit() -> (Circuit, DiffPort) {
     (ckt, output)
 }
 
-fn interface_circuit() -> (Circuit, DiffPort) {
+/// The paper's input interface, differentially driven by `drive(vcm)`.
+fn interface_circuit(drive: impl FnOnce(f64) -> Waveform) -> (Circuit, DiffPort) {
     let pdk = Pdk018::typical();
     let cfg = InputInterfaceConfig::paper_default();
     let mut ckt = Circuit::new();
@@ -74,15 +83,13 @@ fn interface_circuit() -> (Circuit, DiffPort) {
     let input = DiffPort::named(&mut ckt, "in");
     let output = DiffPort::named(&mut ckt, "out");
     let vcm = cfg.equalizer.input_common_mode();
-    add_diff_drive(
-        &mut ckt,
-        "VIN",
-        input,
-        vcm,
-        Some(Waveform::step(vcm - 0.05, vcm + 0.05, 30e-12, 10e-12)),
-    );
+    add_diff_drive(&mut ckt, "VIN", input, vcm, Some(drive(vcm)));
     input_interface::build(&mut ckt, &pdk, &cfg, "rx", input, output, vdd);
     (ckt, output)
+}
+
+fn step_interface() -> (Circuit, DiffPort) {
+    interface_circuit(|vcm| Waveform::step(vcm - 0.05, vcm + 0.05, 30e-12, 10e-12))
 }
 
 fn tran_cfg(t_stop: f64, dt: f64, threshold: usize) -> TranConfig {
@@ -112,7 +119,7 @@ fn op_matches_on_seed_circuits() {
     let circuits: Vec<(&str, Circuit)> = vec![
         ("rc_ladder", rc_ladder(20)),
         ("cml_buffer", buffer_circuit().0),
-        ("input_interface", interface_circuit().0),
+        ("input_interface", step_interface().0),
     ];
     for (name, ckt) in &circuits {
         let dense_opts = NewtonOptions {
@@ -157,13 +164,57 @@ fn tran_matches_on_linear_ladder() {
 fn tran_matches_on_transistor_cells() {
     for (name, (ckt, _out), t_stop) in [
         ("cml_buffer", buffer_circuit(), 0.4e-9),
-        ("input_interface", interface_circuit(), 0.2e-9),
+        ("input_interface", step_interface(), 0.2e-9),
     ] {
         let dense = tran::run(&ckt, &tran_cfg(t_stop, 2e-12, usize::MAX)).expect("dense tran");
         let sparse = tran::run(&ckt, &tran_cfg(t_stop, 2e-12, 1)).expect("sparse tran");
         let worst = worst_diff(&ckt, &dense, &sparse);
         assert!(worst <= 1e-9, "{name}: sparse/dense diff {worst:.3e}");
     }
+}
+
+/// Eye of the differential output, resampled to a uniform 1 ps grid
+/// first (the adaptive grid is non-uniform).
+fn eye_of(res: &TranResult, out: DiffPort, ui: f64) -> EyeMetrics {
+    let v = res.differential(out.p, out.n);
+    let wave = UniformWave::from_series(res.times(), &v, 1e-12);
+    EyeDiagram::fold(&wave.skip_initial(4.0 * ui), ui).metrics()
+}
+
+#[test]
+fn adaptive_eye_matches_fixed_step_on_transistor_prbs7() {
+    const UI: f64 = 100e-12;
+    // Eight bits leave only the opening run of ones after the 4-UI skip
+    // (no crossings, zero height), so the comparison would be vacuous.
+    let n_bits = 16;
+    let bits: Vec<bool> = Prbs::prbs7().take(n_bits).collect();
+    let (mut ckt, out) = interface_circuit(|vcm| {
+        Waveform::Pwl(NrzConfig::new(UI, 0.2).with_offset(vcm).render_pwl(&bits))
+    });
+    ckt.add(Capacitor::new("CLP", out.p, Circuit::GROUND, 20e-15));
+    ckt.add(Capacitor::new("CLN", out.n, Circuit::GROUND, 20e-15));
+    let t_stop = n_bits as f64 * UI;
+    let fixed = tran::run(&ckt, &tran_cfg(t_stop, 1e-12, usize::MAX)).expect("fixed tran");
+    let mut adaptive_cfg = TranConfig::new(t_stop, 1e-12).adaptive();
+    adaptive_cfg.newton.sparse_threshold = 1;
+    let tel = Telemetry::enabled();
+    let adaptive = tran::run_traced(&ckt, &adaptive_cfg, &tel).expect("adaptive tran");
+    assert_eq!(
+        tel.report().counters.dense_fallbacks,
+        0,
+        "sparse-adaptive transient fell back to the dense solver"
+    );
+    let (f, a) = (eye_of(&fixed, out, UI), eye_of(&adaptive, out, UI));
+    let rel = |x: f64, y: f64| (x - y).abs() / y.abs().max(1e-30);
+    assert!(f.height > 0.0, "fixed-step eye is closed");
+    assert!(
+        rel(a.height, f.height) < 0.01 && rel(a.width, f.width) < 0.01,
+        "adaptive eye {:.4} V x {:.3e} s drifted from fixed {:.4} V x {:.3e} s",
+        a.height,
+        a.width,
+        f.height,
+        f.width
+    );
 }
 
 proptest! {

@@ -131,7 +131,9 @@ fn streamed_equals_dense_fixed_and_adaptive_with_and_without_breakpoints() {
 
 #[test]
 fn streamed_eye_matches_dense_fold_on_transistor_prbs7() {
-    let n_bits = 6;
+    // Fewer bits leave only the opening run of ones after the skip: a
+    // closed eye would make the comparison vacuous.
+    let n_bits = 16;
     let (ckt, out) = transistor_workload(n_bits);
     let cfg = TranConfig::new(n_bits as f64 * UI, 2e-12);
     let eye_cfg = EyeAccumulatorConfig::new(UI, 1e-12, -1.0, 1.0).with_skip(2.0 * UI);
@@ -157,6 +159,7 @@ fn streamed_eye_matches_dense_fold_on_transistor_prbs7() {
     assert_eq!(a.rms_jitter.to_bits(), b.rms_jitter.to_bits());
     assert_eq!(a.pp_jitter.to_bits(), b.pp_jitter.to_bits());
     assert_eq!(eye.accumulator().samples(), reference.samples());
+    assert!(a.height > 0.0, "eye closed on the PRBS-7 reference");
 }
 
 #[test]

@@ -1,0 +1,236 @@
+//! Format checks of the telemetry file sinks, made from outside the
+//! writer: the files `CML_TELEMETRY=json:…,prom:…` produces are parsed
+//! back with the vendored JSON parser and a hand-written matcher for the
+//! Prometheus text-exposition grammar, against literal key and family
+//! names. A silent format drift fails here even when the writer still
+//! agrees with itself.
+//!
+//! The workloads are the two hottest solver paths: the transistor-level
+//! receive chain under 8 bits of PRBS-7 with sparse LTE-adaptive
+//! stepping, and a 120-point sparse AC sweep of the limiting amplifier
+//! fanned over at least four workers. Neither may fall back from the
+//! sparse to the dense solver.
+//!
+//! This is its own test binary because it sets `CML_TELEMETRY` for the
+//! whole process.
+
+// Driver-style target: aborting on a malformed result with a message
+// is the intended failure mode, so expect/unwrap are fine here.
+#![allow(clippy::expect_used, clippy::unwrap_used)]
+
+use cml_core::cells::input_interface::{self, InputInterfaceConfig};
+use cml_core::cells::limiting_amp::{self, LimitingAmpConfig};
+use cml_core::cells::{add_diff_drive, add_supply, DiffPort};
+use cml_numeric::logspace;
+use cml_sig::nrz::NrzConfig;
+use cml_sig::prbs::Prbs;
+use cml_spice::analysis::tran::{self, TranConfig};
+use cml_spice::analysis::{ac, op};
+use cml_spice::prelude::*;
+use cml_spice::telemetry::Telemetry;
+use serde_json::Value;
+
+/// 10 Gb/s unit interval.
+const UI: f64 = 100e-12;
+
+/// Transistor-level receive chain driven by `n_bits` of PRBS-7; returns
+/// it with its stop time.
+fn rx_chain(n_bits: usize) -> (Circuit, f64) {
+    let pdk = cml_pdk::Pdk018::typical();
+    let cfg = InputInterfaceConfig::paper_default();
+    let mut ckt = Circuit::new();
+    let vdd = add_supply(&mut ckt, cml_pdk::VDD);
+    let input = DiffPort::named(&mut ckt, "in");
+    let out = DiffPort::named(&mut ckt, "out");
+    let vcm = cfg.equalizer.input_common_mode();
+    let bits: Vec<bool> = Prbs::prbs7().take(n_bits).collect();
+    let pwl = NrzConfig::new(UI, 0.2).with_offset(vcm).render_pwl(&bits);
+    add_diff_drive(&mut ckt, "VIN", input, vcm, Some(Waveform::Pwl(pwl)));
+    input_interface::build(&mut ckt, &pdk, &cfg, "rx", input, out, vdd);
+    ckt.add(Capacitor::new("CLP", out.p, Circuit::GROUND, 20e-15));
+    ckt.add(Capacitor::new("CLN", out.n, Circuit::GROUND, 20e-15));
+    (ckt, n_bits as f64 * UI)
+}
+
+/// Transistor-level limiting amplifier with a unit differential AC drive.
+fn la_ac() -> Circuit {
+    let pdk = cml_pdk::Pdk018::typical();
+    let cfg = LimitingAmpConfig::paper_default();
+    let mut ckt = Circuit::new();
+    let vdd = add_supply(&mut ckt, cml_pdk::VDD);
+    let input = DiffPort::named(&mut ckt, "in");
+    let out = DiffPort::named(&mut ckt, "out");
+    add_diff_drive(
+        &mut ckt,
+        "VIN",
+        input,
+        limiting_amp::common_mode(&cfg),
+        None,
+    );
+    limiting_amp::build(&mut ckt, &pdk, &cfg, "la", input, out, vdd);
+    ckt.add(Capacitor::new("CLP", out.p, Circuit::GROUND, 20e-15));
+    ckt.add(Capacitor::new("CLN", out.n, Circuit::GROUND, 20e-15));
+    ckt
+}
+
+/// The counter keys every JSON report carries.
+const COUNTER_KEYS: [&str; 11] = [
+    "newton_solves",
+    "tran_steps",
+    "ac_points",
+    "dense_fallbacks",
+    "dt_histogram",
+    "cache_hits",
+    "cache_misses",
+    "cache_validation_failures",
+    "events_emitted",
+    "degradation_warnings",
+    "flight_dumps",
+];
+
+/// Metric families the exposition must declare, with their `# TYPE`.
+const PROM_FAMILIES: [(&str, &str); 6] = [
+    ("cml_events_emitted_total", "counter"),
+    ("cml_degradation_warnings_total", "counter"),
+    ("cml_flight_dumps_total", "counter"),
+    ("cml_newton_solves_total", "counter"),
+    ("cml_peak_rss_bytes", "gauge"),
+    ("cml_peak_rss_available", "gauge"),
+];
+
+fn digits(s: &str) -> bool {
+    !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit())
+}
+
+/// `-?\d+(\.\d+)?([eE][+-]?\d+)?|NaN`
+fn is_sample_value(s: &str) -> bool {
+    if s == "NaN" {
+        return true;
+    }
+    let s = s.strip_prefix('-').unwrap_or(s);
+    let (mantissa, exp) = match s.split_once(['e', 'E']) {
+        Some((m, e)) => (m, Some(e.strip_prefix(['+', '-']).unwrap_or(e))),
+        None => (s, None),
+    };
+    let (int, frac) = match mantissa.split_once('.') {
+        Some((i, f)) => (i, Some(f)),
+        None => (mantissa, None),
+    };
+    digits(int) && frac.is_none_or(digits) && exp.is_none_or(digits)
+}
+
+/// `[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? <value>`
+fn is_sample_line(line: &str) -> bool {
+    let name_char = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+    let name_end = line.find(|c| !name_char(c)).unwrap_or(line.len());
+    let (name, rest) = line.split_at(name_end);
+    let name_ok = name
+        .chars()
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':');
+    let rest = match rest.strip_prefix('{') {
+        Some(labels) => match labels.split_once('}') {
+            Some((_, after)) => after,
+            None => return false,
+        },
+        None => rest,
+    };
+    name_ok && rest.strip_prefix(' ').is_some_and(is_sample_value)
+}
+
+#[test]
+fn sample_line_matcher_follows_the_exposition_grammar() {
+    for ok in [
+        "cml_x_total 3",
+        "cml_x{phase=\"lu factor\"} -1.5e-3",
+        "a:b_c 2.0E+7",
+        "_x NaN",
+    ] {
+        assert!(is_sample_line(ok), "{ok:?} rejected");
+    }
+    for bad in [
+        "9x 1",
+        "x  1",
+        "x 1.",
+        "x .5",
+        "x 1e",
+        "x{a=\"b\" 1",
+        "x inf",
+        "x 1 2",
+    ] {
+        assert!(!is_sample_line(bad), "{bad:?} accepted");
+    }
+}
+
+fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
+    v.get(key).unwrap_or_else(|| panic!("missing key {key}"))
+}
+
+fn num(v: &Value, key: &str) -> f64 {
+    match field(v, key) {
+        Value::Num(n) => *n,
+        other => panic!("{key} is not a number: {other:?}"),
+    }
+}
+
+#[test]
+fn json_and_prometheus_sinks_parse_outside_the_writer() {
+    let dir = std::env::temp_dir().join(format!("cml-telemetry-sinks-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create sink dir");
+    let (json_path, prom_path) = (dir.join("t.json"), dir.join("t.prom"));
+    std::env::set_var(
+        "CML_TELEMETRY",
+        format!("json:{},prom:{}", json_path.display(), prom_path.display()),
+    );
+    let tel = Telemetry::from_env();
+
+    let (rx, t_stop) = rx_chain(8);
+    let mut cfg = TranConfig::new(t_stop, 1e-12).adaptive();
+    cfg.newton.sparse_threshold = 1;
+    tran::run_traced(&rx, &cfg, &tel).expect("sparse adaptive transient");
+    let la = la_ac();
+    let x_op = op::solve_traced(&la, &cfg.newton, None, &tel).expect("op");
+    let freqs = logspace(1e2, 60e9, 120);
+    let threads = cml_runner::threads(None).max(4);
+    ac::sweep_traced(&la, x_op.solution(), &freqs, &cfg.newton, threads, &tel)
+        .expect("sparse parallel ac sweep");
+    let written = tel.flush().expect("flush sinks");
+    assert_eq!(written, [json_path.clone(), prom_path.clone()]);
+
+    let json = std::fs::read_to_string(&json_path).expect("read json sink");
+    let t = serde_json::parse(&json).expect("json sink parses");
+    assert_eq!(field(&t, "schema"), &Value::Str("cml-telemetry-v1".into()));
+    assert_eq!(field(&t, "enabled"), &Value::Bool(true));
+    for key in ["counters", "derived", "timings_ns", "worker_items"] {
+        field(&t, key);
+    }
+    let c = field(&t, "counters");
+    for key in COUNTER_KEYS {
+        field(c, key);
+    }
+    assert_eq!(
+        num(c, "dense_fallbacks"),
+        0.0,
+        "silent sparse→dense fallback"
+    );
+    assert_eq!(num(c, "cache_validation_failures"), 0.0);
+    assert!(num(c, "tran_steps") > 0.0 && num(c, "ac_points") > 0.0);
+
+    let prom = std::fs::read_to_string(&prom_path).expect("read prom sink");
+    let mut families = Vec::new();
+    for line in prom.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let mut parts = decl.split_whitespace();
+            families.push((parts.next().unwrap(), parts.next().unwrap()));
+        } else if !line.is_empty() && !line.starts_with('#') {
+            assert!(is_sample_line(line), "malformed sample line: {line:?}");
+        }
+    }
+    for (family, kind) in PROM_FAMILIES {
+        assert!(
+            families.contains(&(family, kind)),
+            "missing {kind} family {family}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

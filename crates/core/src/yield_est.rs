@@ -30,7 +30,8 @@
 
 use cml_pdk::{Corner, Pdk018};
 use cml_runner::{par_fold, point_seed};
-use cml_spice::analysis::{batch, op, NewtonOptions};
+use cml_spice::analysis::batch::{self, MosField, ParamColumns};
+use cml_spice::analysis::{op, NewtonOptions};
 use cml_spice::prelude::*;
 use cml_spice::telemetry::{Parts, Telemetry};
 use cml_spice::SpiceError;
@@ -575,6 +576,104 @@ fn pair_draw(cfg: &YieldConfig, spec: &PairYieldSpec, idx: usize) -> (usize, Vec
     (corner_idx, dvths, w)
 }
 
+/// What every chunk of a transistor sweep shares, set up once per
+/// sweep: the chain names, each corner's PDK and nominal bias point, and
+/// the one nominal circuit every batched chunk solves.
+struct PairSweep<'a> {
+    cfg: &'a YieldConfig,
+    spec: &'a PairYieldSpec,
+    names: ChainNames,
+    pdks: Vec<Pdk018>,
+    /// Per-corner nominal solutions: the warm starts.
+    warms: Vec<Vec<f64>>,
+    /// Per-corner nominal output offsets, volts.
+    nominal_offsets: Vec<f64>,
+    /// The batched chunks' circuit and its output nodes.
+    chain: (Circuit, NodeId, NodeId),
+}
+
+impl<'a> PairSweep<'a> {
+    /// Validates the inputs and solves each corner's nominal bias point
+    /// before any chunk runs, so nothing depends on scheduling.
+    fn new(cfg: &'a YieldConfig, spec: &'a PairYieldSpec) -> Result<Self, SpiceError> {
+        cfg.validate();
+        spec.validate();
+        let nominal_dvths = vec![0.0; spec.stages];
+        let names = ChainNames::new(spec.stages);
+        let pdks: Vec<Pdk018> = spec
+            .corners
+            .iter()
+            .map(|&c| Pdk018::new(c, spec.temp_c))
+            .collect();
+        let (mut warms, mut nominal_offsets) = (Vec::new(), Vec::new());
+        for pdk in &pdks {
+            let (ckt, outp, outn) = pair_circuit(spec, pdk, &nominal_dvths, &names);
+            let nominal = op::solve_with(&ckt, &NewtonOptions::default(), None)?;
+            nominal_offsets.push(nominal.voltage(outp) - nominal.voltage(outn));
+            warms.push(nominal.solution().to_vec());
+        }
+        let chain = pair_circuit(spec, &pdks[0], &nominal_dvths, &names);
+        Ok(PairSweep {
+            cfg,
+            spec,
+            names,
+            pdks,
+            warms,
+            nominal_offsets,
+            chain,
+        })
+    }
+
+    /// Trials `start..start + len` through one batched solve of the
+    /// nominal circuit: each trial's corner card and ΔV_TH split become
+    /// the `vth0`/`kp` columns of both pair devices of every stage.
+    /// Returns each trial's signed offset and importance weight, plus
+    /// the scalar-fallback count.
+    fn batched_chunk(
+        &self,
+        start: usize,
+        len: usize,
+        tel: &Telemetry,
+    ) -> Result<(Vec<(f64, f64)>, u64), SpiceError> {
+        let spec = self.spec;
+        let cards: Vec<MosParams> = self.pdks.iter().map(|p| p.nmos(spec.w, spec.l)).collect();
+        let draws: Vec<_> = (start..start + len)
+            .map(|idx| pair_draw(self.cfg, spec, idx))
+            .collect();
+        let mut cols = ParamColumns::new(len);
+        for (s, n) in self.names.0.iter().enumerate() {
+            for (name, sign) in [(&n.m_p, 1.0), (&n.m_n, -1.0)] {
+                let vth0 = draws
+                    .iter()
+                    .map(|(ci, dv, _)| cards[*ci].vth0 + sign * dv[s] / 2.0);
+                let kp = draws.iter().map(|(ci, _, _)| cards[*ci].kp);
+                cols = cols.column(name, MosField::Vth0, vth0.collect());
+                cols = cols.column(name, MosField::Kp, kp.collect());
+            }
+        }
+        let warm = if self.cfg.warm_start {
+            vec![self.warms[start % spec.corners.len()].as_slice(); len]
+        } else {
+            Vec::new()
+        };
+        let (ckt, outp, outn) = &self.chain;
+        let res = batch::op_batch(ckt, &cols, &NewtonOptions::default(), &warm, tel)?;
+        let trials = (0..len).map(|v| res.voltage(v, *outp) - res.voltage(v, *outn));
+        let weights = draws.iter().map(|(_, _, w)| *w);
+        Ok((trials.zip(weights).collect(), res.fallback_count() as u64))
+    }
+
+    /// Trial `idx` through a circuit built with its own cards and the
+    /// scalar Newton ladder: the per-trial reference flow. Returns its
+    /// signed offset and importance weight.
+    fn scalar_trial(&self, idx: usize, tel: &Telemetry) -> Result<(f64, f64), SpiceError> {
+        let (ci, dvths, w) = pair_draw(self.cfg, self.spec, idx);
+        let (ckt, outp, outn) = pair_circuit(self.spec, &self.pdks[ci], &dvths, &self.names);
+        let sol = op::solve_traced(&ckt, &NewtonOptions::default(), None, tel)?;
+        Ok((sol.voltage(outp) - sol.voltage(outn), w))
+    }
+}
+
 /// One chunk's worth of the transistor sweep, reduced to its
 /// accumulator plus the worker's telemetry parts.
 struct ChunkOut {
@@ -638,8 +737,8 @@ pub fn transistor_offset_yield_scalar(
     transistor_impl(cfg, spec, thresholds, &Telemetry::disabled(), false)
 }
 
-// The validated spec has at least one corner and one chunk, so the
-// corner loop binds `out_nodes` and the chunk fold produces a value.
+// The validated config has at least one chunk, so the fold produces a
+// value.
 #[allow(clippy::expect_used)]
 fn transistor_impl(
     cfg: &YieldConfig,
@@ -648,33 +747,7 @@ fn transistor_impl(
     tel: &Telemetry,
     use_batch: bool,
 ) -> Result<TransistorYield, SpiceError> {
-    cfg.validate();
-    spec.validate();
-    let opts = NewtonOptions::default();
-    let nominal_dvths = vec![0.0; spec.stages];
-    let names = ChainNames::new(spec.stages);
-
-    // Per-corner nominal bias points: the warm starts for every chunk
-    // and the ≈0 sanity anchors of the yield table. Computed once,
-    // before the fold, so they cannot depend on scheduling.
-    let mut warms = Vec::with_capacity(spec.corners.len());
-    let mut nominal_offsets = Vec::with_capacity(spec.corners.len());
-    let mut out_nodes = None;
-    for &corner in &spec.corners {
-        let pdk = Pdk018::new(corner, spec.temp_c);
-        let (ckt, outp, outn) = pair_circuit(spec, &pdk, &nominal_dvths, &names);
-        let nominal = op::solve_with(&ckt, &opts, None)?;
-        nominal_offsets.push(nominal.voltage(outp) - nominal.voltage(outn));
-        warms.push(nominal.solution().to_vec());
-        out_nodes = Some((outp, outn));
-    }
-    let (outp, outn) = out_nodes.expect("validated spec has at least one corner");
-    let pdks: Vec<Pdk018> = spec
-        .corners
-        .iter()
-        .map(|&c| Pdk018::new(c, spec.temp_c))
-        .collect();
-
+    let sweep = PairSweep::new(cfg, spec)?;
     let chunks = cfg.chunk_list();
     let probe = tel.probe();
     let folded = par_fold(
@@ -682,32 +755,15 @@ fn transistor_impl(
         &chunks,
         |chunk_idx, &(start, len)| -> Result<ChunkOut, SpiceError> {
             let wtel = probe.fork(chunk_idx as u32 + 1);
-            let mut weights = Vec::with_capacity(len);
-            let mut ckts = Vec::with_capacity(len);
-            for t in 0..len {
-                let (ci, dvths, w) = pair_draw(cfg, spec, start + t);
-                let (ckt, _, _) = pair_circuit(spec, &pdks[ci], &dvths, &names);
-                ckts.push(ckt);
-                weights.push(w);
-            }
-            let mut estimate = YieldEstimate::new(thresholds);
-            let mut fallbacks = 0u64;
-            if use_batch {
-                let warm = cfg
-                    .warm_start
-                    .then(|| warms[start % spec.corners.len()].as_slice());
-                let res = batch::op_batch(&ckts, &opts, warm, &wtel)?;
-                for (v, &w) in weights.iter().enumerate() {
-                    let off = res.voltage(v, outp) - res.voltage(v, outn);
-                    estimate.add(off.abs(), w);
-                }
-                fallbacks += res.fallback_count() as u64;
+            let (trials, fallbacks) = if use_batch {
+                sweep.batched_chunk(start, len, &wtel)?
             } else {
-                for (ckt, &w) in ckts.iter().zip(&weights) {
-                    let sol = op::solve_traced(ckt, &opts, None, &wtel)?;
-                    let off = sol.voltage(outp) - sol.voltage(outn);
-                    estimate.add(off.abs(), w);
-                }
+                let trials = (start..start + len).map(|idx| sweep.scalar_trial(idx, &wtel));
+                (trials.collect::<Result<_, _>>()?, 0)
+            };
+            let mut estimate = YieldEstimate::new(thresholds);
+            for (off, w) in trials {
+                estimate.add(off.abs(), w);
             }
             wtel.count(|c| c.trials_total += len as u64);
             Ok(ChunkOut {
@@ -733,7 +789,7 @@ fn transistor_impl(
     Ok(TransistorYield {
         estimate: out.estimate,
         fallbacks: out.fallbacks,
-        nominal_offsets,
+        nominal_offsets: sweep.nominal_offsets,
     })
 }
 
@@ -750,37 +806,12 @@ pub fn pair_offsets_batched(
     cfg: &YieldConfig,
     spec: &PairYieldSpec,
 ) -> Result<(Vec<f64>, u64), SpiceError> {
-    cfg.validate();
-    spec.validate();
-    let opts = NewtonOptions::default();
-    let nominal_dvths = vec![0.0; spec.stages];
-    let names = ChainNames::new(spec.stages);
-    let pdks: Vec<Pdk018> = spec
-        .corners
-        .iter()
-        .map(|&c| Pdk018::new(c, spec.temp_c))
-        .collect();
-    let warm = if cfg.warm_start {
-        let (ckt, _, _) = pair_circuit(spec, &pdks[0], &nominal_dvths, &names);
-        Some(op::solve_with(&ckt, &opts, None)?.solution().to_vec())
-    } else {
-        None
-    };
-    let mut offsets = Vec::with_capacity(cfg.trials);
-    let mut fallbacks = 0u64;
-    let (_, outp, outn) = pair_circuit(spec, &pdks[0], &nominal_dvths, &names);
+    let sweep = PairSweep::new(cfg, spec)?;
+    let (mut offsets, mut fallbacks) = (Vec::with_capacity(cfg.trials), 0);
     for (start, len) in cfg.chunk_list() {
-        let ckts: Vec<Circuit> = (0..len)
-            .map(|t| {
-                let (ci, dvths, _) = pair_draw(cfg, spec, start + t);
-                pair_circuit(spec, &pdks[ci], &dvths, &names).0
-            })
-            .collect();
-        let res = batch::op_batch(&ckts, &opts, warm.as_deref(), &Telemetry::disabled())?;
-        for v in 0..res.len() {
-            offsets.push(res.voltage(v, outp) - res.voltage(v, outn));
-        }
-        fallbacks += res.fallback_count() as u64;
+        let (trials, fb) = sweep.batched_chunk(start, len, &Telemetry::disabled())?;
+        offsets.extend(trials.into_iter().map(|(off, _)| off));
+        fallbacks += fb;
     }
     Ok((offsets, fallbacks))
 }
@@ -795,22 +826,9 @@ pub fn pair_offsets_scalar(
     cfg: &YieldConfig,
     spec: &PairYieldSpec,
 ) -> Result<Vec<f64>, SpiceError> {
-    cfg.validate();
-    spec.validate();
-    let opts = NewtonOptions::default();
-    let names = ChainNames::new(spec.stages);
-    let pdks: Vec<Pdk018> = spec
-        .corners
-        .iter()
-        .map(|&c| Pdk018::new(c, spec.temp_c))
-        .collect();
+    let sweep = PairSweep::new(cfg, spec)?;
     (0..cfg.trials)
-        .map(|idx| {
-            let (ci, dvths, _) = pair_draw(cfg, spec, idx);
-            let (ckt, outp, outn) = pair_circuit(spec, &pdks[ci], &dvths, &names);
-            let sol = op::solve_with(&ckt, &opts, None)?;
-            Ok(sol.voltage(outp) - sol.voltage(outn))
-        })
+        .map(|idx| Ok(sweep.scalar_trial(idx, &Telemetry::disabled())?.0))
         .collect()
 }
 

@@ -1,59 +1,97 @@
 //! Batched multi-variant operating points: K parameter variants of one
-//! topology marching through stamping → factorization → Newton in
+//! circuit marching through stamping → factorization → Newton in
 //! lockstep.
 //!
-//! Monte-Carlo yield estimation solves the *same circuit* thousands of
-//! times with slightly perturbed device parameters. Solving each variant
-//! independently repeats every piece of structural work — unknown
-//! layout, sparsity pattern, pivot search, Newton loop control — that
-//! is identical across variants. This module amortizes all of it:
+//! Monte-Carlo yield solves the *same circuit* thousands of times with
+//! perturbed MOSFET cards. [`op_batch`] takes that circuit once, plus
+//! [`ParamColumns`]: per-variant `vth0`/`kp` values of named MOSFETs,
+//! column-major. One MNA system, one lint precheck and one sparsity
+//! pattern serve every variant; each lane stamps its devices from its
+//! own column entries. Variants are packed eight at a time into the
+//! lanes of an [`F64x8`] (a batch that is not a multiple of eight runs
+//! its last group with the tail lanes masked off), and:
 //!
-//! * variants are packed eight at a time into the lanes of an
-//!   [`F64x8`], so one structure-of-arrays inner loop stamps, factors
-//!   and substitutes eight matrices at once (the element-wise lane
-//!   arithmetic auto-vectorizes into SIMD — see `cml_numeric::lanes`);
-//!   a batch that is not a multiple of eight runs its last group with
-//!   the tail lanes masked off;
 //! * the damped-Newton driver tracks convergence **per lane**: a lane
 //!   that converges freezes while the others keep iterating, and a lane
 //!   whose frozen pivot dies or whose iterate diverges is quarantined
 //!   by the masked LU kernels ([`cml_numeric::LaneLu::refactor_masked`],
 //!   [`cml_numeric::SparseLu::refactor_frozen_masked`]) and re-solved
-//!   through the ordinary scalar path — one bad variant never stalls
-//!   or corrupts the batch;
-//! * from `BATCH_SPARSE_THRESHOLD` (12) unknowns up the pattern is
-//!   discovered **once** and every variant stamps through the same slot
-//!   caches into a lane-packed CSR matrix whose pivot order is frozen
-//!   after the first factorization, exactly the replay machinery the
-//!   scalar transient path uses across timesteps — here replayed across
-//!   variants. See DESIGN.md §13.
+//!   through the scalar [`op::solve_system`] homotopy ladder — one bad
+//!   variant never stalls or corrupts the batch;
+//! * from `BATCH_SPARSE_THRESHOLD` (12) unknowns up every lane stamps
+//!   through the same slot caches into a lane-packed CSR matrix whose
+//!   pivot order is frozen after the first factorization and replayed
+//!   across iterations and lane groups. See DESIGN.md §13.
 //!
-//! Fallback ladder per lane: lockstep Newton → (pivot death, divergence
-//! or iteration exhaustion) → scalar [`op::solve_system`] homotopy
-//! ladder. Every eviction increments the `lane_fallbacks` telemetry
-//! counter; batch efficiency is visible as `lane_occupancy` /
-//! `lane_fallback_rate` in the solver report.
+//! Every eviction increments the `lane_fallbacks` counter; batch
+//! efficiency shows as `lane_occupancy` / `lane_fallback_rate` in the
+//! solver report.
 
 use super::op::solve_system;
-use super::{cache, AttemptError, NewtonOptions, SparseState, System};
+use super::{cache, newton_update, AttemptError, NewtonOptions, SparseState, System};
 use crate::circuit::{Circuit, NodeId};
-use crate::element::StampMode;
+use crate::devices::mosfet::MosParams;
+use crate::element::{DcTransfer, ElementKind, StampMode};
 use crate::SpiceError;
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{DenseMatrix, F64x8, LaneLu, LaneScalar, Scalar, SparseLu};
 use cml_telemetry::{Phase, Telemetry};
-use std::collections::HashMap;
+use std::ops::Range;
 
-/// The batch kernel's sparse crossover, in unknowns.
-///
-/// The scalar threshold ([`NewtonOptions::sparse_threshold`], default
-/// 50) answers "when does sparse win for *one* solve, pattern
-/// discovery included". The batch kernel discovers the pattern once
-/// and replays its frozen pivot order across every iteration of every
-/// lane group, so discovery amortizes to nothing and sparse wins at
-/// much smaller dimensions. The batched path therefore switches to
-/// sparse at `min(opts.sparse_threshold, BATCH_SPARSE_THRESHOLD)`.
+/// The batch kernel's sparse crossover, in unknowns. Pattern discovery,
+/// which the scalar threshold ([`NewtonOptions::sparse_threshold`])
+/// prices into one solve, amortizes over every iteration of every lane
+/// group here, so the batch goes sparse at `min(opts.sparse_threshold,
+/// BATCH_SPARSE_THRESHOLD)`.
 const BATCH_SPARSE_THRESHOLD: usize = 12;
+
+/// A MOSFET model-card field the batched solver varies per lane. Process
+/// corners differ in exactly these two fields, and threshold mismatch
+/// moves only `vth0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MosField {
+    /// Zero-bias threshold magnitude, volts.
+    Vth0,
+    /// Transconductance parameter `µ·Cox`, A/V².
+    Kp,
+}
+
+impl MosField {
+    fn set(self, card: &mut MosParams, v: f64) {
+        match self {
+            MosField::Vth0 => card.vth0 = v,
+            MosField::Kp => card.kp = v,
+        }
+    }
+}
+
+/// Per-variant MOSFET parameters over one circuit, column-major: each
+/// column names one MOSFET and one [`MosField`] and holds one value per
+/// variant. Fields no column names keep the circuit's own card.
+#[derive(Debug, Clone, Default)]
+pub struct ParamColumns {
+    variants: usize,
+    columns: Vec<(String, MosField, Vec<f64>)>,
+}
+
+impl ParamColumns {
+    /// An empty column set over `variants` variants.
+    #[must_use]
+    pub fn new(variants: usize) -> Self {
+        ParamColumns {
+            variants,
+            columns: Vec::new(),
+        }
+    }
+
+    /// Adds the column of `field` on MOSFET `element`; `values` must hold
+    /// one entry per variant ([`op_batch`] checks).
+    #[must_use]
+    pub fn column(mut self, element: &str, field: MosField, values: Vec<f64>) -> Self {
+        self.columns.push((element.to_string(), field, values));
+        self
+    }
+}
 
 /// Result of a batched operating-point solve: one solution vector per
 /// variant, in input order, plus which variants needed the scalar
@@ -62,8 +100,6 @@ const BATCH_SPARSE_THRESHOLD: usize = 12;
 pub struct BatchOpResult {
     solutions: Vec<Vec<f64>>,
     fallbacks: Vec<bool>,
-    n_nodes: usize,
-    branch_names: HashMap<String, usize>,
 }
 
 impl BatchOpResult {
@@ -77,13 +113,6 @@ impl BatchOpResult {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.solutions.is_empty()
-    }
-
-    /// Number of unknown node voltages in each solution vector (the
-    /// remaining entries are branch currents).
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.n_nodes
     }
 
     /// Full MNA solution vector of one variant.
@@ -106,26 +135,6 @@ impl BatchOpResult {
         super::voltage_from(&self.solutions[variant], node)
     }
 
-    /// Branch current through a named element of one variant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::NotFound`] if the element has no branch
-    /// unknown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variant` is out of range.
-    pub fn current(&self, variant: usize, element: &str) -> Result<f64, SpiceError> {
-        self.branch_names
-            .get(element)
-            .map(|&i| self.solutions[variant][i])
-            .ok_or_else(|| SpiceError::NotFound {
-                what: "branch current",
-                name: element.to_string(),
-            })
-    }
-
     /// Whether this variant was evicted from the lockstep batch and
     /// re-solved through the scalar fallback ladder.
     ///
@@ -144,63 +153,85 @@ impl BatchOpResult {
     }
 }
 
-/// Batched operating point over K same-topology variants, optionally
-/// warm-started: with `warm` every lane begins its lockstep Newton from
-/// that known nearby solution (typically the nominal-parameter
-/// operating point) instead of from zero, which is the main throughput
-/// lever for Monte-Carlo sweeps of small perturbations.
+/// Batched operating point of `ckt` over the variants of `cols`. With a
+/// non-empty `warm` (one slice per variant) each lane begins its
+/// lockstep Newton from its own known nearby solution (typically its
+/// corner's nominal operating point) instead of from zero, which is the
+/// main throughput lever for Monte-Carlo sweeps of small perturbations.
 ///
 /// # Errors
 ///
-/// Fails when the variants disagree on topology, a lint precheck
-/// rejects a variant, `warm` has the wrong length for the variants' MNA
-/// system, or a variant fails even the scalar fallback ladder.
+/// [`SpiceError::InvalidConfig`] when a column names no MOSFET of
+/// `ckt`, has the wrong length or holds an invalid `vth0`/`kp`, or when
+/// `warm` has the wrong shape; otherwise fails when the lint precheck
+/// rejects `ckt` or a variant fails even the scalar fallback ladder.
 pub fn op_batch(
-    ckts: &[Circuit],
+    ckt: &Circuit,
+    cols: &ParamColumns,
     opts: &NewtonOptions,
-    warm: Option<&[f64]>,
+    warm: &[&[f64]],
     tel: &Telemetry,
 ) -> Result<BatchOpResult, SpiceError> {
-    let res = op_batch_impl(ckts, opts, warm, tel);
-    if let (Err(e), Some(ckt)) = (&res, ckts.first()) {
-        // The first variant stands in for the batch: all variants share
-        // one topology, and the netlist is what replay needs.
+    let res = op_batch_impl(ckt, cols, opts, warm, tel);
+    if let Err(e) = &res {
         crate::flight::record_failure(ckt, opts, "op_batch", e, tel);
     }
     res
 }
 
-/// Verifies that every variant shares one MNA topology: same unknown
-/// count and layout, same state arena, same branch-name map. Parameter
-/// *values* are free to differ — that is the point of the batch.
-fn check_matched(systems: &[System<'_>]) -> Result<(), SpiceError> {
-    let s0 = &systems[0];
-    for s in &systems[1..] {
-        if s.dim() != s0.dim()
-            || s.n_nodes() != s0.n_nodes()
-            || s.state_len() != s0.state_len()
-            || s.branch_names() != s0.branch_names()
-        {
-            return Err(SpiceError::InvalidConfig {
-                message: "batch solve requires every variant to share one topology \
-                          (same nodes, elements and branch layout); vary parameter \
-                          values, not structure"
-                    .into(),
-            });
-        }
-    }
-    Ok(())
+/// The one MNA system of a batch plus its columns resolved to element
+/// indices; [`Lanes::load`] puts one variant's cards into the system.
+struct Lanes<'a> {
+    sys: System<'a>,
+    cols: Vec<(usize, MosField, &'a [f64])>,
 }
 
-/// Per-lane outcome of one lockstep Newton solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneOutcome {
-    /// The lane converged; its entry in `xs` is the solution.
-    Converged,
-    /// The lane was quarantined (pivot death, divergence or iteration
-    /// exhaustion); its entry in `xs` is garbage and the caller must
-    /// re-solve it through the scalar path.
-    Fallback,
+impl<'a> Lanes<'a> {
+    /// Resolves and checks `cols` against `ckt`.
+    fn new(ckt: &'a Circuit, cols: &'a ParamColumns) -> Result<Self, SpiceError> {
+        let invalid = |message: String| SpiceError::InvalidConfig { message };
+        let mut sys = System::new(ckt);
+        sys.cards = vec![None; ckt.num_elements()];
+        let mut resolved = Vec::with_capacity(cols.columns.len());
+        for (name, field, values) in &cols.columns {
+            let found = ckt.elements().enumerate().find(|(_, e)| e.name() == name);
+            let Some((idx, DcTransfer::MosChannel { params, .. })) = found
+                .filter(|(_, e)| e.kind() == ElementKind::Mosfet)
+                .map(|(i, e)| (i, e.dc_transfer()))
+            else {
+                return Err(invalid(format!("batch column on '{name}', not a MOSFET")));
+            };
+            if values.len() != cols.variants {
+                return Err(invalid(format!(
+                    "batch column {name}.{field:?} has {} values for {} variants",
+                    values.len(),
+                    cols.variants
+                )));
+            }
+            let card = sys.cards[idx].get_or_insert(params);
+            for &v in values {
+                let mut lane = card.clone();
+                field.set(&mut lane, v);
+                lane.validate()
+                    .map_err(|m| invalid(format!("batch column {name}.{field:?}: {m}")))?;
+            }
+            resolved.push((idx, *field, values.as_slice()));
+        }
+        Ok(Lanes {
+            sys,
+            cols: resolved,
+        })
+    }
+
+    /// The system with variant `v`'s cards loaded.
+    fn load(&mut self, v: usize) -> &System<'a> {
+        for &(idx, field, values) in &self.cols {
+            if let Some(card) = self.sys.cards[idx].as_mut() {
+                field.set(card, values[v]);
+            }
+        }
+        &self.sys
+    }
 }
 
 /// Why one lockstep linear-solve iteration could not continue.
@@ -270,27 +301,30 @@ impl BatchKernel {
 
     /// One lockstep damped-Newton DC solve over up to `F64x8::LANES`
     /// variants. `xs` holds the per-lane initial guesses in and the
-    /// per-lane iterates out; converged lanes' entries are their
-    /// solutions, fallback lanes' entries are garbage.
+    /// per-lane iterates out. Returns the mask of converged lanes, whose
+    /// entries are their solutions; every other lane was quarantined
+    /// (pivot death, divergence or iteration exhaustion), its entry is
+    /// garbage, and the caller re-solves it through the scalar path.
     fn newton_lockstep(
         &mut self,
-        systems: &[System<'_>],
+        lanes: &mut Lanes<'_>,
+        group: Range<usize>,
         xs: &mut [Vec<f64>],
         opts: &NewtonOptions,
         tel: &Telemetry,
-    ) -> Result<Vec<LaneOutcome>, SpiceError> {
-        let k = systems.len();
+    ) -> Result<u64, SpiceError> {
+        let k = group.len();
         debug_assert!((1..=F64x8::LANES).contains(&k));
         debug_assert_eq!(k, xs.len());
         let dim = self.dim;
         let _t = tel.timer(Phase::BatchSolve);
-        let mut outcome = vec![LaneOutcome::Fallback; k];
+        let mut converged_lanes = 0u64;
         let mut active: u64 = (1u64 << k) - 1;
 
         let threshold = opts.sparse_threshold.min(BATCH_SPARSE_THRESHOLD);
         let want_sparse = !self.sparse_disabled && dim > 0 && dim >= threshold;
         if want_sparse && self.sparse.is_none() {
-            self.build_sparse_state(&systems[0], &xs[0], opts, tel);
+            self.build_sparse_state(lanes.load(group.start), &xs[0], opts, tel);
         }
         let run_sparse = want_sparse && self.sparse.is_some();
 
@@ -304,13 +338,13 @@ impl BatchKernel {
                 c.batch_lanes_active += u64::from(active.count_ones());
             });
             let step = if run_sparse {
-                self.sparse_iteration(systems, xs, opts, active, tel)
+                self.sparse_iteration(lanes, group.clone(), xs, opts, active, tel)
             } else {
-                self.dense_iteration(systems, xs, opts, active, tel)
+                self.dense_iteration(lanes, group.clone(), xs, opts, active, tel)
             };
             let newly_dead = match step {
                 Ok(d) => d,
-                Err(StepFail::GroupDead) => return Ok(outcome),
+                Err(StepFail::GroupDead) => return Ok(converged_lanes),
                 Err(StepFail::PatternMiss) => {
                     // Mirror the scalar policy: one rebuild allowance,
                     // then permanently dense. Either way this group has
@@ -327,13 +361,14 @@ impl BatchKernel {
                              kernel permanently falls back to the dense path",
                         );
                     }
-                    return Ok(outcome);
+                    return Ok(converged_lanes);
                 }
                 Err(StepFail::Hard(e)) => return Err(e),
             };
             // Per-lane convergence check + damping, the exact scalar
             // `newton_attempt` update replayed lane-wise.
-            for l in 0..k {
+            let packed_x = &self.packed_x;
+            for (l, x) in xs.iter_mut().enumerate() {
                 let bit = 1u64 << l;
                 if active & bit == 0 {
                     continue;
@@ -342,38 +377,18 @@ impl BatchKernel {
                     active &= !bit;
                     continue;
                 }
-                let x = &mut xs[l];
-                let mut converged = true;
-                let mut undamped = true;
-                for (i, xi) in x.iter_mut().take(dim).enumerate() {
-                    let xn = self.packed_x[i].lane(l);
-                    let delta = xn - *xi;
-                    let (atol, clamp) = if i < self.n_nodes {
-                        (opts.vntol, opts.max_step)
-                    } else {
-                        (opts.abstol, f64::INFINITY)
-                    };
-                    let tol = atol + opts.reltol * xi.abs().max(xn.abs());
-                    if delta.abs() > tol {
-                        converged = false;
-                    }
-                    let next = *xi + delta.clamp(-clamp, clamp);
-                    if (next - xn).abs() >= 1e-15 {
-                        undamped = false;
-                    }
-                    *xi = next;
-                }
+                let (converged, undamped, _) =
+                    newton_update(x, |i| packed_x[i].lane(l), self.n_nodes, opts);
                 if !x.iter().all(|v| v.is_finite()) {
                     active &= !bit;
                 } else if converged && undamped {
-                    outcome[l] = LaneOutcome::Converged;
+                    converged_lanes |= bit;
                     active &= !bit;
                 }
             }
         }
-        // Lanes still active exhausted the iteration budget: fallback
-        // (their `outcome` entries already say so).
-        Ok(outcome)
+        // Lanes still active exhausted the iteration budget: fallback.
+        Ok(converged_lanes)
     }
 
     /// Discovers the sparsity pattern from lane 0 (served from the
@@ -389,49 +404,42 @@ impl BatchKernel {
         tel: &Telemetry,
     ) {
         let _t = tel.timer(Phase::PatternDiscovery);
-        let disable = |kernel: &mut Self, tel: &Telemetry| {
-            kernel.sparse_disabled = true;
+        let built = if opts.cache_enabled() {
+            cache::sparse_state_cached(sys, x0, &[], StampMode::dc(), tel)
+        } else {
+            sys.build_sparse(x0, &[], StampMode::dc())
+        };
+        self.sparse = built.and_then(|sp| {
+            // Rebuild the position list from lane 0's CSR; `from_pattern`
+            // sorts and dedups, so the packed matrix gets the identical
+            // slot layout and scalar value-slot indices transfer directly.
+            let dim = sp.mat.rows();
+            let mut positions = Vec::with_capacity(sp.mat.vals().len());
+            for r in 0..dim {
+                for i in sp.mat.row_ptr()[r]..sp.mat.row_ptr()[r + 1] {
+                    positions.push((r, sp.mat.col_idx()[i]));
+                }
+            }
+            let packed = CsrMatrix::<F64x8>::from_pattern(dim, dim, &positions).ok()?;
+            let lu = SparseLu::new(&packed).ok()?;
+            Some(BatchSparse {
+                sp,
+                packed,
+                lu,
+                factored: false,
+            })
+        });
+        if self.sparse.is_some() {
+            tel.count(|c| c.pattern_builds += 1);
+        } else {
+            self.sparse_disabled = true;
             tel.count(|c| c.dense_fallbacks += 1);
             tel.degradation(
                 "batch-sparse-pattern-unbuildable",
                 "batched sparse solve requested but the Jacobian pattern could \
                  not be built; this batch kernel stays on the dense path",
             );
-        };
-        let built = if opts.cache_enabled() {
-            cache::sparse_state_cached(sys, x0, &[], StampMode::dc(), tel)
-        } else {
-            sys.build_sparse(x0, &[], StampMode::dc())
-        };
-        let Some(sp) = built else {
-            disable(self, tel);
-            return;
-        };
-        // Rebuild the position list from lane 0's CSR; `from_pattern`
-        // sorts and dedups, so the packed matrix gets the identical
-        // slot layout and scalar value-slot indices transfer directly.
-        let dim = sp.mat.rows();
-        let mut positions = Vec::with_capacity(sp.mat.vals().len());
-        for r in 0..dim {
-            for i in sp.mat.row_ptr()[r]..sp.mat.row_ptr()[r + 1] {
-                positions.push((r, sp.mat.col_idx()[i]));
-            }
         }
-        let Ok(packed) = CsrMatrix::<F64x8>::from_pattern(dim, dim, &positions) else {
-            disable(self, tel);
-            return;
-        };
-        let Ok(lu) = SparseLu::new(&packed) else {
-            disable(self, tel);
-            return;
-        };
-        tel.count(|c| c.pattern_builds += 1);
-        self.sparse = Some(BatchSparse {
-            sp,
-            packed,
-            lu,
-            factored: false,
-        });
     }
 
     /// One dense lockstep iteration: per-lane scalar assembly, lane
@@ -439,7 +447,8 @@ impl BatchKernel {
     /// Returns the lanes that died during factorization.
     fn dense_iteration(
         &mut self,
-        systems: &[System<'_>],
+        lanes: &mut Lanes<'_>,
+        group: Range<usize>,
         xs: &[Vec<f64>],
         opts: &NewtonOptions,
         active: u64,
@@ -449,11 +458,11 @@ impl BatchKernel {
         if self.packed_m.len() != dim * dim {
             self.packed_m.resize(dim * dim, F64x8::ZERO);
         }
-        for (l, sys) in systems.iter().enumerate() {
+        for (l, v) in group.enumerate() {
             if active & (1 << l) == 0 {
                 continue;
             }
-            sys.assemble(
+            lanes.load(v).assemble(
                 &xs[l],
                 &[],
                 StampMode::dc(),
@@ -492,13 +501,14 @@ impl BatchKernel {
     /// masked frozen-pivot replay and substitution.
     fn sparse_iteration(
         &mut self,
-        systems: &[System<'_>],
+        lanes: &mut Lanes<'_>,
+        group: Range<usize>,
         xs: &[Vec<f64>],
         opts: &NewtonOptions,
         active: u64,
         tel: &Telemetry,
     ) -> Result<u64, StepFail> {
-        let k = systems.len();
+        let k = group.len();
         let BatchKernel {
             sparse,
             scratch_rhs,
@@ -516,22 +526,24 @@ impl BatchKernel {
         // (min over *all* lanes). Mirror lane 0 into them once; after
         // that every replay is masked and ignores non-live lanes.
         let mirror_tail = !bs.factored && k < F64x8::LANES;
-        for (l, sys) in systems.iter().enumerate() {
+        for (l, v) in group.enumerate() {
             if active & (1 << l) == 0 {
                 continue;
             }
-            sys.assemble_sparse_full(
-                &xs[l],
-                &[],
-                StampMode::dc(),
-                opts.gmin,
-                &mut bs.sp,
-                scratch_rhs,
-            )
-            .map_err(|e| match e {
-                AttemptError::PatternMiss => StepFail::PatternMiss,
-                AttemptError::Spice(err) => StepFail::Hard(err),
-            })?;
+            lanes
+                .load(v)
+                .assemble_sparse_full(
+                    &xs[l],
+                    &[],
+                    StampMode::dc(),
+                    opts.gmin,
+                    &mut bs.sp,
+                    scratch_rhs,
+                )
+                .map_err(|e| match e {
+                    AttemptError::PatternMiss => StepFail::PatternMiss,
+                    AttemptError::Spice(err) => StepFail::Hard(err),
+                })?;
             let mirror = mirror_tail && l == 0;
             for (dst, &v) in bs.packed.vals_mut().iter_mut().zip(bs.sp.mat.vals()) {
                 dst.set_lane(l, v);
@@ -583,70 +595,55 @@ impl BatchKernel {
 }
 
 fn op_batch_impl(
-    ckts: &[Circuit],
+    ckt: &Circuit,
+    cols: &ParamColumns,
     opts: &NewtonOptions,
-    warm: Option<&[f64]>,
+    warm: &[&[f64]],
     tel: &Telemetry,
 ) -> Result<BatchOpResult, SpiceError> {
     let _span = tel.span("analysis", "batch_op");
-    // One lint pass covers the whole batch: every variant shares the
-    // first one's topology (enforced below by `check_matched`, a hard
-    // error), and the lint passes are connectivity checks — re-running
-    // them per parameter set would dominate small-circuit sweeps.
-    if let Some(first) = ckts.first() {
+    // One lint pass and one MNA system cover the whole batch: variants
+    // differ only in parameter values, and the lint passes are
+    // connectivity checks.
+    {
         let _t = tel.timer(Phase::LintPrecheck);
-        cache::lint_precheck_cached(first, opts.cache_enabled(), tel)?;
+        cache::lint_precheck_cached(ckt, opts.cache_enabled(), tel)?;
         tel.count(|c| c.lint_prechecks += 1);
     }
-    if ckts.is_empty() {
-        return Ok(BatchOpResult {
-            solutions: Vec::new(),
-            fallbacks: Vec::new(),
-            n_nodes: 0,
-            branch_names: HashMap::new(),
+    let mut lanes = Lanes::new(ckt, cols)?;
+    let (n, dim) = (cols.variants, lanes.sys.dim());
+    if (!warm.is_empty() && warm.len() != n) || warm.iter().any(|w| w.len() != dim) {
+        return Err(SpiceError::InvalidConfig {
+            message: format!(
+                "warm starts must be empty or {n} slices of {dim} entries, got {} slices",
+                warm.len()
+            ),
         });
     }
-    let systems: Vec<System<'_>> = ckts.iter().map(System::new).collect();
-    check_matched(&systems)?;
-    let dim = systems[0].dim();
-    if let Some(w) = warm {
-        if w.len() != dim {
-            return Err(SpiceError::InvalidConfig {
-                message: format!(
-                    "warm start has {} entries for a {dim}-unknown system",
-                    w.len()
-                ),
-            });
-        }
-    }
-    let mut kernel = BatchKernel::new(dim, systems[0].n_nodes());
-    let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(ckts.len());
-    let mut fallbacks = Vec::with_capacity(ckts.len());
+    let mut kernel = BatchKernel::new(dim, lanes.sys.n_nodes());
+    let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n);
+    let mut fallbacks = Vec::with_capacity(n);
     let mut xs: Vec<Vec<f64>> = Vec::new();
-    for group in systems.chunks(F64x8::LANES) {
-        let k = group.len();
+    for start in (0..n).step_by(F64x8::LANES) {
+        let group = start..n.min(start + F64x8::LANES);
+        let x0 = |v: usize| warm.get(v).map_or_else(|| vec![0.0; dim], |w| w.to_vec());
         xs.clear();
-        xs.extend((0..k).map(|_| warm.map_or_else(|| vec![0.0; dim], <[f64]>::to_vec)));
-        let outcomes = kernel.newton_lockstep(group, &mut xs, opts, tel)?;
-        for (l, out) in outcomes.into_iter().enumerate() {
-            match out {
-                LaneOutcome::Converged => {
-                    solutions.push(std::mem::take(&mut xs[l]));
-                    fallbacks.push(false);
-                }
-                LaneOutcome::Fallback => {
-                    tel.count(|c| c.lane_fallbacks += 1);
-                    solutions.push(solve_system(&group[l], opts, None, tel)?);
-                    fallbacks.push(true);
-                }
+        xs.extend(group.clone().map(x0));
+        let converged = kernel.newton_lockstep(&mut lanes, group.clone(), &mut xs, opts, tel)?;
+        for (l, v) in group.enumerate() {
+            let fell_back = converged & (1 << l) == 0;
+            if fell_back {
+                tel.count(|c| c.lane_fallbacks += 1);
+                solutions.push(solve_system(lanes.load(v), opts, None, tel)?);
+            } else {
+                solutions.push(std::mem::take(&mut xs[l]));
             }
+            fallbacks.push(fell_back);
         }
     }
     Ok(BatchOpResult {
         solutions,
         fallbacks,
-        n_nodes: systems[0].n_nodes(),
-        branch_names: systems[0].branch_names().clone(),
     })
 }
 
@@ -656,27 +653,17 @@ mod tests {
     use crate::analysis::op;
     use crate::prelude::*;
 
-    fn op_batch_plain(ckts: &[Circuit], opts: &NewtonOptions) -> BatchOpResult {
-        op_batch(ckts, opts, None, &Telemetry::disabled()).unwrap()
+    fn solve(ckt: &Circuit, cols: &ParamColumns, opts: &NewtonOptions) -> BatchOpResult {
+        op_batch(ckt, cols, opts, &[], &Telemetry::disabled()).unwrap()
     }
 
-    fn divider(r_top: f64, v: f64) -> Circuit {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.add(Vsource::dc("V1", vin, Circuit::GROUND, v));
-        ckt.add(Resistor::new("R1", vin, out, r_top));
-        ckt.add(Resistor::new("R2", out, Circuit::GROUND, 1e3));
-        ckt
-    }
-
-    fn nmos_params(vth0: f64) -> MosParams {
+    fn nmos_params(vth0: f64, kp: f64) -> MosParams {
         MosParams {
             mos_type: MosType::Nmos,
             w: 10e-6,
             l: 0.18e-6,
             vth0,
-            kp: 170e-6,
+            kp,
             lambda: 0.1,
             cox: 8.4e-3,
             cov: 3.0e-10,
@@ -686,8 +673,9 @@ mod tests {
     }
 
     /// NMOS differential pair with resistor loads and a tail current
-    /// source — the transistor-level Monte-Carlo workhorse.
-    fn diff_pair(dvth: f64) -> Circuit {
+    /// source — the transistor-level Monte-Carlo workhorse — with the
+    /// given `(vth0, kp)` cards on M1 and M2.
+    fn diff_pair(m1: (f64, f64), m2: (f64, f64)) -> Circuit {
         let mut ckt = Circuit::new();
         let vdd = ckt.node("vdd");
         let outp = ckt.node("outp");
@@ -700,82 +688,108 @@ mod tests {
         ckt.add(Vsource::dc("VBN", inn, Circuit::GROUND, 0.9));
         ckt.add(Resistor::new("RL1", vdd, outp, 500.0));
         ckt.add(Resistor::new("RL2", vdd, outn, 500.0));
-        ckt.add(Mosfet::new(
-            "M1",
-            outp,
-            inp,
-            tail,
-            Circuit::GROUND,
-            nmos_params(0.45 + dvth),
-        ));
-        ckt.add(Mosfet::new(
-            "M2",
-            outn,
-            inn,
-            tail,
-            Circuit::GROUND,
-            nmos_params(0.45 - dvth),
-        ));
+        let (p1, p2) = (nmos_params(m1.0, m1.1), nmos_params(m2.0, m2.1));
+        ckt.add(Mosfet::new("M1", outp, inp, tail, Circuit::GROUND, p1));
+        ckt.add(Mosfet::new("M2", outn, inn, tail, Circuit::GROUND, p2));
         ckt.add(Isource::dc("IT", tail, Circuit::GROUND, 2e-3));
         ckt
+    }
+
+    const KP: f64 = 170e-6;
+
+    /// `(vth0, kp)` of M1 and of M2.
+    type Cards = ((f64, f64), (f64, f64));
+
+    fn nominal() -> Circuit {
+        diff_pair((0.45, KP), (0.45, KP))
+    }
+
+    /// Per-variant `(vth0, kp)` of M1 and M2 as the four columns.
+    fn pair_columns(cards: &[Cards]) -> ParamColumns {
+        let col = |f: fn(&Cards) -> f64| cards.iter().map(f).collect();
+        ParamColumns::new(cards.len())
+            .column("M1", MosField::Vth0, col(|c| c.0 .0))
+            .column("M1", MosField::Kp, col(|c| c.0 .1))
+            .column("M2", MosField::Vth0, col(|c| c.1 .0))
+            .column("M2", MosField::Kp, col(|c| c.1 .1))
+    }
+
+    /// A ±`d`/2 threshold split across the pair.
+    fn skew(d: f64) -> Cards {
+        ((0.45 + d / 2.0, KP), (0.45 - d / 2.0, KP))
+    }
+
+    fn assert_matches_scalar(res: &BatchOpResult, cards: &[Cards]) {
+        for (v, &(m1, m2)) in cards.iter().enumerate() {
+            let s = op::solve(&diff_pair(m1, m2)).unwrap();
+            for (a, b) in res.solution(v).iter().zip(s.solution()) {
+                assert!(
+                    (a - b).abs() < 1e-12,
+                    "variant {v}: batched {a} vs scalar {b}"
+                );
+            }
+        }
     }
 
     /// Batch sizes below, at and past one eight-lane group, so the tail
     /// group runs with masked lanes and the kernel is reused across
     /// groups.
     #[test]
-    fn linear_variants_match_scalar_every_group_size() {
+    fn variants_match_scalar_every_group_size() {
         let opts = NewtonOptions::default();
         for n in [1usize, 7, 8, 9, 17] {
-            let ckts: Vec<Circuit> = (0..n)
-                .map(|i| divider(1e3 + 250.0 * i as f64, 3.0))
-                .collect();
-            let batch = op_batch_plain(&ckts, &opts);
-            assert_eq!(batch.len(), n);
-            assert_eq!(batch.fallback_count(), 0);
-            for (v, ckt) in ckts.iter().enumerate() {
-                let s = op::solve(ckt).unwrap();
-                for (a, b) in batch.solution(v).iter().zip(s.solution()) {
-                    assert!((a - b).abs() < 1e-12, "n={n} variant={v}");
-                }
-            }
+            let cards: Vec<_> = (0..n).map(|i| skew(-10e-3 + 1.5e-3 * i as f64)).collect();
+            let res = solve(&nominal(), &pair_columns(&cards), &opts);
+            assert_eq!(res.len(), n);
+            assert_eq!(res.fallback_count(), 0);
+            assert_matches_scalar(&res, &cards);
         }
     }
 
     #[test]
     fn mosfet_variants_match_scalar() {
-        let ckts: Vec<Circuit> = [-10e-3, -3e-3, 0.0, 2e-3, 7e-3]
-            .iter()
-            .map(|&d| diff_pair(d))
-            .collect();
-        let opts = NewtonOptions::default();
-        let batch = op_batch_plain(&ckts, &opts);
-        let outp = ckts[0].find_node("outp").unwrap();
-        let outn = ckts[0].find_node("outn").unwrap();
-        for (v, ckt) in ckts.iter().enumerate() {
-            let s = op::solve(ckt).unwrap();
-            let off_b = batch.voltage(v, outp) - batch.voltage(v, outn);
-            let off_s = s.voltage(outp) - s.voltage(outn);
-            assert!(
-                (off_b - off_s).abs() < 1e-9,
-                "variant {v}: batched {off_b} vs scalar {off_s}"
-            );
-        }
+        let cards = [
+            skew(0.0),
+            skew(6e-3),
+            ((0.45, KP * 1.05), (0.45, KP)),
+            ((0.46, KP * 0.9), (0.44, KP * 1.1)),
+        ];
+        let ckt = nominal();
+        let res = solve(&ckt, &pair_columns(&cards), &NewtonOptions::default());
+        assert_matches_scalar(&res, &cards);
+        let (outp, outn) = (
+            ckt.find_node("outp").unwrap(),
+            ckt.find_node("outn").unwrap(),
+        );
+        let off = |v| res.voltage(v, outp) - res.voltage(v, outn);
         // A symmetric pair has zero offset; a skewed pair does not.
-        assert!((batch.voltage(2, outp) - batch.voltage(2, outn)).abs() < 1e-9);
-        assert!((batch.voltage(0, outp) - batch.voltage(0, outn)).abs() > 1e-3);
+        assert!(off(0).abs() < 1e-9);
+        for v in 1..cards.len() {
+            assert!(off(v).abs() > 1e-3, "variant {v}: offset {}", off(v));
+        }
+    }
+
+    /// Columns left out keep the circuit's own card.
+    #[test]
+    fn unnamed_fields_keep_the_circuit_card() {
+        let ckt = diff_pair((0.45, KP), (0.47, KP));
+        let cols = ParamColumns::new(2).column("M1", MosField::Vth0, vec![0.45, 0.47]);
+        let res = solve(&ckt, &cols, &NewtonOptions::default());
+        assert_matches_scalar(&res, &[((0.45, KP), (0.47, KP)), ((0.47, KP), (0.47, KP))]);
     }
 
     #[test]
     fn warm_start_matches_cold() {
-        let ckts: Vec<Circuit> = [0.0, 1e-3, -2e-3].iter().map(|&d| diff_pair(d)).collect();
+        let cards = [skew(0.0), skew(1e-3), skew(-2e-3)];
+        let (ckt, cols) = (nominal(), pair_columns(&cards));
         let opts = NewtonOptions::default();
-        let nominal = op::solve(&ckts[0]).unwrap();
-        let cold = op_batch_plain(&ckts, &opts);
+        let x0 = op::solve(&ckt).unwrap().solution().to_vec();
+        let cold = solve(&ckt, &cols, &opts);
         let warm = op_batch(
-            &ckts,
+            &ckt,
+            &cols,
             &opts,
-            Some(nominal.solution()),
+            &[x0.as_slice(); 3],
             &Telemetry::disabled(),
         )
         .unwrap();
@@ -786,112 +800,163 @@ mod tests {
         }
     }
 
-    /// A 100 V divider needs ~200 damped iterations (0.5 V clamp) —
-    /// far past `max_iter` — so plain lockstep Newton exhausts its
-    /// budget and the lane must fall back to the scalar homotopy
-    /// ladder, which cracks it by source stepping. The small-source
-    /// lanes converge in lockstep and must be untouched. One sick lane
-    /// sits in the full first group, one in the masked tail group.
+    /// A pair whose `kp` is scaled by 1e-6 can only carry its tail
+    /// current with its source near −124 V: plain lockstep Newton, at
+    /// 0.5 V per step, exhausts `max_iter`, and the lane must fall back
+    /// to the scalar homotopy ladder. The healthy lanes converge in
+    /// lockstep and must be untouched. One sick lane sits in the full
+    /// first group, one in the masked tail group.
     #[test]
     fn lane_falls_back_to_scalar_ladder() {
         let sick = [1, 9];
-        let cases: Vec<(f64, f64)> = (0..11)
+        let cards: Vec<_> = (0..11)
             .map(|i| {
-                let r = 1e3 * (1 + i % 3) as f64;
-                let v = if sick.contains(&i) {
-                    100.0
-                } else {
-                    1.0 + 0.25 * i as f64
-                };
-                (r, v)
+                let ((v1, k1), (v2, k2)) = skew(1e-3 * i as f64);
+                let s = if sick.contains(&i) { 1e-6 } else { 1.0 };
+                ((v1, k1 * s), (v2, k2 * s))
             })
             .collect();
-        let ckts: Vec<Circuit> = cases.iter().map(|&(r, v)| divider(r, v)).collect();
-        let opts = NewtonOptions::default();
+        let ckt = nominal();
         let tel = Telemetry::enabled();
-        let batch = op_batch(&ckts, &opts, None, &tel).unwrap();
-        for v in 0..ckts.len() {
-            assert_eq!(batch.used_fallback(v), sick.contains(&v), "variant {v}");
+        let opts = NewtonOptions::default();
+        let res = op_batch(&ckt, &pair_columns(&cards), &opts, &[], &tel).unwrap();
+        for v in 0..cards.len() {
+            assert_eq!(res.used_fallback(v), sick.contains(&v), "variant {v}");
         }
         let report = tel.report();
         assert_eq!(report.counters.lane_fallbacks, sick.len() as u64);
         assert!(report.counters.batch_solves > 0);
-        for (v, &(r, vs)) in cases.iter().enumerate() {
-            let expect = vs * 1e3 / (r + 1e3);
-            let out = ckts[v].find_node("out").unwrap();
-            // Loose analytic check (gmin conditioning shifts the exact
-            // value by ~1e-8 at 100 V) plus a tight check against the
-            // scalar solver, which shares the same gmin.
-            assert!((batch.voltage(v, out) - expect).abs() < 1e-6, "variant {v}");
-            let s = op::solve(&ckts[v]).unwrap();
+        let tail = ckt.find_node("tail").unwrap();
+        for &v in &sick {
             assert!(
-                (batch.voltage(v, out) - s.voltage(out)).abs() < 1e-12,
-                "variant {v}"
+                res.voltage(v, tail) < -100.0,
+                "variant {v} never left the rail"
+            );
+        }
+        for (v, &(m1, m2)) in cards.iter().enumerate() {
+            let s = op::solve(&diff_pair(m1, m2)).unwrap();
+            assert_eq!(res.solution(v), s.solution(), "variant {v}");
+        }
+    }
+
+    /// The paper's four-stage limiting-amplifier chain: 18 unknowns, at
+    /// or past the batch kernel's sparse crossover.
+    fn chain(cards: &[(f64, f64)]) -> Circuit {
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let (mut sp, mut sn) = (ckt.node("inp"), ckt.node("inn"));
+        ckt.add(Vsource::dc("VDD", vdd, Circuit::GROUND, 1.8));
+        ckt.add(Vsource::dc("VBP", sp, Circuit::GROUND, 1.2));
+        ckt.add(Vsource::dc("VBN", sn, Circuit::GROUND, 1.2));
+        for (s, pair) in cards.chunks(2).enumerate() {
+            let (outp, outn) = (ckt.node(&format!("p{s}")), ckt.node(&format!("n{s}")));
+            let tail = ckt.node(&format!("t{s}"));
+            ckt.add(Resistor::new(&format!("RP{s}"), vdd, outp, 350.0));
+            ckt.add(Resistor::new(&format!("RN{s}"), vdd, outn, 350.0));
+            let m = |(vth0, kp): (f64, f64)| nmos_params(vth0, kp);
+            ckt.add(Mosfet::new(
+                &format!("MP{s}"),
+                outn,
+                sp,
+                tail,
+                Circuit::GROUND,
+                m(pair[0]),
+            ));
+            ckt.add(Mosfet::new(
+                &format!("MN{s}"),
+                outp,
+                sn,
+                tail,
+                Circuit::GROUND,
+                m(pair[1]),
+            ));
+            ckt.add(Isource::dc(&format!("IT{s}"), tail, Circuit::GROUND, 4e-3));
+            (sp, sn) = (outp, outn);
+        }
+        ckt
+    }
+
+    /// Eleven variants of the chain: the frozen sparse pivot order of
+    /// the first group is replayed into a second, partly masked one.
+    #[test]
+    fn sparse_path_matches_scalar() {
+        let n = 11;
+        let card = |v: usize, m: usize| {
+            let d = 1e-3 * ((v * 8 + m) % 7) as f64 - 3e-3;
+            (0.45 + d, KP * (1.0 + 0.01 * (m % 3) as f64))
+        };
+        let names = ["MP0", "MN0", "MP1", "MN1", "MP2", "MN2", "MP3", "MN3"];
+        let mut cols = ParamColumns::new(n);
+        for (m, name) in names.iter().enumerate() {
+            cols = cols
+                .column(name, MosField::Vth0, (0..n).map(|v| card(v, m).0).collect())
+                .column(name, MosField::Kp, (0..n).map(|v| card(v, m).1).collect());
+        }
+        let nominal = chain(&[(0.45, KP); 8]);
+        let opts = NewtonOptions::default();
+        let tel = Telemetry::enabled();
+        let res = op_batch(&nominal, &cols, &opts, &[], &tel).unwrap();
+        assert_eq!(System::new(&nominal).dim(), 18);
+        assert_eq!(res.fallback_count(), 0);
+        let c = tel.report().counters;
+        assert!(c.sparse_solves > 0, "sparse path not taken");
+        assert!(c.refactorizations > 0, "frozen pivot order never replayed");
+        for v in 0..n {
+            let cards: Vec<_> = (0..8).map(|m| card(v, m)).collect();
+            let s = op::solve_with(&chain(&cards), &opts, None).unwrap();
+            for (a, b) in res.solution(v).iter().zip(s.solution()) {
+                assert!(
+                    (a - b).abs() < 1e-9,
+                    "variant {v}: batched {a} vs scalar {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bad_columns_and_warm_starts_are_typed_errors() {
+        let ckt = nominal();
+        let opts = NewtonOptions::default();
+        let x0 = vec![0.0; System::new(&ckt).dim()];
+        let short = vec![0.0; 3];
+        let col =
+            |name: &str, field, v: f64| ParamColumns::new(2).column(name, field, vec![0.45, v]);
+        let cases: Vec<(&str, ParamColumns, Vec<&[f64]>)> = vec![
+            ("resistor", col("RL1", MosField::Vth0, 0.45), vec![]),
+            ("unknown element", col("M9", MosField::Vth0, 0.45), vec![]),
+            (
+                "short column",
+                ParamColumns::new(3).column("M1", MosField::Vth0, vec![0.45; 2]),
+                vec![],
+            ),
+            ("NaN vth0", col("M1", MosField::Vth0, f64::NAN), vec![]),
+            (
+                "infinite vth0",
+                col("M2", MosField::Vth0, f64::INFINITY),
+                vec![],
+            ),
+            ("negative vth0", col("M1", MosField::Vth0, -0.1), vec![]),
+            ("zero kp", col("M1", MosField::Kp, 0.0), vec![]),
+            ("negative kp", col("M2", MosField::Kp, -KP), vec![]),
+            (
+                "short warm slice",
+                col("M1", MosField::Vth0, 0.45),
+                vec![&x0, &short],
+            ),
+            ("warm count", col("M1", MosField::Vth0, 0.45), vec![&x0]),
+        ];
+        for (what, cols, warm) in cases {
+            let err = op_batch(&ckt, &cols, &opts, &warm, &Telemetry::disabled()).unwrap_err();
+            assert!(
+                matches!(err, SpiceError::InvalidConfig { .. }),
+                "{what}: {err}"
             );
         }
     }
 
     #[test]
-    fn sparse_path_matches_scalar() {
-        // Force the sparse path on a resistor ladder big enough to be
-        // non-trivial, with per-variant resistance perturbations.
-        let build = |scale: f64| {
-            let mut ckt = Circuit::new();
-            let mut prev = ckt.node("n0");
-            ckt.add(Vsource::dc("V1", prev, Circuit::GROUND, 1.0));
-            for i in 1..=12 {
-                let next = ckt.node(&format!("n{i}"));
-                ckt.add(Resistor::new(
-                    &format!("Rs{i}"),
-                    prev,
-                    next,
-                    100.0 * scale + i as f64,
-                ));
-                ckt.add(Resistor::new(&format!("Rg{i}"), next, Circuit::GROUND, 1e3));
-                prev = next;
-            }
-            ckt
-        };
-        // Eleven variants: the frozen pivot order is replayed into a
-        // second, partly masked lane group.
-        let ckts: Vec<Circuit> = (0..11).map(|i| build(1.0 + 0.05 * i as f64)).collect();
-        let opts = NewtonOptions {
-            sparse_threshold: 1,
-            ..NewtonOptions::default()
-        };
-        let tel = Telemetry::enabled();
-        let batch = op_batch(&ckts, &opts, None, &tel).unwrap();
-        assert_eq!(batch.fallback_count(), 0);
-        let report = tel.report();
-        assert!(report.counters.sparse_solves > 0, "sparse path not taken");
-        for (v, ckt) in ckts.iter().enumerate() {
-            let s = op::solve_with(ckt, &opts, None).unwrap();
-            for (a, b) in batch.solution(v).iter().zip(s.solution()) {
-                assert!((a - b).abs() < 1e-9, "variant {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn mismatched_topology_rejected() {
-        let mut other = Circuit::new();
-        let n1 = other.node("n1");
-        other.add(Isource::dc("I1", Circuit::GROUND, n1, 1e-3));
-        other.add(Resistor::new("R1", n1, Circuit::GROUND, 1e3));
-        let ckts = vec![divider(1e3, 3.0), other];
-        let err = op_batch(
-            &ckts,
-            &NewtonOptions::default(),
-            None,
-            &Telemetry::disabled(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, SpiceError::InvalidConfig { .. }));
-    }
-
-    #[test]
     fn empty_batch_is_empty() {
-        let batch = op_batch_plain(&[], &NewtonOptions::default());
-        assert!(batch.is_empty());
+        let res = solve(&nominal(), &ParamColumns::new(0), &NewtonOptions::default());
+        assert!(res.is_empty());
     }
 }

@@ -247,6 +247,9 @@ pub(crate) struct System<'a> {
     branch_names: HashMap<String, usize>,
     /// Whether any element's stamp depends on the Newton guess.
     has_nonlinear: bool,
+    /// Per-element MOSFET card overrides, empty outside batched solves
+    /// ([`batch`] loads each lane's `vth0`/`kp` here before stamping it).
+    cards: Vec<Option<crate::devices::mosfet::MosParams>>,
 }
 
 impl<'a> System<'a> {
@@ -277,6 +280,7 @@ impl<'a> System<'a> {
             state_len,
             branch_names,
             has_nonlinear,
+            cards: Vec::new(),
         }
     }
 
@@ -322,6 +326,27 @@ impl<'a> System<'a> {
         }
     }
 
+    /// Stamps every element `keep` selects at guess `x` into `out`, each
+    /// with its card override when one is loaded.
+    fn stamp_pass(
+        &self,
+        out: &mut Stamper<'_>,
+        keep: impl Fn(&dyn Element) -> bool,
+        x: &[f64],
+        state: &[f64],
+        mode: StampMode,
+    ) {
+        for (idx, e) in self.ckt.elements().enumerate() {
+            if keep(e) {
+                let ctx = self.ctx(idx, e, x, state, mode);
+                match self.cards.get(idx) {
+                    Some(Some(card)) => e.stamp_with_card(&ctx, card, out),
+                    _ => e.stamp(&ctx, out),
+                }
+            }
+        }
+    }
+
     /// Assembles the Jacobian and RHS at guess `x`.
     pub(crate) fn assemble(
         &self,
@@ -335,11 +360,8 @@ impl<'a> System<'a> {
         matrix.clear();
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
-        for (idx, e) in self.ckt.elements().enumerate() {
-            let ctx = self.ctx(idx, e, x, state, mode);
-            let mut stamper = Stamper::new(matrix, rhs, self.n_nodes);
-            e.stamp(&ctx, &mut stamper);
-        }
+        let mut out = Stamper::new(matrix, rhs, self.n_nodes);
+        self.stamp_pass(&mut out, |_| true, x, state, mode);
         // Conditioning gmin from every node to ground.
         for i in 0..self.n_nodes {
             matrix[(i, i)] += gmin;
@@ -364,14 +386,8 @@ impl<'a> System<'a> {
         matrix.clear();
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
-        for (idx, e) in self.ckt.elements().enumerate() {
-            if e.is_nonlinear() {
-                continue;
-            }
-            let ctx = self.ctx(idx, e, &[], state, mode);
-            let mut stamper = Stamper::new(matrix, rhs, self.n_nodes);
-            e.stamp(&ctx, &mut stamper);
-        }
+        let mut out = Stamper::new(matrix, rhs, self.n_nodes);
+        self.stamp_pass(&mut out, |e| !e.is_nonlinear(), &[], state, mode);
         for i in 0..self.n_nodes {
             matrix[(i, i)] += gmin;
         }
@@ -383,14 +399,8 @@ impl<'a> System<'a> {
     fn stamp_linear_rhs(&self, state: &[f64], mode: StampMode, rhs: &mut Vec<f64>) {
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
-        for (idx, e) in self.ckt.elements().enumerate() {
-            if e.is_nonlinear() {
-                continue;
-            }
-            let ctx = self.ctx(idx, e, &[], state, mode);
-            let mut stamper = Stamper::rhs_only(rhs, self.n_nodes);
-            e.stamp(&ctx, &mut stamper);
-        }
+        let mut out = Stamper::rhs_only(rhs, self.n_nodes);
+        self.stamp_pass(&mut out, |e| !e.is_nonlinear(), &[], state, mode);
     }
 
     /// Adds the nonlinear-device linearizations at guess `x` on top of
@@ -403,14 +413,8 @@ impl<'a> System<'a> {
         matrix: &mut DenseMatrix,
         rhs: &mut [f64],
     ) {
-        for (idx, e) in self.ckt.elements().enumerate() {
-            if !e.is_nonlinear() {
-                continue;
-            }
-            let ctx = self.ctx(idx, e, x, state, mode);
-            let mut stamper = Stamper::new(matrix, rhs, self.n_nodes);
-            e.stamp(&ctx, &mut stamper);
-        }
+        let mut out = Stamper::new(matrix, rhs, self.n_nodes);
+        self.stamp_pass(&mut out, |e| e.is_nonlinear(), x, state, mode);
     }
 
     /// Discovers the Jacobian sparsity pattern with one recording stamp
@@ -426,11 +430,8 @@ impl<'a> System<'a> {
         let dim = self.dim();
         let mut positions: Vec<(usize, usize)> = Vec::new();
         let mut scratch_rhs = vec![0.0; dim];
-        for (idx, e) in self.ckt.elements().enumerate() {
-            let ctx = self.ctx(idx, e, x0, state, mode);
-            let mut stamper = Stamper::pattern(&mut positions, &mut scratch_rhs, self.n_nodes);
-            e.stamp(&ctx, &mut stamper);
-        }
+        let mut out = Stamper::pattern(&mut positions, &mut scratch_rhs, self.n_nodes);
+        self.stamp_pass(&mut out, |_| true, x0, state, mode);
         let n_recorded = positions.len();
         for i in 0..n_recorded {
             let (r, c) = positions[i];
@@ -468,11 +469,8 @@ impl<'a> System<'a> {
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
         sp.slots_full.begin_pass();
-        for (idx, e) in self.ckt.elements().enumerate() {
-            let ctx = self.ctx(idx, e, x, state, mode);
-            let mut stamper = Stamper::sparse(&mut sp.mat, &mut sp.slots_full, rhs, self.n_nodes);
-            e.stamp(&ctx, &mut stamper);
-        }
+        let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_full, rhs, self.n_nodes);
+        self.stamp_pass(&mut out, |_| true, x, state, mode);
         if sp.slots_full.missing() {
             return Err(AttemptError::PatternMiss);
         }
@@ -496,14 +494,8 @@ impl<'a> System<'a> {
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
         sp.slots_lin.begin_pass();
-        for (idx, e) in self.ckt.elements().enumerate() {
-            if e.is_nonlinear() {
-                continue;
-            }
-            let ctx = self.ctx(idx, e, &[], state, mode);
-            let mut stamper = Stamper::sparse(&mut sp.mat, &mut sp.slots_lin, rhs, self.n_nodes);
-            e.stamp(&ctx, &mut stamper);
-        }
+        let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_lin, rhs, self.n_nodes);
+        self.stamp_pass(&mut out, |e| !e.is_nonlinear(), &[], state, mode);
         if sp.slots_lin.missing() {
             return Err(AttemptError::PatternMiss);
         }
@@ -524,14 +516,8 @@ impl<'a> System<'a> {
         rhs: &mut [f64],
     ) -> Result<(), AttemptError> {
         sp.slots_nonlin.begin_pass();
-        for (idx, e) in self.ckt.elements().enumerate() {
-            if !e.is_nonlinear() {
-                continue;
-            }
-            let ctx = self.ctx(idx, e, x, state, mode);
-            let mut stamper = Stamper::sparse(&mut sp.mat, &mut sp.slots_nonlin, rhs, self.n_nodes);
-            e.stamp(&ctx, &mut stamper);
-        }
+        let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_nonlin, rhs, self.n_nodes);
+        self.stamp_pass(&mut out, |e| e.is_nonlinear(), x, state, mode);
         if sp.slots_nonlin.missing() {
             return Err(AttemptError::PatternMiss);
         }
@@ -816,28 +802,9 @@ impl<'a> System<'a> {
                     }
                 }
             }
-            // Convergence check + damping, updating the iterate in place.
-            let mut converged = true;
-            let mut undamped = true;
-            worst = 0.0;
-            for i in 0..dim {
-                let delta = ws.x_new[i] - ws.x[i];
-                let (atol, clamp) = if i < self.n_nodes {
-                    (opts.vntol, opts.max_step)
-                } else {
-                    (opts.abstol, f64::INFINITY)
-                };
-                let tol = atol + opts.reltol * ws.x[i].abs().max(ws.x_new[i].abs());
-                if delta.abs() > tol {
-                    converged = false;
-                }
-                worst = worst.max(delta.abs());
-                let next = ws.x[i] + delta.clamp(-clamp, clamp);
-                if (next - ws.x_new[i]).abs() >= 1e-15 {
-                    undamped = false;
-                }
-                ws.x[i] = next;
-            }
+            let (converged, undamped, w) =
+                newton_update(&mut ws.x, |i| ws.x_new[i], self.n_nodes, opts);
+            worst = w;
             tel.trajectory_push(worst);
             // Fine-gated: one event per Newton iteration means one
             // clock read per iteration, which in coarse mode would eat
@@ -885,15 +852,8 @@ impl<'a> System<'a> {
         let mut state = vec![0.0; self.state_len];
         for (idx, e) in self.ckt.elements().enumerate() {
             let sb = self.state_bases[idx];
-            let sl = e.state_size();
-            let ctx = StampCtx {
-                x,
-                state: &[],
-                branch_base: self.branch_bases[idx],
-                n_nodes: self.n_nodes,
-                mode: StampMode::dc(),
-            };
-            e.init_state(&ctx, &mut state[sb..sb + sl]);
+            let ctx = self.ctx(idx, e, x, &[], StampMode::dc());
+            e.init_state(&ctx, &mut state[sb..sb + e.state_size()]);
         }
         state
     }
@@ -908,15 +868,8 @@ impl<'a> System<'a> {
     ) {
         for (idx, e) in self.ckt.elements().enumerate() {
             let sb = self.state_bases[idx];
-            let sl = e.state_size();
-            let ctx = StampCtx {
-                x,
-                state: &state_prev[sb..sb + sl],
-                branch_base: self.branch_bases[idx],
-                n_nodes: self.n_nodes,
-                mode,
-            };
-            e.update_state(&ctx, &mut state_next[sb..sb + sl]);
+            let ctx = self.ctx(idx, e, x, state_prev, mode);
+            e.update_state(&ctx, &mut state_next[sb..sb + e.state_size()]);
         }
     }
 
@@ -1033,6 +986,38 @@ pub(crate) struct AcSparseState {
     slots: StampSlots,
     /// Value-slot of each node diagonal, for the gmin stamp.
     diag_slots: Vec<usize>,
+}
+
+/// One damped Newton update of the iterate `x` toward the raw solution
+/// `x_new(i)`: node voltages move at most `max_step` per iteration.
+/// Returns whether every unknown met its tolerance, whether no clamp
+/// bit, and the largest raw step.
+fn newton_update(
+    x: &mut [f64],
+    x_new: impl Fn(usize) -> f64,
+    n_nodes: usize,
+    opts: &NewtonOptions,
+) -> (bool, bool, f64) {
+    let (mut converged, mut undamped, mut worst) = (true, true, 0.0f64);
+    for (i, xi) in x.iter_mut().enumerate() {
+        let xn = x_new(i);
+        let delta = xn - *xi;
+        let (atol, clamp) = if i < n_nodes {
+            (opts.vntol, opts.max_step)
+        } else {
+            (opts.abstol, f64::INFINITY)
+        };
+        if delta.abs() > atol + opts.reltol * xi.abs().max(xn.abs()) {
+            converged = false;
+        }
+        worst = worst.max(delta.abs());
+        let next = *xi + delta.clamp(-clamp, clamp);
+        if (next - xn).abs() >= 1e-15 {
+            undamped = false;
+        }
+        *xi = next;
+    }
+    (converged, undamped, worst)
 }
 
 /// Voltage lookup shared by all result types.

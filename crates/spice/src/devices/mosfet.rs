@@ -220,23 +220,17 @@ impl Mosfet {
         }
     }
 
-    /// The model card.
-    #[must_use]
-    pub fn params(&self) -> &MosParams {
-        &self.params
-    }
-
-    /// Large-signal evaluation at the given terminal voltages (actual,
-    /// un-normalized). Returns the evaluation in the normalized frame plus
-    /// whether drain/source were swapped.
-    fn eval_at(&self, vd: f64, vg: f64, vs: f64) -> (MosEval, bool) {
-        let p = self.params.mos_type.polarity();
+    /// Large-signal evaluation of `card` at the given terminal voltages
+    /// (actual, un-normalized). Returns the evaluation in the normalized
+    /// frame plus whether drain/source were swapped.
+    fn eval_at(card: &MosParams, vd: f64, vg: f64, vs: f64) -> (MosEval, bool) {
+        let p = card.mos_type.polarity();
         let vds_raw = p * (vd - vs);
         if vds_raw >= 0.0 {
-            (square_law(&self.params, p * (vg - vs), vds_raw), false)
+            (square_law(card, p * (vg - vs), vds_raw), false)
         } else {
             // Effective drain and source swap.
-            (square_law(&self.params, p * (vg - vd), -vds_raw), true)
+            (square_law(card, p * (vg - vd), -vds_raw), true)
         }
     }
 
@@ -247,7 +241,7 @@ impl Mosfet {
         let vd = self.d.index().map_or(0.0, |i| x_op[i]);
         let vg = self.g.index().map_or(0.0, |i| x_op[i]);
         let vs = self.s.index().map_or(0.0, |i| x_op[i]);
-        self.eval_at(vd, vg, vs).0
+        Self::eval_at(&self.params, vd, vg, vs).0
     }
 
     /// Drain current at an operating point, in the device's own polarity
@@ -258,7 +252,7 @@ impl Mosfet {
         let vd = self.d.index().map_or(0.0, |i| x_op[i]);
         let vg = self.g.index().map_or(0.0, |i| x_op[i]);
         let vs = self.s.index().map_or(0.0, |i| x_op[i]);
-        let (ev, swapped) = self.eval_at(vd, vg, vs);
+        let (ev, swapped) = Self::eval_at(&self.params, vd, vg, vs);
         let p = self.params.mos_type.polarity();
         if swapped {
             -p * ev.ids
@@ -299,9 +293,13 @@ impl Element for Mosfet {
     }
 
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
+        self.stamp_with_card(ctx, &self.params, out);
+    }
+
+    fn stamp_with_card(&self, ctx: &StampCtx<'_>, card: &MosParams, out: &mut Stamper<'_>) {
         let (vd, vg, vs) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s));
-        let p = self.params.mos_type.polarity();
-        let (ev, swapped) = self.eval_at(vd, vg, vs);
+        let p = card.mos_type.polarity();
+        let (ev, swapped) = Self::eval_at(card, vd, vg, vs);
 
         // Effective (normalized-frame) drain and source node indices.
         let (nd, ns) = if swapped {
@@ -334,9 +332,9 @@ impl Element for Mosfet {
                 self.s.index(),
                 self.b.index(),
             );
-            DeviceCap::stamp(ctx, out, self.params.cgs(), g, s, &ctx.state[0..2]);
-            DeviceCap::stamp(ctx, out, self.params.cgd(), g, d, &ctx.state[2..4]);
-            DeviceCap::stamp(ctx, out, self.params.cjunc(), d, b, &ctx.state[4..6]);
+            DeviceCap::stamp(ctx, out, card.cgs(), g, s, &ctx.state[0..2]);
+            DeviceCap::stamp(ctx, out, card.cgd(), g, d, &ctx.state[2..4]);
+            DeviceCap::stamp(ctx, out, card.cjunc(), d, b, &ctx.state[4..6]);
         }
     }
 
@@ -372,7 +370,7 @@ impl Element for Mosfet {
         let vd = self.d.index().map_or(0.0, |i| x_op[i]);
         let vg = self.g.index().map_or(0.0, |i| x_op[i]);
         let vs = self.s.index().map_or(0.0, |i| x_op[i]);
-        let (ev, swapped) = self.eval_at(vd, vg, vs);
+        let (ev, swapped) = Self::eval_at(&self.params, vd, vg, vs);
         let (nd, ns) = if swapped {
             (self.s.index(), self.d.index())
         } else {

@@ -8,6 +8,7 @@
 //! current) in a flat arena owned by the analysis, sliced per element.
 
 use crate::circuit::NodeId;
+use crate::devices::mosfet::MosParams;
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{Complex64, ComplexMatrix, DenseMatrix};
 use std::fmt;
@@ -121,13 +122,6 @@ impl StampSlots {
     #[must_use]
     pub fn missing(&self) -> bool {
         self.missing
-    }
-
-    /// Drops the cached sequence (used when the pattern is rebuilt).
-    pub fn clear(&mut self) {
-        self.seq.clear();
-        self.cursor = 0;
-        self.missing = false;
     }
 }
 
@@ -539,7 +533,7 @@ pub enum DcTransfer {
         /// Source terminal.
         s: NodeId,
         /// Full Level-1 model card.
-        params: crate::devices::mosfet::MosParams,
+        params: MosParams,
     },
     /// Exponential diode junction from anode to cathode.
     Junction {
@@ -599,6 +593,13 @@ pub trait Element: fmt::Debug + Send + Sync {
     /// Stamps the element's (linearized) contribution for the mode in
     /// `ctx.mode`.
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>);
+
+    /// [`Element::stamp`] with `card` in place of the element's own
+    /// MOSFET model card: how the batched solver varies `vth0`/`kp` per
+    /// lane over one circuit. Elements without a card ignore it.
+    fn stamp_with_card(&self, ctx: &StampCtx<'_>, _card: &MosParams, out: &mut Stamper<'_>) {
+        self.stamp(ctx, out);
+    }
 
     /// Writes the element's next-timestep state after a converged step.
     /// `ctx.x` holds the converged solution; `ctx.state` the previous state.

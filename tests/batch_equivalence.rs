@@ -1,11 +1,12 @@
 //! Equivalence properties of the batched multi-variant solver.
 //!
 //! The batch engine's contract is that lane packing is invisible: a
-//! K-variant batched operating point must produce the same answers as
-//! K independent scalar solves, whether K fills one eight-lane group,
-//! part of one, or several, on linear and transistor-level circuits
-//! alike — and a lane evicted to the scalar fallback ladder must land
-//! on the scalar answer exactly. On top sit the yield-estimator invariants:
+//! K-variant batched operating point — one circuit, per-variant MOSFET
+//! `vth0`/`kp` columns — must produce the same answers as K independent
+//! scalar solves of circuits built with those cards, whether K fills one
+//! eight-lane group, part of one, or several, on closed-form and
+//! transistor-level circuits alike — and a lane evicted to the scalar
+//! fallback ladder must land on the scalar answer exactly. On top sit the yield-estimator invariants:
 //! the estimate is a pure function of `(parameters, seed)`,
 //! independent of thread count and of the batch/scalar engine choice.
 
@@ -17,17 +18,18 @@ use cml_core::yield_est::{
     behavioral_offset_yield, behavioral_offset_yield_scalar, pair_offsets_batched,
     pair_offsets_scalar, transistor_offset_yield, ChainSpec, PairYieldSpec, YieldConfig,
 };
-use cml_spice::analysis::{batch, op, NewtonOptions};
+use cml_spice::analysis::batch::{self, MosField};
+use cml_spice::analysis::{op, NewtonOptions};
 use cml_spice::prelude::*;
 use proptest::prelude::*;
 
-fn nmos(vth0: f64) -> MosParams {
+fn nmos(vth0: f64, kp: f64) -> MosParams {
     MosParams {
         mos_type: MosType::Nmos,
         w: 10e-6,
         l: 0.18e-6,
         vth0,
-        kp: 170e-6,
+        kp,
         lambda: 0.1,
         cox: 8.4e-3,
         cov: 3.0e-10,
@@ -36,9 +38,12 @@ fn nmos(vth0: f64) -> MosParams {
     }
 }
 
+const KP: f64 = 170e-6;
+
 /// NMOS differential pair with mismatched thresholds — the
-/// transistor-level Monte-Carlo workhorse.
-fn diff_pair(dvth: f64, vin: f64) -> Circuit {
+/// transistor-level Monte-Carlo workhorse — and `kp` scaled by
+/// `kp_scale` on both devices.
+fn diff_pair(dvth: f64, vin: f64, kp_scale: f64) -> Circuit {
     let mut ckt = Circuit::new();
     let vdd = ckt.node("vdd");
     let outp = ckt.node("outp");
@@ -51,34 +56,46 @@ fn diff_pair(dvth: f64, vin: f64) -> Circuit {
     ckt.add(Vsource::dc("VBN", inn, Circuit::GROUND, 0.9 - vin));
     ckt.add(Resistor::new("RL1", vdd, outp, 500.0));
     ckt.add(Resistor::new("RL2", vdd, outn, 500.0));
-    ckt.add(Mosfet::new(
-        "M1",
-        outp,
-        inp,
-        tail,
-        Circuit::GROUND,
-        nmos(0.45 + dvth / 2.0),
-    ));
-    ckt.add(Mosfet::new(
-        "M2",
-        outn,
-        inn,
-        tail,
-        Circuit::GROUND,
-        nmos(0.45 - dvth / 2.0),
-    ));
+    let kp = KP * kp_scale;
+    let (m1, m2) = (nmos(0.45 + dvth / 2.0, kp), nmos(0.45 - dvth / 2.0, kp));
+    ckt.add(Mosfet::new("M1", outp, inp, tail, Circuit::GROUND, m1));
+    ckt.add(Mosfet::new("M2", outn, inn, tail, Circuit::GROUND, m2));
     ckt.add(Isource::dc("IT", tail, Circuit::GROUND, 1e-3));
     ckt
 }
 
-/// Linear divider driven by `v`; an analytically known solution.
-fn divider(r_top: f64, v: f64) -> Circuit {
+/// The pair's per-variant `(ΔV_TH, kp scale)` as parameter columns over
+/// `diff_pair(0.0, vin, 1.0)`, with the same arithmetic as [`diff_pair`].
+fn pair_columns(variants: &[(f64, f64)]) -> batch::ParamColumns {
+    let col = |f: &dyn Fn(&(f64, f64)) -> f64| variants.iter().map(f).collect();
+    batch::ParamColumns::new(variants.len())
+        .column("M1", MosField::Vth0, col(&|&(d, _)| 0.45 + d / 2.0))
+        .column("M2", MosField::Vth0, col(&|&(d, _)| 0.45 - d / 2.0))
+        .column("M1", MosField::Kp, col(&|&(_, k)| KP * k))
+        .column("M2", MosField::Kp, col(&|&(_, k)| KP * k))
+}
+
+/// A linear divider driven by `v` beside an NMOS whose every terminal a
+/// source pins (gate on the divider input, drain at 5 V, source
+/// grounded): each unknown has a closed form — the divider tap, and the
+/// square-law drain current as the `VD` branch current.
+fn pinned(v: f64, r_top: f64, card: MosParams) -> Circuit {
     let mut ckt = Circuit::new();
     let vin = ckt.node("in");
     let out = ckt.node("out");
+    let d = ckt.node("d");
     ckt.add(Vsource::dc("V1", vin, Circuit::GROUND, v));
     ckt.add(Resistor::new("R1", vin, out, r_top));
     ckt.add(Resistor::new("R2", out, Circuit::GROUND, 1000.0));
+    ckt.add(Vsource::dc("VD", d, Circuit::GROUND, 5.0));
+    ckt.add(Mosfet::new(
+        "M1",
+        d,
+        vin,
+        Circuit::GROUND,
+        Circuit::GROUND,
+        card,
+    ));
     ckt
 }
 
@@ -93,14 +110,18 @@ proptest! {
         dvths in prop::collection::vec(-10e-3..10e-3f64, 1..=20),
         vin in -0.05..0.05f64,
     ) {
-        let ckts: Vec<Circuit> = dvths.iter().map(|&d| diff_pair(d, vin)).collect();
-        let scalar: Vec<_> = ckts.iter().map(|c| op::solve(c).expect("scalar op")).collect();
+        let variants: Vec<(f64, f64)> = dvths.iter().map(|&d| (d, 1.0)).collect();
+        let scalar: Vec<_> = dvths
+            .iter()
+            .map(|&d| op::solve(&diff_pair(d, vin, 1.0)).expect("scalar op"))
+            .collect();
         for sparse_threshold in [NewtonOptions::default().sparse_threshold, 1] {
             let opts = NewtonOptions { sparse_threshold, ..NewtonOptions::default() };
             let res = batch::op_batch(
-                &ckts, &opts, None, &cml_spice::telemetry::Telemetry::disabled(),
+                &diff_pair(0.0, vin, 1.0), &pair_columns(&variants), &opts, &[],
+                &cml_spice::telemetry::Telemetry::disabled(),
             ).expect("batched op");
-            prop_assert_eq!(res.len(), ckts.len());
+            prop_assert_eq!(res.len(), variants.len());
             for (v, s) in scalar.iter().enumerate() {
                 for (a, b) in res.solution(v).iter().zip(s.solution()) {
                     prop_assert!((a - b).abs() <= 1e-9,
@@ -111,46 +132,61 @@ proptest! {
         }
     }
 
-    /// Same property on purely linear circuits, where the solve is one
-    /// Newton step and any lane cross-talk would surface immediately.
+    /// Every unknown in closed form, one card per variant: any lane
+    /// cross-talk moves a drain current off its own square law.
     #[test]
-    fn batched_op_equals_scalar_linear(
-        r_tops in prop::collection::vec(10.0..10_000.0f64, 1..=20),
+    fn batched_op_equals_scalar_closed_form(
+        vth0s in prop::collection::vec(0.3..0.6f64, 1..=20),
         v in 0.1..5.0f64,
+        r_top in 10.0..10_000.0f64,
     ) {
-        let ckts: Vec<Circuit> = r_tops.iter().map(|&r| divider(r, v)).collect();
-        let opts = NewtonOptions::default();
+        let kps: Vec<f64> = (0..vth0s.len()).map(|i| 100e-6 * (1.0 + 0.2 * (i % 5) as f64)).collect();
+        let ckt = pinned(v, r_top, nmos(0.45, KP));
+        let cols = batch::ParamColumns::new(vth0s.len())
+            .column("M1", MosField::Vth0, vth0s.clone())
+            .column("M1", MosField::Kp, kps.clone());
         let res = batch::op_batch(
-            &ckts, &opts, None, &cml_spice::telemetry::Telemetry::disabled(),
+            &ckt, &cols, &NewtonOptions::default(), &[],
+            &cml_spice::telemetry::Telemetry::disabled(),
         ).expect("batched op");
-        let out = ckts[0].find_node("out").expect("out node");
-        for (variant, (ckt, &r)) in ckts.iter().zip(&r_tops).enumerate() {
-            let scalar = op::solve(ckt).expect("scalar op");
-            let b = res.voltage(variant, out);
-            prop_assert!((b - scalar.voltage(out)).abs() <= 1e-12);
-            // And both sit on the analytic divider (gmin-conditioned,
-            // hence the looser gate).
-            let expect = v * 1000.0 / (1000.0 + r);
-            prop_assert!((b - expect).abs() <= 1e-6);
+        let out = ckt.find_node("out").expect("out node");
+        for (variant, (&vth0, &kp)) in vth0s.iter().zip(&kps).enumerate() {
+            let card = nmos(vth0, kp);
+            let scalar = op::solve(&pinned(v, r_top, card.clone())).expect("scalar op");
+            for (a, b) in res.solution(variant).iter().zip(scalar.solution()) {
+                prop_assert!((a - b).abs() <= 1e-12, "variant {}", variant);
+            }
+            // Both sit on the analytic divider (gmin-conditioned, hence
+            // the looser gate) and on the saturation square law.
+            let expect = v * 1000.0 / (1000.0 + r_top);
+            prop_assert!((res.voltage(variant, out) - expect).abs() <= 1e-6);
+            let vov = (v - vth0).max(0.0);
+            let ids = 0.5 * card.beta() * vov * vov * (1.0 + card.lambda * 5.0);
+            let i_vd = scalar.current("VD").expect("VD branch").abs();
+            prop_assert!((i_vd - ids).abs() <= 1e-9 + 1e-6 * ids,
+                "variant {}: drain current {} vs square law {}", variant, i_vd, ids);
         }
     }
 
-    /// A lane whose plain-Newton lockstep fails (100 V supply needs the
-    /// source-stepping homotopy) is evicted and must land exactly on
-    /// the scalar ladder's answer — and must not disturb its lane-mates.
+    /// A lane whose plain-Newton lockstep fails (`kp` scaled by 1e-6
+    /// puts the tail node near −124 V, far past `max_iter` damped 0.5 V
+    /// steps) is evicted and must land exactly on the scalar ladder's
+    /// answer — and must not disturb its lane-mates.
     #[test]
     fn forced_fallback_matches_scalar_ladder(
         sick in 0usize..4,
-        v_ok in 0.5..3.0f64,
+        dvth in -5e-3..5e-3f64,
     ) {
-        let ckts: Vec<Circuit> = (0..4)
-            .map(|i| divider(1000.0, if i == sick { 100.0 } else { v_ok }))
+        let variants: Vec<(f64, f64)> = (0..4)
+            .map(|i| (dvth * i as f64, if i == sick { 1e-6 } else { 1.0 }))
             .collect();
         let res = batch::op_batch(
-            &ckts, &NewtonOptions::default(), None, &cml_spice::telemetry::Telemetry::disabled(),
+            &diff_pair(0.0, 0.0, 1.0), &pair_columns(&variants), &NewtonOptions::default(), &[],
+            &cml_spice::telemetry::Telemetry::disabled(),
         ).expect("batched op");
-        for (variant, ckt) in ckts.iter().enumerate() {
-            let scalar = op::solve(ckt).expect("scalar ladder");
+        for (variant, &(d, k)) in variants.iter().enumerate() {
+            prop_assert_eq!(res.used_fallback(variant), variant == sick);
+            let scalar = op::solve(&diff_pair(d, 0.0, k)).expect("scalar ladder");
             for (a, b) in res.solution(variant).iter().zip(scalar.solution()) {
                 prop_assert!((a - b).abs() <= 1e-12, "variant {}", variant);
             }

@@ -239,19 +239,39 @@ fn cache_counters_are_thread_count_invariant() {
 #[test]
 fn batch_derives_symbolic_analysis_once_per_batch() {
     let _g = lock();
-    let ladder = |k: usize| -> Vec<Circuit> {
-        (0..k)
-            .map(|v| {
-                let r: Vec<f64> = (0..16).map(|i| 140.0 + (v * 16 + i) as f64).collect();
-                let c: Vec<f64> = (0..16).map(|i| (38.0 + (v + i) as f64) * 1e-15).collect();
-                valued_ladder(16, &r, &c)
-            })
-            .collect()
+    // One RC ladder loaded by an NMOS whose threshold each variant moves.
+    let r: Vec<f64> = (0..16).map(|i| 140.0 + i as f64).collect();
+    let c: Vec<f64> = (0..16).map(|i| (38.0 + i as f64) * 1e-15).collect();
+    let mut ckt = valued_ladder(16, &r, &c);
+    let (gate, last) = (ckt.node("in"), ckt.node("n15"));
+    let card = MosParams {
+        mos_type: MosType::Nmos,
+        w: 10e-6,
+        l: 0.18e-6,
+        vth0: 0.45,
+        kp: 170e-6,
+        lambda: 0.1,
+        cox: 8.4e-3,
+        cov: 3.0e-10,
+        cj: 1.0e-3,
+        ldiff: 0.5e-6,
+    };
+    ckt.add(Mosfet::new(
+        "M1",
+        last,
+        gate,
+        Circuit::GROUND,
+        Circuit::GROUND,
+        card,
+    ));
+    let columns = |k: usize| {
+        let vth0 = (0..k).map(|v| 0.40 + 0.01 * v as f64).collect();
+        batch::ParamColumns::new(k).column("M1", batch::MosField::Vth0, vth0)
     };
     let cold_counts = |k: usize| -> (u64, Vec<Vec<f64>>) {
         fresh_cache();
         let tel = Telemetry::enabled();
-        let res = batch::op_batch(&ladder(k), &cached_opts(), None, &tel).expect("batch op");
+        let res = batch::op_batch(&ckt, &columns(k), &cached_opts(), &[], &tel).expect("batch op");
         let sols = (0..k).map(|v| res.solution(v).to_vec()).collect();
         (tel.report().counters.cache_misses, sols)
     };
@@ -266,7 +286,7 @@ fn batch_derives_symbolic_analysis_once_per_batch() {
     );
     // A second batch in the same process is all hits...
     let tel = Telemetry::enabled();
-    let res = batch::op_batch(&ladder(8), &cached_opts(), None, &tel).expect("warm batch");
+    let res = batch::op_batch(&ckt, &columns(8), &cached_opts(), &[], &tel).expect("warm batch");
     let c = tel.report().counters;
     assert_eq!(c.cache_misses, 0, "warm batch re-derived artifacts");
     assert!(c.cache_hits > 0, "warm batch never hit the cache");

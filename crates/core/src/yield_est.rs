@@ -63,7 +63,7 @@ pub struct YieldConfig {
     /// carry the likelihood ratio as a weight. `1.0` is plain Monte
     /// Carlo (all weights exactly 1).
     pub sigma_scale: f64,
-    /// Warm-start every batched solve from the nominal bias point —
+    /// Warm-start each batched trial from its corner's nominal bias point —
     /// the main throughput lever for small-perturbation sweeps. Turn
     /// off to make the batched Newton trajectory identical to the cold
     /// scalar ladder (useful for agreement assertions).
@@ -652,7 +652,7 @@ impl<'a> PairSweep<'a> {
             }
         }
         let warm = if self.cfg.warm_start {
-            vec![self.warms[start % spec.corners.len()].as_slice(); len]
+            draws.iter().map(|d| self.warms[d.0].as_slice()).collect()
         } else {
             Vec::new()
         };
@@ -685,9 +685,9 @@ struct ChunkOut {
 /// Streams `cfg.trials` transistor-level trials — importance-sampled
 /// ΔV_TH × process corners on the differential pair — through the
 /// batched operating-point engine, folding a per-threshold yield table
-/// at O(chunk) memory. Warm-started from the per-corner nominal bias
-/// point when [`YieldConfig::warm_start`] is set. Bit-identical for any
-/// thread count.
+/// at O(chunk) memory. With [`YieldConfig::warm_start`] set, each trial
+/// starts from its own corner's nominal bias point. Bit-identical for
+/// any thread count.
 ///
 /// # Errors
 ///
@@ -955,7 +955,7 @@ mod tests {
 
     #[test]
     fn warm_start_changes_path_not_answer() {
-        let spec = PairYieldSpec::paper_default();
+        let spec = PairYieldSpec::paper_default().all_corners();
         let cold = YieldConfig::new(32, 33)
             .with_chunk(16)
             .with_warm_start(false);
@@ -967,6 +967,25 @@ mod tests {
                 (x - y).abs() <= 1e-6,
                 "trial {i}: cold {x} vs warm {y} beyond Newton tolerance"
             );
+        }
+    }
+
+    /// With near-zero mismatch every trial sits on its corner's nominal
+    /// bias point, so a lane warm-started from its own corner converges
+    /// on the first lockstep iteration: one batched solve per eight-lane
+    /// group. 80 trials in chunks of 64 make 8 + 2 groups.
+    #[test]
+    fn warm_start_takes_one_lockstep_iteration_per_group() {
+        for spec in [PairYieldSpec::paper_default(), PairYieldSpec::paper_chain()] {
+            let tel = Telemetry::enabled();
+            let cfg = YieldConfig::new(80, 17)
+                .with_chunk(64)
+                .with_sigma_scale(1e-6);
+            let spec = spec.all_corners();
+            let _ = transistor_offset_yield_traced(&cfg, &spec, &[5e-3], &tel).unwrap();
+            let c = tel.report().counters;
+            assert_eq!(c.batch_solves, 10, "{} stages", spec.stages);
+            assert_eq!(c.lane_fallbacks, 0);
         }
     }
 

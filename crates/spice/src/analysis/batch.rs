@@ -250,8 +250,6 @@ enum StepFail {
 /// driver call, shared across lane groups so the sparse pattern, slot
 /// caches and frozen pivot order amortize over *all* variants.
 struct BatchKernel {
-    dim: usize,
-    n_nodes: usize,
     /// Dense lane-packed Jacobian, row-major `dim × dim` (allocated on
     /// first dense iteration).
     packed_m: Vec<F64x8>,
@@ -283,10 +281,8 @@ struct BatchSparse {
 }
 
 impl BatchKernel {
-    fn new(dim: usize, n_nodes: usize) -> Self {
+    fn new(dim: usize) -> Self {
         BatchKernel {
-            dim,
-            n_nodes,
             packed_m: Vec::new(),
             packed_rhs: vec![F64x8::ZERO; dim],
             packed_x: vec![F64x8::ZERO; dim],
@@ -316,7 +312,7 @@ impl BatchKernel {
         let k = group.len();
         debug_assert!((1..=F64x8::LANES).contains(&k));
         debug_assert_eq!(k, xs.len());
-        let dim = self.dim;
+        let (dim, n_nodes) = (lanes.sys.dim(), lanes.sys.n_nodes());
         let _t = tel.timer(Phase::BatchSolve);
         let mut converged_lanes = 0u64;
         let mut active: u64 = (1u64 << k) - 1;
@@ -378,7 +374,7 @@ impl BatchKernel {
                     continue;
                 }
                 let (converged, undamped, _) =
-                    newton_update(x, |i| packed_x[i].lane(l), self.n_nodes, opts);
+                    newton_update(x, |i| packed_x[i].lane(l), n_nodes, opts);
                 if !x.iter().all(|v| v.is_finite()) {
                     active &= !bit;
                 } else if converged && undamped {
@@ -454,7 +450,7 @@ impl BatchKernel {
         active: u64,
         tel: &Telemetry,
     ) -> Result<u64, StepFail> {
-        let dim = self.dim;
+        let dim = lanes.sys.dim();
         if self.packed_m.len() != dim * dim {
             self.packed_m.resize(dim * dim, F64x8::ZERO);
         }
@@ -620,7 +616,7 @@ fn op_batch_impl(
             ),
         });
     }
-    let mut kernel = BatchKernel::new(dim, lanes.sys.n_nodes());
+    let mut kernel = BatchKernel::new(dim);
     let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n);
     let mut fallbacks = Vec::with_capacity(n);
     let mut xs: Vec<Vec<f64>> = Vec::new();

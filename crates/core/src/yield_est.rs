@@ -489,9 +489,8 @@ struct StageNames {
 }
 
 /// All per-stage name strings of an `stages`-deep chain, built **once
-/// per sweep** — every trial's circuit reuses the same topology, and
-/// formatting the same handful of names millions of times was a
-/// measurable slice of batched per-trial cost.
+/// per sweep**: the scalar reference builds a circuit per trial, and
+/// the batched path names its columns' MOSFETs with the same strings.
 struct ChainNames(Vec<StageNames>);
 
 impl ChainNames {

@@ -81,15 +81,11 @@ fn insert_capped(guard: &mut Shard, key: Key, value: Erased) {
     }
 }
 
-/// Probes the interner for `key` without computing anything. Counts a
-/// global hit on success; counts nothing on absence (the caller decides
-/// what a miss means).
+/// Probes the interner for `key` without computing anything. Counts
+/// nothing: the caller validates what it finds and records the hit or
+/// miss itself ([`crate::note_hit`], [`crate::note_miss`]).
 pub fn lookup<T: Send + Sync + 'static>(key: Key) -> Option<Arc<T>> {
-    let found = read_probe::<T>(shard_for(key), key);
-    if found.is_some() {
-        crate::note_hit();
-    }
-    found
+    read_probe::<T>(shard_for(key), key)
 }
 
 /// Interns `value` under `key`, replacing any previous entry.

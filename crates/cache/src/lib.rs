@@ -44,11 +44,12 @@ pub enum ArtifactKind {
     TranPattern = 2,
     /// AC `G + jωC` stamp pattern + symbolic LU (topology-keyed).
     AcPattern = 3,
-    /// Numerically factored AC reference state (content-keyed by the
-    /// assembled matrix bits).
+    /// Numerically factored AC reference state (topology-keyed, one
+    /// entry per topology; the consumer bit-compares the assembled
+    /// matrix before use and replaces the entry on a mismatch).
     AcFactor = 4,
-    /// A passing lint precheck verdict (topology-keyed; every blocking
-    /// lint code is structural).
+    /// A passing lint precheck verdict (content-keyed, so a value edit
+    /// re-lints).
     LintVerdict = 5,
     /// Interval-analysis Newton warm-start vector (content-keyed).
     WarmStart = 6,

@@ -6,8 +6,8 @@
 //! (Fig. 7), the limiting amplifier's gain/bandwidth and the full input
 //! interface. These helpers route all of them through one entry point so
 //! they share the sparse complex AC engine and its deterministic
-//! parallel sweep — `CML_SPARSE_THRESHOLD` and `CML_THREADS` govern
-//! every frequency-response reproduction from here.
+//! parallel sweep — `CML_THREADS` governs every frequency-response
+//! reproduction from here.
 
 use crate::cells::DiffPort;
 use cml_sig::Bode;
@@ -17,9 +17,8 @@ use cml_spice::telemetry::Telemetry;
 use cml_spice::{Circuit, SpiceError};
 
 /// Runs an AC sweep of `ckt` over `freqs` (Hz): operating point, then
-/// the sparse/parallel sweep engine with environment-resolved settings
-/// (`CML_SPARSE_THRESHOLD` for the dense/sparse crossover,
-/// `CML_THREADS` for the worker count). Returns the raw [`AcResult`]
+/// the sparse/parallel sweep engine with default options and
+/// `CML_THREADS` workers. Returns the raw [`AcResult`]
 /// for callers that probe single-ended quantities (e.g. the equalizer's
 /// input impedance).
 ///

@@ -233,17 +233,17 @@ impl<T: Scalar> SparseLu<T> {
             pivot_row: vec![NONE; n],
             lp: vec![0; n + 1],
             li: Vec::new(),
-            li_orig: Vec::with_capacity(4 * nnz),
-            lx: Vec::with_capacity(4 * nnz),
+            li_orig: Vec::new(),
+            lx: Vec::new(),
             up: vec![0; n + 1],
-            ui: Vec::with_capacity(4 * nnz),
-            ux: Vec::with_capacity(4 * nnz),
+            ui: Vec::new(),
+            ux: Vec::new(),
             reach_ptr: vec![0; n + 1],
-            reach: Vec::with_capacity(4 * nnz),
+            reach: Vec::new(),
             x: vec![T::ZERO; n],
             xi: vec![0; n],
-            stack: Vec::with_capacity(n),
-            pstack: Vec::with_capacity(n),
+            stack: Vec::new(),
+            pstack: Vec::new(),
             mark: vec![0; n],
             mark_gen: 0,
             work: vec![T::ZERO; n],
@@ -296,6 +296,18 @@ impl<T: Scalar> SparseLu<T> {
         self.ui.clear();
         self.ux.clear();
         self.reach.clear();
+        // Size the factor storage once, here rather than in `new`: a
+        // clone (how cached patterns reach the solver) keeps no spare
+        // capacity, and growing from empty by doubling on the first
+        // factorization costs a cascade of small allocations.
+        let cap = 4 * self.cmap.len();
+        self.li_orig.reserve(cap);
+        self.lx.reserve(cap);
+        self.ui.reserve(cap);
+        self.ux.reserve(cap);
+        self.reach.reserve(cap);
+        self.stack.reserve(n);
+        self.pstack.reserve(n);
         self.lp[0] = 0;
         self.up[0] = 0;
         self.reach_ptr[0] = 0;

@@ -7,11 +7,12 @@
 //!
 //! # Sparse path and parallel sweeps
 //!
-//! At or above [`NewtonOptions::sparse_threshold`] unknowns the sweep
-//! runs on a sparse complex LU: the `G + jωC` stamp pattern is recorded
-//! once per topology (it is frequency-independent), one reference
-//! factorization at the first frequency freezes the symbolic analysis
-//! and pivot order, and every subsequent point replays an in-place
+//! At or above [`NewtonOptions::sparse_threshold`] unknowns (by default
+//! every size) the sweep runs on a sparse complex LU: the `G + jωC`
+//! stamp pattern is recorded once per topology (it is
+//! frequency-independent), one reference factorization at the first
+//! frequency freezes the symbolic analysis and pivot order, and every
+//! subsequent point replays an in-place
 //! numeric refactorization — no DFS, no pivot search, no dense O(n³)
 //! elimination. The frequency grid is partitioned into chunks executed
 //! on `cml_runner::par_map`; each worker clones the reference

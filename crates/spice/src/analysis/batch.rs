@@ -18,10 +18,11 @@
 //!   [`cml_numeric::SparseLu::refactor_frozen_masked`]) and re-solved
 //!   through the scalar [`op::solve_system`] homotopy ladder — one bad
 //!   variant never stalls or corrupts the batch;
-//! * from `BATCH_SPARSE_THRESHOLD` (12) unknowns up every lane stamps
-//!   through the same slot caches into a lane-packed CSR matrix whose
-//!   pivot order is frozen after the first factorization and replayed
-//!   across iterations and lane groups. See DESIGN.md §13.
+//! * at or above `min(opts.sparse_threshold, 12)` unknowns (every size
+//!   by default) every lane stamps through the same slot caches into a
+//!   lane-packed CSR matrix whose pivot order is frozen after the first
+//!   factorization and replayed across iterations and lane groups. See
+//!   DESIGN.md §13.
 //!
 //! Every eviction increments the `lane_fallbacks` counter; batch
 //! efficiency shows as `lane_occupancy` / `lane_fallback_rate` in the
@@ -38,11 +39,12 @@ use cml_numeric::{DenseMatrix, F64x8, LaneLu, LaneScalar, Scalar, SparseLu};
 use cml_telemetry::{Phase, Telemetry};
 use std::ops::Range;
 
-/// The batch kernel's sparse crossover, in unknowns. Pattern discovery,
-/// which the scalar threshold ([`NewtonOptions::sparse_threshold`])
-/// prices into one solve, amortizes over every iteration of every lane
-/// group here, so the batch goes sparse at `min(opts.sparse_threshold,
-/// BATCH_SPARSE_THRESHOLD)`.
+/// The batch kernel's sparse crossover ceiling, in unknowns. The batch
+/// goes sparse at `min(opts.sparse_threshold, BATCH_SPARSE_THRESHOLD)`:
+/// at every size under the default scalar threshold of 1, and still
+/// from 12 unknowns up when a caller forces the scalar solver dense,
+/// because pattern discovery amortizes over every iteration of every
+/// lane group here.
 const BATCH_SPARSE_THRESHOLD: usize = 12;
 
 /// A MOSFET model-card field the batched solver varies per lane. Process
@@ -715,9 +717,14 @@ mod tests {
         ((0.45 + d / 2.0, KP), (0.45 - d / 2.0, KP))
     }
 
-    fn assert_matches_scalar(res: &BatchOpResult, cards: &[Cards]) {
+    /// The two batch kernels on the diff pair: dense `LaneLu` (scalar
+    /// solver forced dense, pair below the batch's sparse ceiling) and
+    /// the sparse lane kernel (the default).
+    const THRESHOLDS: [usize; 2] = [usize::MAX, 1];
+
+    fn assert_matches_scalar(res: &BatchOpResult, cards: &[Cards], opts: &NewtonOptions) {
         for (v, &(m1, m2)) in cards.iter().enumerate() {
-            let s = op::solve(&diff_pair(m1, m2)).unwrap();
+            let s = op::solve_with(&diff_pair(m1, m2), opts, None).unwrap();
             for (a, b) in res.solution(v).iter().zip(s.solution()) {
                 assert!(
                     (a - b).abs() < 1e-12,
@@ -729,16 +736,21 @@ mod tests {
 
     /// Batch sizes below, at and past one eight-lane group, so the tail
     /// group runs with masked lanes and the kernel is reused across
-    /// groups.
+    /// groups, on both kernels.
     #[test]
     fn variants_match_scalar_every_group_size() {
-        let opts = NewtonOptions::default();
-        for n in [1usize, 7, 8, 9, 17] {
-            let cards: Vec<_> = (0..n).map(|i| skew(-10e-3 + 1.5e-3 * i as f64)).collect();
-            let res = solve(&nominal(), &pair_columns(&cards), &opts);
-            assert_eq!(res.len(), n);
-            assert_eq!(res.fallback_count(), 0);
-            assert_matches_scalar(&res, &cards);
+        for sparse_threshold in THRESHOLDS {
+            let opts = NewtonOptions {
+                sparse_threshold,
+                ..NewtonOptions::default()
+            };
+            for n in [1usize, 7, 8, 9, 17] {
+                let cards: Vec<_> = (0..n).map(|i| skew(-10e-3 + 1.5e-3 * i as f64)).collect();
+                let res = solve(&nominal(), &pair_columns(&cards), &opts);
+                assert_eq!(res.len(), n);
+                assert_eq!(res.fallback_count(), 0);
+                assert_matches_scalar(&res, &cards, &opts);
+            }
         }
     }
 
@@ -751,8 +763,9 @@ mod tests {
             ((0.46, KP * 0.9), (0.44, KP * 1.1)),
         ];
         let ckt = nominal();
-        let res = solve(&ckt, &pair_columns(&cards), &NewtonOptions::default());
-        assert_matches_scalar(&res, &cards);
+        let opts = NewtonOptions::default();
+        let res = solve(&ckt, &pair_columns(&cards), &opts);
+        assert_matches_scalar(&res, &cards, &opts);
         let (outp, outn) = (
             ckt.find_node("outp").unwrap(),
             ckt.find_node("outn").unwrap(),
@@ -770,8 +783,10 @@ mod tests {
     fn unnamed_fields_keep_the_circuit_card() {
         let ckt = diff_pair((0.45, KP), (0.47, KP));
         let cols = ParamColumns::new(2).column("M1", MosField::Vth0, vec![0.45, 0.47]);
-        let res = solve(&ckt, &cols, &NewtonOptions::default());
-        assert_matches_scalar(&res, &[((0.45, KP), (0.47, KP)), ((0.47, KP), (0.47, KP))]);
+        let opts = NewtonOptions::default();
+        let res = solve(&ckt, &cols, &opts);
+        let cards = [((0.45, KP), (0.47, KP)), ((0.47, KP), (0.47, KP))];
+        assert_matches_scalar(&res, &cards, &opts);
     }
 
     #[test]
@@ -801,7 +816,7 @@ mod tests {
     /// 0.5 V per step, exhausts `max_iter`, and the lane must fall back
     /// to the scalar homotopy ladder. The healthy lanes converge in
     /// lockstep and must be untouched. One sick lane sits in the full
-    /// first group, one in the masked tail group.
+    /// first group, one in the masked tail group. Both kernels.
     #[test]
     fn lane_falls_back_to_scalar_ladder() {
         let sick = [1, 9];
@@ -813,25 +828,41 @@ mod tests {
             })
             .collect();
         let ckt = nominal();
-        let tel = Telemetry::enabled();
-        let opts = NewtonOptions::default();
-        let res = op_batch(&ckt, &pair_columns(&cards), &opts, &[], &tel).unwrap();
-        for v in 0..cards.len() {
-            assert_eq!(res.used_fallback(v), sick.contains(&v), "variant {v}");
-        }
-        let report = tel.report();
-        assert_eq!(report.counters.lane_fallbacks, sick.len() as u64);
-        assert!(report.counters.batch_solves > 0);
-        let tail = ckt.find_node("tail").unwrap();
-        for &v in &sick {
-            assert!(
-                res.voltage(v, tail) < -100.0,
-                "variant {v} never left the rail"
-            );
-        }
-        for (v, &(m1, m2)) in cards.iter().enumerate() {
-            let s = op::solve(&diff_pair(m1, m2)).unwrap();
-            assert_eq!(res.solution(v), s.solution(), "variant {v}");
+        for sparse_threshold in THRESHOLDS {
+            let tel = Telemetry::enabled();
+            let opts = NewtonOptions {
+                sparse_threshold,
+                ..NewtonOptions::default()
+            };
+            let res = op_batch(&ckt, &pair_columns(&cards), &opts, &[], &tel).unwrap();
+            for v in 0..cards.len() {
+                assert_eq!(res.used_fallback(v), sick.contains(&v), "variant {v}");
+            }
+            let c = tel.report().counters;
+            assert_eq!(c.lane_fallbacks, sick.len() as u64);
+            assert!(c.batch_solves > 0);
+            // Each kernel runs alone, its scalar fallbacks included.
+            let (taken, other) = if sparse_threshold == 1 {
+                (c.sparse_solves, c.dense_solves)
+            } else {
+                (c.dense_solves, c.sparse_solves)
+            };
+            assert!(taken > 0 && other == 0, "threshold {sparse_threshold}");
+            let tail = ckt.find_node("tail").unwrap();
+            for &v in &sick {
+                assert!(
+                    res.voltage(v, tail) < -100.0,
+                    "variant {v} never left the rail"
+                );
+            }
+            for (v, &(m1, m2)) in cards.iter().enumerate() {
+                let s = op::solve_with(&diff_pair(m1, m2), &opts, None).unwrap();
+                assert_eq!(
+                    res.solution(v),
+                    s.solution(),
+                    "threshold {sparse_threshold}, variant {v}"
+                );
+            }
         }
     }
 

@@ -19,12 +19,13 @@
 //!   reused, while every numeric value is assembled and factored fresh
 //!   by the caller exactly as on the cold path, so warm results are
 //!   bit-identical by construction.
-//! * **AC factored states** (content-keyed) additionally carry the
-//!   exact bit pattern of the assembled reference matrix; a cached
-//!   factorization is used only after a full bitwise comparison
-//!   against the live assembly, which makes even a 64-bit digest
-//!   collision harmless. A hit hands out a clone of the solver exactly
-//!   as the cold path left it after factoring.
+//! * **AC factored states** (topology-keyed, one entry per topology)
+//!   additionally carry the exact bit pattern of the assembled
+//!   reference matrix; a cached factorization is used only after a full
+//!   bitwise comparison against the live assembly. A mismatch (another
+//!   design point of the same topology) is an ordinary miss that
+//!   factors fresh and replaces the entry. A hit hands out a clone of
+//!   the solver exactly as the cold path left it after factoring.
 //! * **Lint verdicts**: only *passing* verdicts are interned (keyed by
 //!   the content hash, so a value edit re-lints); failures re-lint on
 //!   every call and keep their diagnostics fresh.
@@ -97,7 +98,7 @@ pub(super) fn sparse_state_cached(
 }
 
 // ---------------------------------------------------------------------
-// AC: cached pattern + content-keyed factorization
+// AC: cached pattern + topology-keyed, content-validated factorization
 // ---------------------------------------------------------------------
 
 /// A factored AC reference state: the exact value bits of the assembled
@@ -125,10 +126,10 @@ fn matrix_bits(mat: &CsrMatrix<Complex64>) -> Vec<u64> {
 
 /// Cached variant of the AC sweep's reference preparation: serves the
 /// `G + jωC` stamp pattern by topology, assembles the reference matrix
-/// at `f0` fresh, then serves the *factorization* keyed by (and
-/// bit-compared against) the exact assembled matrix bits. Falls back to
-/// cold derivation at every validation boundary; returns `None` (→ dense
-/// sweep) exactly when the uncached path would.
+/// at `f0` fresh, then serves the *factorization* interned under the
+/// same topology, used only when its bits equal the live assembly. Falls
+/// back to cold derivation at every validation boundary; returns `None`
+/// (→ dense sweep) exactly when the uncached path would.
 pub(super) fn prepare_ac_sparse_cached(
     sys: &System<'_>,
     x_op: &[f64],
@@ -165,46 +166,25 @@ pub(super) fn prepare_ac_sparse_cached(
         }
     }
 
-    // Content-keyed factorization. The digest folds the topology key
-    // with every assembled value bit; the artifact then re-verifies
-    // those bits in full, so even a digest collision only costs a cold
-    // factorization.
+    // One factorization per topology, valid only for the exact matrix
+    // it was factored from. A design-point sweep replaces the entry
+    // instead of growing the interner by one entry per design point.
     let bits = matrix_bits(&sp.mat);
-    let mut h = Fnv64::new();
-    h.write_u64(pat_key.hash);
-    h.write_usize(bits.len());
-    for &b in &bits {
-        h.write_u64(b);
-    }
-    let fac_key = Key::new(ArtifactKind::AcFactor, h.finish());
-
-    let mut factor_rejected = false;
+    let fac_key = Key::new(ArtifactKind::AcFactor, pat_key.hash);
     if let Some(art) = intern::lookup::<AcFactorArtifact>(fac_key) {
         if art.bits == bits {
             sp.lu = art.lu.clone();
+            cml_cache::note_hit();
             tel.count(|c| c.cache_hits += 1);
             return Some(sp);
         }
-        // Digest collision: derive cold.
-        factor_rejected = true;
-        cml_cache::note_validation_failure();
     }
 
-    // Cold: numeric reference factorization, then intern the factored
-    // solver.
+    // Miss: numeric reference factorization, then intern the factored
+    // solver in place of any other design point's.
     sp.lu.factor(&sp.mat).ok()?;
     cml_cache::note_miss();
-    tel.count(|c| {
-        c.cache_misses += 1;
-        if factor_rejected {
-            c.cache_validation_failures += 1;
-        }
-    });
-    if factor_rejected {
-        tel.event(|| EventKind::CacheRejected {
-            kind: "ac-factor".into(),
-        });
-    }
+    tel.count(|c| c.cache_misses += 1);
     intern::insert(
         fac_key,
         Arc::new(AcFactorArtifact {

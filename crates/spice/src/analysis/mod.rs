@@ -19,25 +19,6 @@ use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{Complex64, ComplexMatrix, DenseMatrix, LuFactors, RefactorOutcome, SparseLu};
 use cml_telemetry::{EventKind, Phase, Telemetry};
 use std::collections::HashMap;
-use std::sync::OnceLock;
-
-/// Matrix dimension at and above which the solver switches from dense to
-/// sparse LU when no override is given. Chosen so the paper's individual
-/// cells (a few dozen unknowns) stay on the dense path, which wins on
-/// tiny systems, while full-link chains go sparse.
-const DEFAULT_SPARSE_THRESHOLD: usize = 50;
-
-/// Resolves the process-wide default sparse threshold, honouring the
-/// `CML_SPARSE_THRESHOLD` environment variable (read once).
-fn default_sparse_threshold() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("CML_SPARSE_THRESHOLD")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(DEFAULT_SPARSE_THRESHOLD)
-    })
-}
 
 /// Newton iteration limits and tolerances (SPICE-like defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,9 +38,10 @@ pub struct NewtonOptions {
     /// MNA dimension at and above which solves use the sparse LU path
     /// instead of dense — real `SparseLu<f64>` for DC/transient, complex
     /// `SparseLu<Complex64>` on the `G + jωC` systems of AC sweeps.
-    /// Defaults to the `CML_SPARSE_THRESHOLD` environment variable when
-    /// set, else 50. Set to `usize::MAX` to force dense, to 1 to force
-    /// sparse.
+    /// Defaults to 1: sparse at every size, since sparse refactorization
+    /// beats dense LU even on the paper's 12-unknown buffer. Set to
+    /// `usize::MAX` to force the dense path (the reference the
+    /// equivalence tests compare against).
     pub sparse_threshold: usize,
     /// Start Newton from the interval-analysis midpoint vector instead of
     /// all-zeros (see [`crate::analyze::dc_bounds`]). Opt-in; also gated by
@@ -83,7 +65,7 @@ impl Default for NewtonOptions {
             abstol: 1e-9,
             max_step: 0.5,
             gmin: 1e-12,
-            sparse_threshold: default_sparse_threshold(),
+            sparse_threshold: 1,
             warm_start_from_analysis: false,
             cache: true,
         }

@@ -115,7 +115,7 @@ proptest! {
             .iter()
             .map(|&d| op::solve(&diff_pair(d, vin, 1.0)).expect("scalar op"))
             .collect();
-        for sparse_threshold in [NewtonOptions::default().sparse_threshold, 1] {
+        for sparse_threshold in [usize::MAX, 1] {
             let opts = NewtonOptions { sparse_threshold, ..NewtonOptions::default() };
             let res = batch::op_batch(
                 &diff_pair(0.0, vin, 1.0), &pair_columns(&variants), &opts, &[],

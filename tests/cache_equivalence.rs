@@ -7,9 +7,11 @@
 //! builtin blocks; the three cache telemetry counters are invariant
 //! under the AC worker-thread count; the batched multi-variant solver
 //! derives its symbolic analysis once per *batch*, not once per
-//! variant; and a property test shows that topology-hash-equal circuits
-//! (same structure, different element values) can interchange symbolic
-//! analyses without perturbing a single bit of the solution.
+//! variant; the factored AC reference is held once per topology, so a
+//! design-point sweep neither grows the interner per point nor loses
+//! its hits; and a property test shows that topology-hash-equal
+//! circuits (same structure, different element values) can interchange
+//! symbolic analyses without perturbing a single bit of the solution.
 //!
 //! All tests serialize on one mutex: the interner, the enable flag and
 //! the stats counters are process-global.
@@ -19,6 +21,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use cml_core::cells::cml_buffer::{self, CmlBufferConfig};
+use cml_core::cells::limiting_amp::{self, LimitingAmpConfig};
 use cml_core::cells::{add_diff_drive, add_supply, DiffPort};
 use cml_numeric::logspace;
 use cml_spice::analysis::tran::{self, TranConfig, TranResult};
@@ -94,6 +97,24 @@ fn valued_ladder(n_stages: usize, r: &[f64], c: &[f64]) -> Circuit {
         ));
         prev = node;
     }
+    ckt
+}
+
+/// The limiting amplifier at design point `k`: gain-stage load, tail
+/// current and interstage feedback move with `k`, the topology does not.
+fn la_design_point(k: usize) -> Circuit {
+    let pdk = cml_pdk::Pdk018::typical();
+    let mut cfg = LimitingAmpConfig::paper_default();
+    cfg.stage.stage.r_load = 300.0 + 5.0 * k as f64;
+    cfg.stage.stage.i_tail = 3.5e-3 + 0.05e-3 * k as f64;
+    cfg.interstage_fb = 0.10 + 0.005 * k as f64;
+    let mut ckt = Circuit::new();
+    let vdd = add_supply(&mut ckt, cml_pdk::VDD);
+    let input = DiffPort::named(&mut ckt, "in");
+    let output = DiffPort::named(&mut ckt, "out");
+    let vcm = limiting_amp::common_mode(&cfg);
+    add_diff_drive(&mut ckt, "VIN", input, vcm, None);
+    limiting_amp::build(&mut ckt, &pdk, &cfg, "la", input, output, vdd);
     ckt
 }
 
@@ -234,6 +255,44 @@ fn cache_counters_are_thread_count_invariant() {
             "warm cache counters changed at {threads} threads"
         );
     }
+}
+
+/// Design-point sweeps of one topology: every new point adds only its
+/// content-keyed lint verdict to the interner (the factored AC
+/// reference is replaced, not added), and sweeping the last point again
+/// is all hits and bit-identical to a cache-off sweep.
+#[test]
+fn ac_factor_cache_is_bounded_across_design_points() {
+    let _g = lock();
+    const POINTS: usize = 24;
+    let freqs = logspace(1e6, 60e9, 16);
+    let sweep = |ckt: &Circuit, opts: &NewtonOptions, tel: &Telemetry| {
+        let x = op::solve_traced(ckt, opts, None, tel).expect("operating point");
+        ac::sweep_traced(ckt, x.solution(), &freqs, opts, 1, tel).expect("ac sweep")
+    };
+    let points: Vec<Circuit> = (0..POINTS).map(la_design_point).collect();
+    assert!(points
+        .iter()
+        .all(|c| c.topology_hash() == points[0].topology_hash()));
+    fresh_cache();
+    sweep(&points[0], &cached_opts(), &Telemetry::disabled());
+    for (k, ckt) in points.iter().enumerate().skip(1) {
+        let before = cml_cache::intern::len();
+        sweep(ckt, &cached_opts(), &Telemetry::disabled());
+        let grown = cml_cache::intern::len() - before;
+        assert!(
+            grown <= 1,
+            "design point {k} added {grown} interner entries"
+        );
+    }
+    let last = &points[POINTS - 1];
+    let tel = Telemetry::enabled();
+    let warm = sweep(last, &cached_opts(), &tel);
+    let c = tel.report().counters;
+    assert_eq!(c.cache_misses, 0, "repeat sweep re-derived artifacts");
+    assert!(c.cache_hits > 0, "repeat sweep never hit the cache");
+    let off = sweep(last, &uncached_opts(), &Telemetry::disabled());
+    assert_ac_bits_equal("la", last, &off, &warm, freqs.len());
 }
 
 #[test]

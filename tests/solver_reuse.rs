@@ -6,7 +6,9 @@
 //! results: a reuse-enabled run must match the assemble-everything
 //! reference path bit-for-bit on linear circuits and to ≤ 1e-12 on
 //! nonlinear (MOSFET) circuits, where split linear/nonlinear stamping
-//! reorders floating-point additions.
+//! reorders floating-point additions. Every test runs on the dense LU
+//! path (forced with `sparse_threshold = usize::MAX`) and on the
+//! default sparse one, so both factor-reuse implementations stay pinned.
 
 // Driver-style target: aborting on a malformed result with a message
 // is the intended failure mode, so expect/unwrap are fine here.
@@ -41,6 +43,9 @@ fn rc_ladder(n_stages: usize) -> Circuit {
     ckt
 }
 
+/// The two LU paths: dense (forced) and sparse (the default).
+const THRESHOLDS: [usize; 2] = [usize::MAX, 1];
+
 fn max_solution_diff(a: &TranResult, b: &TranResult, nodes: &[NodeId]) -> f64 {
     assert_eq!(a.times(), b.times(), "accepted time grids must match");
     let mut worst = 0.0f64;
@@ -68,11 +73,18 @@ fn rc_ladder_reuse_is_bit_identical() {
         TranConfig::new(3e-9, 2e-12).backward_euler(),
         TranConfig::new(3e-9, 10e-12).adaptive(),
     ];
-    for (k, cfg) in configs.iter().enumerate() {
-        let with = tran::run(&ckt, cfg).expect("reuse run");
-        let without = tran::run(&ckt, &cfg.clone().without_factor_reuse()).expect("plain run");
-        let worst = max_solution_diff(&with, &without, &nodes);
-        assert_eq!(worst, 0.0, "config {k}: paths diverge by {worst:e}");
+    for threshold in THRESHOLDS {
+        for (k, cfg) in configs.iter().enumerate() {
+            let mut cfg = cfg.clone();
+            cfg.newton.sparse_threshold = threshold;
+            let with = tran::run(&ckt, &cfg).expect("reuse run");
+            let without = tran::run(&ckt, &cfg.without_factor_reuse()).expect("plain run");
+            let worst = max_solution_diff(&with, &without, &nodes);
+            assert_eq!(
+                worst, 0.0,
+                "threshold {threshold}, config {k}: paths diverge by {worst:e}"
+            );
+        }
     }
 }
 
@@ -100,19 +112,25 @@ fn cml_buffer_reuse_matches_reference() {
     ckt.add(Capacitor::new("CLP", output.p, Circuit::GROUND, 30e-15));
     ckt.add(Capacitor::new("CLN", output.n, Circuit::GROUND, 30e-15));
 
-    let tcfg = TranConfig::new(0.3e-9, 1e-12);
-    let with = tran::run(&ckt, &tcfg).expect("reuse run");
-    let without = tran::run(&ckt, &tcfg.clone().without_factor_reuse()).expect("plain run");
-    let worst = max_solution_diff(&with, &without, &[output.p, output.n, input.p]);
-    assert!(worst <= 1e-12, "paths diverge by {worst:e}");
-    // Sanity: the buffer actually switched, so the comparison is not
-    // between two all-zero waveforms.
-    let swing = with
-        .differential(output.p, output.n)
-        .iter()
-        .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    assert!(
-        swing.1 - swing.0 > 0.1,
-        "buffer output never moved: {swing:?}"
-    );
+    for threshold in THRESHOLDS {
+        let mut tcfg = TranConfig::new(0.3e-9, 1e-12);
+        tcfg.newton.sparse_threshold = threshold;
+        let with = tran::run(&ckt, &tcfg).expect("reuse run");
+        let without = tran::run(&ckt, &tcfg.clone().without_factor_reuse()).expect("plain run");
+        let worst = max_solution_diff(&with, &without, &[output.p, output.n, input.p]);
+        assert!(
+            worst <= 1e-12,
+            "threshold {threshold}: paths diverge by {worst:e}"
+        );
+        // Sanity: the buffer actually switched, so the comparison is not
+        // between two all-zero waveforms.
+        let swing = with
+            .differential(output.p, output.n)
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        assert!(
+            swing.1 - swing.0 > 0.1,
+            "threshold {threshold}: buffer output never moved: {swing:?}"
+        );
+    }
 }

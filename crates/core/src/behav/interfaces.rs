@@ -306,7 +306,7 @@ mod bode_tests {
 }
 
 /// [`Block`] adapter for the distributed backplane so channels compose
-/// into [`Chain`]s alongside circuit blocks.
+/// into [`Chain`](super::Chain)s alongside circuit blocks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelBlock {
     /// The wrapped channel.

@@ -173,15 +173,8 @@ fn analyze_one(label: &str, ckt: &Circuit, opts: &Options) -> (bool, AnalysisRep
         }
         let c = &report.conditioning;
         println!(
-            "  matrix: dim {} nnz {} ({}), worst row spread {:.1e}",
-            c.dim,
-            c.nnz,
-            if c.recommended_sparse {
-                "prefer sparse"
-            } else {
-                "prefer dense"
-            },
-            c.max_row_spread
+            "  matrix: dim {} nnz {}, worst row spread {:.1e}",
+            c.dim, c.nnz, c.max_row_spread
         );
     }
     (had_errors, report)

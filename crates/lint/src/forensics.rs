@@ -13,7 +13,8 @@
 //!   version, length, checksum and the content fingerprint; a bundle
 //!   that loads at all is structurally sound.
 //! * **replay** — re-parse the embedded netlist, re-run the recorded
-//!   analysis with the recorded [`NewtonOptions`], and compare the
+//!   analysis with the recorded
+//!   [`NewtonOptions`](cml_spice::analysis::NewtonOptions), and compare the
 //!   fresh residual trajectory against the recorded one **bit for
 //!   bit**. A failing solve is deterministic, so anything short of an
 //!   exact match means the bundle and the code have drifted apart

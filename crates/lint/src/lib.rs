@@ -431,10 +431,6 @@ pub fn analysis_to_json(report: &cml_spice::analyze::AnalysisReport, min: Severi
         ("dim".into(), Value::Num(c.dim as f64)),
         ("nnz".into(), Value::Num(c.nnz as f64)),
         ("density".into(), num(c.density)),
-        (
-            "recommended_sparse".into(),
-            Value::Bool(c.recommended_sparse),
-        ),
         ("max_row_spread".into(), num(c.max_row_spread)),
         (
             "worst_row".into(),

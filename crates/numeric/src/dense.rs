@@ -7,7 +7,6 @@
 //! transient analysis re-solves against the same Jacobian structure many
 //! times per timestep.
 
-use crate::scalar::LaneScalar;
 use crate::{Complex64, NumericError};
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -383,180 +382,6 @@ impl LuFactors {
     }
 }
 
-/// Dense LU over a lane-packed scalar: factors `T::LANES` same-shape
-/// real systems in one elimination pass with a **shared pivot order**.
-///
-/// Pivot rows are chosen to maximize the worst live lane's magnitude
-/// ([`LaneScalar::pivot_metric`]), so one row permutation serves every
-/// lane and all index bookkeeping — pivot search, row swaps, loop
-/// control — is paid once per batch instead of once per variant, while
-/// the arithmetic itself runs element-wise over the lanes (and
-/// auto-vectorizes). A lane whose best shared pivot is numerically dead
-/// is quarantined: its pivot is overwritten with `1.0` (lane-wise ops
-/// keep the resulting garbage confined to that lane) and the lane is
-/// reported in the mask returned by
-/// [`refactor_masked`](Self::refactor_masked) so the caller can re-solve
-/// it scalar. This is the hot kernel of the batched Monte-Carlo solver:
-/// mismatch-perturbed MNA Jacobians share their shape and, for small
-/// perturbations, their natural pivot order, so the shared-pivot
-/// restriction costs nothing in practice.
-#[derive(Debug, Clone)]
-pub struct LaneLu<T: LaneScalar> {
-    n: usize,
-    /// Combined L (unit lower, below diagonal) and U (upper incl.
-    /// diagonal), lane-packed row-major.
-    lu: Vec<T>,
-    /// Shared row permutation applied during elimination.
-    perm: Vec<usize>,
-}
-
-impl<T: LaneScalar> Default for LaneLu<T> {
-    /// Empty factors (dimension 0); a reusable workspace slot to be
-    /// filled by [`LaneLu::refactor_masked`].
-    fn default() -> Self {
-        LaneLu {
-            n: 0,
-            lu: Vec::new(),
-            perm: Vec::new(),
-        }
-    }
-}
-
-impl<T: LaneScalar> LaneLu<T> {
-    /// Dimension of the factored system.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Factorizes the lane-packed row-major `n × n` matrix `a`, reusing
-    /// the existing allocations (the hot path allocates nothing after
-    /// the first call at a given dimension).
-    ///
-    /// `live` selects the lanes whose numerical health matters; lanes
-    /// outside it may hold stale garbage and are factored blind (their
-    /// dead pivots healed, their outcome unreported). Returns the subset
-    /// of `live` that went numerically dead during elimination — those
-    /// lanes' solutions are garbage and must be re-solved scalar; the
-    /// remaining lanes' factors are unaffected by the casualties.
-    ///
-    /// # Errors
-    ///
-    /// - [`NumericError::DimensionMismatch`] if `a.len() != n * n`.
-    /// - [`NumericError::SingularMatrix`] only when every lane in
-    ///   `live` has died (there is nothing left to batch-solve).
-    pub fn refactor_masked(&mut self, a: &[T], n: usize, live: u64) -> Result<u64, NumericError> {
-        if a.len() != n * n {
-            return Err(NumericError::DimensionMismatch {
-                expected: format!("{n}x{n} lane-packed matrix ({} values)", n * n),
-                got: format!("{} values", a.len()),
-            });
-        }
-        self.n = n;
-        self.lu.clear();
-        self.lu.extend_from_slice(a);
-        self.perm.resize(n, 0);
-        for (i, p) in self.perm.iter_mut().enumerate() {
-            *p = i;
-        }
-        let live = live & T::LANE_MASK;
-        let mut dead: u64 = !live & T::LANE_MASK;
-        let m = &mut self.lu;
-        for k in 0..n {
-            // Shared pivot: the row whose *worst still-live lane* is
-            // largest. If that row is still unusable for some live
-            // lanes, no other row serves them better under a shared
-            // permutation (the max-min criterion already optimized for
-            // the worst lane) — kill those lanes and re-select for the
-            // survivors.
-            let piv_row = loop {
-                let alive = live & !dead;
-                if alive == 0 {
-                    return Err(NumericError::SingularMatrix {
-                        column: k,
-                        pivot: 0.0,
-                    });
-                }
-                let mut piv_row = k;
-                let mut piv_val = m[k * n + k].pivot_metric(alive);
-                for r in (k + 1)..n {
-                    let v = m[r * n + k].pivot_metric(alive);
-                    if v > piv_val {
-                        piv_val = v;
-                        piv_row = r;
-                    }
-                }
-                let bad = m[piv_row * n + k].bad_mask(PIVOT_TOL) & alive;
-                if bad == 0 {
-                    break piv_row;
-                }
-                dead |= bad;
-            };
-            if piv_row != k {
-                for c in 0..n {
-                    m.swap(k * n + c, piv_row * n + c);
-                }
-                self.perm.swap(k, piv_row);
-            }
-            // Heal every dead lane's pivot so the lockstep divisions
-            // stay benign; garbage in dead lanes cannot reach live ones
-            // (all arithmetic is lane-wise).
-            let dead_here = m[k * n + k].bad_mask(PIVOT_TOL) & dead;
-            if dead_here != 0 {
-                m[k * n + k] = m[k * n + k].heal(dead_here, 1.0);
-            }
-            let pivot = m[k * n + k];
-            for r in (k + 1)..n {
-                let factor = m[r * n + k] / pivot;
-                m[r * n + k] = factor;
-                if factor != T::ZERO {
-                    for c in (k + 1)..n {
-                        let sub = factor * m[k * n + c];
-                        m[r * n + c] -= sub;
-                    }
-                }
-            }
-        }
-        Ok(dead & live)
-    }
-
-    /// Solves `A·x = b` for every lane at once into a caller-provided
-    /// buffer, allocating nothing beyond growing `x` to `dim()` on
-    /// first use. Lanes reported dead by the preceding
-    /// [`refactor_masked`](Self::refactor_masked) produce garbage in
-    /// their lane of `x` and must be ignored by the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::DimensionMismatch`] if `b.len() != dim()`.
-    pub fn solve_into(&self, b: &[T], x: &mut Vec<T>) -> Result<(), NumericError> {
-        if b.len() != self.n {
-            return Err(NumericError::DimensionMismatch {
-                expected: format!("rhs of length {}", self.n),
-                got: format!("{}", b.len()),
-            });
-        }
-        let n = self.n;
-        x.clear();
-        x.extend(self.perm.iter().map(|&p| b[p]));
-        for r in 1..n {
-            let mut acc = T::ZERO;
-            for (l, v) in self.lu[r * n..r * n + r].iter().zip(x.iter()) {
-                acc += *l * *v;
-            }
-            x[r] -= acc;
-        }
-        for r in (0..n).rev() {
-            let mut acc = T::ZERO;
-            for (u, v) in self.lu[r * n + r + 1..(r + 1) * n].iter().zip(&x[r + 1..]) {
-                acc += *u * *v;
-            }
-            x[r] = (x[r] - acc) / self.lu[r * n + r];
-        }
-        Ok(())
-    }
-}
-
 /// A dense row-major matrix of [`Complex64`], used by AC analysis.
 ///
 /// Provides the same stamping/solve interface as [`DenseMatrix`] but over
@@ -895,135 +720,5 @@ mod tests {
         m.add_at(0, 0, 1.0);
         m.add_at(0, 0, 2.0);
         assert_eq!(m[(0, 0)], 3.0);
-    }
-
-    use crate::F64x4;
-
-    /// Lane-packed matrix + per-lane scalar mirrors, ditto for the rhs.
-    type LaneSystems = (Vec<F64x4>, Vec<Vec<f64>>, Vec<F64x4>, Vec<Vec<f64>>);
-
-    /// Four same-shape pseudo-random systems, lane-packed plus scalar.
-    fn lane_systems(n: usize, seed: u64) -> LaneSystems {
-        let mut state = seed | 1;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        };
-        let mut mats = vec![vec![0.0; n * n]; 4];
-        for mat in &mut mats {
-            for r in 0..n {
-                for c in 0..n {
-                    mat[r * n + c] = next();
-                }
-                mat[r * n + r] += 4.0; // keep it well conditioned
-            }
-        }
-        let mut rhs = vec![vec![0.0; n]; 4];
-        for lane_rhs in &mut rhs {
-            for v in lane_rhs.iter_mut() {
-                *v = next();
-            }
-        }
-        let packed_m = (0..n * n)
-            .map(|i| F64x4::new([mats[0][i], mats[1][i], mats[2][i], mats[3][i]]))
-            .collect();
-        let packed_b = (0..n)
-            .map(|i| F64x4::new([rhs[0][i], rhs[1][i], rhs[2][i], rhs[3][i]]))
-            .collect();
-        (packed_m, mats, packed_b, rhs)
-    }
-
-    #[test]
-    fn lane_lu_matches_per_lane_scalar_solves() {
-        let n = 9;
-        let (packed_m, mats, packed_b, rhs) = lane_systems(n, 0xBADC0DE);
-        let mut f = LaneLu::<F64x4>::default();
-        let dead = f.refactor_masked(&packed_m, n, 0b1111).unwrap();
-        assert_eq!(dead, 0);
-        assert_eq!(f.dim(), n);
-        let mut x = Vec::new();
-        f.solve_into(&packed_b, &mut x).unwrap();
-        for lane in 0..4 {
-            let a = DenseMatrix::from_rows(n, n, &mats[lane]).unwrap();
-            let expect = a.solve(&rhs[lane]).unwrap();
-            for i in 0..n {
-                assert!(
-                    (x[i].lane(lane) - expect[i]).abs() < 1e-9,
-                    "lane {lane} row {i}: {} vs {}",
-                    x[i].lane(lane),
-                    expect[i]
-                );
-            }
-        }
-    }
-
-    /// A singular variant dies alone: its lane is reported, the other
-    /// three keep factoring and solving accurately.
-    #[test]
-    fn lane_lu_quarantines_dead_lane() {
-        let n = 7;
-        let (mut packed_m, mats, packed_b, rhs) = lane_systems(n, 0x5EED);
-        for v in packed_m.iter_mut() {
-            v.set_lane(2, 0.0); // lane 2: the zero matrix
-        }
-        let mut f = LaneLu::<F64x4>::default();
-        let dead = f.refactor_masked(&packed_m, n, 0b1111).unwrap();
-        assert_eq!(dead, 0b0100);
-        let mut x = Vec::new();
-        f.solve_into(&packed_b, &mut x).unwrap();
-        for lane in [0usize, 1, 3] {
-            let a = DenseMatrix::from_rows(n, n, &mats[lane]).unwrap();
-            let expect = a.solve(&rhs[lane]).unwrap();
-            for i in 0..n {
-                assert!((x[i].lane(lane) - expect[i]).abs() < 1e-9);
-            }
-        }
-    }
-
-    /// NaN poison in one lane must be quarantined exactly like a
-    /// singular lane (the guard is NaN-aware per lane).
-    #[test]
-    fn lane_lu_quarantines_nan_lane() {
-        let n = 6;
-        let (mut packed_m, mats, packed_b, rhs) = lane_systems(n, 0xF00D);
-        packed_m[2 * n + 3].set_lane(1, f64::NAN);
-        let mut f = LaneLu::<F64x4>::default();
-        let dead = f.refactor_masked(&packed_m, n, 0b1111).unwrap();
-        assert_eq!(dead & 0b0010, 0b0010, "NaN lane not reported dead");
-        let mut x = Vec::new();
-        f.solve_into(&packed_b, &mut x).unwrap();
-        for lane in [0usize, 2, 3] {
-            if dead & (1 << lane) != 0 {
-                continue;
-            }
-            let a = DenseMatrix::from_rows(n, n, &mats[lane]).unwrap();
-            let expect = a.solve(&rhs[lane]).unwrap();
-            for i in 0..n {
-                assert!((x[i].lane(lane) - expect[i]).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn lane_lu_all_dead_is_singular() {
-        let n = 4;
-        let packed_m = vec![F64x4::splat(0.0); n * n];
-        let mut f = LaneLu::<F64x4>::default();
-        match f.refactor_masked(&packed_m, n, 0b1111) {
-            Err(NumericError::SingularMatrix { .. }) => {}
-            other => panic!("expected singular, got {other:?}"),
-        }
-        // A live set that only contains a dead lane fails the same way.
-        let (mut good, _, _, _) = lane_systems(n, 3);
-        for v in good.iter_mut() {
-            v.set_lane(0, 0.0);
-        }
-        let mut f2 = LaneLu::<F64x4>::default();
-        match f2.refactor_masked(&good, n, 0b0001) {
-            Err(NumericError::SingularMatrix { .. }) => {}
-            other => panic!("expected singular, got {other:?}"),
-        }
     }
 }

@@ -5,10 +5,10 @@
 //! value: every arithmetic operator acts element-wise over a plain
 //! `[f64; N]`, which LLVM auto-vectorizes into SIMD on every target the
 //! workspace builds for (no `unsafe`, no intrinsics — the crate forbids
-//! both). Running the LU kernels of [`crate::SparseLu`] /
-//! [`crate::LaneLu`] over `F64s<N>` therefore factors `N` same-pattern
-//! matrices in one pass, sharing all index bookkeeping, pivot searches
-//! and loop control between the lanes.
+//! both). Running the LU kernel of [`crate::SparseLu`] over `F64s<N>`
+//! therefore factors `N` same-pattern matrices in one pass, sharing all
+//! index bookkeeping, pivot searches and loop control between the
+//! lanes.
 //!
 //! The [`Scalar`] impl makes the *shared-pivot* semantics explicit:
 //! [`modulus`](Scalar::modulus) is the **minimum** absolute value across
@@ -16,9 +16,9 @@
 //! only as good as its worst variant and the generic NaN-aware guards
 //! (`!(modulus() > tol)`) trip as soon as *any* lane goes numerically
 //! dead. The [`LaneScalar`] impl refines that with per-lane masks so
-//! masked kernels can quarantine the dead lane and keep the others
-//! marching — see `SparseLu::refactor_frozen_masked` and
-//! `LaneLu::refactor_masked`.
+//! the masked kernel can quarantine the dead lane and keep the others
+//! marching — see
+//! [`SparseLu::refactor_frozen_masked`](crate::SparseLu::refactor_frozen_masked).
 
 use crate::scalar::{LaneScalar, Scalar};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -209,21 +209,6 @@ impl<const N: usize> LaneScalar for F64s<N> {
     }
 
     #[inline]
-    fn pivot_metric(self, live: u64) -> f64 {
-        let mut m = f64::INFINITY;
-        for (i, v) in self.0.iter().enumerate() {
-            if live & (1 << i) == 0 {
-                continue;
-            }
-            let a = if v.is_finite() { v.abs() } else { -1.0 };
-            if a < m {
-                m = a;
-            }
-        }
-        m
-    }
-
-    #[inline]
     fn bad_mask(self, tol: f64) -> u64 {
         let mut mask = 0u64;
         for (i, v) in self.0.iter().enumerate() {
@@ -311,11 +296,6 @@ mod tests {
         let v = F64x4::new([5.0, 1e-320, f64::NAN, -2.0]);
         // Lanes 1 (underflow) and 2 (NaN) are unusable pivots.
         assert_eq!(v.bad_mask(1e-300), 0b0110);
-        // Metric over all lanes sees the NaN lane.
-        assert_eq!(v.pivot_metric(0b1111), -1.0);
-        // Metric over the healthy lanes only.
-        assert_eq!(v.pivot_metric(0b1001), 2.0);
-        assert_eq!(v.pivot_metric(0), f64::INFINITY);
         let healed = v.heal(0b0110, 1.0);
         assert_eq!(healed.to_array(), [5.0, 1.0, 1.0, -2.0]);
     }
@@ -328,7 +308,6 @@ mod tests {
         assert_eq!(3.0f64.bad_mask(1e-300), 0);
         assert_eq!(0.0f64.bad_mask(1e-300), 1);
         assert_eq!(f64::NAN.heal(1, 7.0), 7.0);
-        assert_eq!((-4.0f64).pivot_metric(1), 4.0);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   generic over [`Scalar`] (`f64` for DC/transient, [`Complex64`] for
 //!   the AC `G + jωC` systems),
 //! * [`lanes`] — structure-of-arrays `f64` lane packs ([`F64s`]) with
-//!   per-lane pivot-death masks, letting the LU kernels above factor K
-//!   same-pattern matrices in lockstep ([`LaneLu`],
-//!   [`SparseLu::refactor_frozen_masked`]) for batched Monte-Carlo
+//!   per-lane pivot-death masks, letting the sparse LU above factor K
+//!   same-pattern matrices in lockstep
+//!   ([`SparseLu::refactor_frozen_masked`]) for batched Monte-Carlo
 //!   solves,
 //! * [`fft`] — radix-2 complex FFT / inverse FFT plus real-signal helpers,
 //!   used to synthesize channel impulse responses from loss profiles,
@@ -63,7 +63,7 @@ pub mod sparse_lu;
 pub mod stats;
 
 pub use complex::Complex64;
-pub use dense::{lu, ComplexMatrix, DenseMatrix, LaneLu, LuFactors};
+pub use dense::{lu, ComplexMatrix, DenseMatrix, LuFactors};
 pub use error::NumericError;
 pub use interval::Interval;
 pub use lanes::{F64s, F64x2, F64x4, F64x8};

@@ -84,12 +84,6 @@ pub trait LaneScalar: Scalar {
     /// Writes lane `i` (must be `< LANES`).
     fn set_lane(&mut self, i: usize, v: f64);
 
-    /// Pivot quality over the `live` lanes only: the smallest `|x_i|`
-    /// with `i` live, with non-finite lanes mapped to `-1.0` so a row
-    /// carrying NaN/∞ in a live lane loses every pivot contest. Returns
-    /// `f64::INFINITY` when `live` selects no lane.
-    fn pivot_metric(self, live: u64) -> f64;
-
     /// Lanes where the value is unusable as a pivot: bit `i` set when
     /// lane `i` is non-finite or `|x_i| <= tol` (NaN compares unusable).
     fn bad_mask(self, tol: f64) -> u64;
@@ -122,17 +116,6 @@ impl LaneScalar for f64 {
     fn set_lane(&mut self, i: usize, v: f64) {
         debug_assert_eq!(i, 0);
         *self = v;
-    }
-
-    #[inline]
-    fn pivot_metric(self, live: u64) -> f64 {
-        if live & 1 == 0 {
-            f64::INFINITY
-        } else if self.is_finite() {
-            self.abs()
-        } else {
-            -1.0
-        }
     }
 
     #[inline]

@@ -10,8 +10,8 @@
 //!    structurally zero diagonals on voltage-source branch rows, so a
 //!    no-pivoting factorization would divide by zero. We pick the
 //!    largest-magnitude candidate but keep the diagonal whenever it is
-//!    within [`DIAG_PREFERENCE`] of the maximum, which preserves the
-//!    near-symmetric fill pattern of MNA systems.
+//!    at least `DIAG_PREFERENCE` (10⁻³) times the maximum, which preserves
+//!    the near-symmetric fill pattern of MNA systems.
 //! 2. **Replayable refactorization.** Newton iteration changes matrix
 //!    *values* but never the *pattern*, so after one full factorization
 //!    ([`SparseLu::factor`]) the per-column topological reach lists and

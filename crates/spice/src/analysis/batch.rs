@@ -7,22 +7,22 @@
 //! [`ParamColumns`]: per-variant `vth0`/`kp` values of named MOSFETs,
 //! column-major. One MNA system, one lint precheck and one sparsity
 //! pattern serve every variant; each lane stamps its devices from its
-//! own column entries. Variants are packed eight at a time into the
-//! lanes of an [`F64x8`] (a batch that is not a multiple of eight runs
-//! its last group with the tail lanes masked off), and:
-//!
-//! * the damped-Newton driver tracks convergence **per lane**: a lane
-//!   that converges freezes while the others keep iterating, and a lane
-//!   whose frozen pivot dies or whose iterate diverges is quarantined
-//!   by the masked LU kernels ([`cml_numeric::LaneLu::refactor_masked`],
-//!   [`cml_numeric::SparseLu::refactor_frozen_masked`]) and re-solved
-//!   through the scalar [`op::solve_system`] homotopy ladder — one bad
-//!   variant never stalls or corrupts the batch;
-//! * at or above `min(opts.sparse_threshold, 12)` unknowns (every size
-//!   by default) every lane stamps through the same slot caches into a
-//!   lane-packed CSR matrix whose pivot order is frozen after the first
-//!   factorization and replayed across iterations and lane groups. See
-//!   DESIGN.md §13.
+//! own column entries through the same slot caches into a lane-packed
+//! CSR matrix whose pivot order is frozen after the first factorization
+//! and replayed across iterations and lane groups. Variants are packed
+//! eight at a time into the lanes of an [`F64x8`] (a batch that is not a
+//! multiple of eight runs its last group with the tail lanes masked
+//! off), and the damped-Newton driver tracks convergence **per lane**: a
+//! lane that converges freezes while the others keep iterating, and a
+//! lane whose frozen pivot dies or whose iterate diverges is quarantined
+//! by the masked LU kernel ([`SparseLu::refactor_frozen_masked`]) and
+//! re-solved through the scalar `op::solve_system` homotopy ladder —
+//! one bad variant never stalls or corrupts the batch. The ladder is
+//! also the only degradation: a group whose stamps miss the pattern goes
+//! to it whole (the pattern is rebuilt once for the next group), and a
+//! batch whose pattern cannot be built or misses twice sends every later
+//! variant there. The batch ignores `opts.sparse_threshold`; the ladder
+//! honours it. See DESIGN.md §13.
 //!
 //! Every eviction increments the `lane_fallbacks` counter; batch
 //! efficiency shows as `lane_occupancy` / `lane_fallback_rate` in the
@@ -35,17 +35,9 @@ use crate::devices::mosfet::MosParams;
 use crate::element::{DcTransfer, ElementKind, StampMode};
 use crate::SpiceError;
 use cml_numeric::sparse::CsrMatrix;
-use cml_numeric::{DenseMatrix, F64x8, LaneLu, LaneScalar, Scalar, SparseLu};
+use cml_numeric::{F64x8, LaneScalar, Scalar, SparseLu};
 use cml_telemetry::{Phase, Telemetry};
 use std::ops::Range;
-
-/// The batch kernel's sparse crossover ceiling, in unknowns. The batch
-/// goes sparse at `min(opts.sparse_threshold, BATCH_SPARSE_THRESHOLD)`:
-/// at every size under the default scalar threshold of 1, and still
-/// from 12 unknowns up when a caller forces the scalar solver dense,
-/// because pattern discovery amortizes over every iteration of every
-/// lane group here.
-const BATCH_SPARSE_THRESHOLD: usize = 12;
 
 /// A MOSFET model-card field the batched solver varies per lane. Process
 /// corners differ in exactly these two fields, and threshold mismatch
@@ -248,29 +240,22 @@ enum StepFail {
     Hard(SpiceError),
 }
 
-/// Reusable lane-packed buffers for lockstep Newton: one per batch
-/// driver call, shared across lane groups so the sparse pattern, slot
-/// caches and frozen pivot order amortize over *all* variants.
+/// The lockstep kernel of one batch driver call: the sparse lane state,
+/// shared across lane groups so the pattern, slot caches and frozen
+/// pivot order amortize over *all* variants, plus the degradation state
+/// that sends lanes straight to the scalar ladder.
+#[derive(Default)]
 struct BatchKernel {
-    /// Dense lane-packed Jacobian, row-major `dim × dim` (allocated on
-    /// first dense iteration).
-    packed_m: Vec<F64x8>,
-    packed_rhs: Vec<F64x8>,
-    /// Raw lockstep Newton solution before damping.
-    packed_x: Vec<F64x8>,
-    lane_lu: LaneLu<F64x8>,
-    /// Scalar assembly scratch: each lane stamps through the ordinary
-    /// scalar machinery, then transposes into the lane-packed buffers.
-    scratch_m: DenseMatrix,
-    scratch_rhs: Vec<f64>,
-    /// Sparse path: scalar pattern + slot caches (shared by all lanes —
-    /// same topology, same slot sequence) and the lane-packed CSR
-    /// matrix with its shared-pivot LU.
     sparse: Option<BatchSparse>,
-    sparse_disabled: bool,
-    sparse_misses: u32,
+    /// Set when the pattern could not be built or missed twice: every
+    /// later lane goes to the scalar ladder.
+    scalar_only: bool,
+    pattern_misses: u32,
 }
 
+/// The lane state on one sparsity pattern: every lane stamps through the
+/// same scalar slot caches (same topology, same slot sequence) and is
+/// transposed into one lane-packed CSR matrix with a shared-pivot LU.
 struct BatchSparse {
     /// Scalar stamping workspace: pattern, slot caches, value buffer.
     sp: SparseState,
@@ -280,29 +265,22 @@ struct BatchSparse {
     /// and replayed (masked) for every later iteration and group.
     lu: SparseLu<F64x8>,
     factored: bool,
+    /// Scalar RHS scratch: each lane stamps through the ordinary scalar
+    /// machinery, then transposes into the lane-packed buffers.
+    scratch_rhs: Vec<f64>,
+    packed_rhs: Vec<F64x8>,
+    /// Raw lockstep Newton solution before damping.
+    packed_x: Vec<F64x8>,
 }
 
 impl BatchKernel {
-    fn new(dim: usize) -> Self {
-        BatchKernel {
-            packed_m: Vec::new(),
-            packed_rhs: vec![F64x8::ZERO; dim],
-            packed_x: vec![F64x8::ZERO; dim],
-            lane_lu: LaneLu::default(),
-            scratch_m: DenseMatrix::zeros(dim, dim),
-            scratch_rhs: Vec::with_capacity(dim),
-            sparse: None,
-            sparse_disabled: false,
-            sparse_misses: 0,
-        }
-    }
-
     /// One lockstep damped-Newton DC solve over up to `F64x8::LANES`
     /// variants. `xs` holds the per-lane initial guesses in and the
     /// per-lane iterates out. Returns the mask of converged lanes, whose
     /// entries are their solutions; every other lane was quarantined
-    /// (pivot death, divergence or iteration exhaustion), its entry is
-    /// garbage, and the caller re-solves it through the scalar path.
+    /// (pivot death, divergence, iteration exhaustion or a pattern
+    /// miss), its entry is garbage, and the caller re-solves it through
+    /// the scalar path.
     fn newton_lockstep(
         &mut self,
         lanes: &mut Lanes<'_>,
@@ -314,18 +292,17 @@ impl BatchKernel {
         let k = group.len();
         debug_assert!((1..=F64x8::LANES).contains(&k));
         debug_assert_eq!(k, xs.len());
-        let (dim, n_nodes) = (lanes.sys.dim(), lanes.sys.n_nodes());
+        let n_nodes = lanes.sys.n_nodes();
         let _t = tel.timer(Phase::BatchSolve);
+        if !self.scalar_only && self.sparse.is_none() {
+            self.sparse = BatchSparse::build(lanes.load(group.start), &xs[0], opts, tel);
+            self.scalar_only = self.sparse.is_none();
+        }
+        let Some(bs) = self.sparse.as_mut() else {
+            return Ok(0);
+        };
         let mut converged_lanes = 0u64;
         let mut active: u64 = (1u64 << k) - 1;
-
-        let threshold = opts.sparse_threshold.min(BATCH_SPARSE_THRESHOLD);
-        let want_sparse = !self.sparse_disabled && dim > 0 && dim >= threshold;
-        if want_sparse && self.sparse.is_none() {
-            self.build_sparse_state(lanes.load(group.start), &xs[0], opts, tel);
-        }
-        let run_sparse = want_sparse && self.sparse.is_some();
-
         for _iter in 0..opts.max_iter {
             if active == 0 {
                 break;
@@ -335,28 +312,22 @@ impl BatchKernel {
                 c.batch_lane_slots += F64x8::LANES as u64;
                 c.batch_lanes_active += u64::from(active.count_ones());
             });
-            let step = if run_sparse {
-                self.sparse_iteration(lanes, group.clone(), xs, opts, active, tel)
-            } else {
-                self.dense_iteration(lanes, group.clone(), xs, opts, active, tel)
-            };
-            let newly_dead = match step {
+            let newly_dead = match bs.iteration(lanes, group.clone(), xs, opts, active, tel) {
                 Ok(d) => d,
                 Err(StepFail::GroupDead) => return Ok(converged_lanes),
                 Err(StepFail::PatternMiss) => {
-                    // Mirror the scalar policy: one rebuild allowance,
-                    // then permanently dense. Either way this group has
-                    // a half-stamped matrix — send it down the ladder.
+                    // One rebuild allowance, as in the scalar driver,
+                    // then scalar only. Either way this group has a
+                    // half-stamped matrix — send it down the ladder.
                     self.sparse = None;
-                    self.sparse_misses += 1;
+                    self.pattern_misses += 1;
                     tel.count(|c| c.pattern_rebuilds += 1);
-                    if self.sparse_misses >= 2 {
-                        self.sparse_disabled = true;
-                        tel.count(|c| c.dense_fallbacks += 1);
+                    if self.pattern_misses >= 2 {
+                        self.scalar_only = true;
                         tel.degradation(
-                            "batch-sparse-dense-fallback",
-                            "batched sparse solve pattern missed twice; this batch \
-                             kernel permanently falls back to the dense path",
+                            "batch-pattern-scalar-fallback",
+                            "batched solve pattern missed twice; every later \
+                             variant of this batch goes to the scalar ladder",
                         );
                     }
                     return Ok(converged_lanes);
@@ -365,7 +336,7 @@ impl BatchKernel {
             };
             // Per-lane convergence check + damping, the exact scalar
             // `newton_attempt` update replayed lane-wise.
-            let packed_x = &self.packed_x;
+            let packed_x = &bs.packed_x;
             for (l, x) in xs.iter_mut().enumerate() {
                 let bit = 1u64 << l;
                 if active & bit == 0 {
@@ -388,26 +359,22 @@ impl BatchKernel {
         // Lanes still active exhausted the iteration budget: fallback.
         Ok(converged_lanes)
     }
+}
 
+impl BatchSparse {
     /// Discovers the sparsity pattern from lane 0 (served from the
     /// topology cache when enabled, so a whole batch — and every batch
     /// after it — derives the symbolic analysis at most once) and
-    /// builds the lane-packed CSR mirror. On failure the kernel stays
-    /// dense.
-    fn build_sparse_state(
-        &mut self,
-        sys: &System<'_>,
-        x0: &[f64],
-        opts: &NewtonOptions,
-        tel: &Telemetry,
-    ) {
+    /// builds the lane-packed CSR mirror. `None` when the pattern cannot
+    /// be built: the batch then goes to the scalar ladder.
+    fn build(sys: &System<'_>, x0: &[f64], opts: &NewtonOptions, tel: &Telemetry) -> Option<Self> {
         let _t = tel.timer(Phase::PatternDiscovery);
         let built = if opts.cache_enabled() {
             cache::sparse_state_cached(sys, x0, &[], StampMode::dc(), tel)
         } else {
             sys.build_sparse(x0, &[], StampMode::dc())
         };
-        self.sparse = built.and_then(|sp| {
+        let bs = built.and_then(|sp| {
             // Rebuild the position list from lane 0's CSR; `from_pattern`
             // sorts and dedups, so the packed matrix gets the identical
             // slot layout and scalar value-slot indices transfer directly.
@@ -425,79 +392,28 @@ impl BatchKernel {
                 packed,
                 lu,
                 factored: false,
+                scratch_rhs: Vec::with_capacity(dim),
+                packed_rhs: vec![F64x8::ZERO; dim],
+                packed_x: vec![F64x8::ZERO; dim],
             })
         });
-        if self.sparse.is_some() {
+        if bs.is_some() {
             tel.count(|c| c.pattern_builds += 1);
         } else {
-            self.sparse_disabled = true;
-            tel.count(|c| c.dense_fallbacks += 1);
             tel.degradation(
-                "batch-sparse-pattern-unbuildable",
-                "batched sparse solve requested but the Jacobian pattern could \
-                 not be built; this batch kernel stays on the dense path",
+                "batch-pattern-unbuildable",
+                "batched solve could not build the Jacobian pattern; every \
+                 variant of this batch goes to the scalar ladder",
             );
         }
+        bs
     }
 
-    /// One dense lockstep iteration: per-lane scalar assembly, lane
-    /// packing, masked shared-pivot factorization and substitution.
-    /// Returns the lanes that died during factorization.
-    fn dense_iteration(
-        &mut self,
-        lanes: &mut Lanes<'_>,
-        group: Range<usize>,
-        xs: &[Vec<f64>],
-        opts: &NewtonOptions,
-        active: u64,
-        tel: &Telemetry,
-    ) -> Result<u64, StepFail> {
-        let dim = lanes.sys.dim();
-        if self.packed_m.len() != dim * dim {
-            self.packed_m.resize(dim * dim, F64x8::ZERO);
-        }
-        for (l, v) in group.enumerate() {
-            if active & (1 << l) == 0 {
-                continue;
-            }
-            lanes.load(v).assemble(
-                &xs[l],
-                &[],
-                StampMode::dc(),
-                opts.gmin,
-                &mut self.scratch_m,
-                &mut self.scratch_rhs,
-            );
-            for (dst, &v) in self.packed_m.iter_mut().zip(self.scratch_m.as_slice()) {
-                dst.set_lane(l, v);
-            }
-            for (dst, &v) in self.packed_rhs.iter_mut().zip(&self.scratch_rhs) {
-                dst.set_lane(l, v);
-            }
-        }
-        // Non-active lanes (stale, unused, or garbage) are outside
-        // `live`: the masked kernel heals their pivots and never
-        // reports them.
-        let newly_dead = match self.lane_lu.refactor_masked(&self.packed_m, dim, active) {
-            Ok(d) => d,
-            Err(_) => return Err(StepFail::GroupDead),
-        };
-        tel.count(|c| c.full_factorizations += 1);
-        if self
-            .lane_lu
-            .solve_into(&self.packed_rhs, &mut self.packed_x)
-            .is_err()
-        {
-            return Err(StepFail::GroupDead);
-        }
-        tel.count(|c| c.dense_solves += 1);
-        Ok(newly_dead)
-    }
-
-    /// One sparse lockstep iteration: per-lane slot-cached assembly
-    /// into the scalar CSR workspace, lane packing of the value array,
-    /// masked frozen-pivot replay and substitution.
-    fn sparse_iteration(
+    /// One lockstep iteration: per-lane slot-cached assembly into the
+    /// scalar CSR workspace, lane packing of the value array, masked
+    /// frozen-pivot replay and substitution. Returns the lanes that died
+    /// during factorization.
+    fn iteration(
         &mut self,
         lanes: &mut Lanes<'_>,
         group: Range<usize>,
@@ -507,23 +423,11 @@ impl BatchKernel {
         tel: &Telemetry,
     ) -> Result<u64, StepFail> {
         let k = group.len();
-        let BatchKernel {
-            sparse,
-            scratch_rhs,
-            packed_rhs,
-            packed_x,
-            ..
-        } = self;
-        let Some(bs) = sparse.as_mut() else {
-            return Err(StepFail::Hard(SpiceError::Internal {
-                message: "batched sparse iteration without sparse state".to_string(),
-            }));
-        };
         // Before the first full factorization the unused lanes (k..N)
         // still hold zeros, which would wreck the shared pivot metric
         // (min over *all* lanes). Mirror lane 0 into them once; after
         // that every replay is masked and ignores non-live lanes.
-        let mirror_tail = !bs.factored && k < F64x8::LANES;
+        let mirror_tail = !self.factored && k < F64x8::LANES;
         for (l, v) in group.enumerate() {
             if active & (1 << l) == 0 {
                 continue;
@@ -535,15 +439,15 @@ impl BatchKernel {
                     &[],
                     StampMode::dc(),
                     opts.gmin,
-                    &mut bs.sp,
-                    scratch_rhs,
+                    &mut self.sp,
+                    &mut self.scratch_rhs,
                 )
                 .map_err(|e| match e {
                     AttemptError::PatternMiss => StepFail::PatternMiss,
                     AttemptError::Spice(err) => StepFail::Hard(err),
                 })?;
             let mirror = mirror_tail && l == 0;
-            for (dst, &v) in bs.packed.vals_mut().iter_mut().zip(bs.sp.mat.vals()) {
+            for (dst, &v) in self.packed.vals_mut().iter_mut().zip(self.sp.mat.vals()) {
                 dst.set_lane(l, v);
                 if mirror {
                     for j in k..F64x8::LANES {
@@ -551,14 +455,14 @@ impl BatchKernel {
                     }
                 }
             }
-            for (dst, &v) in packed_rhs.iter_mut().zip(scratch_rhs.iter()) {
+            for (dst, &v) in self.packed_rhs.iter_mut().zip(&self.scratch_rhs) {
                 dst.set_lane(l, v);
             }
         }
-        let newly_dead = if bs.factored {
+        let newly_dead = if self.factored {
             let res = {
                 let _t = tel.timer_fine(Phase::Refactor);
-                bs.lu.refactor_frozen_masked(&bs.packed, active)
+                self.lu.refactor_frozen_masked(&self.packed, active)
             };
             match res {
                 Ok(d) => {
@@ -570,12 +474,12 @@ impl BatchKernel {
         } else {
             let res = {
                 let _t = tel.timer_fine(Phase::Refactor);
-                bs.lu.refactor(&bs.packed)
+                self.lu.refactor(&self.packed)
             };
             match res {
                 Ok(oc) => {
-                    bs.factored = true;
-                    super::note_refactor(tel, oc, bs.lu.last_dead_pivot());
+                    self.factored = true;
+                    super::note_refactor(tel, oc, self.lu.last_dead_pivot());
                     0
                 }
                 Err(_) => return Err(StepFail::GroupDead),
@@ -583,7 +487,11 @@ impl BatchKernel {
         };
         {
             let _t = tel.timer_fine(Phase::BackSubstitute);
-            if bs.lu.solve_into(packed_rhs, packed_x).is_err() {
+            if self
+                .lu
+                .solve_into(&self.packed_rhs, &mut self.packed_x)
+                .is_err()
+            {
                 return Err(StepFail::GroupDead);
             }
         }
@@ -618,7 +526,7 @@ fn op_batch_impl(
             ),
         });
     }
-    let mut kernel = BatchKernel::new(dim);
+    let mut kernel = BatchKernel::default();
     let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n);
     let mut fallbacks = Vec::with_capacity(n);
     let mut xs: Vec<Vec<f64>> = Vec::new();
@@ -649,6 +557,7 @@ fn op_batch_impl(
 mod tests {
     use super::*;
     use crate::analysis::op;
+    use crate::element::{AcStamper, Element, StampCtx, Stamper};
     use crate::prelude::*;
 
     fn solve(ckt: &Circuit, cols: &ParamColumns, opts: &NewtonOptions) -> BatchOpResult {
@@ -717,11 +626,6 @@ mod tests {
         ((0.45 + d / 2.0, KP), (0.45 - d / 2.0, KP))
     }
 
-    /// The two batch kernels on the diff pair: dense `LaneLu` (scalar
-    /// solver forced dense, pair below the batch's sparse ceiling) and
-    /// the sparse lane kernel (the default).
-    const THRESHOLDS: [usize; 2] = [usize::MAX, 1];
-
     fn assert_matches_scalar(res: &BatchOpResult, cards: &[Cards], opts: &NewtonOptions) {
         for (v, &(m1, m2)) in cards.iter().enumerate() {
             let s = op::solve_with(&diff_pair(m1, m2), opts, None).unwrap();
@@ -736,19 +640,19 @@ mod tests {
 
     /// Batch sizes below, at and past one eight-lane group, so the tail
     /// group runs with masked lanes and the kernel is reused across
-    /// groups, on both kernels.
+    /// groups, against the dense and the sparse scalar reference.
     #[test]
     fn variants_match_scalar_every_group_size() {
-        for sparse_threshold in THRESHOLDS {
-            let opts = NewtonOptions {
-                sparse_threshold,
-                ..NewtonOptions::default()
-            };
-            for n in [1usize, 7, 8, 9, 17] {
-                let cards: Vec<_> = (0..n).map(|i| skew(-10e-3 + 1.5e-3 * i as f64)).collect();
-                let res = solve(&nominal(), &pair_columns(&cards), &opts);
-                assert_eq!(res.len(), n);
-                assert_eq!(res.fallback_count(), 0);
+        for n in [1usize, 7, 8, 9, 17] {
+            let cards: Vec<_> = (0..n).map(|i| skew(-10e-3 + 1.5e-3 * i as f64)).collect();
+            let res = solve(&nominal(), &pair_columns(&cards), &NewtonOptions::default());
+            assert_eq!(res.len(), n);
+            assert_eq!(res.fallback_count(), 0);
+            for sparse_threshold in [usize::MAX, 1] {
+                let opts = NewtonOptions {
+                    sparse_threshold,
+                    ..NewtonOptions::default()
+                };
                 assert_matches_scalar(&res, &cards, &opts);
             }
         }
@@ -816,7 +720,7 @@ mod tests {
     /// 0.5 V per step, exhausts `max_iter`, and the lane must fall back
     /// to the scalar homotopy ladder. The healthy lanes converge in
     /// lockstep and must be untouched. One sick lane sits in the full
-    /// first group, one in the masked tail group. Both kernels.
+    /// first group, one in the masked tail group.
     #[test]
     fn lane_falls_back_to_scalar_ladder() {
         let sick = [1, 9];
@@ -828,46 +732,82 @@ mod tests {
             })
             .collect();
         let ckt = nominal();
-        for sparse_threshold in THRESHOLDS {
-            let tel = Telemetry::enabled();
-            let opts = NewtonOptions {
-                sparse_threshold,
-                ..NewtonOptions::default()
-            };
-            let res = op_batch(&ckt, &pair_columns(&cards), &opts, &[], &tel).unwrap();
-            for v in 0..cards.len() {
-                assert_eq!(res.used_fallback(v), sick.contains(&v), "variant {v}");
-            }
-            let c = tel.report().counters;
-            assert_eq!(c.lane_fallbacks, sick.len() as u64);
-            assert!(c.batch_solves > 0);
-            // Each kernel runs alone, its scalar fallbacks included.
-            let (taken, other) = if sparse_threshold == 1 {
-                (c.sparse_solves, c.dense_solves)
-            } else {
-                (c.dense_solves, c.sparse_solves)
-            };
-            assert!(taken > 0 && other == 0, "threshold {sparse_threshold}");
-            let tail = ckt.find_node("tail").unwrap();
-            for &v in &sick {
-                assert!(
-                    res.voltage(v, tail) < -100.0,
-                    "variant {v} never left the rail"
-                );
-            }
-            for (v, &(m1, m2)) in cards.iter().enumerate() {
-                let s = op::solve_with(&diff_pair(m1, m2), &opts, None).unwrap();
-                assert_eq!(
-                    res.solution(v),
-                    s.solution(),
-                    "threshold {sparse_threshold}, variant {v}"
-                );
-            }
+        let tel = Telemetry::enabled();
+        let opts = NewtonOptions::default();
+        let res = op_batch(&ckt, &pair_columns(&cards), &opts, &[], &tel).unwrap();
+        for v in 0..cards.len() {
+            assert_eq!(res.used_fallback(v), sick.contains(&v), "variant {v}");
+        }
+        let c = tel.report().counters;
+        assert_eq!(c.lane_fallbacks, sick.len() as u64);
+        assert!(c.batch_solves > 0);
+        let tail = ckt.find_node("tail").unwrap();
+        for &v in &sick {
+            assert!(
+                res.voltage(v, tail) < -100.0,
+                "variant {v} never left the rail"
+            );
+        }
+        for (v, &(m1, m2)) in cards.iter().enumerate() {
+            let s = op::solve_with(&diff_pair(m1, m2), &opts, None).unwrap();
+            assert_eq!(res.solution(v), s.solution(), "variant {v}");
         }
     }
 
-    /// The paper's four-stage limiting-amplifier chain: 18 unknowns, at
-    /// or past the batch kernel's sparse crossover.
+    /// A switch that conducts `a`–`b` only while `v(a) > 0.5 V`: its
+    /// stamp positions depend on the Newton guess, so a pattern
+    /// discovered at the zero guess misses once the switch closes.
+    #[derive(Debug)]
+    struct GuessSwitch {
+        a: NodeId,
+        b: NodeId,
+    }
+
+    impl Element for GuessSwitch {
+        fn name(&self) -> &str {
+            "S1"
+        }
+
+        fn nodes(&self) -> Vec<NodeId> {
+            vec![self.a, self.b]
+        }
+
+        fn is_nonlinear(&self) -> bool {
+            true
+        }
+
+        fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
+            if ctx.v(self.a) > 0.5 {
+                out.conductance(self.a.index(), self.b.index(), 1e-3);
+            }
+        }
+
+        fn stamp_ac(&self, _x_op: &[f64], _bb: usize, _omega: f64, _out: &mut AcStamper<'_>) {}
+    }
+
+    /// The pattern misses in the first group and again in the second,
+    /// after its rebuild; from then on every lane goes straight to the
+    /// scalar ladder, the single-lane third group included.
+    #[test]
+    fn pattern_misses_send_every_lane_to_the_scalar_ladder() {
+        let mut ckt = Circuit::new();
+        let (a, b) = (ckt.node("a"), ckt.node("b"));
+        ckt.add(Vsource::dc("V1", a, Circuit::GROUND, 1.0));
+        ckt.add(GuessSwitch { a, b });
+        ckt.add(Resistor::new("R1", b, Circuit::GROUND, 1e3));
+        let n = 17;
+        let tel = Telemetry::enabled();
+        let opts = NewtonOptions::default();
+        let res = op_batch(&ckt, &ParamColumns::new(n), &opts, &[], &tel).unwrap();
+        let s = op::solve_with(&ckt, &opts, None).unwrap();
+        for v in 0..n {
+            assert!(res.used_fallback(v), "variant {v} stayed in lockstep");
+            assert_eq!(res.solution(v), s.solution(), "variant {v}");
+        }
+        assert_eq!(tel.report().counters.lane_fallbacks, n as u64);
+    }
+
+    /// The paper's four-stage limiting-amplifier chain: 18 unknowns.
     fn chain(cards: &[(f64, f64)]) -> Circuit {
         let mut ckt = Circuit::new();
         let vdd = ckt.node("vdd");

@@ -41,7 +41,9 @@ pub struct NewtonOptions {
     /// Defaults to 1: sparse at every size, since sparse refactorization
     /// beats dense LU even on the paper's 12-unknown buffer. Set to
     /// `usize::MAX` to force the dense path (the reference the
-    /// equivalence tests compare against).
+    /// equivalence tests compare against). The batched solver
+    /// ([`batch::op_batch`]) is sparse regardless; its scalar fallback
+    /// ladder honours this field.
     pub sparse_threshold: usize,
     /// Start Newton from the interval-analysis midpoint vector instead of
     /// all-zeros (see [`crate::analyze::dc_bounds`]). Opt-in; also gated by

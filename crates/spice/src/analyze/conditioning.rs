@@ -18,7 +18,7 @@
 //! advisory.
 
 use super::{AnalyzeCode, AnalyzeOptions, ConditioningSummary, Finding};
-use crate::analysis::{NewtonOptions, System};
+use crate::analysis::System;
 use crate::circuit::Circuit;
 use crate::element::{DcTransfer, StampMode};
 use crate::lint::unknown_name;
@@ -166,7 +166,6 @@ pub(crate) fn conditioning(
         });
     }
 
-    let threshold = NewtonOptions::default().sparse_threshold;
     let density = if dim == 0 {
         0.0
     } else {
@@ -177,8 +176,6 @@ pub(crate) fn conditioning(
         n_nodes,
         nnz,
         density,
-        recommended_sparse: dim >= threshold && density < 0.25,
-        recommended_sparse_threshold: threshold,
         max_row_spread,
         worst_row,
         empty_rows,

@@ -3,7 +3,7 @@
 //! Three passes over the MNA graph, each emitting typed [`Finding`]s with
 //! stable `A###` codes (same severity model as [`crate::lint`]):
 //!
-//! 1. **Interval operating-point bounds** ([`interval_op`]) — a monotone
+//! 1. **Interval operating-point bounds** (`interval_op`) — a monotone
 //!    fixpoint over per-node voltage intervals. Every element contributes a
 //!    [`crate::element::DcTransfer`] model; nodes are pruned by *interval KCL
 //!    feasibility*: since every modeled element's injection into a node is
@@ -12,12 +12,12 @@
 //!    computable by bisection. The converged Newton solution is guaranteed to
 //!    lie inside the resulting box — the soundness contract checked by
 //!    [`check_op_traced`].
-//! 2. **Structural conditioning** ([`conditioning`]) — assembles the Jacobian
+//! 2. **Structural conditioning** (`conditioning`) — assembles the Jacobian
 //!    at corner points of the interval box and inspects the per-row magnitude
 //!    envelope: near-empty rows predict pivot death, huge row spreads predict
-//!    ill-conditioning, and the density/dimension summary recommends the
-//!    dense-vs-sparse path.
-//! 3. **Stiffness spectrum** ([`stiffness`]) — per-node RC time-constant
+//!    ill-conditioning, and a summary records the Jacobian's dimension and
+//!    fill.
+//! 3. **Stiffness spectrum** (`stiffness`) — per-node RC time-constant
 //!    bounds from the local G and C stamps, recommending an initial `dt` and
 //!    flagging spectra wide enough to make LTE-adaptive stepping thrash.
 //!
@@ -252,10 +252,6 @@ pub struct ConditioningSummary {
     pub nnz: usize,
     /// `nnz / dim²`.
     pub density: f64,
-    /// Whether the batch/sparse path is recommended for this circuit.
-    pub recommended_sparse: bool,
-    /// Recommended `sparse_threshold` for [`crate::analysis::NewtonOptions`].
-    pub recommended_sparse_threshold: usize,
     /// Worst row magnitude spread `max/min` over nonzero envelope entries.
     pub max_row_spread: f64,
     /// Unknown name of the worst-spread row, if any row has ≥ 2 nonzeros.

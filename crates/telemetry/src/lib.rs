@@ -138,8 +138,12 @@ pub struct Counters {
     /// `PatternMiss` self-heals: an element stamped outside the cached
     /// pattern and the pattern was rebuilt from the current guess.
     pub pattern_rebuilds: u64,
-    /// Permanent dense fallbacks: the sparse path misbehaved twice and
-    /// was disabled for the rest of the workspace's life.
+    /// Permanent dense fallbacks: a scalar Newton workspace whose sparse
+    /// pattern could not be built or missed twice stays dense for the
+    /// rest of its life, and an AC sweep whose sparse reference could
+    /// not be built runs dense. The batched solver never counts here;
+    /// its lanes go to the scalar ladder instead
+    /// ([`lane_fallbacks`](Self::lane_fallbacks)).
     pub dense_fallbacks: u64,
     /// Newton solves routed through the sparse LU path.
     pub sparse_solves: u64,

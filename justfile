@@ -1,7 +1,7 @@
 # Development task runner. Same gates as .github/workflows/ci.yml.
 
 # Run every CI gate locally.
-ci: fmt-check clippy test perfbench-smoke lint-circuits analyze-circuits perf-budgets-smoke
+ci: fmt-check clippy doc test perfbench-smoke lint-circuits analyze-circuits perf-budgets-smoke
 
 # Formatting gate.
 fmt-check:
@@ -14,6 +14,10 @@ fmt:
 # Lint gate (warnings are errors).
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc gate (broken or private intra-doc links are errors).
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Tier-1 verification: release build + full test suite.
 test:

@@ -101,28 +101,25 @@ fn pinned(v: f64, r_top: f64, card: MosParams) -> Circuit {
 
 proptest! {
     /// K-variant batched operating point == K independent scalar
-    /// solves, MOSFET circuits, on the dense kernel and on the sparse
-    /// one forced below its crossover. K up to 20 spans several
-    /// eight-lane groups: the kernel and its frozen sparse pivot order
-    /// are reused across groups, and the last group masks its tail.
+    /// solves, MOSFET circuits, against the dense and the sparse scalar
+    /// reference. K up to 20 spans several eight-lane groups: the
+    /// kernel and its frozen sparse pivot order are reused across
+    /// groups, and the last group masks its tail.
     #[test]
     fn batched_op_equals_scalar_mosfet(
         dvths in prop::collection::vec(-10e-3..10e-3f64, 1..=20),
         vin in -0.05..0.05f64,
     ) {
         let variants: Vec<(f64, f64)> = dvths.iter().map(|&d| (d, 1.0)).collect();
-        let scalar: Vec<_> = dvths
-            .iter()
-            .map(|&d| op::solve(&diff_pair(d, vin, 1.0)).expect("scalar op"))
-            .collect();
+        let res = batch::op_batch(
+            &diff_pair(0.0, vin, 1.0), &pair_columns(&variants), &NewtonOptions::default(), &[],
+            &cml_spice::telemetry::Telemetry::disabled(),
+        ).expect("batched op");
+        prop_assert_eq!(res.len(), variants.len());
         for sparse_threshold in [usize::MAX, 1] {
             let opts = NewtonOptions { sparse_threshold, ..NewtonOptions::default() };
-            let res = batch::op_batch(
-                &diff_pair(0.0, vin, 1.0), &pair_columns(&variants), &opts, &[],
-                &cml_spice::telemetry::Telemetry::disabled(),
-            ).expect("batched op");
-            prop_assert_eq!(res.len(), variants.len());
-            for (v, s) in scalar.iter().enumerate() {
+            for (v, &d) in dvths.iter().enumerate() {
+                let s = op::solve_with(&diff_pair(d, vin, 1.0), &opts, None).expect("scalar op");
                 for (a, b) in res.solution(v).iter().zip(s.solution()) {
                     prop_assert!((a - b).abs() <= 1e-9,
                         "threshold={} variant={} batched={} scalar={}",

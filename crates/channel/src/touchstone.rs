@@ -83,33 +83,28 @@ pub fn to_s2p(port: &dyn TwoPort, freqs: &[f64]) -> String {
     out
 }
 
-/// Parses the `S21` column back out of an `.s2p` body produced by
-/// [`to_s2p`] (round-trip support for tests and tooling).
-///
-/// Returns `(freqs, s21)` pairs; ignores comment and option lines.
-#[must_use]
-pub fn parse_s2p_s21(body: &str) -> Vec<(f64, Complex64)> {
-    body.lines()
-        .filter(|l| !l.trim_start().starts_with(['!', '#']) && !l.trim().is_empty())
-        .filter_map(|l| {
-            let cols: Vec<f64> = l
-                .split_whitespace()
-                .map(str::parse)
-                .collect::<Result<_, _>>()
-                .ok()?;
-            if cols.len() == 9 {
-                Some((cols[0], Complex64::new(cols[3], cols[4])))
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::segments::{CompositeChannel, Segment};
+
+    /// Parses the `S21` column back out of an `.s2p` body produced by
+    /// [`to_s2p`] as `(freq, s21)` pairs, skipping comment and option
+    /// lines. Panics on any other line that is not nine numbers.
+    fn parse_s2p_s21(body: &str) -> Vec<(f64, Complex64)> {
+        body.lines()
+            .filter(|l| !l.trim_start().starts_with(['!', '#']) && !l.trim().is_empty())
+            .map(|l| {
+                let cols: Vec<f64> = l
+                    .split_whitespace()
+                    .map(str::parse)
+                    .collect::<Result<_, _>>()
+                    .unwrap_or_else(|e| panic!("malformed s2p line {l:?}: {e}"));
+                assert_eq!(cols.len(), 9, "s2p line {l:?} is not nine columns");
+                (cols[0], Complex64::new(cols[3], cols[4]))
+            })
+            .collect()
+    }
 
     #[test]
     fn s2p_roundtrip_preserves_transfer() {

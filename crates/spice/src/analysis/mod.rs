@@ -13,7 +13,9 @@ pub mod sink;
 pub mod tran;
 
 use crate::circuit::{Circuit, NodeId};
-use crate::element::{AcStamper, Element, Integration, StampCtx, StampMode, StampSlots, Stamper};
+use crate::element::{
+    AcStamper, Element, Integration, StampCtx, StampMode, StampPart, StampSlots, Stamper,
+};
 use crate::SpiceError;
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{Complex64, ComplexMatrix, DenseMatrix, LuFactors, RefactorOutcome, SparseLu};
@@ -83,11 +85,13 @@ impl NewtonOptions {
     }
 }
 
-/// Cache key identifying a transient Jacobian structure: the linear part
-/// of the MNA matrix is fully determined by the step size, the
-/// integration method and the conditioning gmin (see
-/// [`crate::element::Element::is_nonlinear`]), so factorizations can be
-/// reused across Newton iterations and timesteps that share this key.
+/// Cache key identifying a transient Jacobian structure: the
+/// guess-independent part of the MNA matrix (linear elements plus the
+/// fixed part of nonlinear devices) is fully determined by the step
+/// size, the integration method and the conditioning gmin (see
+/// [`crate::element::Element::is_nonlinear`]), so it — and on linear
+/// circuits its factorization — can be reused across Newton iterations
+/// and timesteps that share this key.
 type MatKey = (u64, Integration, u64);
 
 /// Which stamp-mode family a sparsity pattern was discovered under.
@@ -118,18 +122,38 @@ struct SparseState {
     mat: CsrMatrix,
     /// Sparse LU with replayable refactorization.
     lu: SparseLu,
-    /// Cached guess-independent values (linear stamps + gmin) for the
-    /// key in `NewtonWorkspace::lin_key`, parallel to `mat.vals()`.
+    /// Cached guess-independent values (linear stamps, fixed device
+    /// capacitances, gmin) for the key in `NewtonWorkspace::lin_key`,
+    /// parallel to `mat.vals()`.
     lin_vals: Vec<f64>,
     /// Value-slot of each node diagonal, for the gmin stamp.
     diag_slots: Vec<usize>,
-    /// Stamp-pointer caches: full assembly, linear-only assembly, and
-    /// the nonlinear top-up pass.
+    /// Matrix writes of one full assembly pass, as recorded by pattern
+    /// discovery: the capacity a stamp-pointer cache in use is given.
+    writes: usize,
+    /// Stamp-pointer caches: full assembly, guess-independent assembly,
+    /// and the guess-dependent top-up pass.
     slots_full: StampSlots,
     slots_lin: StampSlots,
     slots_nonlin: StampSlots,
     /// Mode family the pattern was discovered under.
     kind: ModeKind,
+}
+
+impl SparseState {
+    /// Gives the stamp-pointer caches a solve will use room for one full
+    /// pass each: the split guess-independent and guess-dependent caches
+    /// when `split`, else the full-pass cache. A state cloned from the
+    /// topology cache carries them empty with no capacity; reserving
+    /// once spares them a regrowth by doubling on the first pass.
+    fn reserve_slots(&mut self, split: bool) {
+        if split {
+            self.slots_lin.reserve(self.writes);
+            self.slots_nonlin.reserve(self.writes);
+        } else {
+            self.slots_full.reserve(self.writes);
+        }
+    }
 }
 
 /// Internal error type for one Newton attempt: either a real solver
@@ -162,8 +186,8 @@ impl From<cml_numeric::NumericError> for AttemptError {
 pub(crate) struct NewtonWorkspace {
     /// Full Jacobian (linear stamps + nonlinear linearizations).
     matrix: DenseMatrix,
-    /// Cached guess-independent stamps (linear elements + gmin), valid
-    /// for the transient key in `lin_key`.
+    /// Cached guess-independent stamps (linear elements, fixed device
+    /// capacitances, gmin), valid for the transient key in `lin_key`.
     lin_matrix: DenseMatrix,
     /// Full RHS (rebuilt per iteration for nonlinear circuits).
     rhs: Vec<f64>,
@@ -310,23 +334,32 @@ impl<'a> System<'a> {
         }
     }
 
-    /// Stamps every element `keep` selects at guess `x` into `out`, each
-    /// with its card override when one is loaded.
+    /// Stamps part `pass` of every element at guess `x` into `out`, each
+    /// with its card override when one is loaded. A `Whole` pass stamps
+    /// every element whole. A `Fixed` pass stamps the guess-independent
+    /// part of the system: linear elements whole plus the fixed part of
+    /// nonlinear ones. A `GuessDependent` pass stamps the rest: the
+    /// guess-dependent part of nonlinear elements.
     fn stamp_pass(
         &self,
         out: &mut Stamper<'_>,
-        keep: impl Fn(&dyn Element) -> bool,
+        pass: StampPart,
         x: &[f64],
         state: &[f64],
         mode: StampMode,
     ) {
         for (idx, e) in self.ckt.elements().enumerate() {
-            if keep(e) {
-                let ctx = self.ctx(idx, e, x, state, mode);
-                match self.cards.get(idx) {
-                    Some(Some(card)) => e.stamp_with_card(&ctx, card, out),
-                    _ => e.stamp(&ctx, out),
-                }
+            // A linear element is guess-independent as a whole.
+            let part = match pass {
+                StampPart::Whole => StampPart::Whole,
+                _ if e.is_nonlinear() => pass,
+                StampPart::Fixed => StampPart::Whole,
+                StampPart::GuessDependent => continue,
+            };
+            let ctx = self.ctx(idx, e, x, state, mode);
+            match (part, self.cards.get(idx)) {
+                (StampPart::Whole, None | Some(None)) => e.stamp(&ctx, out),
+                (_, card) => e.stamp_part(&ctx, card.and_then(Option::as_ref), part, out),
             }
         }
     }
@@ -345,20 +378,21 @@ impl<'a> System<'a> {
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
         let mut out = Stamper::new(matrix, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, |_| true, x, state, mode);
+        self.stamp_pass(&mut out, StampPart::Whole, x, state, mode);
         // Conditioning gmin from every node to ground.
         for i in 0..self.n_nodes {
             matrix[(i, i)] += gmin;
         }
     }
 
-    /// Assembles every guess-independent (linear-element) stamp: matrix,
-    /// RHS and the conditioning gmin.
+    /// Assembles every guess-independent stamp — linear elements plus the
+    /// fixed part of nonlinear devices: matrix, RHS and the conditioning
+    /// gmin.
     ///
     /// Passes an *empty* guess slice on purpose: elements reporting
-    /// `is_nonlinear() == false` promise never to read `ctx.x`, and an
-    /// out-of-bounds panic here is the loud contract check for a device
-    /// that lies about its linearity.
+    /// `is_nonlinear() == false`, and the fixed part of those that do,
+    /// promise never to read `ctx.x`, and an out-of-bounds panic here is
+    /// the loud contract check for a device that breaks the promise.
     fn assemble_linear(
         &self,
         state: &[f64],
@@ -371,24 +405,26 @@ impl<'a> System<'a> {
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
         let mut out = Stamper::new(matrix, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, |e| !e.is_nonlinear(), &[], state, mode);
+        self.stamp_pass(&mut out, StampPart::Fixed, &[], state, mode);
         for i in 0..self.n_nodes {
             matrix[(i, i)] += gmin;
         }
     }
 
-    /// Re-assembles only the linear RHS (source values, companion-model
-    /// history currents), dropping matrix writes: used when the cached
-    /// linear matrix is still valid but time or state has advanced.
+    /// Re-assembles only the guess-independent RHS (source values,
+    /// companion-model history currents of capacitors, inductors and
+    /// device capacitances), dropping matrix writes: used when the cached
+    /// matrix is still valid but time or state has advanced.
     fn stamp_linear_rhs(&self, state: &[f64], mode: StampMode, rhs: &mut Vec<f64>) {
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
         let mut out = Stamper::rhs_only(rhs, self.n_nodes);
-        self.stamp_pass(&mut out, |e| !e.is_nonlinear(), &[], state, mode);
+        self.stamp_pass(&mut out, StampPart::Fixed, &[], state, mode);
     }
 
-    /// Adds the nonlinear-device linearizations at guess `x` on top of
-    /// already-copied linear stamps.
+    /// Adds the guess-dependent part of the nonlinear devices (their
+    /// linearizations at guess `x`) on top of already-copied
+    /// guess-independent stamps.
     fn stamp_nonlinear(
         &self,
         x: &[f64],
@@ -398,7 +434,7 @@ impl<'a> System<'a> {
         rhs: &mut [f64],
     ) {
         let mut out = Stamper::new(matrix, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, |e| e.is_nonlinear(), x, state, mode);
+        self.stamp_pass(&mut out, StampPart::GuessDependent, x, state, mode);
     }
 
     /// Discovers the Jacobian sparsity pattern with one recording stamp
@@ -415,7 +451,7 @@ impl<'a> System<'a> {
         let mut positions: Vec<(usize, usize)> = Vec::new();
         let mut scratch_rhs = vec![0.0; dim];
         let mut out = Stamper::pattern(&mut positions, &mut scratch_rhs, self.n_nodes);
-        self.stamp_pass(&mut out, |_| true, x0, state, mode);
+        self.stamp_pass(&mut out, StampPart::Whole, x0, state, mode);
         let n_recorded = positions.len();
         for i in 0..n_recorded {
             let (r, c) = positions[i];
@@ -431,6 +467,7 @@ impl<'a> System<'a> {
             lu,
             lin_vals: vec![0.0; nnz],
             diag_slots: diag_slots?,
+            writes: n_recorded,
             slots_full: StampSlots::default(),
             slots_lin: StampSlots::default(),
             slots_nonlin: StampSlots::default(),
@@ -454,7 +491,7 @@ impl<'a> System<'a> {
         rhs.resize(self.dim(), 0.0);
         sp.slots_full.begin_pass();
         let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_full, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, |_| true, x, state, mode);
+        self.stamp_pass(&mut out, StampPart::Whole, x, state, mode);
         if sp.slots_full.missing() {
             return Err(AttemptError::PatternMiss);
         }
@@ -479,7 +516,7 @@ impl<'a> System<'a> {
         rhs.resize(self.dim(), 0.0);
         sp.slots_lin.begin_pass();
         let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_lin, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, |e| !e.is_nonlinear(), &[], state, mode);
+        self.stamp_pass(&mut out, StampPart::Fixed, &[], state, mode);
         if sp.slots_lin.missing() {
             return Err(AttemptError::PatternMiss);
         }
@@ -490,7 +527,8 @@ impl<'a> System<'a> {
     }
 
     /// Sparse analogue of [`System::stamp_nonlinear`]: tops up the copied
-    /// linear values with the nonlinear-device linearizations at `x`.
+    /// guess-independent values with the nonlinear-device linearizations
+    /// at `x`.
     fn stamp_sparse_nonlinear(
         &self,
         x: &[f64],
@@ -501,7 +539,7 @@ impl<'a> System<'a> {
     ) -> Result<(), AttemptError> {
         sp.slots_nonlin.begin_pass();
         let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_nonlin, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, |e| e.is_nonlinear(), x, state, mode);
+        self.stamp_pass(&mut out, StampPart::GuessDependent, x, state, mode);
         if sp.slots_nonlin.missing() {
             return Err(AttemptError::PatternMiss);
         }
@@ -524,9 +562,10 @@ impl<'a> System<'a> {
     /// With `reuse` enabled (transient mode only) the solver exploits the
     /// [`crate::element::Element::is_nonlinear`] contract three ways:
     ///
-    /// * linear-element matrix/RHS stamps are assembled once per call
-    ///   instead of once per Newton iteration;
-    /// * the linear matrix is cached across *timesteps* sharing a
+    /// * guess-independent matrix/RHS stamps (linear elements and the
+    ///   fixed capacitances of nonlinear devices) are assembled once per
+    ///   call instead of once per Newton iteration;
+    /// * that matrix is cached across *timesteps* sharing a
     ///   `(dt, method, gmin)` key, so unchanged companion conductances
     ///   are not re-stamped at all;
     /// * on circuits with no nonlinear devices the LU factorization
@@ -617,6 +656,11 @@ impl<'a> System<'a> {
             ws.factored_key = None;
             ws.sparse = None;
         }
+        let key = if reuse {
+            Self::mat_key(mode, opts.gmin)
+        } else {
+            None
+        };
         let use_sparse = !ws.sparse_disabled && dim > 0 && dim >= opts.sparse_threshold;
         if use_sparse {
             let fresh = matches!(&ws.sparse,
@@ -630,7 +674,10 @@ impl<'a> System<'a> {
                 };
                 ws.lin_key = None;
                 ws.factored_key = None;
-                if ws.sparse.is_none() {
+                if let Some(sp) = ws.sparse.as_mut() {
+                    sp.reserve_slots(key.is_some());
+                    tel.count(|c| c.pattern_builds += 1);
+                } else {
                     ws.sparse_disabled = true;
                     tel.count(|c| c.dense_fallbacks += 1);
                     tel.degradation(
@@ -638,8 +685,6 @@ impl<'a> System<'a> {
                         "sparse solve requested but the Jacobian pattern could \
                          not be built; this workspace stays on the dense path",
                     );
-                } else {
-                    tel.count(|c| c.pattern_builds += 1);
                 }
             }
         }
@@ -651,11 +696,6 @@ impl<'a> System<'a> {
             ws.factored_key = None;
             ws.last_solve_sparse = Some(run_sparse);
         }
-        let key = if reuse {
-            Self::mat_key(mode, opts.gmin)
-        } else {
-            None
-        };
         if let Some(k) = key {
             if ws.lin_key == Some(k) {
                 // Matrix still valid; only sources / companion history

@@ -4,10 +4,12 @@
 //! clamping structures. The exponential is argument-limited for Newton
 //! robustness, the standard SPICE trick.
 
+use super::mosfet::MosParams;
 use super::DeviceCap;
 use crate::circuit::NodeId;
 use crate::element::{
-    AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, StampMode, Stamper,
+    AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, StampMode, StampPart,
+    Stamper,
 };
 
 /// Maximum exponent argument before linear extrapolation takes over.
@@ -122,12 +124,26 @@ impl Element for Diode {
     }
 
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
-        let v = ctx.v(self.a) - ctx.v(self.k);
-        let (i, g) = self.iv(v);
+        self.stamp_part(ctx, None, StampPart::Whole, out);
+    }
+
+    fn stamp_part(
+        &self,
+        ctx: &StampCtx<'_>,
+        _card: Option<&MosParams>,
+        part: StampPart,
+        out: &mut Stamper<'_>,
+    ) {
         let (a, k) = (self.a.index(), self.k.index());
-        out.conductance(a, k, g);
-        out.current_source(a, k, i - g * v);
-        if matches!(ctx.mode, StampMode::Tran { .. }) {
+        if part != StampPart::Fixed {
+            let v = ctx.v(self.a) - ctx.v(self.k);
+            let (i, g) = self.iv(v);
+            out.conductance(a, k, g);
+            out.current_source(a, k, i - g * v);
+        }
+        // The junction capacitance reads the mode and the previous-step
+        // state, never the guess.
+        if part != StampPart::GuessDependent && matches!(ctx.mode, StampMode::Tran { .. }) {
             DeviceCap::stamp(ctx, out, self.params.cj0, a, k, ctx.state);
         }
     }

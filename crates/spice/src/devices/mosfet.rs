@@ -13,7 +13,8 @@
 use super::DeviceCap;
 use crate::circuit::NodeId;
 use crate::element::{
-    AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, StampMode, Stamper,
+    AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, StampMode, StampPart,
+    Stamper,
 };
 use crate::lint::LintCode;
 use std::fmt;
@@ -260,6 +261,37 @@ impl Mosfet {
             p * ev.ids
         }
     }
+
+    /// Stamps the channel's Norton linearization of `card` at the guess
+    /// in `ctx`: the guess-dependent part of the stamp.
+    fn stamp_channel(&self, ctx: &StampCtx<'_>, card: &MosParams, out: &mut Stamper<'_>) {
+        let (vd, vg, vs) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s));
+        let p = card.mos_type.polarity();
+        let (ev, swapped) = Self::eval_at(card, vd, vg, vs);
+
+        // Effective (normalized-frame) drain and source node indices.
+        let (nd, ns) = if swapped {
+            (self.s.index(), self.d.index())
+        } else {
+            (self.d.index(), self.s.index())
+        };
+        let ng = self.g.index();
+        let (vde, vse) = if swapped { (vs, vd) } else { (vd, vs) };
+
+        // Current from effective drain to effective source:
+        // I = p · ids(vgs_eff, vds_eff), with vgs_eff = p(vg − vse),
+        // vds_eff = p(vde − vse). Chain rule gives real-frame stamps:
+        let (gm, gds) = (ev.gm, ev.gds);
+        out.mat(nd, ng, gm);
+        out.mat(nd, nd, gds);
+        out.mat(nd, ns, -(gm + gds));
+        out.mat(ns, ng, -gm);
+        out.mat(ns, nd, -gds);
+        out.mat(ns, ns, gm + gds);
+        let i_actual = p * ev.ids;
+        let ieq = i_actual - gm * vg - gds * vde + (gm + gds) * vse;
+        out.current_source(nd, ns, ieq);
+    }
 }
 
 /// State slots: 3 internal caps × 2 (cgs, cgd, cdb). Source junction cap is
@@ -293,39 +325,23 @@ impl Element for Mosfet {
     }
 
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
-        self.stamp_with_card(ctx, &self.params, out);
+        self.stamp_part(ctx, None, StampPart::Whole, out);
     }
 
-    fn stamp_with_card(&self, ctx: &StampCtx<'_>, card: &MosParams, out: &mut Stamper<'_>) {
-        let (vd, vg, vs) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s));
-        let p = card.mos_type.polarity();
-        let (ev, swapped) = Self::eval_at(card, vd, vg, vs);
-
-        // Effective (normalized-frame) drain and source node indices.
-        let (nd, ns) = if swapped {
-            (self.s.index(), self.d.index())
-        } else {
-            (self.d.index(), self.s.index())
-        };
-        let ng = self.g.index();
-        let (vde, vse) = if swapped { (vs, vd) } else { (vd, vs) };
-
-        // Current from effective drain to effective source:
-        // I = p · ids(vgs_eff, vds_eff), with vgs_eff = p(vg − vse),
-        // vds_eff = p(vde − vse). Chain rule gives real-frame stamps:
-        let (gm, gds) = (ev.gm, ev.gds);
-        out.mat(nd, ng, gm);
-        out.mat(nd, nd, gds);
-        out.mat(nd, ns, -(gm + gds));
-        out.mat(ns, ng, -gm);
-        out.mat(ns, nd, -gds);
-        out.mat(ns, ns, gm + gds);
-        let i_actual = p * ev.ids;
-        let ieq = i_actual - gm * vg - gds * vde + (gm + gds) * vse;
-        out.current_source(nd, ns, ieq);
-
-        // Internal capacitances (transient only; no-ops in DC).
-        if matches!(ctx.mode, StampMode::Tran { .. }) {
+    fn stamp_part(
+        &self,
+        ctx: &StampCtx<'_>,
+        card: Option<&MosParams>,
+        part: StampPart,
+        out: &mut Stamper<'_>,
+    ) {
+        let card = card.unwrap_or(&self.params);
+        if part != StampPart::Fixed {
+            self.stamp_channel(ctx, card, out);
+        }
+        // Internal capacitances (transient only; no-ops in DC). They read
+        // the mode and the previous-step state, never the guess.
+        if part != StampPart::GuessDependent && matches!(ctx.mode, StampMode::Tran { .. }) {
             let (g, d, s, b) = (
                 self.g.index(),
                 self.d.index(),

@@ -58,6 +58,22 @@ impl StampMode {
     }
 }
 
+/// Which part of an element's stamp a call asks for (see
+/// [`Element::stamp_part`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StampPart {
+    /// The whole stamp, exactly what [`Element::stamp`] writes.
+    Whole,
+    /// The part that never reads `ctx.x`: a nonlinear device's fixed
+    /// capacitance companions. The transient solver stamps it together
+    /// with the linear elements, once per step instead of once per
+    /// Newton iteration.
+    Fixed,
+    /// The part that depends on the Newton guess: a nonlinear device's
+    /// channel or junction linearization.
+    GuessDependent,
+}
+
 /// Per-element context for a stamp call.
 #[derive(Debug)]
 pub struct StampCtx<'a> {
@@ -114,6 +130,11 @@ impl StampSlots {
     pub fn begin_pass(&mut self) {
         self.cursor = 0;
         self.missing = false;
+    }
+
+    /// Reserves room for at least `writes` cached stamp pointers.
+    pub fn reserve(&mut self, writes: usize) {
+        self.seq.reserve(writes);
     }
 
     /// Whether a write in the last pass hit a position absent from the
@@ -586,6 +607,12 @@ pub trait Element: fmt::Debug + Send + Sync {
     /// timesteps; a violating element would silently converge to wrong
     /// answers, so nonlinear devices (MOSFET, diode) must override this
     /// to return `true`.
+    ///
+    /// A nonlinear element makes the same promise for the
+    /// [`StampPart::Fixed`] part of its stamp ([`Element::stamp_part`]):
+    /// that part must never read `ctx.x`. The solver caches it with the
+    /// linear stamps and stamps it with an empty guess slice, so a fixed
+    /// part that reads the guess panics instead of going stale.
     fn is_nonlinear(&self) -> bool {
         false
     }
@@ -594,11 +621,27 @@ pub trait Element: fmt::Debug + Send + Sync {
     /// `ctx.mode`.
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>);
 
-    /// [`Element::stamp`] with `card` in place of the element's own
-    /// MOSFET model card: how the batched solver varies `vth0`/`kp` per
-    /// lane over one circuit. Elements without a card ignore it.
-    fn stamp_with_card(&self, ctx: &StampCtx<'_>, _card: &MosParams, out: &mut Stamper<'_>) {
-        self.stamp(ctx, out);
+    /// Stamps `part` of the element's stamp, with `card` (when given) in
+    /// place of the element's own MOSFET model card: how the batched
+    /// solver varies `vth0`/`kp` per lane over one circuit. Elements
+    /// without a card ignore it.
+    ///
+    /// Only nonlinear elements are asked for [`StampPart::Fixed`] or
+    /// [`StampPart::GuessDependent`]; linear ones are always stamped
+    /// whole. Stamping the guess-dependent part and then the fixed part
+    /// must write exactly what the whole stamp writes, in the same order.
+    /// The default keeps the whole stamp guess-dependent, which is
+    /// correct for any element.
+    fn stamp_part(
+        &self,
+        ctx: &StampCtx<'_>,
+        _card: Option<&MosParams>,
+        part: StampPart,
+        out: &mut Stamper<'_>,
+    ) {
+        if part != StampPart::Fixed {
+            self.stamp(ctx, out);
+        }
     }
 
     /// Writes the element's next-timestep state after a converged step.

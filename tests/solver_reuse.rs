@@ -5,8 +5,9 @@
 //! the contract that the optimization changes wall-clock only, never
 //! results: a reuse-enabled run must match the assemble-everything
 //! reference path bit-for-bit on linear circuits and to ≤ 1e-12 on
-//! nonlinear (MOSFET) circuits, where split linear/nonlinear stamping
-//! reorders floating-point additions. Every test runs on the dense LU
+//! nonlinear (MOSFET) circuits, where split guess-independent /
+//! guess-dependent stamping reorders floating-point additions, at fixed
+//! and adaptive steps. Every test runs on the dense LU
 //! path (forced with `sparse_threshold = usize::MAX`) and on the
 //! default sparse one, so both factor-reuse implementations stay pinned.
 
@@ -19,6 +20,7 @@ use cml_core::cells::{add_diff_drive, add_supply, DiffPort};
 use cml_pdk::Pdk018;
 use cml_spice::analysis::tran::{self, TranConfig, TranResult};
 use cml_spice::prelude::*;
+use cml_spice::telemetry::Telemetry;
 
 fn rc_ladder(n_stages: usize) -> Circuit {
     let mut ckt = Circuit::new();
@@ -89,7 +91,10 @@ fn rc_ladder_reuse_is_bit_identical() {
 }
 
 /// Nonlinear circuit (the paper's CML buffer cell): split stamping
-/// reorders additions, so allow last-ulp accumulation — but no more.
+/// reorders additions, so allow last-ulp accumulation — but no more. At
+/// a fixed step the guess-independent stamps are built once and reused;
+/// on adaptive steps `dt` changes from step to step, so they (device
+/// capacitances included) are rebuilt again and again under new keys.
 #[test]
 fn cml_buffer_reuse_matches_reference() {
     let cfg = CmlBufferConfig::paper_default();
@@ -112,25 +117,41 @@ fn cml_buffer_reuse_matches_reference() {
     ckt.add(Capacitor::new("CLP", output.p, Circuit::GROUND, 30e-15));
     ckt.add(Capacitor::new("CLN", output.n, Circuit::GROUND, 30e-15));
 
+    let configs = [
+        TranConfig::new(0.3e-9, 1e-12),
+        TranConfig::new(0.3e-9, 2e-12).adaptive(),
+    ];
     for threshold in THRESHOLDS {
-        let mut tcfg = TranConfig::new(0.3e-9, 1e-12);
-        tcfg.newton.sparse_threshold = threshold;
-        let with = tran::run(&ckt, &tcfg).expect("reuse run");
-        let without = tran::run(&ckt, &tcfg.clone().without_factor_reuse()).expect("plain run");
-        let worst = max_solution_diff(&with, &without, &[output.p, output.n, input.p]);
-        assert!(
-            worst <= 1e-12,
-            "threshold {threshold}: paths diverge by {worst:e}"
-        );
-        // Sanity: the buffer actually switched, so the comparison is not
-        // between two all-zero waveforms.
-        let swing = with
-            .differential(output.p, output.n)
-            .iter()
-            .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-        assert!(
-            swing.1 - swing.0 > 0.1,
-            "threshold {threshold}: buffer output never moved: {swing:?}"
-        );
+        for (k, tcfg) in configs.iter().enumerate() {
+            let mut tcfg = tcfg.clone();
+            tcfg.newton.sparse_threshold = threshold;
+            let tel = Telemetry::enabled();
+            let with = tran::run_traced(&ckt, &tcfg, &tel).expect("reuse run");
+            let without = tran::run(&ckt, &tcfg.clone().without_factor_reuse()).expect("plain run");
+            let worst = max_solution_diff(&with, &without, &[output.p, output.n, input.p]);
+            assert!(
+                worst <= 1e-12,
+                "threshold {threshold}, config {k}: paths diverge by {worst:e}"
+            );
+            // Sanity: the buffer actually switched, so the comparison is
+            // not between two all-zero waveforms.
+            let swing = with
+                .differential(output.p, output.n)
+                .iter()
+                .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            assert!(
+                swing.1 - swing.0 > 0.1,
+                "threshold {threshold}, config {k}: buffer output never moved: {swing:?}"
+            );
+            // The cached stamps were reused, and on adaptive steps rebuilt.
+            let c = tel.report().counters;
+            let min_builds = if tcfg.adaptive { 10 } else { 1 };
+            assert!(
+                c.lin_stamp_hits > 0 && c.lin_stamp_builds >= min_builds,
+                "threshold {threshold}, config {k}: {} hits, {} builds",
+                c.lin_stamp_hits,
+                c.lin_stamp_builds
+            );
+        }
     }
 }

@@ -72,9 +72,24 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// A finite number: `nan`, `inf` and overflowing literals like `1e999`
+/// parse as `f64` but describe no circuit.
 fn parse_f64(tok: &str, line: usize, what: &str) -> Result<f64, ParseError> {
     tok.parse::<f64>()
-        .map_err(|_| err(line, format!("invalid {what} '{tok}'")))
+        .ok()
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| err(line, format!("invalid {what} '{tok}'")))
+}
+
+/// `v` itself when it is strictly positive, which element constructors
+/// assert for resistance, capacitance, inductance, widths and diode
+/// parameters.
+fn positive(v: f64, line: usize, what: &str) -> Result<f64, ParseError> {
+    if v > 0.0 {
+        Ok(v)
+    } else {
+        Err(err(line, format!("{what} must be positive, got {v}")))
+    }
 }
 
 /// Value of a `KEY=number` token, case-insensitive on the key.
@@ -139,7 +154,7 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
                 }
                 let a = ckt.node(toks[1]);
                 let b = ckt.node(toks[2]);
-                let v = parse_f64(toks[3], lno, "value")?;
+                let v = positive(parse_f64(toks[3], lno, "value")?, lno, "value")?;
                 match kind.to_ascii_uppercase() {
                     'R' => ckt.add(Resistor::new(name, a, b, v)),
                     'C' => ckt.add(Capacitor::new(name, a, b, v)),
@@ -174,6 +189,11 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
                     .ok_or_else(|| err(lno, format!("expected W=.., got '{}'", toks[6])))?;
                 let l = keyed_f64(toks[7], "L", lno)?
                     .ok_or_else(|| err(lno, format!("expected L=.., got '{}'", toks[7])))?;
+                positive(w, lno, "W")?;
+                // The process cards assert the same floor.
+                if l < cml_pdk::L_MIN * 0.999 {
+                    return Err(err(lno, format!("L={l} is below the process minimum")));
+                }
                 let params: MosParams = match toks[5].to_ascii_lowercase().as_str() {
                     "nmos" => pdk.nmos(w, l),
                     "pmos" => pdk.pmos(w, l),
@@ -192,8 +212,8 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, ParseError> {
                 let n = keyed_f64(toks[4], "N", lno)?
                     .ok_or_else(|| err(lno, format!("expected N=.., got '{}'", toks[4])))?;
                 let params = DiodeParams {
-                    is,
-                    n,
+                    is: positive(is, lno, "IS")?,
+                    n: positive(n, lno, "N")?,
                     ..DiodeParams::default()
                 };
                 ckt.add(Diode::new(name, a, k, params));

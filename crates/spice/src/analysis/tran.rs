@@ -1,7 +1,11 @@
 //! Transient analysis.
 //!
 //! Two stepping modes share the same companion models (trapezoidal or
-//! backward-Euler) and warm-started Newton solves:
+//! backward-Euler) and the same Newton seed: every step's solve starts
+//! from the polynomial predictor through the last accepted points
+//! (quadratic through three, linear through two, the last point alone
+//! on the first step and after a breakpoint restart), as SPICE3's
+//! `PREDICTOR` option does.
 //!
 //! * **Fixed** (default): the nominal timestep everywhere, with automatic
 //!   step halving on Newton failure up to a retry budget.
@@ -112,7 +116,11 @@ impl TranConfig {
         }
     }
 
-    /// Enables predictor-corrector local-truncation-error control.
+    /// Enables predictor-corrector local-truncation-error control. The
+    /// LTE check measures each converged step against the same
+    /// predictor vector its Newton solve started from, so the predictor
+    /// is computed once per attempt. Fixed-step runs start Newton from
+    /// that predictor too; only the accept/reject rule is adaptive.
     #[must_use]
     pub fn adaptive(mut self) -> Self {
         self.adaptive = true;
@@ -357,7 +365,8 @@ fn run_streaming_impl(
 }
 
 /// Fixed-step transient loop: the nominal `dt` everywhere, halving only
-/// on Newton failure.
+/// on Newton failure. Every Newton solve starts from the polynomial
+/// predictor through the trailing accepted points ([`History`]).
 fn fixed_loop(
     sys: &System<'_>,
     config: &TranConfig,
@@ -370,7 +379,8 @@ fn fixed_loop(
     emit.push(0.0, &x0, tel)?;
 
     let mut t = 0.0;
-    let mut x = x0;
+    let mut hist = History::new(0.0, x0);
+    let mut pred = Vec::with_capacity(sys.dim());
     // One workspace for the whole run: matrices, LU factors and cached
     // linear stamps survive from step to step.
     let mut ws = NewtonWorkspace::new();
@@ -383,9 +393,10 @@ fn fixed_loop(
                 dt,
                 method: config.method,
             };
+            hist.predict_into(t + dt, &mut pred);
             match sys.newton_with(
                 mode,
-                &x,
+                &pred,
                 &state,
                 &config.newton,
                 "tran",
@@ -396,9 +407,9 @@ fn fixed_loop(
                 Ok(x_new) => {
                     sys.update_state(&x_new, &state, mode, &mut state_next);
                     std::mem::swap(&mut state, &mut state_next);
-                    x = x_new;
                     t += dt;
-                    emit.push(t, &x, tel)?;
+                    emit.push(t, &x_new, tel)?;
+                    hist.push(t, &x_new);
                     tel.count(|c| {
                         c.tran_steps += 1;
                         c.record_dt(dt, config.dt);
@@ -451,52 +462,73 @@ fn breakpoint_merge_eps(a: f64, b: f64) -> f64 {
     1e-9 * a.abs().max(b.abs()) + 1e-21
 }
 
-/// Ring of the up-to-three most recent accepted points feeding the LTE
-/// predictor. Replaces indexing into the dense solution history (which
-/// the streaming engine no longer keeps): O(3·dim) memory regardless of
-/// run length.
+/// The up-to-three most recent accepted points, newest last. They seed
+/// each step's Newton solve and are the reference of the LTE check, both
+/// through [`History::predict_into`]. The three slots are allocated once
+/// per run: O(3·dim) memory regardless of run length.
 struct History {
-    t: Vec<f64>,
-    x: Vec<Vec<f64>>,
+    t: [f64; 3],
+    x: [Vec<f64>; 3],
+    len: usize,
 }
 
 impl History {
-    fn new(t0: f64, x0: &[f64]) -> Self {
+    fn new(t0: f64, x0: Vec<f64>) -> Self {
+        let dim = x0.len();
         History {
-            t: vec![t0],
-            x: vec![x0.to_vec()],
+            t: [t0, 0.0, 0.0],
+            x: [x0, vec![0.0; dim], vec![0.0; dim]],
+            len: 1,
         }
     }
 
     /// Valid trailing points (1..=3).
     fn len(&self) -> usize {
-        self.t.len()
+        self.len
     }
 
     /// Records an accepted point, evicting the oldest beyond three.
     fn push(&mut self, t: f64, x: &[f64]) {
-        if self.t.len() == 3 {
+        if self.len == 3 {
             self.t.rotate_left(1);
             self.x.rotate_left(1);
-            self.t[2] = t;
-            let slot = &mut self.x[2];
-            slot.clear();
-            slot.extend_from_slice(x);
         } else {
-            self.t.push(t);
-            self.x.push(x.to_vec());
+            self.len += 1;
         }
+        self.t[self.len - 1] = t;
+        self.x[self.len - 1].copy_from_slice(x);
     }
 
     /// Keeps only the newest point: called at breakpoints, where older
     /// points sit on the wrong side of a slope discontinuity.
     fn restart(&mut self) {
-        let n = self.t.len();
-        if n > 1 {
-            self.t[0] = self.t[n - 1];
-            self.t.truncate(1);
-            self.x.swap(0, n - 1);
-            self.x.truncate(1);
+        self.t.swap(0, self.len - 1);
+        self.x.swap(0, self.len - 1);
+        self.len = 1;
+    }
+
+    /// Extrapolates every unknown to `t_new` into `out`: the quadratic
+    /// Lagrange predictor through three points, the linear one through
+    /// two, and the newest point itself when it is alone.
+    fn predict_into(&self, t_new: f64, out: &mut Vec<f64>) {
+        let n = self.len;
+        let (t2, x2) = (self.t[n - 1], &self.x[n - 1]);
+        out.clear();
+        match n {
+            3 => {
+                let (t0, x0) = (self.t[0], &self.x[0]);
+                let (t1, x1) = (self.t[1], &self.x[1]);
+                let l0 = ((t_new - t1) * (t_new - t2)) / ((t0 - t1) * (t0 - t2));
+                let l1 = ((t_new - t0) * (t_new - t2)) / ((t1 - t0) * (t1 - t2));
+                let l2 = ((t_new - t0) * (t_new - t1)) / ((t2 - t0) * (t2 - t1));
+                out.extend((0..x2.len()).map(|i| l0 * x0[i] + l1 * x1[i] + l2 * x2[i]));
+            }
+            2 => {
+                let (t1, x1) = (self.t[0], &self.x[0]);
+                let ratio = (t_new - t2) / (t2 - t1);
+                out.extend(x2.iter().zip(x1).map(|(&a, &b)| a + (a - b) * ratio));
+            }
+            _ => out.extend_from_slice(x2),
         }
     }
 }
@@ -529,8 +561,8 @@ fn adaptive_loop(
     let mut state_next = vec![0.0; sys.state_len()];
     emit.push(0.0, &x0, tel)?;
     let mut t = 0.0;
-    let mut hist = History::new(0.0, &x0);
-    let mut x = x0;
+    let mut hist = History::new(0.0, x0);
+    let mut pred = Vec::with_capacity(sys.dim());
     let mut ws = NewtonWorkspace::new();
     let mut dt = config.dt;
 
@@ -554,9 +586,12 @@ fn adaptive_loop(
                 dt: dt_step,
                 method: config.method,
             };
+            // One predictor per attempt: the Newton seed and the LTE
+            // reference.
+            hist.predict_into(t + dt_step, &mut pred);
             match sys.newton_with(
                 mode,
-                &x,
+                &pred,
                 &state,
                 &config.newton,
                 "tran",
@@ -567,8 +602,7 @@ fn adaptive_loop(
                 Ok(x_new) => {
                     let mut worst = 0.0f64;
                     if hist.len() >= 2 {
-                        worst =
-                            predictor_deviation(sys, &hist, t + dt_step, &x_new, &config.newton);
+                        worst = predictor_deviation(sys, &pred, &x_new, &config.newton);
                         if worst > config.lte_factor
                             && dt_step > dt_min * (1.0 + 1e-9)
                             && halvings < config.max_halvings
@@ -584,10 +618,9 @@ fn adaptive_loop(
                     }
                     sys.update_state(&x_new, &state, mode, &mut state_next);
                     std::mem::swap(&mut state, &mut state_next);
-                    x = x_new;
                     t += dt_step;
-                    emit.push(t, &x, tel)?;
-                    hist.push(t, &x);
+                    emit.push(t, &x_new, tel)?;
+                    hist.push(t, &x_new);
                     tel.count(|c| {
                         c.tran_steps += 1;
                         c.lte_accepts += 1;
@@ -625,42 +658,20 @@ fn adaptive_loop(
     Ok(())
 }
 
-/// Worst normalized deviation of `x_new` from the polynomial predictor
-/// extrapolated to `t_new`: quadratic through the last three accepted
-/// points when the history allows, linear through the last two otherwise.
-/// Only node voltages participate (branch currents scale too wildly for
-/// the voltage band). The unit is Newton tolerance bands, so `1.0` means
-/// "off by exactly `reltol·|v| + vntol`".
+/// Worst normalized deviation of `x_new` from the predictor `pred`
+/// ([`History::predict_into`]). Only node voltages participate (branch
+/// currents scale too wildly for the voltage band). The unit is Newton
+/// tolerance bands, so `1.0` means "off by exactly `reltol·|v| + vntol`".
 fn predictor_deviation(
     sys: &System<'_>,
-    hist: &History,
-    t_new: f64,
+    pred: &[f64],
     x_new: &[f64],
     newton: &NewtonOptions,
 ) -> f64 {
-    let n = hist.len();
-    let (t2, x2) = (hist.t[n - 1], &hist.x[n - 1]);
-    let (t1, x1) = (hist.t[n - 2], &hist.x[n - 2]);
     let mut worst = 0.0f64;
-    if n >= 3 {
-        let (t0, x0) = (hist.t[n - 3], &hist.x[n - 3]);
-        // Lagrange extrapolation of the quadratic through the three
-        // trailing points.
-        let l0 = ((t_new - t1) * (t_new - t2)) / ((t0 - t1) * (t0 - t2));
-        let l1 = ((t_new - t0) * (t_new - t2)) / ((t1 - t0) * (t1 - t2));
-        let l2 = ((t_new - t0) * (t_new - t1)) / ((t2 - t0) * (t2 - t1));
-        for i in 0..sys.n_nodes() {
-            let pred = l0 * x0[i] + l1 * x1[i] + l2 * x2[i];
-            let band = newton.reltol * x_new[i].abs() + newton.vntol;
-            worst = worst.max((x_new[i] - pred).abs() / band);
-        }
-    } else {
-        let ratio = (t_new - t2) / (t2 - t1);
-        for i in 0..sys.n_nodes() {
-            let pred = x2[i] + (x2[i] - x1[i]) * ratio;
-            let band = newton.reltol * x_new[i].abs() + newton.vntol;
-            worst = worst.max((x_new[i] - pred).abs() / band);
-        }
+    for i in 0..sys.n_nodes() {
+        let band = newton.reltol * x_new[i].abs() + newton.vntol;
+        worst = worst.max((x_new[i] - pred[i]).abs() / band);
     }
     worst
 }

@@ -1,7 +1,9 @@
-//! Token-level property test for the netlist decoder: shuffling,
-//! dropping, duplicating and mutating the tokens of the builtin netlists
-//! must always come back as `Ok` or a typed `ParseError` naming a line of
-//! the input, never a panic.
+//! Property tests for the netlist decoder over the builtin netlists.
+//! Token level: shuffling, dropping, duplicating and mutating tokens.
+//! Byte level: bit flips, truncations, inserted NULs and invalid UTF-8,
+//! fed through lossy UTF-8 conversion as a reader of untrusted files
+//! would. Every case must come back as `Ok` or a typed `ParseError`
+//! naming a line of the input, never a panic.
 
 // Test target: aborting on a malformed result with a message
 // is the intended failure mode, so expect is fine here.
@@ -63,6 +65,55 @@ fn corpus() -> &'static [Vec<Vec<String>>] {
     })
 }
 
+/// The builtin netlists as bytes.
+fn byte_corpus() -> &'static [Vec<u8>] {
+    static CORPUS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        BUILTIN_NAMES
+            .iter()
+            .map(|which| {
+                builtin_circuit(which)
+                    .expect("builtin netlist")
+                    .netlist()
+                    .into_bytes()
+            })
+            .collect()
+    })
+}
+
+/// Byte sequences that are not UTF-8: a lone continuation byte, bytes
+/// UTF-8 never uses, a truncated two-, three- and four-byte sequence, an
+/// overlong NUL and an encoded surrogate.
+const INVALID_UTF8: [&[u8]; 8] = [
+    &[0x80],
+    &[0xff],
+    &[0xfe, 0xfe],
+    &[0xc3],
+    &[0xe2, 0x82],
+    &[0xf0, 0x9f, 0x98],
+    &[0xc0, 0x80],
+    &[0xed, 0xa0, 0x80],
+];
+
+/// Applies one byte edit: the low bits of `code` choose the edit, the
+/// rest pick the position and the bit or sequence it writes.
+fn byte_edit(bytes: &mut Vec<u8>, code: u64) {
+    if bytes.is_empty() {
+        return;
+    }
+    let (op, at, arg) = (code % 4, (code >> 2) as usize, (code >> 40) as usize);
+    let at = at % bytes.len();
+    match op {
+        0 => bytes[at] ^= 1 << (arg % 8),
+        1 => bytes.truncate(at),
+        2 => bytes.insert(at, 0),
+        _ => {
+            let seq = INVALID_UTF8[arg % INVALID_UTF8.len()];
+            bytes.splice(at..at, seq.iter().copied());
+        }
+    }
+}
+
 /// Applies one token edit: the low bits of `code` choose the edit, the
 /// rest pick the lines and tokens it touches.
 fn edit(lines: &mut [Vec<String>], code: u64) {
@@ -120,6 +171,27 @@ proptest! {
                 (1..=lines.len()).contains(&e.line) && !e.message.is_empty(),
                 "error {e:?} names no line of a {}-line input",
                 lines.len()
+            );
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn byte_edits_never_panic_the_parser(
+        which in 0usize..BUILTIN_NAMES.len(),
+        edits in prop::collection::vec(any::<u64>(), 1..12),
+    ) {
+        let mut bytes = byte_corpus()[which].clone();
+        for &code in &edits {
+            byte_edit(&mut bytes, code);
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Err(e) = parse_netlist(&text) {
+            let lines = text.lines().count();
+            prop_assert!(
+                (1..=lines).contains(&e.line) && !e.message.is_empty(),
+                "error {e:?} names no line of a {lines}-line input"
             );
         }
     }

@@ -8,19 +8,23 @@
 //! # Sparse path and parallel sweeps
 //!
 //! At or above [`NewtonOptions::sparse_threshold`] unknowns (by default
-//! every size) the sweep runs on a sparse complex LU: the `G + jωC`
+//! every size) the sweep runs on a sparse complex LU. The `G + jωC`
 //! stamp pattern is recorded once per topology (it is
-//! frequency-independent), one reference factorization at the first
-//! frequency freezes the symbolic analysis and pivot order, and every
-//! subsequent point replays an in-place
-//! numeric refactorization — no DFS, no pivot search, no dense O(n³)
-//! elimination. The frequency grid is partitioned into chunks executed
-//! on `cml_runner::par_map`; each worker clones the reference
-//! factorization, so all points share one pivot order and results are
-//! bit-identical for any thread count. Any per-point failure (pattern
-//! miss or a dead frozen pivot) falls back to the dense solve for that
-//! point only — the self-heal ladder of the DC/transient sparse path,
-//! specialized to a sweep of independent solves.
+//! frequency-independent). The elements are stamped once per sweep, at
+//! `ω = 1`: by the [`Element::stamp_ac`](crate::element::Element::stamp_ac)
+//! contract the real parts are `G`, the imaginary parts are `C` and the
+//! RHS does not depend on `ω`. One reference factorization at the first
+//! frequency freezes the symbolic analysis and pivot order. Every point
+//! is then a load of `G + jωC` into the CSR values plus an in-place
+//! numeric refactorization and solve — no stamping, no DFS, no pivot
+//! search, no dense O(n³) elimination. The frequency grid is
+//! partitioned into chunks executed on `cml_runner::par_map`; each
+//! worker clones the reference state, so all points share one stamp and
+//! one pivot order and results are bit-identical for any thread count.
+//! A point whose frozen-pivot replay fails (a dead pivot) falls back to
+//! the dense solve for that point only — the self-heal ladder of the
+//! DC/transient sparse path, specialized to a sweep of independent
+//! solves.
 
 use super::{cache, AcSparseState, NewtonOptions, System};
 use crate::circuit::{Circuit, NodeId};
@@ -294,27 +298,28 @@ fn sweep_prechecked_impl(
     })
 }
 
-/// Builds and numerically factors the reference sparse state at the
-/// sweep's first frequency. `None` (→ dense sweep) when the pattern
-/// cannot be built or the reference factorization fails.
+/// Builds the reference sparse state — pattern, the sweep's one stamp
+/// pass, and the numeric factorization of `G + jω₀C` at the sweep's
+/// first frequency. `None` (→ dense sweep) when the pattern cannot be
+/// built or the reference factorization fails.
 fn prepare_ac_sparse(sys: &System<'_>, x_op: &[f64], f0: f64, gmin: f64) -> Option<AcSparseState> {
-    let omega0 = 2.0 * std::f64::consts::PI * f0;
-    let mut sp = sys.build_ac_sparse(x_op, omega0)?;
-    let mut rhs = Vec::new();
-    if !sys.assemble_ac_sparse(x_op, omega0, gmin, &mut sp, &mut rhs) {
+    let mut sp = sys.build_ac_sparse(x_op)?;
+    if !sys.assemble_ac_sparse(x_op, gmin, &mut sp) {
         return None;
     }
+    sp.load(2.0 * std::f64::consts::PI * f0);
     sp.lu.factor(&sp.mat).ok()?;
     Some(sp)
 }
 
 /// Solves one chunk of frequency points, returning the flat solutions.
 ///
-/// Each chunk clones the reference factorization, so every point in
-/// every chunk replays the *same* frozen pivot order; a point whose
-/// replay fails (pattern miss or dead pivot) is solved dense instead.
-/// Both make each point's result independent of the chunking, which is
-/// what guarantees bit-identical sweeps across thread counts.
+/// Each chunk clones the reference state, so every point in every chunk
+/// loads `G + jωC` from the same stamp and replays the *same* frozen
+/// pivot order; a point whose replay fails (a dead pivot) is solved
+/// dense instead. Both make each point's result independent of the
+/// chunking, which is what guarantees bit-identical sweeps across thread
+/// counts.
 fn solve_chunk(
     sys: &System<'_>,
     x_op: &[f64],
@@ -327,16 +332,14 @@ fn solve_chunk(
     let mut out = Vec::with_capacity(freqs.len() * dim);
     let mut sp = reference.cloned();
     let mut dense: Option<ComplexMatrix> = None;
-    let mut rhs: Vec<Complex64> = Vec::with_capacity(dim);
     let mut x: Vec<Complex64> = vec![Complex64::ZERO; dim];
     for &f in freqs {
         let omega = 2.0 * std::f64::consts::PI * f;
         let solved_sparse = match sp.as_mut() {
             Some(sp) => {
                 let _t = tel.timer_fine(Phase::Refactor);
-                sys.assemble_ac_sparse(x_op, omega, gmin, sp, &mut rhs)
-                    && sp.lu.refactor_frozen(&sp.mat).is_ok()
-                    && sp.lu.solve_into(&rhs, &mut x).is_ok()
+                sp.load(omega);
+                sp.lu.refactor_frozen(&sp.mat).is_ok() && sp.lu.solve_into(&sp.rhs, &mut x).is_ok()
             }
             None => false,
         };
@@ -354,8 +357,8 @@ fn solve_chunk(
             if sp.is_some() {
                 tel.degradation(
                     "ac-point-fallback",
-                    "an AC point's frozen-pivot replay failed (pattern miss \
-                     or pivot death); that point was solved dense",
+                    "an AC point's frozen-pivot replay failed (pivot \
+                     death); that point was solved dense",
                 );
             }
             let matrix = dense.get_or_insert_with(|| ComplexMatrix::zeros(dim, dim));

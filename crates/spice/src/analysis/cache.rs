@@ -125,8 +125,8 @@ fn matrix_bits(mat: &CsrMatrix<Complex64>) -> Vec<u64> {
 }
 
 /// Cached variant of the AC sweep's reference preparation: serves the
-/// `G + jωC` stamp pattern by topology, assembles the reference matrix
-/// at `f0` fresh, then serves the *factorization* interned under the
+/// `G + jωC` stamp pattern by topology, runs the sweep's stamp pass and
+/// loads the reference matrix at `f0` fresh, then serves the *factorization* interned under the
 /// same topology, used only when its bits equal the live assembly. Falls
 /// back to cold derivation at every validation boundary; returns `None`
 /// (→ dense sweep) exactly when the uncached path would.
@@ -137,19 +137,16 @@ pub(super) fn prepare_ac_sparse_cached(
     gmin: f64,
     tel: &Telemetry,
 ) -> Option<AcSparseState> {
-    let omega0 = 2.0 * std::f64::consts::PI * f0;
-
     // Topology-keyed pattern + symbolic analysis.
     let pat_key = topology_key(sys, ArtifactKind::AcPattern);
     let (arc, was_hit) = intern::get_or_insert_with::<AcSparseState, _>(pat_key, || {
-        sys.build_ac_sparse(x_op, omega0).map(Arc::new)
+        sys.build_ac_sparse(x_op).map(Arc::new)
     })?;
     count_outcome(tel, was_hit);
     let mut sp: AcSparseState = arc.as_ref().clone();
 
-    // Reference assembly at f0, always fresh (values are never cached).
-    let mut rhs = Vec::new();
-    if !sys.assemble_ac_sparse(x_op, omega0, gmin, &mut sp, &mut rhs) {
+    // The sweep's stamp pass, always fresh (values are never cached).
+    if !sys.assemble_ac_sparse(x_op, gmin, &mut sp) {
         // The cached pattern can't carry this circuit's stamps (it can
         // only happen on a topology-hash abstraction failure): reject
         // it, rebuild fresh, and re-intern the good pattern.
@@ -158,13 +155,14 @@ pub(super) fn prepare_ac_sparse_cached(
             kind: "ac-pattern-stamp".into(),
         });
         cml_cache::note_validation_failure();
-        let fresh = sys.build_ac_sparse(x_op, omega0)?;
+        let fresh = sys.build_ac_sparse(x_op)?;
         intern::insert(pat_key, Arc::new(fresh.clone()));
         sp = fresh;
-        if !sys.assemble_ac_sparse(x_op, omega0, gmin, &mut sp, &mut rhs) {
+        if !sys.assemble_ac_sparse(x_op, gmin, &mut sp) {
             return None;
         }
     }
+    sp.load(2.0 * std::f64::consts::PI * f0);
 
     // One factorization per topology, valid only for the exact matrix
     // it was factored from. A design-point sweep replaces the entry

@@ -928,22 +928,22 @@ impl<'a> System<'a> {
         Ok(())
     }
 
-    /// Discovers the AC stamp pattern with one recording pass at `omega`
-    /// and builds the fixed-pattern complex CSR matrix plus its sparse
-    /// LU (symbolic analysis only; the caller runs the first numeric
+    /// Discovers the AC stamp pattern with one recording pass and builds
+    /// the fixed-pattern complex CSR matrix plus its sparse LU (symbolic
+    /// analysis only; the caller assembles and runs the first numeric
     /// factorization). The union pattern of `G + jωC` is
     /// frequency-independent — every element writes its full footprint
     /// at any `omega` — so one recording serves the whole sweep. As in
     /// [`build_sparse`](Self::build_sparse), the position set is
     /// symmetrized and every diagonal is added. Returns `None` when the
     /// pattern cannot be built; the sweep then stays dense.
-    fn build_ac_sparse(&self, x_op: &[f64], omega: f64) -> Option<AcSparseState> {
+    fn build_ac_sparse(&self, x_op: &[f64]) -> Option<AcSparseState> {
         let dim = self.dim();
         let mut positions: Vec<(usize, usize)> = Vec::new();
         let mut scratch_rhs = vec![Complex64::ZERO; dim];
         for (idx, e) in self.ckt.elements().enumerate() {
             let mut stamper = AcStamper::pattern(&mut positions, &mut scratch_rhs, self.n_nodes);
-            e.stamp_ac(x_op, self.branch_bases[idx], omega, &mut stamper);
+            e.stamp_ac(x_op, self.branch_bases[idx], 1.0, &mut stamper);
         }
         let n_recorded = positions.len();
         for i in 0..n_recorded {
@@ -957,59 +957,76 @@ impl<'a> System<'a> {
         Some(AcSparseState {
             mat,
             lu,
-            slots: StampSlots::default(),
             diag_slots: diag_slots?,
+            g: Vec::new(),
+            c: Vec::new(),
+            rhs: Vec::new(),
         })
     }
 
-    /// Sparse analogue of the assembly half of
-    /// [`solve_ac_into`](Self::solve_ac_into): restamps `G + jωC` at
-    /// `omega` into the reserved CSR slots and rebuilds the RHS. Returns
-    /// `false` on a pattern miss (an element wrote a position absent from
-    /// the recorded pattern); the caller then solves this point dense.
-    fn assemble_ac_sparse(
-        &self,
-        x_op: &[f64],
-        omega: f64,
-        gmin: f64,
-        sp: &mut AcSparseState,
-        rhs: &mut Vec<Complex64>,
-    ) -> bool {
+    /// The sweep's one stamp pass: stamps every element at `ω = 1` into
+    /// the reserved CSR slots, adds gmin to the node diagonals, and splits
+    /// the values into `sp.g` (real parts) and `sp.c` (imaginary parts),
+    /// with the excitation in `sp.rhs`. By the [`Element::stamp_ac`]
+    /// contract every point of the sweep is then
+    /// [`AcSparseState::load`]`(ω)`. Returns `false` on a pattern miss
+    /// (an element wrote a position absent from the recorded pattern).
+    fn assemble_ac_sparse(&self, x_op: &[f64], gmin: f64, sp: &mut AcSparseState) -> bool {
         sp.mat.clear_vals();
-        rhs.clear();
-        rhs.resize(self.dim(), Complex64::ZERO);
-        sp.slots.begin_pass();
+        sp.rhs.clear();
+        sp.rhs.resize(self.dim(), Complex64::ZERO);
+        let mut slots = StampSlots::default();
+        slots.begin_pass();
         for (idx, e) in self.ckt.elements().enumerate() {
-            let mut stamper = AcStamper::sparse(&mut sp.mat, &mut sp.slots, rhs, self.n_nodes);
-            e.stamp_ac(x_op, self.branch_bases[idx], omega, &mut stamper);
+            let mut stamper = AcStamper::sparse(&mut sp.mat, &mut slots, &mut sp.rhs, self.n_nodes);
+            e.stamp_ac(x_op, self.branch_bases[idx], 1.0, &mut stamper);
         }
-        if sp.slots.missing() {
+        if slots.missing() {
             return false;
         }
         for &s in &sp.diag_slots {
             sp.mat.vals_mut()[s] += Complex64::from_real(gmin);
         }
+        sp.g = sp.mat.vals().iter().map(|z| z.re).collect();
+        sp.c = sp.mat.vals().iter().map(|z| z.im).collect();
         true
     }
 }
 
-/// Sparse AC sweep state: the fixed-pattern `G + jωC` matrix, its
-/// complex LU (pivot order frozen at the sweep's reference frequency),
-/// the stamp-pointer cache, and the node-diagonal slots for gmin.
+/// Sparse AC sweep state: the fixed-pattern complex matrix, its complex
+/// LU (pivot order frozen at the sweep's reference frequency), the
+/// node-diagonal slots for gmin, and the sweep's one stamp split into
+/// `G` and `C` value arrays parallel to the CSR values.
 ///
 /// `Clone` matters: the sweep factors one reference state, then every
-/// parallel worker clones it — same frozen pivot order everywhere — and
-/// replays numeric refactorizations per frequency point.
+/// parallel worker clones it — same frozen pivot order and the same
+/// `G`/`C` everywhere — and replays numeric refactorizations per
+/// frequency point.
 #[derive(Debug, Clone)]
 pub(crate) struct AcSparseState {
     /// Fixed-pattern complex MNA matrix; only `vals` change per point.
     mat: CsrMatrix<Complex64>,
     /// Complex sparse LU with a replay-only refactorization path.
     lu: SparseLu<Complex64>,
-    /// Stamp-pointer cache for the per-point assembly pass.
-    slots: StampSlots,
     /// Value-slot of each node diagonal, for the gmin stamp.
     diag_slots: Vec<usize>,
+    /// Real parts of the stamp (conductances, incidences, gmin).
+    g: Vec<f64>,
+    /// Imaginary parts of the stamp at `ω = 1` (capacitances,
+    /// inductances).
+    c: Vec<f64>,
+    /// Excitation RHS; independent of `ω`.
+    rhs: Vec<Complex64>,
+}
+
+impl AcSparseState {
+    /// Writes the matrix values at angular frequency `omega`:
+    /// `vals = G + jωC`.
+    fn load(&mut self, omega: f64) {
+        for ((v, &g), &c) in self.mat.vals_mut().iter_mut().zip(&self.g).zip(&self.c) {
+            *v = Complex64::new(g, omega * c);
+        }
+    }
 }
 
 /// One damped Newton update of the iterate `x` toward the raw solution

@@ -299,8 +299,8 @@ impl<'a> Stamper<'a> {
 }
 
 /// Where matrix writes of an [`AcStamper`] go — the complex mirror of
-/// [`MatSink`], minus the discard mode (AC has no RHS-only reuse: the
-/// matrix changes at every frequency).
+/// [`MatSink`], minus the discard mode (AC has no RHS-only reuse: a
+/// sweep stamps once, matrix and RHS together).
 #[derive(Debug)]
 enum AcMatSink<'a> {
     /// Accumulate into a dense complex MNA matrix.
@@ -321,8 +321,10 @@ enum AcMatSink<'a> {
 ///
 /// Like [`Stamper`], the matrix side is pluggable: the sparse AC path
 /// discovers the stamp pattern once per topology via
-/// [`AcStamper::pattern`] and then re-stamps values into the reserved
-/// CSR slots via [`AcStamper::sparse`] at every frequency point.
+/// [`AcStamper::pattern`] and then stamps values into the reserved CSR
+/// slots via [`AcStamper::sparse`] once per sweep, at `ω = 1`; every
+/// frequency point is rebuilt from that stamp as `G + jωC` (see
+/// [`Element::stamp_ac`]).
 #[derive(Debug)]
 pub struct AcStamper<'a> {
     matrix: AcMatSink<'a>,
@@ -657,6 +659,17 @@ pub trait Element: fmt::Debug + Send + Sync {
 
     /// Stamps the small-signal contribution at angular frequency `omega`,
     /// linearized around the operating point `x_op`.
+    ///
+    /// The matrix stamp must be affine in `omega`: it must equal
+    /// `G + jωC` with `G` and `C` real matrices that do not depend on
+    /// `omega`, and the RHS (the excitation) must not depend on `omega`
+    /// at all. The sparse AC sweep relies on this: it stamps every
+    /// element once, at `ω = 1`, takes `G` from the real parts and `C`
+    /// from the imaginary parts, and rebuilds each frequency point as
+    /// `G + jωC` without calling this method again. An element whose
+    /// admittance is not affine in `omega` (a `1/(jωL)` two-terminal
+    /// stamp, for example) must add a branch unknown instead, as
+    /// [`Inductor`](crate::elements::two_terminal::Inductor) does.
     fn stamp_ac(&self, x_op: &[f64], branch_base: usize, omega: f64, out: &mut AcStamper<'_>);
 
     /// DC power dissipated by the element at operating point `x_op`, in
@@ -854,5 +867,157 @@ mod tests {
         };
         assert_eq!(ctx.v(NodeId::GROUND), 0.0);
         assert_eq!(ctx.v(NodeId::from_raw(1)), 1.5);
+    }
+
+    /// Largest distance, in units in the last place, allowed between an
+    /// imaginary part stamped at `ω` and `ω` times the one stamped at
+    /// `ω = 1`. An entry sums at most two same-sign capacitive terms in
+    /// the cases below, so the two orders of rounding differ by a couple
+    /// of ulps at most.
+    const AFFINE_ULPS: u64 = 4;
+
+    /// Distance between two doubles in units in the last place (`+0` and
+    /// `−0` coincide).
+    fn ulps(a: f64, b: f64) -> u64 {
+        let key = |v: f64| {
+            let i = v.to_bits() as i64;
+            if i < 0 {
+                i64::MIN.wrapping_sub(i)
+            } else {
+                i
+            }
+        };
+        key(a).abs_diff(key(b))
+    }
+
+    /// Every builtin `stamp_ac` implementor, each alone on four nodes
+    /// plus one branch row, with the operating point it is stamped at.
+    /// The MOSFETs cover every region in both polarities and both
+    /// drain/source orientations; the diodes forward, zero and reverse
+    /// bias.
+    fn ac_cases() -> Vec<(Box<dyn Element>, [f64; 5])> {
+        use crate::devices::diode::{Diode, DiodeParams};
+        use crate::devices::mosfet::{MosParams, MosRegion, MosType, Mosfet};
+        use crate::elements::controlled::{Vccs, Vcvs};
+        use crate::elements::sources::{Isource, Vsource};
+        use crate::elements::two_terminal::{Capacitor, Inductor, Resistor};
+        let n = |i: u32| NodeId::from_raw(i + 1);
+        let card = |mos_type| MosParams {
+            mos_type,
+            w: 10e-6,
+            l: 0.18e-6,
+            vth0: 0.45,
+            kp: 170e-6,
+            lambda: 0.1,
+            cox: 8.4e-3,
+            cov: 3.0e-10,
+            cj: 1.0e-3,
+            ldiff: 0.5e-6,
+        };
+        let diode = Diode::new(
+            "D1",
+            n(0),
+            n(1),
+            DiodeParams {
+                cj0: 50e-15,
+                ..DiodeParams::default()
+            },
+        );
+        let mut cases: Vec<(Box<dyn Element>, [f64; 5])> = vec![
+            (Box::new(Resistor::new("R1", n(0), n(1), 50.0)), [0.0; 5]),
+            (Box::new(Capacitor::new("C1", n(0), n(1), 20e-15)), [0.0; 5]),
+            (Box::new(Inductor::new("L1", n(0), n(1), 1e-9)), [0.0; 5]),
+            (
+                Box::new(Vsource::dc("V1", n(0), n(1), 1.0).with_ac(0.5)),
+                [0.0; 5],
+            ),
+            (
+                Box::new(Isource::dc("I1", n(0), n(1), 1e-3).with_ac(2e-3)),
+                [0.0; 5],
+            ),
+            (
+                Box::new(Vcvs::new("E1", n(0), n(1), n(2), n(3), 3.0)),
+                [0.0; 5],
+            ),
+            (
+                Box::new(Vccs::new("G1", n(0), n(1), n(2), n(3), 1e-2)),
+                [0.0; 5],
+            ),
+            (Box::new(diode.clone()), [0.65, 0.0, 0.0, 0.0, 0.0]),
+            (Box::new(diode.clone()), [0.3, 0.3, 0.0, 0.0, 0.0]),
+            (Box::new(diode), [-1.0, 0.0, 0.0, 0.0, 0.0]),
+        ];
+        // Drain, gate, source and body on nodes 0..4; then once more with
+        // the body tied to the source, so junction and gate capacitances
+        // share diagonal entries.
+        let mos_points = [
+            (MosType::Nmos, [1.2, 1.0, 0.2, 0.0], MosRegion::Saturation),
+            (MosType::Nmos, [0.3, 1.5, 0.2, 0.0], MosRegion::Triode),
+            (MosType::Nmos, [1.2, 0.3, 0.2, 0.0], MosRegion::Cutoff),
+            (MosType::Nmos, [0.2, 1.0, 1.2, 0.0], MosRegion::Saturation),
+            (MosType::Nmos, [0.2, 1.5, 0.3, 0.0], MosRegion::Triode),
+            (MosType::Pmos, [0.5, 0.6, 1.8, 1.8], MosRegion::Saturation),
+            (MosType::Pmos, [1.7, 0.3, 1.8, 1.8], MosRegion::Triode),
+            (MosType::Pmos, [0.5, 1.6, 1.8, 1.8], MosRegion::Cutoff),
+            (MosType::Pmos, [1.8, 0.6, 0.5, 1.8], MosRegion::Saturation),
+            (MosType::Pmos, [1.8, 0.3, 1.7, 1.8], MosRegion::Triode),
+        ];
+        for (mos_type, [vd, vg, vs, vb], region) in mos_points {
+            let x = [vd, vg, vs, vb, 0.0];
+            for body in [n(3), n(2)] {
+                let m = Mosfet::new("M1", n(0), n(1), n(2), body, card(mos_type));
+                assert_eq!(m.small_signal(&x).region, region, "{mos_type:?} at {x:?}");
+                cases.push((Box::new(m), x));
+            }
+        }
+        cases
+    }
+
+    /// The `Element::stamp_ac` contract: each element's stamp at `ω`
+    /// equals its `ω = 1` stamp split as `G + jωC` — real parts exactly,
+    /// imaginary parts within `AFFINE_ULPS` — and its RHS is the same at
+    /// every `ω`. Frequencies are drawn log-uniformly from 1e2..1e12
+    /// rad/s by a fixed-seed generator, endpoints included.
+    #[test]
+    fn stamp_ac_is_affine_in_omega() {
+        const DIM: usize = 5;
+        let stamp = |e: &dyn Element, x: &[f64], omega: f64| {
+            let mut m = ComplexMatrix::zeros(DIM, DIM);
+            let mut rhs = vec![Complex64::ZERO; DIM];
+            e.stamp_ac(x, 0, omega, &mut AcStamper::new(&mut m, &mut rhs, 4));
+            (m, rhs)
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut omegas = vec![1e2, 1e12];
+        omegas.extend((0..62).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            10f64.powf(2.0 + 10.0 * (state >> 11) as f64 / (1u64 << 53) as f64)
+        }));
+        let mut worst = 0;
+        for (e, x) in ac_cases() {
+            let (gc, rhs1) = stamp(&*e, &x, 1.0);
+            for &omega in &omegas {
+                let (m, rhs) = stamp(&*e, &x, omega);
+                assert_eq!(rhs, rhs1, "{} RHS at ω = {omega:e}", e.name());
+                for r in 0..DIM {
+                    for c in 0..DIM {
+                        let (got, g, cap) = (m[(r, c)], gc[(r, c)].re, gc[(r, c)].im);
+                        assert_eq!(got.re, g, "{} G({r},{c}) at ω = {omega:e}", e.name());
+                        let d = ulps(got.im, omega * cap);
+                        assert!(
+                            d <= AFFINE_ULPS,
+                            "{} C({r},{c}) at ω = {omega:e}: {} vs {} ({d} ulps)",
+                            e.name(),
+                            got.im,
+                            omega * cap
+                        );
+                        worst = worst.max(d);
+                    }
+                }
+            }
+        }
+        eprintln!("stamp_ac affine contract: worst imaginary-part distance {worst} ulps");
     }
 }

@@ -107,7 +107,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable snake-case name of the event kind (JSON/prom label).
+    /// Stable snake-case name of the event kind (JSON label).
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {

@@ -25,12 +25,11 @@
 //!    order ([`Telemetry::absorb`]), and integer addition is
 //!    order-independent. Timings and per-worker load live *outside*
 //!    [`Counters`] because they are not deterministic.
-//! 3. **Four sinks.** An in-memory [`SolverReport`] (typed, queryable
+//! 3. **Three sinks.** An in-memory [`SolverReport`] (typed, queryable
 //!    from tests and bench binaries), JSON via `CML_TELEMETRY=json:<path>`,
-//!    the Chrome trace-event format (loadable in `chrome://tracing`
+//!    and the Chrome trace-event format (loadable in `chrome://tracing`
 //!    and [ui.perfetto.dev](https://ui.perfetto.dev)) via
-//!    `CML_TELEMETRY=trace:<path>`, and the Prometheus text exposition
-//!    via `CML_TELEMETRY=prom:<path>` (see [`SolverReport::prometheus`]).
+//!    `CML_TELEMETRY=trace:<path>`.
 //!
 //! PR 10 adds the **structured event log** (see [`events`]): typed,
 //! timestamped [`Event`] records of discrete solver happenings (Newton
@@ -56,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod events;
-mod prom;
 
 pub use events::{Event, EventKind, EventRing, DEFAULT_EVENT_CAPACITY};
 
@@ -68,10 +66,9 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Environment variable configuring telemetry sinks: a comma-separated
-/// list of `json:<path>`, `trace:<path>`, `prom:<path>` and the bare
-/// token `fine` (enable per-solve spans and per-factorization timers).
-/// Any non-empty value enables recording; `json:`/`trace:`/`prom:`
-/// entries additionally select where [`Telemetry::flush`] writes.
+/// list of `json:<path>`, `trace:<path>` and the bare token `fine`
+/// (enable per-solve spans and per-factorization timers). Any non-empty
+/// value enables recording; `json:`/`trace:` entries additionally select where [`Telemetry::flush`] writes.
 pub const TELEMETRY_ENV: &str = "CML_TELEMETRY";
 
 /// Environment variable suppressing the one-line degradation warnings
@@ -663,7 +660,6 @@ pub struct Parts {
 enum Sink {
     Json(PathBuf),
     Trace(PathBuf),
-    Prom(PathBuf),
 }
 
 /// The instrumentation handle analyses thread through the solver.
@@ -734,7 +730,7 @@ impl Telemetry {
         }
     }
 
-    /// Applies a `json:<path>,trace:<path>,prom:<path>,fine` spec to
+    /// Applies a `json:<path>,trace:<path>,fine` spec to
     /// this handle.
     #[must_use]
     fn with_env_spec(mut self, spec: &str) -> Self {
@@ -743,8 +739,6 @@ impl Telemetry {
                 self.sinks.push(Sink::Json(PathBuf::from(path)));
             } else if let Some(path) = token.strip_prefix("trace:") {
                 self.sinks.push(Sink::Trace(PathBuf::from(path)));
-            } else if let Some(path) = token.strip_prefix("prom:") {
-                self.sinks.push(Sink::Prom(PathBuf::from(path)));
             } else if token == "fine" {
                 self.fine = true;
             } else if token != "1" && token != "on" {
@@ -885,13 +879,6 @@ impl Telemetry {
             rec.borrow_mut().events = EventRing::with_capacity(capacity);
         }
         self
-    }
-
-    /// Renders the current state in the Prometheus text exposition
-    /// format (shorthand for `report().prometheus()`).
-    #[must_use]
-    pub fn prometheus(&self) -> String {
-        self.report().prometheus()
     }
 
     /// Opens a coarse span; the returned guard records it when dropped.
@@ -1041,10 +1028,9 @@ impl Telemetry {
             match sink {
                 Sink::Json(path) => report.write_json(path)?,
                 Sink::Trace(path) => report.write_chrome_trace(path)?,
-                Sink::Prom(path) => report.write_prometheus(path)?,
             }
             written.push(match sink {
-                Sink::Json(p) | Sink::Trace(p) | Sink::Prom(p) => p.clone(),
+                Sink::Json(p) | Sink::Trace(p) => p.clone(),
             });
         }
         Ok(written)
@@ -1715,6 +1701,7 @@ mod tests {
 
     #[test]
     fn env_spec_parsing() {
+        // An unknown token such as `prom:` is ignored with a warning.
         let tel = Telemetry::enabled()
             .with_env_spec("json:/tmp/a.json, trace:/tmp/b.json ,prom:/tmp/c.prom ,fine");
         assert!(tel.is_fine());
@@ -1723,7 +1710,6 @@ mod tests {
             vec![
                 Sink::Json(PathBuf::from("/tmp/a.json")),
                 Sink::Trace(PathBuf::from("/tmp/b.json")),
-                Sink::Prom(PathBuf::from("/tmp/c.prom")),
             ]
         );
     }

@@ -975,13 +975,11 @@ impl<'a> System<'a> {
         sp.mat.clear_vals();
         sp.rhs.clear();
         sp.rhs.resize(self.dim(), Complex64::ZERO);
-        let mut slots = StampSlots::default();
-        slots.begin_pass();
+        let mut stamper = AcStamper::sparse(&mut sp.mat, &mut sp.rhs, self.n_nodes);
         for (idx, e) in self.ckt.elements().enumerate() {
-            let mut stamper = AcStamper::sparse(&mut sp.mat, &mut slots, &mut sp.rhs, self.n_nodes);
             e.stamp_ac(x_op, self.branch_bases[idx], 1.0, &mut stamper);
         }
-        if slots.missing() {
+        if stamper.missed_pattern() {
             return false;
         }
         for &s in &sp.diag_slots {

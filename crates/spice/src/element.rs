@@ -310,10 +310,12 @@ enum AcMatSink<'a> {
     /// pattern of `G + jωC`.
     Pattern(&'a mut Vec<(usize, usize)>),
     /// Accumulate into the reserved slots of a fixed-pattern complex CSR
-    /// matrix, with stamp-pointer caching through `slots`.
+    /// matrix, found by binary search (a sweep stamps once, so there is
+    /// nothing for a stamp-pointer cache to reuse). `missing` records a
+    /// write outside the pattern.
     Sparse {
         mat: &'a mut CsrMatrix<Complex64>,
-        slots: &'a mut StampSlots,
+        missing: bool,
     },
 }
 
@@ -361,20 +363,28 @@ impl<'a> AcStamper<'a> {
 
     /// Creates an AC stamper that accumulates matrix writes directly into
     /// the reserved nonzero slots of `matrix` (a fixed-pattern complex
-    /// CSR built by the analysis), using — and maintaining — the
-    /// stamp-pointer cache in `slots`. Call [`StampSlots::begin_pass`]
-    /// before each assembly.
+    /// CSR built by the analysis). A write outside the pattern is
+    /// dropped and reported by [`AcStamper::missed_pattern`].
     pub fn sparse(
         matrix: &'a mut CsrMatrix<Complex64>,
-        slots: &'a mut StampSlots,
         rhs: &'a mut [Complex64],
         n_nodes: usize,
     ) -> Self {
         AcStamper {
-            matrix: AcMatSink::Sparse { mat: matrix, slots },
+            matrix: AcMatSink::Sparse {
+                mat: matrix,
+                missing: false,
+            },
             rhs,
             n_nodes,
         }
+    }
+
+    /// Whether a write of a [`sparse`](Self::sparse) stamper hit a
+    /// position absent from the matrix pattern.
+    #[must_use]
+    pub fn missed_pattern(&self) -> bool {
+        matches!(self.matrix, AcMatSink::Sparse { missing: true, .. })
     }
 
     /// Row/column index of a branch unknown.
@@ -389,30 +399,10 @@ impl<'a> AcStamper<'a> {
         match &mut self.matrix {
             AcMatSink::Dense(m) => m[(r, c)] += v,
             AcMatSink::Pattern(p) => p.push((r, c)),
-            AcMatSink::Sparse { mat, slots } => {
-                let cur = slots.cursor;
-                if let Some(&(er, ec, es)) = slots.seq.get(cur) {
-                    if er == r && ec == c {
-                        mat.vals_mut()[es] += v;
-                        slots.cursor = cur + 1;
-                        return;
-                    }
-                }
-                // Cache miss: repair this position and keep going, as in
-                // the real-valued stamper.
-                match mat.find(r, c) {
-                    Some(s) => {
-                        mat.vals_mut()[s] += v;
-                        if cur < slots.seq.len() {
-                            slots.seq[cur] = (r, c, s);
-                        } else {
-                            slots.seq.push((r, c, s));
-                        }
-                        slots.cursor = cur + 1;
-                    }
-                    None => slots.missing = true,
-                }
-            }
+            AcMatSink::Sparse { mat, missing } => match mat.find(r, c) {
+                Some(s) => mat.vals_mut()[s] += v,
+                None => *missing = true,
+            },
         }
     }
 
@@ -817,29 +807,22 @@ mod tests {
         let mut rec = AcStamper::pattern(&mut positions, &mut rhs_p, n);
         stamp_all(&mut rec);
         let mut csr = CsrMatrix::<Complex64>::from_pattern(n, n, &positions).unwrap();
-        let mut slots = StampSlots::default();
 
         let mut dense = ComplexMatrix::zeros(n, n);
         let mut rhs_d = vec![Complex64::ZERO; n];
         let mut ds = AcStamper::new(&mut dense, &mut rhs_d, n);
         stamp_all(&mut ds);
 
-        // Two sparse passes: the first fills the slot cache, the second
-        // replays it; both must agree with the dense stamp.
-        for _ in 0..2 {
-            csr.clear_vals();
-            let mut rhs_s = vec![Complex64::ZERO; n];
-            slots.begin_pass();
-            let mut ss = AcStamper::sparse(&mut csr, &mut slots, &mut rhs_s, n);
-            stamp_all(&mut ss);
-            assert!(!slots.missing());
-            for r in 0..n {
-                for c in 0..n {
-                    assert_eq!(csr.get(r, c), dense[(r, c)], "({r},{c})");
-                }
+        let mut rhs_s = vec![Complex64::ZERO; n];
+        let mut ss = AcStamper::sparse(&mut csr, &mut rhs_s, n);
+        stamp_all(&mut ss);
+        assert!(!ss.missed_pattern());
+        for r in 0..n {
+            for c in 0..n {
+                assert_eq!(csr.get(r, c), dense[(r, c)], "({r},{c})");
             }
-            assert_eq!(rhs_s, rhs_d);
         }
+        assert_eq!(rhs_s, rhs_d);
     }
 
     #[test]
@@ -847,12 +830,12 @@ mod tests {
         let mut positions = vec![(0usize, 0usize)];
         let mut csr = CsrMatrix::<Complex64>::from_pattern(2, 2, &positions).unwrap();
         positions.clear();
-        let mut slots = StampSlots::default();
         let mut rhs = vec![Complex64::ZERO; 2];
-        slots.begin_pass();
-        let mut s = AcStamper::sparse(&mut csr, &mut slots, &mut rhs, 2);
+        let mut s = AcStamper::sparse(&mut csr, &mut rhs, 2);
+        s.mat(Some(0), Some(0), Complex64::ONE);
+        assert!(!s.missed_pattern());
         s.mat(Some(1), Some(1), Complex64::ONE); // not in the pattern
-        assert!(slots.missing());
+        assert!(s.missed_pattern());
     }
 
     #[test]

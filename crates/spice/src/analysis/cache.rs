@@ -126,10 +126,11 @@ fn matrix_bits(mat: &CsrMatrix<Complex64>) -> Vec<u64> {
 
 /// Cached variant of the AC sweep's reference preparation: serves the
 /// `G + jωC` stamp pattern by topology, runs the sweep's stamp pass and
-/// loads the reference matrix at `f0` fresh, then serves the *factorization* interned under the
-/// same topology, used only when its bits equal the live assembly. Falls
-/// back to cold derivation at every validation boundary; returns `None`
-/// (→ dense sweep) exactly when the uncached path would.
+/// loads the reference matrix at `f0` fresh, then serves the
+/// *factorization* interned under the same topology, used only when its
+/// bits equal the live assembly. Falls back to cold derivation at every
+/// validation boundary; returns `None` (→ dense sweep) exactly when the
+/// uncached path would.
 pub(super) fn prepare_ac_sparse_cached(
     sys: &System<'_>,
     x_op: &[f64],

@@ -443,12 +443,20 @@ mod tests {
         }
     }
 
+    // Debug builds panic; release builds clamp the area to
+    // MIN_GATE_AREA. The typed-error path for untrusted inputs is
+    // `try_vth_sigma`.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "finite positive gate dimensions")]
     fn vth_sigma_panics_on_zero_width_in_debug() {
-        // Release builds instead clamp the area to MIN_GATE_AREA; the
-        // typed-error path for untrusted inputs is `try_vth_sigma`.
         let _ = vth_sigma(0.0, 0.18e-6);
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn vth_sigma_clamps_zero_width_in_release() {
+        assert_eq!(vth_sigma(0.0, 0.18e-6), A_VT / MIN_GATE_AREA.sqrt());
     }
 
     #[test]

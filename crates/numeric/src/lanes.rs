@@ -16,9 +16,11 @@
 //! only as good as its worst variant and the generic NaN-aware guards
 //! (`!(modulus() > tol)`) trip as soon as *any* lane goes numerically
 //! dead. The [`LaneScalar`] impl refines that with per-lane masks so
-//! the masked kernel can quarantine the dead lane and keep the others
-//! marching — see
-//! [`SparseLu::refactor_frozen_masked`](crate::SparseLu::refactor_frozen_masked).
+//! the masked entry point can quarantine the dead lane and keep the
+//! others marching — see
+//! [`SparseLu::refactor_frozen_masked`](crate::SparseLu::refactor_frozen_masked),
+//! which runs the one replay kernel of the scalar and complex
+//! refactorizations with a per-lane pivot guard.
 
 use crate::scalar::{LaneScalar, Scalar};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};

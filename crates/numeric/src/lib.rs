@@ -13,9 +13,12 @@
 //! * [`SparseLu`] — left-looking sparse LU with threshold pivoting and a
 //!   replayable refactorization path for Newton loops on a fixed pattern,
 //!   generic over [`Scalar`] (`f64` for DC/transient, [`Complex64`] for
-//!   the AC `G + jωC` systems),
+//!   the AC `G + jωC` systems). One replay kernel, in pivot space, sits
+//!   behind all three entry points ([`SparseLu::refactor`],
+//!   [`SparseLu::refactor_frozen`], [`SparseLu::refactor_frozen_masked`]);
+//!   they differ only in what a dead pivot does,
 //! * [`lanes`] — structure-of-arrays `f64` lane packs ([`F64s`]) with
-//!   per-lane pivot-death masks, letting the sparse LU above factor K
+//!   per-lane pivot-death masks, letting that same replay kernel factor K
 //!   same-pattern matrices in lockstep
 //!   ([`SparseLu::refactor_frozen_masked`]) for batched Monte-Carlo
 //!   solves,

@@ -14,11 +14,19 @@
 //!    the near-symmetric fill pattern of MNA systems.
 //! 2. **Replayable refactorization.** Newton iteration changes matrix
 //!    *values* but never the *pattern*, so after one full factorization
-//!    ([`SparseLu::factor`]) the per-column topological reach lists and
-//!    the pivot order are frozen; [`SparseLu::refactor`] re-runs only the
-//!    numeric elimination over those lists — no DFS, no pivot search —
-//!    and falls back to a full factorization automatically if a frozen
-//!    pivot becomes numerically unacceptable.
+//!    ([`SparseLu::factor`]) the pivot order and the patterns of `L` and
+//!    `U` are frozen. [`SparseLu::refactor`] replays the numeric
+//!    elimination in pivot space: column `k` scatters `A(:, q[k])`
+//!    through the pivot-space row of each slot, walks `U(:, k)` in its
+//!    stored topological order applying `L`'s columns, and divides
+//!    `L(:, k)` by the pivot at row `k`. No DFS, no pivot search, no
+//!    per-entry permutation lookup and no reach lists (a column's reach
+//!    is its stored `U` and `L` patterns). A frozen pivot that becomes
+//!    numerically unacceptable falls back to a full factorization
+//!    automatically. [`refactor`](SparseLu::refactor),
+//!    [`refactor_frozen`](SparseLu::refactor_frozen) and the lane-packed
+//!    [`refactor_frozen_masked`](SparseLu::refactor_frozen_masked) share
+//!    that one replay loop and differ only in their pivot guard.
 //!
 //! Column ordering is a static minimum-degree flavoured heuristic
 //! (sparsest columns eliminated first, stable tie-break on index),
@@ -92,20 +100,19 @@ pub struct SparseLu<T: Scalar = f64> {
     q: Vec<usize>,
     /// `pinv[row] = k` iff `row` was chosen as pivot at step `k`.
     pinv: Vec<usize>,
-    /// Inverse of `pinv`: the original row pivotal at each step.
-    pivot_row: Vec<usize>,
+    /// Pivot-space row of each CSC slot (`pinv[cri[p]]`), where the
+    /// replay scatters `A`'s values.
+    prow: Vec<usize>,
     lp: Vec<usize>,
-    /// L row indices in pivot space (for the forward solve).
+    /// L row indices: original rows while [`SparseLu::factor`] runs (its
+    /// DFS walks them), pivot-space rows once it has finished.
     li: Vec<usize>,
-    /// L row indices in original space (for refactor scatter).
-    li_orig: Vec<usize>,
     lx: Vec<T>,
     up: Vec<usize>,
+    /// U row indices (pivot space), each column in topological order
+    /// with its diagonal last.
     ui: Vec<usize>,
     ux: Vec<T>,
-    /// Per-column topologically ordered reach lists (original rows).
-    reach_ptr: Vec<usize>,
-    reach: Vec<usize>,
     // Scratch (kept across calls so the hot path never allocates).
     x: Vec<T>,
     xi: Vec<usize>,
@@ -125,7 +132,8 @@ pub struct SparseLu<T: Scalar = f64> {
 /// Iterative depth-first search from `root` over the graph of `L`,
 /// appending the reverse postorder to `xi[..top]` from the back.
 /// Children of node `i` are the below-diagonal rows of L's column
-/// `pinv[i]`; non-pivotal nodes are leaves.
+/// `pinv[i]` (original rows, `li` as it stands mid-factorization);
+/// non-pivotal nodes are leaves.
 // `pstack` mirrors `stack` push-for-push, so `last`/`last_mut` cannot
 // fail while the loop runs; an Option dance here would only obscure the
 // lockstep invariant.
@@ -133,7 +141,7 @@ pub struct SparseLu<T: Scalar = f64> {
 fn dfs(
     root: usize,
     lp: &[usize],
-    li_orig: &[usize],
+    li: &[usize],
     pinv: &[usize],
     mut top: usize,
     xi: &mut [usize],
@@ -160,7 +168,7 @@ fn dfs(
         let mut done = true;
         let mut p = *pstack.last().expect("nonempty");
         while p < end {
-            let i = li_orig[p];
+            let i = li[p];
             if mark[i] != gen {
                 *pstack.last_mut().expect("nonempty") = p;
                 stack.push(i);
@@ -178,6 +186,20 @@ fn dfs(
         }
     }
     top
+}
+
+/// Pivot guard of the unmasked replays: a non-finite or tiny frozen
+/// pivot aborts the replay. `!(x > tol)` (rather than `x <= tol`) treats
+/// NaN moduli as singular, as in the full factorization.
+fn frozen_pivot<T: Scalar>(column: usize, pivot: T) -> Result<T, NumericError> {
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    if !pivot.finite() || !(pivot.modulus() > PIVOT_TOL) {
+        return Err(NumericError::SingularMatrix {
+            column,
+            pivot: pivot.modulus(),
+        });
+    }
+    Ok(pivot)
 }
 
 impl<T: Scalar> SparseLu<T> {
@@ -230,16 +252,13 @@ impl<T: Scalar> SparseLu<T> {
             cmap,
             q,
             pinv: vec![NONE; n],
-            pivot_row: vec![NONE; n],
+            prow: vec![0; nnz],
             lp: vec![0; n + 1],
             li: Vec::new(),
-            li_orig: Vec::new(),
             lx: Vec::new(),
             up: vec![0; n + 1],
             ui: Vec::new(),
             ux: Vec::new(),
-            reach_ptr: vec![0; n + 1],
-            reach: Vec::new(),
             x: vec![T::ZERO; n],
             xi: vec![0; n],
             stack: Vec::new(),
@@ -261,7 +280,7 @@ impl<T: Scalar> SparseLu<T> {
     /// Stored nonzeros in `L` plus `U` (fill-in diagnostics).
     #[must_use]
     pub fn lu_nnz(&self) -> usize {
-        self.li_orig.len() + self.ui.len()
+        self.li.len() + self.ui.len()
     }
 
     fn check_values(&self, a: &CsrMatrix<T>) -> Result<(), NumericError> {
@@ -277,7 +296,10 @@ impl<T: Scalar> SparseLu<T> {
     /// Full numeric factorization of `a` (same pattern as at
     /// [`new`](Self::new) time): per-column DFS reach, sparse triangular
     /// solve, and threshold pivot selection. Freezes the pivot order and
-    /// reach lists that [`refactor`](Self::refactor) replays.
+    /// the `L`/`U` patterns, in pivot space, that
+    /// [`refactor`](Self::refactor) replays. The reach lists themselves
+    /// are not kept: each column's `U` pattern, stored in topological
+    /// order, is the part of its reach the replay needs.
     ///
     /// # Errors
     ///
@@ -290,27 +312,23 @@ impl<T: Scalar> SparseLu<T> {
         let n = self.n;
         self.factored = false;
         self.pinv.fill(NONE);
-        self.pivot_row.fill(NONE);
-        self.li_orig.clear();
+        self.li.clear();
         self.lx.clear();
         self.ui.clear();
         self.ux.clear();
-        self.reach.clear();
         // Size the factor storage once, here rather than in `new`: a
         // clone (how cached patterns reach the solver) keeps no spare
         // capacity, and growing from empty by doubling on the first
         // factorization costs a cascade of small allocations.
         let cap = 4 * self.cmap.len();
-        self.li_orig.reserve(cap);
+        self.li.reserve(cap);
         self.lx.reserve(cap);
         self.ui.reserve(cap);
         self.ux.reserve(cap);
-        self.reach.reserve(cap);
         self.stack.reserve(n);
         self.pstack.reserve(n);
         self.lp[0] = 0;
         self.up[0] = 0;
-        self.reach_ptr[0] = 0;
         let avals = a.vals();
         for k in 0..n {
             let j = self.q[k];
@@ -324,7 +342,7 @@ impl<T: Scalar> SparseLu<T> {
                     top = dfs(
                         i,
                         &self.lp,
-                        &self.li_orig,
+                        &self.li,
                         &self.pinv,
                         top,
                         &mut self.xi,
@@ -348,7 +366,7 @@ impl<T: Scalar> SparseLu<T> {
                 }
                 let xi_val = self.x[i]; // L has a unit diagonal
                 for p in self.lp[kk] + 1..self.lp[kk + 1] {
-                    self.x[self.li_orig[p]] -= self.lx[p] * xi_val;
+                    self.x[self.li[p]] -= self.lx[p] * xi_val;
                 }
             }
             // Pivot search over non-pivotal candidates; pivotal entries
@@ -389,32 +407,37 @@ impl<T: Scalar> SparseLu<T> {
             self.ux.push(pivot);
             self.up[k + 1] = self.ui.len();
             self.pinv[ipiv] = k;
-            self.pivot_row[k] = ipiv;
-            self.li_orig.push(ipiv);
+            self.li.push(ipiv);
             self.lx.push(T::ONE);
             for t in top..n {
                 let i = self.xi[t];
                 if self.pinv[i] == NONE {
-                    self.li_orig.push(i);
+                    self.li.push(i);
                     self.lx.push(self.x[i] / pivot);
                 }
                 self.x[i] = T::ZERO; // keep the workspace all-zero invariant
             }
-            self.lp[k + 1] = self.li_orig.len();
-            self.reach.extend_from_slice(&self.xi[top..n]);
-            self.reach_ptr[k + 1] = self.reach.len();
+            self.lp[k + 1] = self.li.len();
         }
-        // Remap L's rows into pivot space for the forward solve; the
-        // original-space copy stays for refactor replay.
-        self.li.clear();
-        self.li.extend(self.li_orig.iter().map(|&i| self.pinv[i]));
+        // Move L's rows and A's slots into pivot space, where the replay
+        // and the forward solve work.
+        for i in &mut self.li {
+            *i = self.pinv[*i];
+        }
+        for (pr, &i) in self.prow.iter_mut().zip(&self.cri) {
+            *pr = self.pinv[i];
+        }
         self.factored = true;
         Ok(())
     }
 
     /// Recomputes the numeric factors of `a` assuming the values changed
-    /// but the pattern did not: replays the frozen elimination order with
-    /// no DFS and no pivot search. If a frozen pivot has become
+    /// but the pattern did not: replays the frozen pivot order and `L`/`U`
+    /// patterns in pivot space, with no DFS, no pivot search and no
+    /// permutation lookup per entry. It performs the same operations in
+    /// the same order as [`factor`](Self::factor), so wherever a fresh
+    /// factorization of `a` would pick the frozen pivots, the replayed
+    /// factors equal its factors bit for bit. If a frozen pivot has become
     /// numerically unacceptable (or no factorization exists yet), falls
     /// back to a full [`factor`](Self::factor) — so a successful return
     /// always leaves valid factors. The returned [`RefactorOutcome`]
@@ -429,7 +452,7 @@ impl<T: Scalar> SparseLu<T> {
             return Ok(RefactorOutcome::FullFactor);
         }
         self.check_values(a)?;
-        match self.replay(a) {
+        match self.replay_with(a, frozen_pivot) {
             Ok(()) => Ok(RefactorOutcome::Replayed),
             Err(e) => {
                 if let NumericError::SingularMatrix { column, pivot } = e {
@@ -468,64 +491,63 @@ impl<T: Scalar> SparseLu<T> {
     /// - [`NumericError::SingularMatrix`] if a frozen pivot has become
     ///   numerically unacceptable for `a`'s values.
     pub fn refactor_frozen(&mut self, a: &CsrMatrix<T>) -> Result<(), NumericError> {
+        self.check_frozen(a)?;
+        self.replay_with(a, frozen_pivot)
+    }
+
+    fn check_frozen(&self, a: &CsrMatrix<T>) -> Result<(), NumericError> {
         if !self.factored {
             return Err(NumericError::DimensionMismatch {
                 expected: "a frozen factorization (call factor first)".into(),
                 got: "unfactored SparseLu".into(),
             });
         }
-        self.check_values(a)?;
-        self.replay(a)
+        self.check_values(a)
     }
 
-    fn replay(&mut self, a: &CsrMatrix<T>) -> Result<(), NumericError> {
+    /// The one numeric replay of the frozen factorization, in pivot
+    /// space. `guard(k, pivot)` vets each column's pivot and returns the
+    /// value to divide by, or the error that aborts the replay; on error
+    /// the workspace is left all-zero and the frozen structure intact.
+    fn replay_with(
+        &mut self,
+        a: &CsrMatrix<T>,
+        mut guard: impl FnMut(usize, T) -> Result<T, NumericError>,
+    ) -> Result<(), NumericError> {
         let avals = a.vals();
+        let x = self.x.as_mut_slice();
         for k in 0..self.n {
             let j = self.q[k];
-            for p in self.cp[j]..self.cp[j + 1] {
-                self.x[self.cri[p]] = avals[self.cmap[p]];
+            let slots = self.cp[j]..self.cp[j + 1];
+            for (&r, &s) in self.prow[slots.clone()].iter().zip(&self.cmap[slots]) {
+                x[r] = avals[s];
             }
-            let mut ucur = self.up[k];
-            for t in self.reach_ptr[k]..self.reach_ptr[k + 1] {
-                let i = self.reach[t];
-                let kk = self.pinv[i];
-                if kk < k {
-                    let xi_val = self.x[i];
-                    self.ux[ucur] = xi_val;
-                    ucur += 1;
-                    for p in self.lp[kk] + 1..self.lp[kk + 1] {
-                        self.x[self.li_orig[p]] -= self.lx[p] * xi_val;
+            // U(:, k) in topological order, its diagonal (the pivot) last;
+            // each entry is final when read, so it is cleared right away.
+            let (u0, udiag) = (self.up[k], self.up[k + 1] - 1);
+            for (&kk, u) in self.ui[u0..udiag].iter().zip(&mut self.ux[u0..udiag]) {
+                let xv = std::mem::replace(&mut x[kk], T::ZERO);
+                *u = xv;
+                let col = self.lp[kk] + 1..self.lp[kk + 1]; // past L's unit diagonal
+                for (&r, &l) in self.li[col.clone()].iter().zip(&self.lx[col]) {
+                    x[r] -= l * xv;
+                }
+            }
+            let col = self.lp[k] + 1..self.lp[k + 1];
+            let pivot = match guard(k, std::mem::replace(&mut x[k], T::ZERO)) {
+                Ok(pivot) => pivot,
+                Err(e) => {
+                    for &r in &self.li[col] {
+                        x[r] = T::ZERO;
                     }
+                    return Err(e);
                 }
+            };
+            self.ux[udiag] = pivot;
+            for (&r, l) in self.li[col.clone()].iter().zip(&mut self.lx[col]) {
+                *l = x[r] / pivot;
+                x[r] = T::ZERO;
             }
-            debug_assert_eq!(ucur, self.up[k + 1] - 1);
-            let ipiv = self.pivot_row[k];
-            let pivot = self.x[ipiv];
-            // NaN-aware singularity guard, as in the full factorization.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !pivot.finite() || !(pivot.modulus() > PIVOT_TOL) {
-                // Restore the all-zero workspace invariant before the
-                // caller falls back to a full factorization.
-                for t in self.reach_ptr[k]..self.reach_ptr[k + 1] {
-                    self.x[self.reach[t]] = T::ZERO;
-                }
-                return Err(NumericError::SingularMatrix {
-                    column: k,
-                    pivot: pivot.modulus(),
-                });
-            }
-            self.ux[ucur] = pivot;
-            let mut lcur = self.lp[k] + 1; // slot lp[k] is the unit diagonal
-            for t in self.reach_ptr[k]..self.reach_ptr[k + 1] {
-                let i = self.reach[t];
-                if self.pinv[i] > k {
-                    debug_assert_eq!(self.li_orig[lcur], i);
-                    self.lx[lcur] = self.x[i] / pivot;
-                    lcur += 1;
-                }
-                self.x[i] = T::ZERO;
-            }
-            debug_assert_eq!(lcur, self.lp[k + 1]);
         }
         Ok(())
     }
@@ -559,18 +581,21 @@ impl<T: Scalar> SparseLu<T> {
         for j in 0..n {
             let xj = w[j];
             if xj != T::ZERO {
-                for p in self.lp[j] + 1..self.lp[j + 1] {
-                    w[self.li[p]] -= self.lx[p] * xj;
+                let col = self.lp[j] + 1..self.lp[j + 1];
+                for (&r, &l) in self.li[col.clone()].iter().zip(&self.lx[col]) {
+                    w[r] -= l * xj;
                 }
             }
         }
         // Backward solve: each U column stores its diagonal last.
         for j in (0..n).rev() {
-            let xj = w[j] / self.ux[self.up[j + 1] - 1];
+            let udiag = self.up[j + 1] - 1;
+            let xj = w[j] / self.ux[udiag];
             w[j] = xj;
             if xj != T::ZERO {
-                for p in self.up[j]..self.up[j + 1] - 1 {
-                    w[self.ui[p]] -= self.ux[p] * xj;
+                let col = self.up[j]..udiag;
+                for (&r, &u) in self.ui[col.clone()].iter().zip(&self.ux[col]) {
+                    w[r] -= u * xj;
                 }
             }
         }
@@ -628,69 +653,27 @@ impl<T: LaneScalar> SparseLu<T> {
         a: &CsrMatrix<T>,
         live: u64,
     ) -> Result<u64, NumericError> {
-        if !self.factored {
-            return Err(NumericError::DimensionMismatch {
-                expected: "a frozen factorization (call factor first)".into(),
-                got: "unfactored SparseLu".into(),
-            });
-        }
-        self.check_values(a)?;
+        self.check_frozen(a)?;
         let live = live & T::LANE_MASK;
         // Lanes outside the live set are healed from the start: their
         // values may be stale garbage and must never trip pivot guards.
         let mut dead: u64 = !live & T::LANE_MASK;
-        let avals = a.vals();
-        for k in 0..self.n {
-            let j = self.q[k];
-            for p in self.cp[j]..self.cp[j + 1] {
-                self.x[self.cri[p]] = avals[self.cmap[p]];
-            }
-            let mut ucur = self.up[k];
-            for t in self.reach_ptr[k]..self.reach_ptr[k + 1] {
-                let i = self.reach[t];
-                let kk = self.pinv[i];
-                if kk < k {
-                    let xi_val = self.x[i];
-                    self.ux[ucur] = xi_val;
-                    ucur += 1;
-                    for p in self.lp[kk] + 1..self.lp[kk + 1] {
-                        self.x[self.li_orig[p]] -= self.lx[p] * xi_val;
-                    }
-                }
-            }
-            debug_assert_eq!(ucur, self.up[k + 1] - 1);
-            let ipiv = self.pivot_row[k];
-            let mut pivot = self.x[ipiv];
-            let newly_dead = pivot.bad_mask(PIVOT_TOL) & !dead;
-            dead |= newly_dead;
+        self.replay_with(a, |k, pivot| {
+            dead |= pivot.bad_mask(PIVOT_TOL);
             if live & !dead == 0 {
-                // Every requested lane has died: restore the all-zero
-                // workspace invariant and report singularity, exactly
-                // like the unmasked replay.
-                for t in self.reach_ptr[k]..self.reach_ptr[k + 1] {
-                    self.x[self.reach[t]] = T::ZERO;
-                }
+                // Every requested lane has died: report singularity,
+                // exactly like the unmasked replay.
                 return Err(NumericError::SingularMatrix {
                     column: k,
                     pivot: pivot.modulus(),
                 });
             }
-            if dead != 0 {
-                pivot = pivot.heal(dead, 1.0);
-            }
-            self.ux[ucur] = pivot;
-            let mut lcur = self.lp[k] + 1; // slot lp[k] is the unit diagonal
-            for t in self.reach_ptr[k]..self.reach_ptr[k + 1] {
-                let i = self.reach[t];
-                if self.pinv[i] > k {
-                    debug_assert_eq!(self.li_orig[lcur], i);
-                    self.lx[lcur] = self.x[i] / pivot;
-                    lcur += 1;
-                }
-                self.x[i] = T::ZERO;
-            }
-            debug_assert_eq!(lcur, self.lp[k + 1]);
-        }
+            Ok(if dead != 0 {
+                pivot.heal(dead, 1.0)
+            } else {
+                pivot
+            })
+        })?;
         Ok(dead & live)
     }
 }
@@ -1141,5 +1124,144 @@ mod tests {
         // Unfactored workspace is an API error, as in the unmasked path.
         let mut fresh = SparseLu::<F64x4>::new(&packed).unwrap();
         assert!(fresh.refactor_frozen_masked(&packed, 0b1111).is_err());
+    }
+
+    /// Every component's bit pattern, so comparisons see `-0.0` and NaN.
+    trait Bits: Scalar {
+        fn bits(self) -> Vec<u64>;
+    }
+    impl Bits for f64 {
+        fn bits(self) -> Vec<u64> {
+            vec![self.to_bits()]
+        }
+    }
+    impl Bits for Complex64 {
+        fn bits(self) -> Vec<u64> {
+            vec![self.re.to_bits(), self.im.to_bits()]
+        }
+    }
+    impl Bits for F64x4 {
+        fn bits(self) -> Vec<u64> {
+            (0..4).map(|lane| self.lane(lane).to_bits()).collect()
+        }
+    }
+    fn bits<T: Bits>(v: &[T]) -> Vec<u64> {
+        v.iter().flat_map(|&x| x.bits()).collect()
+    }
+
+    /// `replayed` holds exactly the factors and solution of a fresh
+    /// factorization of `a`, bit for bit, and an all-zero workspace.
+    fn assert_matches_fresh<T: Bits>(replayed: &mut SparseLu<T>, a: &CsrMatrix<T>, b: &[T]) {
+        let mut fresh = SparseLu::new(a).unwrap();
+        fresh.factor(a).unwrap();
+        assert_eq!(replayed.pinv, fresh.pinv, "pivot order differs");
+        assert_eq!((&replayed.li, &replayed.ui), (&fresh.li, &fresh.ui));
+        assert_eq!(bits(&replayed.lx), bits(&fresh.lx), "L values differ");
+        assert_eq!(bits(&replayed.ux), bits(&fresh.ux), "U values differ");
+        assert!(bits(&replayed.x).iter().all(|&w| w == 0), "workspace dirty");
+        let xr = replayed.solve(b).unwrap();
+        let xf = fresh.solve(b).unwrap();
+        assert_eq!(bits(&xr), bits(&xf), "solutions differ");
+    }
+
+    /// Same pattern, new values: the next Newton iteration.
+    fn revalued<T: Scalar>(
+        a: &CsrMatrix<T>,
+        mut value: impl FnMut(usize, usize) -> T,
+    ) -> CsrMatrix<T> {
+        let mut out = a.clone();
+        let positions: Vec<(usize, usize)> = a.iter().map(|(r, c, _)| (r, c)).collect();
+        for (v, (r, c)) in out.vals_mut().iter_mut().zip(positions) {
+            *v = value(r, c);
+        }
+        out
+    }
+
+    /// A replay that keeps the frozen pivots performs a fresh
+    /// factorization's arithmetic in its order, so both yield the same
+    /// bits: real, complex and lane-packed (masked) entry points alike.
+    #[test]
+    fn replay_is_bit_identical_to_fresh_factor() {
+        for seed in [5u64, 31, 4242] {
+            let n = 12 + (seed as usize % 37);
+            let a1 = random_system(n, seed).to_csr().unwrap();
+            let a2 = random_system(n, seed + 1).to_csr().unwrap();
+            let mut lu = SparseLu::new(&a1).unwrap();
+            lu.factor(&a1).unwrap();
+            assert_eq!(lu.refactor(&a2).unwrap(), RefactorOutcome::Replayed);
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+            assert_matches_fresh(&mut lu, &a2, &b);
+
+            let c1 = complex_system(n, seed);
+            let mut st = seed.wrapping_mul(3) | 1;
+            let c2 = revalued(&c1, |r, c| {
+                let v = Complex64::new(lcg(&mut st), lcg(&mut st));
+                if r == c {
+                    v + Complex64::new(n as f64, -(n as f64))
+                } else {
+                    v
+                }
+            });
+            let mut clu = SparseLu::new(&c1).unwrap();
+            clu.factor(&c1).unwrap();
+            clu.refactor_frozen(&c2).unwrap();
+            let cb: Vec<Complex64> = (0..n).map(|i| Complex64::new(1.0, i as f64)).collect();
+            assert_matches_fresh(&mut clu, &c2, &cb);
+
+            let p1 = pack_lanes(&lane_csrs(n, seed));
+            let p2 = pack_lanes(&lane_csrs(n, seed + 100));
+            let mut plu = SparseLu::new(&p1).unwrap();
+            plu.factor(&p1).unwrap();
+            assert_eq!(plu.refactor_frozen_masked(&p2, 0b1111).unwrap(), 0);
+            let pb: Vec<F64x4> = (0..n).map(|i| F64x4::from_fn(|l| (i + l) as f64)).collect();
+            assert_matches_fresh(&mut plu, &p2, &pb);
+        }
+    }
+
+    /// `a` with every value of column `col` set to NaN: the frozen pivot
+    /// of the step that eliminates `col` dies after the earlier columns
+    /// replayed, and the NaNs have reached `U(:, k)`'s and `L(:, k)`'s
+    /// rows of the workspace.
+    fn poisoned<T: Scalar>(a: &CsrMatrix<T>, col: usize, nan: T) -> CsrMatrix<T> {
+        revalued(a, |r, c| if c == col { nan } else { a.get(r, c) })
+    }
+
+    /// A replay that dies mid-way must clear every workspace row it
+    /// wrote, so the next replay of healthy values is not polluted.
+    #[test]
+    fn failed_replay_leaves_workspace_clean() {
+        let n = 30;
+        let a = random_system(n, 77).to_csr().unwrap();
+        let mut lu = SparseLu::new(&a).unwrap();
+        lu.factor(&a).unwrap();
+        let k = n / 2;
+        let dead = poisoned(&a, lu.q[k], f64::NAN);
+        assert!(matches!(
+            lu.refactor_frozen(&dead),
+            Err(NumericError::SingularMatrix { column, .. }) if column == k
+        ));
+        assert!(bits(&lu.x).iter().all(|&w| w == 0), "workspace dirty");
+        let good = random_system(n, 78).to_csr().unwrap();
+        lu.refactor_frozen(&good).unwrap();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+        assert_matches_fresh(&mut lu, &good, &b);
+
+        // Masked: only the live lanes count, and all of them die.
+        let p = pack_lanes(&lane_csrs(n, 11));
+        let mut plu = SparseLu::new(&p).unwrap();
+        plu.factor(&p).unwrap();
+        let mut dead = poisoned(&p, plu.q[k], F64x4::splat(f64::NAN));
+        for v in dead.vals_mut() {
+            v.set_lane(1, 1.0); // lane 1 is healthy but not live
+        }
+        assert!(matches!(
+            plu.refactor_frozen_masked(&dead, 0b1101),
+            Err(NumericError::SingularMatrix { column, .. }) if column == k
+        ));
+        assert!(bits(&plu.x).iter().all(|&w| w == 0), "workspace dirty");
+        let good = pack_lanes(&lane_csrs(n, 1100));
+        assert_eq!(plu.refactor_frozen_masked(&good, 0b1111).unwrap(), 0);
+        let pb: Vec<F64x4> = (0..n).map(|i| F64x4::splat(i as f64 - 3.0)).collect();
+        assert_matches_fresh(&mut plu, &good, &pb);
     }
 }

@@ -15,8 +15,9 @@
 //! off), and the damped-Newton driver tracks convergence **per lane**: a
 //! lane that converges freezes while the others keep iterating, and a
 //! lane whose frozen pivot dies or whose iterate diverges is quarantined
-//! by the masked LU kernel ([`SparseLu::refactor_frozen_masked`]) and
-//! re-solved through the scalar `op::solve_system` homotopy ladder —
+//! by the masked LU entry point ([`SparseLu::refactor_frozen_masked`]:
+//! the sparse LU's one replay kernel, the same one scalar and AC solves
+//! run, with a pivot guard that heals dead lanes) and re-solved through the scalar `op::solve_system` homotopy ladder —
 //! one bad variant never stalls or corrupts the batch. The ladder is
 //! also the only degradation: a group whose stamps miss the pattern goes
 //! to it whole (the pattern is rebuilt once for the next group), and a

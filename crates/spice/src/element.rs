@@ -873,18 +873,51 @@ mod tests {
         key(a).abs_diff(key(b))
     }
 
+    /// Node `i` of the four-node test systems (index `i` into `x`).
+    fn n(i: u32) -> NodeId {
+        NodeId::from_raw(i + 1)
+    }
+
     /// Every builtin `stamp_ac` implementor, each alone on four nodes
     /// plus one branch row, with the operating point it is stamped at.
-    /// The MOSFETs cover every region in both polarities and both
-    /// drain/source orientations; the diodes forward, zero and reverse
-    /// bias.
     fn ac_cases() -> Vec<(Box<dyn Element>, [f64; 5])> {
-        use crate::devices::diode::{Diode, DiodeParams};
-        use crate::devices::mosfet::{MosParams, MosRegion, MosType, Mosfet};
         use crate::elements::controlled::{Vccs, Vcvs};
         use crate::elements::sources::{Isource, Vsource};
         use crate::elements::two_terminal::{Capacitor, Inductor, Resistor};
-        let n = |i: u32| NodeId::from_raw(i + 1);
+        let mut cases: Vec<(Box<dyn Element>, [f64; 5])> = vec![
+            (Box::new(Resistor::new("R1", n(0), n(1), 50.0)), [0.0; 5]),
+            (Box::new(Capacitor::new("C1", n(0), n(1), 20e-15)), [0.0; 5]),
+            (Box::new(Inductor::new("L1", n(0), n(1), 1e-9)), [0.0; 5]),
+            (
+                Box::new(Vsource::dc("V1", n(0), n(1), 1.0).with_ac(0.5)),
+                [0.0; 5],
+            ),
+            (
+                Box::new(Isource::dc("I1", n(0), n(1), 1e-3).with_ac(2e-3)),
+                [0.0; 5],
+            ),
+            (
+                Box::new(Vcvs::new("E1", n(0), n(1), n(2), n(3), 3.0)),
+                [0.0; 5],
+            ),
+            (
+                Box::new(Vccs::new("G1", n(0), n(1), n(2), n(3), 1e-2)),
+                [0.0; 5],
+            ),
+        ];
+        cases.extend(device_cases(-1.0));
+        cases
+    }
+
+    /// The nonlinear devices, each alone on four nodes plus one branch
+    /// row, with the guess it is stamped at. The diodes sit in forward,
+    /// zero and `reverse` bias. The MOSFETs cover every region in both
+    /// polarities and both drain/source orientations, with the body
+    /// separate and tied to the source; every point is well inside its
+    /// region.
+    fn device_cases(reverse: f64) -> Vec<(Box<dyn Element>, [f64; 5])> {
+        use crate::devices::diode::{Diode, DiodeParams};
+        use crate::devices::mosfet::{MosParams, MosRegion, MosType, Mosfet};
         let card = |mos_type| MosParams {
             mos_type,
             w: 10e-6,
@@ -907,28 +940,9 @@ mod tests {
             },
         );
         let mut cases: Vec<(Box<dyn Element>, [f64; 5])> = vec![
-            (Box::new(Resistor::new("R1", n(0), n(1), 50.0)), [0.0; 5]),
-            (Box::new(Capacitor::new("C1", n(0), n(1), 20e-15)), [0.0; 5]),
-            (Box::new(Inductor::new("L1", n(0), n(1), 1e-9)), [0.0; 5]),
-            (
-                Box::new(Vsource::dc("V1", n(0), n(1), 1.0).with_ac(0.5)),
-                [0.0; 5],
-            ),
-            (
-                Box::new(Isource::dc("I1", n(0), n(1), 1e-3).with_ac(2e-3)),
-                [0.0; 5],
-            ),
-            (
-                Box::new(Vcvs::new("E1", n(0), n(1), n(2), n(3), 3.0)),
-                [0.0; 5],
-            ),
-            (
-                Box::new(Vccs::new("G1", n(0), n(1), n(2), n(3), 1e-2)),
-                [0.0; 5],
-            ),
             (Box::new(diode.clone()), [0.65, 0.0, 0.0, 0.0, 0.0]),
             (Box::new(diode.clone()), [0.3, 0.3, 0.0, 0.0, 0.0]),
-            (Box::new(diode), [-1.0, 0.0, 0.0, 0.0, 0.0]),
+            (Box::new(diode), [reverse, 0.0, 0.0, 0.0, 0.0]),
         ];
         // Drain, gate, source and body on nodes 0..4; then once more with
         // the body tied to the source, so junction and gate capacitances
@@ -1002,5 +1016,75 @@ mod tests {
             }
         }
         eprintln!("stamp_ac affine contract: worst imaginary-part distance {worst} ulps");
+    }
+
+    /// Largest `‖J_fd − J‖ / ‖J‖` (max norms) allowed between the
+    /// central-difference Jacobian of a device's current and the
+    /// Jacobian it stamps. The worst case measured is 1.42e-9, on the
+    /// reverse-biased diode, where the rounding of its nearly constant
+    /// current limits the difference quotient; the MOSFETs stay under
+    /// 1.8e-10. A `gm` off by one part in 10⁸ already exceeds it.
+    const JACOBIAN_REL_ERR: f64 = 2e-9;
+
+    /// Finite-difference step, volts.
+    const FD_STEP: f64 = 1e-6;
+
+    /// Jacobian oracle: the guess-dependent DC stamp of every nonlinear
+    /// device is its Newton linearization `J·x_new = J·x − i(x)`, so
+    /// `f(x) = J(x)·x − rhs(x)` recovers the device current `i(x)` and
+    /// its central differences must reproduce the stamped `J(x)`. The
+    /// diode's reverse bias is −0.2 V: at −1 V its conductance (≈ 1e-29 S)
+    /// is below the rounding of the −Is it is the slope of, so no
+    /// difference quotient resolves it.
+    #[test]
+    fn guess_dependent_stamp_matches_finite_differences() {
+        const DIM: usize = 5;
+        let stamp = |e: &dyn Element, x: &[f64]| {
+            let mut m = DenseMatrix::zeros(DIM, DIM);
+            let mut rhs = vec![0.0; DIM];
+            let ctx = StampCtx {
+                x,
+                state: &[],
+                branch_base: 0,
+                n_nodes: DIM - 1,
+                mode: StampMode::dc(),
+            };
+            let mut out = Stamper::new(&mut m, &mut rhs, DIM - 1);
+            e.stamp_part(&ctx, None, StampPart::GuessDependent, &mut out);
+            (m, rhs)
+        };
+        let current = |e: &dyn Element, x: &[f64]| {
+            let (m, rhs) = stamp(e, x);
+            (0..DIM)
+                .map(|r| (0..DIM).map(|c| m[(r, c)] * x[c]).sum::<f64>() - rhs[r])
+                .collect::<Vec<f64>>()
+        };
+        let mut worst: f64 = 0.0;
+        for (e, x) in device_cases(-0.2) {
+            assert!(e.is_nonlinear(), "{}", e.name());
+            let (jac, _) = stamp(&*e, &x);
+            let mut jmax: f64 = 0.0;
+            let mut err: f64 = 0.0;
+            for c in 0..DIM {
+                let (mut hi, mut lo) = (x, x);
+                hi[c] += FD_STEP;
+                lo[c] -= FD_STEP;
+                let (fh, fl) = (current(&*e, &hi), current(&*e, &lo));
+                for r in 0..DIM {
+                    let fd = (fh[r] - fl[r]) / (2.0 * FD_STEP);
+                    jmax = jmax.max(jac[(r, c)].abs());
+                    err = err.max((fd - jac[(r, c)]).abs());
+                }
+            }
+            // A device in cutoff stamps nothing and conducts nothing.
+            let rel = if jmax == 0.0 { err } else { err / jmax };
+            assert!(
+                rel <= JACOBIAN_REL_ERR,
+                "{} at {x:?}: relative Jacobian error {rel:e}",
+                e.name()
+            );
+            worst = worst.max(rel);
+        }
+        eprintln!("DC Jacobian oracle: worst relative error {worst:e}");
     }
 }

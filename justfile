@@ -1,7 +1,7 @@
 # Development task runner. Same gates as .github/workflows/ci.yml.
 
 # Run every CI gate locally.
-ci: fmt-check clippy doc test perfbench-smoke lint-circuits analyze-circuits perf-budgets-smoke
+ci: fmt-check clippy doc test test-release perfbench-smoke lint-circuits analyze-circuits perf-budgets-smoke
 
 # Formatting gate.
 fmt-check:
@@ -23,6 +23,11 @@ doc:
 test:
     cargo build --release
     cargo test -q
+
+# The full suite again in release, where `debug_assert!`s are off:
+# tests gated on `debug_assertions` have release twins that run here.
+test-release:
+    cargo test --release -q --workspace
 
 # Static netlist DRC over every generated circuit block (fails on any
 # error-level diagnostic; `cml-lint --codes` documents the code table).

@@ -13,6 +13,7 @@ pub mod sink;
 pub mod tran;
 
 use crate::circuit::{Circuit, NodeId};
+use crate::devices::mosfet::{self, MosDevice, MosSlots};
 use crate::element::{
     AcStamper, Element, Integration, StampCtx, StampMode, StampPart, StampSlots, Stamper,
 };
@@ -114,8 +115,9 @@ impl ModeKind {
 
 /// Sparse-path state cached in the Newton workspace: the fixed-pattern
 /// CSR Jacobian, its LU (symbolic analysis + pivot order frozen after
-/// the first factorization), the cached linear-element values, and one
-/// stamp-pointer cache per assembly-pass shape.
+/// the first factorization), the cached linear-element values, the
+/// value slots of every MOSFET's transient writes, and one stamp-pointer
+/// cache per assembly-pass shape.
 #[derive(Debug, Clone)]
 struct SparseState {
     /// Fixed-pattern Jacobian; only `vals` change between solves.
@@ -128,11 +130,18 @@ struct SparseState {
     lin_vals: Vec<f64>,
     /// Value-slot of each node diagonal, for the gmin stamp.
     diag_slots: Vec<usize>,
+    /// Value slots of each device-table row's writes, bound once by the
+    /// workspace that takes this state (see [`System::bind_devices`]);
+    /// empty in a state fresh from pattern discovery or the topology
+    /// cache.
+    mos_slots: Vec<MosSlots>,
     /// Matrix writes of one full assembly pass, as recorded by pattern
-    /// discovery: the capacity a stamp-pointer cache in use is given.
+    /// discovery: the capacity the full-pass stamp-pointer cache is
+    /// given.
     writes: usize,
     /// Stamp-pointer caches: full assembly, guess-independent assembly,
-    /// and the guess-dependent top-up pass.
+    /// and the guess-dependent top-up pass. The two split passes record
+    /// only the writes of elements outside the device table.
     slots_full: StampSlots,
     slots_lin: StampSlots,
     slots_nonlin: StampSlots,
@@ -140,19 +149,34 @@ struct SparseState {
     kind: ModeKind,
 }
 
-impl SparseState {
-    /// Gives the stamp-pointer caches a solve will use room for one full
-    /// pass each: the split guess-independent and guess-dependent caches
-    /// when `split`, else the full-pass cache. A state cloned from the
-    /// topology cache carries them empty with no capacity; reserving
-    /// once spares them a regrowth by doubling on the first pass.
-    fn reserve_slots(&mut self, split: bool) {
-        if split {
-            self.slots_lin.reserve(self.writes);
-            self.slots_nonlin.reserve(self.writes);
-        } else {
-            self.slots_full.reserve(self.writes);
-        }
+/// One element as the device-table passes visit it.
+#[derive(Debug, Clone, Copy)]
+enum Visit<'a> {
+    /// Row `k` of the device table.
+    Mos(usize),
+    /// Any other element by index, with the part of its stamp the pass
+    /// asks for.
+    Element(usize, &'a dyn Element, StampPart),
+}
+
+/// One element of a device-table pass ([`System::table_pass`]).
+enum TableStamp<'s> {
+    /// Row `k` of the device table, with the device's slice of the
+    /// previous-step state.
+    Mos(usize, &'s MosDevice, &'s [f64]),
+    /// Any other element, to stamp the given part of through
+    /// [`Element::stamp_part`].
+    Element(&'s dyn Element, StampCtx<'s>, StampPart),
+}
+
+/// Step size and method of a transient stamp mode; the device-table
+/// passes run only in transient mode.
+fn tran_step(mode: StampMode) -> Result<(f64, Integration), AttemptError> {
+    match mode {
+        StampMode::Tran { dt, method, .. } => Ok((dt, method)),
+        StampMode::Dc { .. } => Err(AttemptError::Spice(SpiceError::Internal {
+            message: "device-table pass outside transient mode".to_string(),
+        })),
     }
 }
 
@@ -184,10 +208,14 @@ impl From<cml_numeric::NumericError> for AttemptError {
 /// timesteps instead of being redone from scratch each Newton iteration.
 #[derive(Debug)]
 pub(crate) struct NewtonWorkspace {
-    /// Full Jacobian (linear stamps + nonlinear linearizations).
+    /// MNA dimension of the last solve; a change drops every cache.
+    dim: usize,
+    /// Full Jacobian (linear stamps + nonlinear linearizations) on the
+    /// dense path; left empty while the workspace solves sparse.
     matrix: DenseMatrix,
     /// Cached guess-independent stamps (linear elements, fixed device
-    /// capacitances, gmin), valid for the transient key in `lin_key`.
+    /// capacitances, gmin), valid for the transient key in `lin_key`;
+    /// dense path only, like `matrix`.
     lin_matrix: DenseMatrix,
     /// Full RHS (rebuilt per iteration for nonlinear circuits).
     rhs: Vec<f64>,
@@ -223,6 +251,7 @@ pub(crate) struct NewtonWorkspace {
 impl NewtonWorkspace {
     pub(crate) fn new() -> Self {
         NewtonWorkspace {
+            dim: 0,
             matrix: DenseMatrix::zeros(0, 0),
             lin_matrix: DenseMatrix::zeros(0, 0),
             rhs: Vec::new(),
@@ -258,6 +287,17 @@ pub(crate) struct System<'a> {
     /// Per-element MOSFET card overrides, empty outside batched solves
     /// ([`batch`] loads each lane's `vth0`/`kp` here before stamping it).
     cards: Vec<Option<crate::devices::mosfet::MosParams>>,
+    /// The MOSFET device table: every MOSFET's first state slot and row,
+    /// in element order. The split transient passes and the state update
+    /// read it instead of calling the element (see
+    /// [`System::table_pass`]).
+    mos: Vec<(usize, MosDevice)>,
+    /// Every element in order as the fixed pass and the state update
+    /// visit it.
+    fixed_visits: Vec<Visit<'a>>,
+    /// The nonlinear elements in order as the guess-dependent pass visits
+    /// them.
+    guess_visits: Vec<Visit<'a>>,
 }
 
 impl<'a> System<'a> {
@@ -269,7 +309,24 @@ impl<'a> System<'a> {
         let mut n_branches = 0;
         let mut state_len = 0;
         let mut has_nonlinear = false;
-        for e in ckt.elements() {
+        let mut mos = Vec::new();
+        let mut fixed_visits = Vec::new();
+        let mut guess_visits = Vec::new();
+        for (idx, e) in ckt.elements().enumerate() {
+            let (fixed, guess) = match e.as_mosfet() {
+                Some(m) => {
+                    mos.push((state_len, m.device()));
+                    let row = Visit::Mos(mos.len() - 1);
+                    (row, Some(row))
+                }
+                None if e.is_nonlinear() => (
+                    Visit::Element(idx, e, StampPart::Fixed),
+                    Some(Visit::Element(idx, e, StampPart::GuessDependent)),
+                ),
+                None => (Visit::Element(idx, e, StampPart::Whole), None),
+            };
+            fixed_visits.push(fixed);
+            guess_visits.extend(guess);
             branch_bases.push(n_branches);
             state_bases.push(state_len);
             if e.num_branches() > 0 {
@@ -289,6 +346,9 @@ impl<'a> System<'a> {
             branch_names,
             has_nonlinear,
             cards: Vec::new(),
+            mos,
+            fixed_visits,
+            guess_visits,
         }
     }
 
@@ -364,6 +424,49 @@ impl<'a> System<'a> {
         }
     }
 
+    /// Walks the elements in order for one split transient pass (`pass`
+    /// is `Fixed` or `GuessDependent`): each MOSFET is handed over as its
+    /// device-table row and every other element as in
+    /// [`stamp_pass`](Self::stamp_pass), with the part of its stamp the
+    /// pass asks for; the guess-dependent pass skips linear elements.
+    /// Keeping the element order keeps every value slot's sequence of
+    /// additions, so table and generic passes agree bit for bit. The
+    /// table holds each device's own card, so card overrides (loaded only
+    /// by the batched DC solver) never reach these passes.
+    fn table_pass<'s>(
+        &'s self,
+        pass: StampPart,
+        x: &'s [f64],
+        state: &'s [f64],
+        mode: StampMode,
+        mut f: impl FnMut(TableStamp<'s>),
+    ) {
+        debug_assert!(
+            self.cards.is_empty(),
+            "device-table pass with card overrides"
+        );
+        let visits = match pass {
+            StampPart::GuessDependent => &self.guess_visits,
+            _ => &self.fixed_visits,
+        };
+        for &visit in visits {
+            match visit {
+                Visit::Mos(k) => {
+                    let (sb, dev) = &self.mos[k];
+                    let at = *sb..*sb + mosfet::STATE_SIZE;
+                    f(TableStamp::Mos(k, dev, state.get(at).unwrap_or(&[])));
+                }
+                Visit::Element(idx, e, part) => {
+                    f(TableStamp::Element(
+                        e,
+                        self.ctx(idx, e, x, state, mode),
+                        part,
+                    ));
+                }
+            }
+        }
+    }
+
     /// Assembles the Jacobian and RHS at guess `x`.
     pub(crate) fn assemble(
         &self,
@@ -422,6 +525,28 @@ impl<'a> System<'a> {
         self.stamp_pass(&mut out, StampPart::Fixed, &[], state, mode);
     }
 
+    /// [`stamp_linear_rhs`](Self::stamp_linear_rhs) with the MOSFETs
+    /// stamped from the device table: the sparse path's RHS-only pass.
+    fn stamp_linear_rhs_table(
+        &self,
+        state: &[f64],
+        mode: StampMode,
+        rhs: &mut Vec<f64>,
+    ) -> Result<(), AttemptError> {
+        let (dt, method) = tran_step(mode)?;
+        rhs.clear();
+        rhs.resize(self.dim(), 0.0);
+        self.table_pass(StampPart::Fixed, &[], state, mode, |st| match st {
+            TableStamp::Mos(_, dev, state) => {
+                dev.stamp_caps(None, state, dt, method, rhs);
+            }
+            TableStamp::Element(e, ctx, part) => {
+                e.stamp_part(&ctx, None, part, &mut Stamper::rhs_only(rhs, self.n_nodes));
+            }
+        });
+        Ok(())
+    }
+
     /// Adds the guess-dependent part of the nonlinear devices (their
     /// linearizations at guess `x`) on top of already-copied
     /// guess-independent stamps.
@@ -463,6 +588,7 @@ impl<'a> System<'a> {
         let diag_slots: Option<Vec<usize>> = (0..self.n_nodes).map(|i| mat.find(i, i)).collect();
         let nnz = mat.vals().len();
         Some(SparseState {
+            mos_slots: Vec::new(),
             mat,
             lu,
             lin_vals: vec![0.0; nnz],
@@ -473,6 +599,21 @@ impl<'a> System<'a> {
             slots_nonlin: StampSlots::default(),
             kind: ModeKind::of(mode),
         })
+    }
+
+    /// Binds the value slots of every device-table row's writes in `sp`'s
+    /// pattern: once per state a workspace takes, fresh or from the
+    /// topology cache. The slots are bound here rather than interned with
+    /// the pattern: a cached pattern would need checking against this
+    /// system's device nodes on every hit, which costs as much as
+    /// binding, since a topology-hash collision must never change
+    /// results.
+    fn bind_devices(&self, sp: &mut SparseState) {
+        sp.mos_slots = self
+            .mos
+            .iter()
+            .map(|(_, dev)| dev.bind(|r, c| sp.mat.find(r, c)))
+            .collect();
     }
 
     /// Sparse analogue of [`System::assemble`]: every stamp accumulates
@@ -501,8 +642,9 @@ impl<'a> System<'a> {
         Ok(())
     }
 
-    /// Sparse analogue of [`System::assemble_linear`]; passes the same
-    /// empty guess slice as the loud linearity-contract check.
+    /// Sparse analogue of [`System::assemble_linear`], with the MOSFETs
+    /// stamped from the device table; passes the same empty guess slice
+    /// as the loud linearity-contract check.
     fn assemble_sparse_linear(
         &self,
         state: &[f64],
@@ -511,13 +653,23 @@ impl<'a> System<'a> {
         sp: &mut SparseState,
         rhs: &mut Vec<f64>,
     ) -> Result<(), AttemptError> {
+        let (dt, method) = tran_step(mode)?;
         sp.mat.clear_vals();
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
         sp.slots_lin.begin_pass();
-        let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_lin, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, StampPart::Fixed, &[], state, mode);
-        if sp.slots_lin.missing() {
+        let mut hit = true;
+        self.table_pass(StampPart::Fixed, &[], state, mode, |st| match st {
+            TableStamp::Mos(k, dev, state) => {
+                let mat = Some((&sp.mos_slots[k], sp.mat.vals_mut()));
+                hit &= dev.stamp_caps(mat, state, dt, method, rhs);
+            }
+            TableStamp::Element(e, ctx, part) => {
+                let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_lin, rhs, self.n_nodes);
+                e.stamp_part(&ctx, None, part, &mut out);
+            }
+        });
+        if !hit || sp.slots_lin.missing() {
             return Err(AttemptError::PatternMiss);
         }
         for &s in &sp.diag_slots {
@@ -528,7 +680,7 @@ impl<'a> System<'a> {
 
     /// Sparse analogue of [`System::stamp_nonlinear`]: tops up the copied
     /// guess-independent values with the nonlinear-device linearizations
-    /// at `x`.
+    /// at `x`, the MOSFETs' from the device table.
     fn stamp_sparse_nonlinear(
         &self,
         x: &[f64],
@@ -538,9 +690,17 @@ impl<'a> System<'a> {
         rhs: &mut [f64],
     ) -> Result<(), AttemptError> {
         sp.slots_nonlin.begin_pass();
-        let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_nonlin, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, StampPart::GuessDependent, x, state, mode);
-        if sp.slots_nonlin.missing() {
+        let mut hit = true;
+        self.table_pass(StampPart::GuessDependent, x, state, mode, |st| match st {
+            TableStamp::Mos(k, dev, _) => {
+                hit &= dev.stamp_channel(&sp.mos_slots[k], x, sp.mat.vals_mut(), rhs);
+            }
+            TableStamp::Element(e, ctx, part) => {
+                let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_nonlin, rhs, self.n_nodes);
+                e.stamp_part(&ctx, None, part, &mut out);
+            }
+        });
+        if !hit || sp.slots_nonlin.missing() {
             return Err(AttemptError::PatternMiss);
         }
         Ok(())
@@ -585,18 +745,21 @@ impl<'a> System<'a> {
     /// pattern rebuild; a second miss permanently falls back to dense
     /// for this workspace, so correctness never depends on discovery
     /// having seen every position.
+    ///
+    /// The converged iterate is returned as a view of the workspace's
+    /// own vector, valid until the workspace's next solve.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn newton_with(
+    pub(crate) fn newton_with<'w>(
         &self,
         mode: StampMode,
         x0: &[f64],
         state: &[f64],
         opts: &NewtonOptions,
         analysis: &'static str,
-        ws: &mut NewtonWorkspace,
+        ws: &'w mut NewtonWorkspace,
         reuse: bool,
         tel: &Telemetry,
-    ) -> Result<Vec<f64>, SpiceError> {
+    ) -> Result<&'w [f64], SpiceError> {
         // Fine-gated: one Newton solve per transient step means two clock
         // reads per step here, which alone would eat most of the coarse
         // mode's < 2 % overhead budget on step-bound workloads.
@@ -606,7 +769,7 @@ impl<'a> System<'a> {
         let mut rebuilds = 0;
         loop {
             match self.newton_attempt(mode, x0, state, opts, analysis, ws, reuse, tel) {
-                Ok(x) => return Ok(x),
+                Ok(()) => return Ok(&ws.x),
                 Err(AttemptError::Spice(e)) => return Err(e),
                 Err(AttemptError::PatternMiss) => {
                     // An element stamped a position absent from the cached
@@ -635,7 +798,8 @@ impl<'a> System<'a> {
         }
     }
 
-    /// One Newton solve attempt on either the dense or the sparse path.
+    /// One Newton solve attempt on either the dense or the sparse path;
+    /// on success `ws.x` holds the converged iterate.
     #[allow(clippy::too_many_arguments)]
     fn newton_attempt(
         &self,
@@ -647,11 +811,10 @@ impl<'a> System<'a> {
         ws: &mut NewtonWorkspace,
         reuse: bool,
         tel: &Telemetry,
-    ) -> Result<Vec<f64>, AttemptError> {
+    ) -> Result<(), AttemptError> {
         let dim = self.dim();
-        if ws.matrix.rows() != dim || ws.matrix.cols() != dim {
-            ws.matrix = DenseMatrix::zeros(dim, dim);
-            ws.lin_matrix = DenseMatrix::zeros(dim, dim);
+        if ws.dim != dim {
+            ws.dim = dim;
             ws.lin_key = None;
             ws.factored_key = None;
             ws.sparse = None;
@@ -675,7 +838,16 @@ impl<'a> System<'a> {
                 ws.lin_key = None;
                 ws.factored_key = None;
                 if let Some(sp) = ws.sparse.as_mut() {
-                    sp.reserve_slots(key.is_some());
+                    self.bind_devices(sp);
+                    if key.is_none() {
+                        // A state cloned from the topology cache carries
+                        // its stamp-pointer caches empty with no capacity;
+                        // room for one pass spares the full-pass cache a
+                        // regrowth by doubling. The split caches hold only
+                        // the writes outside the device table, a small
+                        // share of a pass.
+                        sp.slots_full.reserve(sp.writes);
+                    }
                     tel.count(|c| c.pattern_builds += 1);
                 } else {
                     ws.sparse_disabled = true;
@@ -696,12 +868,22 @@ impl<'a> System<'a> {
             ws.factored_key = None;
             ws.last_solve_sparse = Some(run_sparse);
         }
+        if !run_sparse && ws.matrix.rows() != dim {
+            // Only the dense path reads these; a sparse workspace never
+            // allocates them.
+            ws.matrix = DenseMatrix::zeros(dim, dim);
+            ws.lin_matrix = DenseMatrix::zeros(dim, dim);
+        }
         if let Some(k) = key {
             if ws.lin_key == Some(k) {
                 // Matrix still valid; only sources / companion history
                 // moved, and those live purely in the RHS.
                 tel.count(|c| c.lin_stamp_hits += 1);
-                self.stamp_linear_rhs(state, mode, &mut ws.lin_rhs);
+                if run_sparse {
+                    self.stamp_linear_rhs_table(state, mode, &mut ws.lin_rhs)?;
+                } else {
+                    self.stamp_linear_rhs(state, mode, &mut ws.lin_rhs);
+                }
             } else if run_sparse {
                 tel.count(|c| c.lin_stamp_builds += 1);
                 let Some(sp) = ws.sparse.as_mut() else {
@@ -855,7 +1037,7 @@ impl<'a> System<'a> {
                 .into());
             }
             if converged && undamped {
-                return Ok(ws.x.clone());
+                return Ok(());
             }
         }
         tel.event(|| EventKind::NewtonDiverged {
@@ -882,7 +1064,8 @@ impl<'a> System<'a> {
         state
     }
 
-    /// Writes the next-state arena after a converged transient step.
+    /// Writes the next-state arena after a converged transient step,
+    /// the MOSFETs' from the device table.
     pub(crate) fn update_state(
         &self,
         x: &[f64],
@@ -890,10 +1073,27 @@ impl<'a> System<'a> {
         mode: StampMode,
         state_next: &mut [f64],
     ) {
-        for (idx, e) in self.ckt.elements().enumerate() {
-            let sb = self.state_bases[idx];
-            let ctx = self.ctx(idx, e, x, state_prev, mode);
-            e.update_state(&ctx, &mut state_next[sb..sb + e.state_size()]);
+        for &visit in &self.fixed_visits {
+            match visit {
+                Visit::Mos(k) => {
+                    let (sb, dev) = &self.mos[k];
+                    if let StampMode::Tran { dt, method, .. } = mode {
+                        let at = *sb..*sb + mosfet::STATE_SIZE;
+                        dev.update_state(
+                            x,
+                            dt,
+                            method,
+                            &state_prev[at.clone()],
+                            &mut state_next[at],
+                        );
+                    }
+                }
+                Visit::Element(idx, e, _) => {
+                    let sb = self.state_bases[idx];
+                    let ctx = self.ctx(idx, e, x, state_prev, mode);
+                    e.update_state(&ctx, &mut state_next[sb..sb + e.state_size()]);
+                }
+            }
         }
     }
 
@@ -1092,6 +1292,7 @@ fn note_refactor(tel: &Telemetry, outcome: RefactorOutcome, dead_pivot: Option<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::DcTransfer;
     use crate::prelude::*;
 
     #[test]
@@ -1108,5 +1309,216 @@ mod tests {
         assert_eq!(sys.branch_names()["V1"], 2);
         assert_eq!(sys.branch_names()["L1"], 3);
         assert_eq!(sys.state_len(), 2); // inductor state only
+    }
+
+    fn card(mos_type: MosType, cj: f64) -> MosParams {
+        MosParams {
+            mos_type,
+            w: 10e-6,
+            l: 0.18e-6,
+            vth0: 0.45,
+            kp: 170e-6,
+            lambda: 0.1,
+            cox: 8.4e-3,
+            cov: 3.0e-10,
+            cj,
+            ldiff: 0.5e-6,
+        }
+    }
+
+    /// MOSFETs of both polarities with each terminal on ground in turn,
+    /// one body tied to its source and one gate tied to its drain (where
+    /// two channel writes share a slot, so their order shows), between
+    /// linear elements, a branch and a diode that keep the generic path.
+    fn table_circuit() -> Circuit {
+        use MosType::{Nmos, Pmos};
+        let mut ckt = Circuit::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| ckt.node(n));
+        let gnd = Circuit::GROUND;
+        let cj = 1.0e-3;
+        ckt.add(Resistor::new("R1", a, b, 1e3));
+        ckt.add(Mosfet::new("M1", a, b, c, d, card(Nmos, cj)));
+        ckt.add(Mosfet::new("M2", b, c, d, d, card(Pmos, cj)));
+        ckt.add(Capacitor::new("C1", c, gnd, 20e-15));
+        ckt.add(Mosfet::new("M3", gnd, a, b, c, card(Nmos, cj)));
+        ckt.add(Mosfet::new("M4", c, gnd, a, b, card(Pmos, cj)));
+        ckt.add(Vsource::dc("V1", d, gnd, 1.0));
+        ckt.add(Mosfet::new("M5", a, b, gnd, c, card(Pmos, cj)));
+        ckt.add(Mosfet::new("M6", b, d, a, gnd, card(Nmos, cj)));
+        ckt.add(Diode::new("D1", b, c, DiodeParams::default()));
+        ckt.add(Mosfet::new("M7", c, c, d, gnd, card(Nmos, cj)));
+        ckt.add(Mosfet::new("M8", d, a, c, d, card(Pmos, cj)));
+        ckt
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The three sparse transient passes stamp the MOSFETs from the
+    /// device table and everything else through `stamp_part`; the CSR
+    /// values and RHS they leave must equal those of the generic passes
+    /// bit for bit, for both integration methods and at guesses that put
+    /// every MOSFET in both drain/source orientations.
+    #[test]
+    fn table_passes_match_generic_stamping_bit_for_bit() {
+        let ckt = table_circuit();
+        let sys = System::new(&ckt);
+        assert_eq!(sys.mos.len(), 8);
+        let (dim, n) = (sys.dim(), sys.n_nodes());
+        let state: Vec<f64> = (0..sys.state_len())
+            .map(|i| 0.1 * (i as f64 + 1.0) * if i % 2 == 0 { 1.0 } else { -1e-4 })
+            .collect();
+        let guesses = [[0.15, 0.8, 0.45, 1.05, 0.0], [0.8, 0.15, 1.7, 1.05, 0.0]];
+        // Every MOSFET conducts at one guess at least, and both
+        // polarities conduct in both drain/source orientations.
+        let mut seen = Vec::new();
+        for m in ckt.elements().filter_map(|e| e.as_mosfet()) {
+            let DcTransfer::MosChannel { d, s, params, .. } = m.dc_transfer() else {
+                unreachable!("a MOSFET's DC transfer is its channel")
+            };
+            let p = params.mos_type.polarity();
+            let on: Vec<_> = guesses
+                .iter()
+                .filter(|x| m.small_signal(*x).gm > 0.0)
+                .collect();
+            assert!(!on.is_empty(), "{} never conducts", m.name());
+            for x in on {
+                let v = |n: NodeId| n.index().map_or(0.0, |i| x[i]);
+                seen.push((params.mos_type, p * (v(d) - v(s)) < 0.0));
+            }
+        }
+        for mos_type in [MosType::Nmos, MosType::Pmos] {
+            for swapped in [false, true] {
+                assert!(
+                    seen.contains(&(mos_type, swapped)),
+                    "{mos_type:?} {swapped}"
+                );
+            }
+        }
+        for method in [Integration::Trapezoidal, Integration::BackwardEuler] {
+            let mode = StampMode::Tran {
+                time: 1e-9,
+                dt: 5e-12,
+                method,
+            };
+            let gmin = 1e-12;
+            let mut sp = sys.build_sparse(&guesses[0], &state, mode).unwrap();
+            sys.bind_devices(&mut sp);
+            // Fixed rebuild.
+            let mut table = sp.clone();
+            let mut table_rhs = Vec::new();
+            assert!(sys
+                .assemble_sparse_linear(&state, mode, gmin, &mut table, &mut table_rhs)
+                .is_ok());
+            let mut generic = sp.clone();
+            let mut generic_rhs = vec![0.0; dim];
+            let mut out = Stamper::sparse(
+                &mut generic.mat,
+                &mut generic.slots_lin,
+                &mut generic_rhs,
+                n,
+            );
+            sys.stamp_pass(&mut out, StampPart::Fixed, &[], &state, mode);
+            assert!(!generic.slots_lin.missing());
+            for &s in &generic.diag_slots {
+                generic.mat.vals_mut()[s] += gmin;
+            }
+            assert_eq!(
+                bits(table.mat.vals()),
+                bits(generic.mat.vals()),
+                "{method:?}"
+            );
+            assert_eq!(bits(&table_rhs), bits(&generic_rhs), "{method:?}");
+            // Fixed RHS-only.
+            let (mut table_only, mut generic_only) = (Vec::new(), Vec::new());
+            assert!(sys
+                .stamp_linear_rhs_table(&state, mode, &mut table_only)
+                .is_ok());
+            sys.stamp_linear_rhs(&state, mode, &mut generic_only);
+            assert_eq!(bits(&table_only), bits(&generic_only), "{method:?}");
+            assert_eq!(bits(&table_only), bits(&generic_rhs), "{method:?}");
+            // Guess-dependent top-up of the fixed values.
+            for x in &guesses {
+                let (mut t, mut g) = (table.clone(), generic.clone());
+                let (mut t_rhs, mut g_rhs) = (table_rhs.clone(), generic_rhs.clone());
+                assert!(sys
+                    .stamp_sparse_nonlinear(x, &state, mode, &mut t, &mut t_rhs)
+                    .is_ok());
+                let mut out = Stamper::sparse(&mut g.mat, &mut g.slots_nonlin, &mut g_rhs, n);
+                sys.stamp_pass(&mut out, StampPart::GuessDependent, x, &state, mode);
+                assert!(!g.slots_nonlin.missing());
+                assert_eq!(
+                    bits(t.mat.vals()),
+                    bits(g.mat.vals()),
+                    "{method:?} at {x:?}"
+                );
+                assert_eq!(bits(&t_rhs), bits(&g_rhs), "{method:?} at {x:?}");
+            }
+            // State update.
+            let (mut table_next, mut generic_next) = (state.clone(), state.clone());
+            sys.update_state(&guesses[1], &state, mode, &mut table_next);
+            for (idx, e) in ckt.elements().enumerate() {
+                let sb = sys.state_bases[idx];
+                let ctx = sys.ctx(idx, e, &guesses[1], &state, mode);
+                e.update_state(&ctx, &mut generic_next[sb..sb + e.state_size()]);
+            }
+            assert_eq!(bits(&table_next), bits(&generic_next), "{method:?}");
+        }
+    }
+
+    /// Gate capacitor between `g` and `d` plus a MOSFET whose drain and
+    /// body meet only through its junction capacitance.
+    fn junction_circuit(cj: f64) -> Circuit {
+        let mut ckt = Circuit::new();
+        let [g, d, b] = ["junction_g", "junction_d", "junction_b"].map(|n| ckt.node(n));
+        ckt.add(Vsource::dc("VG", g, Circuit::GROUND, 1.0));
+        ckt.add(Resistor::new("RD", g, d, 1e3));
+        ckt.add(Resistor::new("RB", b, Circuit::GROUND, 1e3));
+        ckt.add(Mosfet::new(
+            "M1",
+            d,
+            g,
+            Circuit::GROUND,
+            b,
+            card(MosType::Nmos, cj),
+        ));
+        ckt
+    }
+
+    /// A pattern recorded with `cjunc = 0` lacks the drain-body
+    /// position; the device table needs it once `cjunc > 0`, and must
+    /// report a pattern miss rather than drop the write. The topology
+    /// hash ignores `cj`, so the cached pattern of the first circuit is
+    /// served to the second, which then rebuilds and matches a run that
+    /// never saw the cache.
+    #[test]
+    fn a_pattern_without_the_junction_position_misses_and_rebuilds() {
+        let (without, with) = (junction_circuit(0.0), junction_circuit(1.0e-3));
+        assert_eq!(without.topology_hash(), with.topology_hash());
+        let (sys, tight) = (System::new(&with), System::new(&without));
+        let mode = StampMode::Tran {
+            time: 1e-12,
+            dt: 1e-12,
+            method: Integration::Trapezoidal,
+        };
+        let x = vec![0.0; sys.dim()];
+        let state = vec![0.0; sys.state_len()];
+        let mut sp = tight.build_sparse(&x, &state, mode).unwrap();
+        sys.bind_devices(&mut sp);
+        let mut rhs = Vec::new();
+        let res = sys.assemble_sparse_linear(&state, mode, 1e-12, &mut sp, &mut rhs);
+        assert!(matches!(res, Err(AttemptError::PatternMiss)));
+
+        let config = TranConfig::new(50e-12, 1e-12);
+        tran::run(&without, &config).unwrap();
+        let tel = Telemetry::enabled();
+        let cached = tran::run_traced(&with, &config, &tel).unwrap();
+        assert_eq!(tel.report().counters.pattern_rebuilds, 1);
+        let mut cold = config.clone();
+        cold.newton.cache = false;
+        let cold = tran::run(&with, &cold).unwrap();
+        let out = with.find_node("junction_d").unwrap();
+        assert_eq!(bits(&cached.voltage(out)), bits(&cold.voltage(out)));
     }
 }

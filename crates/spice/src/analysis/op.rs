@@ -176,6 +176,7 @@ pub(crate) fn solve_system(
     let mut ws = NewtonWorkspace::new();
     let mut newton = |mode: StampMode, x0: &[f64], o: &NewtonOptions| {
         sys.newton_with(mode, x0, &state, o, "op", &mut ws, false, tel)
+            .map(<[f64]>::to_vec)
     };
 
     // 1. Plain Newton.

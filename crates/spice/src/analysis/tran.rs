@@ -405,11 +405,11 @@ fn fixed_loop(
                 tel,
             ) {
                 Ok(x_new) => {
-                    sys.update_state(&x_new, &state, mode, &mut state_next);
+                    sys.update_state(x_new, &state, mode, &mut state_next);
                     std::mem::swap(&mut state, &mut state_next);
                     t += dt;
-                    emit.push(t, &x_new, tel)?;
-                    hist.push(t, &x_new);
+                    emit.push(t, x_new, tel)?;
+                    hist.push(t, x_new);
                     tel.count(|c| {
                         c.tran_steps += 1;
                         c.record_dt(dt, config.dt);
@@ -602,7 +602,7 @@ fn adaptive_loop(
                 Ok(x_new) => {
                     let mut worst = 0.0f64;
                     if hist.len() >= 2 {
-                        worst = predictor_deviation(sys, &pred, &x_new, &config.newton);
+                        worst = predictor_deviation(sys, &pred, x_new, &config.newton);
                         if worst > config.lte_factor
                             && dt_step > dt_min * (1.0 + 1e-9)
                             && halvings < config.max_halvings
@@ -616,11 +616,11 @@ fn adaptive_loop(
                             continue;
                         }
                     }
-                    sys.update_state(&x_new, &state, mode, &mut state_next);
+                    sys.update_state(x_new, &state, mode, &mut state_next);
                     std::mem::swap(&mut state, &mut state_next);
                     t += dt_step;
-                    emit.push(t, &x_new, tel)?;
-                    hist.push(t, &x_new);
+                    emit.push(t, x_new, tel)?;
+                    hist.push(t, x_new);
                     tel.count(|c| {
                         c.tran_steps += 1;
                         c.lte_accepts += 1;

@@ -42,11 +42,24 @@ impl DeviceCap {
         state_next: &mut [f64],
     ) {
         if let StampMode::Tran { dt, method, .. } = ctx.mode {
-            let (geq, ieq) = Self::companion(c, dt, method, state_prev[0], state_prev[1]);
-            let v_new = va - vb;
-            state_next[0] = v_new;
-            state_next[1] = geq * v_new - ieq;
+            Self::advance(c, dt, method, va - vb, state_prev, state_next);
         }
+    }
+
+    /// Writes the next state of a capacitance whose voltage is now
+    /// `v_new` after a step of `dt` by `method`: the voltage and the
+    /// companion current `geq·v_new − ieq` of that step.
+    pub(crate) fn advance(
+        c: f64,
+        dt: f64,
+        method: Integration,
+        v_new: f64,
+        state_prev: &[f64],
+        state_next: &mut [f64],
+    ) {
+        let (geq, ieq) = Self::companion(c, dt, method, state_prev[0], state_prev[1]);
+        state_next[0] = v_new;
+        state_next[1] = geq * v_new - ieq;
     }
 
     /// Initializes state from a DC solution.
@@ -55,7 +68,15 @@ impl DeviceCap {
         state[1] = 0.0;
     }
 
-    fn companion(c: f64, dt: f64, method: Integration, v_prev: f64, i_prev: f64) -> (f64, f64) {
+    /// Companion conductance and history current of capacitance `c`
+    /// for a step of `dt` by `method` from state `[v_prev, i_prev]`.
+    pub(crate) fn companion(
+        c: f64,
+        dt: f64,
+        method: Integration,
+        v_prev: f64,
+        i_prev: f64,
+    ) -> (f64, f64) {
         match method {
             Integration::Trapezoidal => {
                 let geq = 2.0 * c / dt;

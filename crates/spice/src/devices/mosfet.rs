@@ -13,8 +13,8 @@
 use super::DeviceCap;
 use crate::circuit::NodeId;
 use crate::element::{
-    AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, StampMode, StampPart,
-    Stamper,
+    AcStamper, DcCoupling, DcTransfer, Element, ElementKind, Integration, StampCtx, StampMode,
+    StampPart, Stamper,
 };
 use crate::lint::LintCode;
 use std::fmt;
@@ -154,36 +154,95 @@ pub enum MosRegion {
 /// `vgs`, `vds` must already be polarity-corrected with `vds ≥ 0`.
 #[must_use]
 pub fn square_law(params: &MosParams, vgs: f64, vds: f64) -> MosEval {
-    debug_assert!(vds >= 0.0, "square_law requires normalized vds");
-    let beta = params.beta();
-    let vov = vgs - params.vth0;
-    if vov <= 0.0 {
-        return MosEval {
-            ids: 0.0,
-            gm: 0.0,
-            gds: 0.0,
-            region: MosRegion::Cutoff,
-        };
+    Channel::of(params).square_law(vgs, vds)
+}
+
+/// The constants of a model card that the channel equations read:
+/// polarity, `beta = kp·W/L`, `vth0` and `lambda`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Channel {
+    p: f64,
+    beta: f64,
+    vth0: f64,
+    lambda: f64,
+}
+
+impl Channel {
+    pub(crate) fn of(card: &MosParams) -> Self {
+        Channel {
+            p: card.mos_type.polarity(),
+            beta: card.beta(),
+            vth0: card.vth0,
+            lambda: card.lambda,
+        }
     }
-    let clm = 1.0 + params.lambda * vds;
-    if vds < vov {
-        // Triode.
-        let core = vov * vds - 0.5 * vds * vds;
-        MosEval {
-            ids: beta * core * clm,
-            gm: beta * vds * clm,
-            gds: beta * ((vov - vds) * clm + core * params.lambda),
-            region: MosRegion::Triode,
+
+    /// [`square_law`] on these constants.
+    fn square_law(&self, vgs: f64, vds: f64) -> MosEval {
+        debug_assert!(vds >= 0.0, "square_law requires normalized vds");
+        let beta = self.beta;
+        let vov = vgs - self.vth0;
+        if vov <= 0.0 {
+            return MosEval {
+                ids: 0.0,
+                gm: 0.0,
+                gds: 0.0,
+                region: MosRegion::Cutoff,
+            };
         }
-    } else {
-        // Saturation.
-        let core = 0.5 * vov * vov;
-        MosEval {
-            ids: beta * core * clm,
-            gm: beta * vov * clm,
-            gds: beta * core * params.lambda,
-            region: MosRegion::Saturation,
+        let clm = 1.0 + self.lambda * vds;
+        if vds < vov {
+            // Triode.
+            let core = vov * vds - 0.5 * vds * vds;
+            MosEval {
+                ids: beta * core * clm,
+                gm: beta * vds * clm,
+                gds: beta * ((vov - vds) * clm + core * self.lambda),
+                region: MosRegion::Triode,
+            }
+        } else {
+            // Saturation.
+            let core = 0.5 * vov * vov;
+            MosEval {
+                ids: beta * core * clm,
+                gm: beta * vov * clm,
+                gds: beta * core * self.lambda,
+                region: MosRegion::Saturation,
+            }
         }
+    }
+
+    /// Large-signal evaluation at the given terminal voltages (actual,
+    /// un-normalized). Returns the evaluation in the normalized frame
+    /// plus whether drain/source were swapped.
+    fn eval(&self, vd: f64, vg: f64, vs: f64) -> (MosEval, bool) {
+        let p = self.p;
+        let vds_raw = p * (vd - vs);
+        if vds_raw >= 0.0 {
+            (self.square_law(p * (vg - vs), vds_raw), false)
+        } else {
+            // Effective drain and source swap.
+            (self.square_law(p * (vg - vd), -vds_raw), true)
+        }
+    }
+
+    /// The channel's Norton linearization at the given terminal voltages:
+    /// whether drain and source swapped, the six matrix values in stamp
+    /// order, and the equivalent current from the effective drain to the
+    /// effective source. With `(nd, ns)` the effective drain and source,
+    /// the values go to `(nd, g)`, `(nd, nd)`, `(nd, ns)`, `(ns, g)`,
+    /// `(ns, nd)`, `(ns, ns)`, in that order.
+    pub(crate) fn linearize(&self, vd: f64, vg: f64, vs: f64) -> (bool, [f64; 6], f64) {
+        let (ev, swapped) = self.eval(vd, vg, vs);
+        let (vde, vse) = if swapped { (vs, vd) } else { (vd, vs) };
+        // Current from effective drain to effective source:
+        // I = p · ids(vgs_eff, vds_eff), with vgs_eff = p(vg − vse),
+        // vds_eff = p(vde − vse). Chain rule gives real-frame stamps:
+        let (gm, gds) = (ev.gm, ev.gds);
+        let vals = [gm, gds, -(gm + gds), -gm, -gds, gm + gds];
+        let i_actual = self.p * ev.ids;
+        let ieq = i_actual - gm * vg - gds * vde + (gm + gds) * vse;
+        (swapped, vals, ieq)
     }
 }
 
@@ -225,14 +284,7 @@ impl Mosfet {
     /// (actual, un-normalized). Returns the evaluation in the normalized
     /// frame plus whether drain/source were swapped.
     fn eval_at(card: &MosParams, vd: f64, vg: f64, vs: f64) -> (MosEval, bool) {
-        let p = card.mos_type.polarity();
-        let vds_raw = p * (vd - vs);
-        if vds_raw >= 0.0 {
-            (square_law(card, p * (vg - vs), vds_raw), false)
-        } else {
-            // Effective drain and source swap.
-            (square_law(card, p * (vg - vd), -vds_raw), true)
-        }
+        Channel::of(card).eval(vd, vg, vs)
     }
 
     /// Small-signal parameters at an operating point (gm, gds referred to
@@ -266,9 +318,7 @@ impl Mosfet {
     /// in `ctx`: the guess-dependent part of the stamp.
     fn stamp_channel(&self, ctx: &StampCtx<'_>, card: &MosParams, out: &mut Stamper<'_>) {
         let (vd, vg, vs) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s));
-        let p = card.mos_type.polarity();
-        let (ev, swapped) = Self::eval_at(card, vd, vg, vs);
-
+        let (swapped, vals, ieq) = Channel::of(card).linearize(vd, vg, vs);
         // Effective (normalized-frame) drain and source node indices.
         let (nd, ns) = if swapped {
             (self.s.index(), self.d.index())
@@ -276,21 +326,24 @@ impl Mosfet {
             (self.d.index(), self.s.index())
         };
         let ng = self.g.index();
-        let (vde, vse) = if swapped { (vs, vd) } else { (vd, vs) };
-
-        // Current from effective drain to effective source:
-        // I = p · ids(vgs_eff, vds_eff), with vgs_eff = p(vg − vse),
-        // vds_eff = p(vde − vse). Chain rule gives real-frame stamps:
-        let (gm, gds) = (ev.gm, ev.gds);
-        out.mat(nd, ng, gm);
-        out.mat(nd, nd, gds);
-        out.mat(nd, ns, -(gm + gds));
-        out.mat(ns, ng, -gm);
-        out.mat(ns, nd, -gds);
-        out.mat(ns, ns, gm + gds);
-        let i_actual = p * ev.ids;
-        let ieq = i_actual - gm * vg - gds * vde + (gm + gds) * vse;
+        let [v_dg, v_dd, v_ds, v_sg, v_sd, v_ss] = vals;
+        out.mat(nd, ng, v_dg);
+        out.mat(nd, nd, v_dd);
+        out.mat(nd, ns, v_ds);
+        out.mat(ns, ng, v_sg);
+        out.mat(ns, nd, v_sd);
+        out.mat(ns, ns, v_ss);
         out.current_source(nd, ns, ieq);
+    }
+
+    /// This device's row of a transient device table, with its own card.
+    pub(crate) fn device(&self) -> MosDevice {
+        let p = &self.params;
+        MosDevice {
+            nodes: [self.d, self.g, self.s, self.b].map(NodeId::index),
+            channel: Channel::of(p),
+            caps: [p.cgs(), p.cgd(), p.cjunc()],
+        }
     }
 }
 
@@ -298,6 +351,178 @@ impl Mosfet {
 /// merged into cgs loading for simplicity (source is the low-impedance
 /// terminal in every topology used here).
 const N_CAPS: usize = 3;
+
+/// State slots of one MOSFET: `[v_prev, i_prev]` per capacitance.
+pub(crate) const STATE_SIZE: usize = 2 * N_CAPS;
+
+/// Terminal positions in [`MosDevice::nodes`].
+const D: usize = 0;
+const G: usize = 1;
+const S: usize = 2;
+const B: usize = 3;
+
+/// The matrix positions a MOSFET's transient stamps write, as terminal
+/// pairs, in [`MosSlots`] order: the six channel positions, then the
+/// four writes of each capacitance's conductance — `cgs` from gate to
+/// source, `cgd` from gate to drain, `cjunc` from drain to body.
+const POSITIONS: [(usize, usize); 18] = [
+    (D, G),
+    (D, D),
+    (D, S),
+    (S, G),
+    (S, D),
+    (S, S),
+    (G, G),
+    (S, S),
+    (G, S),
+    (S, G),
+    (G, G),
+    (D, D),
+    (G, D),
+    (D, G),
+    (D, D),
+    (B, B),
+    (D, B),
+    (B, D),
+];
+
+/// Slots the channel values go to when drain and source swap: the
+/// effective drain is `S`, so `(nd, g)` is `(S, G)`, and so on.
+const SWAPPED: [usize; 6] = [3, 5, 4, 0, 2, 1];
+
+/// Terminals of the three capacitances, `(a, b)` as
+/// [`DeviceCap`] stamps them, in state order.
+const CAPS: [(usize, usize); N_CAPS] = [(G, S), (G, D), (D, B)];
+
+/// Value slot of a write with a grounded terminal: dropped.
+const GROUND_SLOT: usize = usize::MAX;
+
+/// Value slot of a write whose position the pattern lacks: a pattern
+/// miss.
+const ABSENT_SLOT: usize = usize::MAX - 1;
+
+/// CSR value slots of one MOSFET's transient writes, in [`POSITIONS`]
+/// order.
+pub(crate) type MosSlots = [usize; 18];
+
+/// One MOSFET's row of a transient device table: its node indices and
+/// every card value its transient stamps read, computed once.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct MosDevice {
+    /// Drain, gate, source and body unknowns (`None` for ground).
+    pub(crate) nodes: [Option<usize>; 4],
+    channel: Channel,
+    /// `cgs`, `cgd` and `cjunc`, in state order.
+    caps: [f64; N_CAPS],
+}
+
+/// Adds `v` at value slot `slot`. Returns `false` when the pattern lacks
+/// the position.
+fn add(vals: &mut [f64], slot: usize, v: f64) -> bool {
+    match vals.get_mut(slot) {
+        Some(x) => {
+            *x += v;
+            true
+        }
+        None => slot != ABSENT_SLOT,
+    }
+}
+
+/// Adds `v` to the RHS at `r` (dropped for ground).
+fn add_rhs(rhs: &mut [f64], r: Option<usize>, v: f64) {
+    if let Some(r) = r {
+        rhs[r] += v;
+    }
+}
+
+impl MosDevice {
+    /// Binds the value slots of this device's writes, `find(r, c)`
+    /// giving the slot of a position in the pattern.
+    pub(crate) fn bind(&self, find: impl Fn(usize, usize) -> Option<usize>) -> MosSlots {
+        POSITIONS.map(|(r, c)| match (self.nodes[r], self.nodes[c]) {
+            (Some(r), Some(c)) => find(r, c).unwrap_or(ABSENT_SLOT),
+            _ => GROUND_SLOT,
+        })
+    }
+
+    fn v(&self, x: &[f64], t: usize) -> f64 {
+        self.nodes[t].map_or(0.0, |i| x[i])
+    }
+
+    /// Stamps the channel's linearization at guess `x`, exactly as
+    /// [`Mosfet`]'s guess-dependent part does, into the CSR values and
+    /// the RHS. Returns `false` on a pattern miss.
+    pub(crate) fn stamp_channel(
+        &self,
+        slots: &MosSlots,
+        x: &[f64],
+        vals: &mut [f64],
+        rhs: &mut [f64],
+    ) -> bool {
+        let (vd, vg, vs) = (self.v(x, D), self.v(x, G), self.v(x, S));
+        let (swapped, stamp, ieq) = self.channel.linearize(vd, vg, vs);
+        let (order, nd, ns) = if swapped {
+            (SWAPPED, self.nodes[S], self.nodes[D])
+        } else {
+            ([0, 1, 2, 3, 4, 5], self.nodes[D], self.nodes[S])
+        };
+        let mut hit = true;
+        for (k, v) in order.into_iter().zip(stamp) {
+            hit &= add(vals, slots[k], v);
+        }
+        add_rhs(rhs, nd, -ieq);
+        add_rhs(rhs, ns, ieq);
+        hit
+    }
+
+    /// Stamps the companions of the three capacitances for a step of
+    /// `dt` by `method`, exactly as [`Mosfet`]'s fixed part does: into the
+    /// CSR values through `mat` when given, and always into the RHS.
+    /// `state` is the device's previous-step state. Returns `false` on a
+    /// pattern miss.
+    pub(crate) fn stamp_caps(
+        &self,
+        mut mat: Option<(&MosSlots, &mut [f64])>,
+        state: &[f64],
+        dt: f64,
+        method: Integration,
+        rhs: &mut [f64],
+    ) -> bool {
+        let mut hit = true;
+        for (k, (&c, (a, b))) in self.caps.iter().zip(CAPS).enumerate() {
+            if c <= 0.0 {
+                continue;
+            }
+            let (geq, ieq) = DeviceCap::companion(c, dt, method, state[2 * k], state[2 * k + 1]);
+            if let Some((slots, vals)) = mat.as_mut() {
+                let at = &slots[6 + 4 * k..10 + 4 * k];
+                for (&slot, v) in at.iter().zip([geq, geq, -geq, -geq]) {
+                    hit &= add(vals, slot, v);
+                }
+            }
+            add_rhs(rhs, self.nodes[b], -ieq);
+            add_rhs(rhs, self.nodes[a], ieq);
+        }
+        hit
+    }
+
+    /// Writes the next state of the three capacitances after a converged
+    /// step of `dt` by `method` to solution `x`.
+    pub(crate) fn update_state(
+        &self,
+        x: &[f64],
+        dt: f64,
+        method: Integration,
+        prev: &[f64],
+        next: &mut [f64],
+    ) {
+        for (k, (&c, (a, b))) in self.caps.iter().zip(CAPS).enumerate() {
+            let v_new = self.v(x, a) - self.v(x, b);
+            let at = 2 * k..2 * k + 2;
+            DeviceCap::advance(c, dt, method, v_new, &prev[at.clone()], &mut next[at]);
+        }
+    }
+}
 
 impl Element for Mosfet {
     fn name(&self) -> &str {
@@ -312,8 +537,12 @@ impl Element for Mosfet {
         true
     }
 
+    fn as_mosfet(&self) -> Option<&Mosfet> {
+        Some(self)
+    }
+
     fn state_size(&self) -> usize {
-        2 * N_CAPS
+        STATE_SIZE
     }
 
     fn init_state(&self, ctx: &StampCtx<'_>, state: &mut [f64]) {
@@ -355,31 +584,10 @@ impl Element for Mosfet {
     }
 
     fn update_state(&self, ctx: &StampCtx<'_>, state_next: &mut [f64]) {
-        let (vd, vg, vs, vb) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s), ctx.v(self.b));
-        DeviceCap::update(
-            ctx,
-            self.params.cgs(),
-            vg,
-            vs,
-            &ctx.state[0..2],
-            &mut state_next[0..2],
-        );
-        DeviceCap::update(
-            ctx,
-            self.params.cgd(),
-            vg,
-            vd,
-            &ctx.state[2..4],
-            &mut state_next[2..4],
-        );
-        DeviceCap::update(
-            ctx,
-            self.params.cjunc(),
-            vd,
-            vb,
-            &ctx.state[4..6],
-            &mut state_next[4..6],
-        );
+        if let StampMode::Tran { dt, method, .. } = ctx.mode {
+            self.device()
+                .update_state(ctx.x, dt, method, ctx.state, state_next);
+        }
     }
 
     fn stamp_ac(&self, x_op: &[f64], _bb: usize, omega: f64, out: &mut AcStamper<'_>) {

@@ -8,7 +8,7 @@
 //! current) in a flat arena owned by the analysis, sliced per element.
 
 use crate::circuit::NodeId;
-use crate::devices::mosfet::MosParams;
+use crate::devices::mosfet::{MosParams, Mosfet};
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{Complex64, ComplexMatrix, DenseMatrix};
 use std::fmt;
@@ -634,6 +634,14 @@ pub trait Element: fmt::Debug + Send + Sync {
         if part != StampPart::Fixed {
             self.stamp(ctx, out);
         }
+    }
+
+    /// The MOSFET behind this element, if it is one. The transient solver
+    /// stamps MOSFETs from a device table built once per circuit rather
+    /// than through [`Element::stamp_part`]; every other element keeps
+    /// the `None` default.
+    fn as_mosfet(&self) -> Option<&Mosfet> {
+        None
     }
 
     /// Writes the element's next-timestep state after a converged step.

@@ -13,6 +13,12 @@
 //! * **Iteration count.** The predictor seed is what keeps Newton near
 //!   two iterations per step solve. Counts are deterministic, so a
 //!   ceiling on `newton_iterations / newton_solves` guards it.
+//! * **Charge accounting.** A MOSFET whose drain, source and body are
+//!   held by DC sources draws gate current only through its fixed
+//!   Meyer capacitances (and the conditioning gmin). The charge the gate
+//!   source delivers over a PRBS-7 drive must therefore be
+//!   `(cgs + cgd)·Δv_g` at every accepted point, with `cgs` and `cgd`
+//!   computed here from the card fields.
 
 // Test target: aborting on a malformed result with a message
 // is the intended failure mode, so expect is fine here.
@@ -26,6 +32,7 @@ use cml_sig::nrz::NrzConfig;
 use cml_sig::prbs::Prbs;
 use cml_spice::analysis::tran::{self, TranConfig, TranResult};
 use cml_spice::analysis::NewtonOptions;
+use cml_spice::element::Integration;
 use cml_spice::prelude::*;
 use cml_spice::telemetry::Telemetry;
 use std::f64::consts::PI;
@@ -216,4 +223,113 @@ fn predictor_seed_keeps_newton_near_two_iterations() {
     // predictor, against 2.131 and 2.594 from the last accepted point.
     assert!(buffer < 2.0, "buffer: {buffer:.3} iterations per solve");
     assert!(rx < 2.3, "rx: {rx:.3} iterations per solve");
+}
+
+// ---------------------------------------------------------------------
+// Charge accounting
+// ---------------------------------------------------------------------
+
+/// Largest distance allowed between the gate charge the gate source
+/// delivers and `(cgs + cgd)·Δv_g`, relative to `(cgs + cgd)` times the
+/// gate swing. The worst case measured over the eight runs below is
+/// 3.5e-12, rounding in the sums; a `cgs` off by one part in 10⁶ moves
+/// the charge by 8e-7 of it.
+const CHARGE_REL_ERR: f64 = 1e-10;
+
+fn charge_card(mos_type: MosType) -> MosParams {
+    MosParams {
+        mos_type,
+        w: 10e-6,
+        l: 0.18e-6,
+        vth0: 0.45,
+        kp: 170e-6,
+        lambda: 0.1,
+        cox: 8.4e-3,
+        cov: 3.0e-10,
+        cj: 1.0e-3,
+        ldiff: 0.5e-6,
+    }
+}
+
+/// One MOSFET with drain, source and body on DC sources and its gate on
+/// a 127-bit PRBS-7 PWL source `VG` swinging 0.5–1.3 V. Returns the
+/// circuit and the gate node.
+fn gate_charge_circuit(card: MosParams) -> (Circuit, NodeId) {
+    let (vd, vs) = match card.mos_type {
+        MosType::Nmos => (1.2, 0.2),
+        MosType::Pmos => (0.3, 1.8),
+    };
+    let mut ckt = Circuit::new();
+    let [g, d, s, b] = ["g", "d", "s", "b"].map(|n| ckt.node(n));
+    let bits: Vec<bool> = Prbs::prbs7().take(127).collect();
+    let pwl = NrzConfig::new(UI, 0.8).with_offset(0.9).render_pwl(&bits);
+    ckt.add(Vsource::new("VG", g, Circuit::GROUND, Waveform::Pwl(pwl)));
+    ckt.add(Vsource::dc("VD", d, Circuit::GROUND, vd));
+    ckt.add(Vsource::dc("VS", s, Circuit::GROUND, vs));
+    ckt.add(Vsource::dc("VB", b, Circuit::GROUND, vs));
+    ckt.add(Mosfet::new("M1", d, g, s, b, card));
+    (ckt, g)
+}
+
+/// Worst distance, over every accepted point, between the charge the
+/// gate source has delivered and `(cgs + cgd)·(v_g(t) − v_g(0))`,
+/// relative to `(cgs + cgd)` times the gate swing. The source's branch
+/// current `I` flows from the gate into the source, so the gate network
+/// draws `−I`; the gmin conductance from the gate to ground takes
+/// `gmin·v_g` of it. Integrated by the rule the step used: trapezoidal
+/// sums for trapezoidal steps, right-endpoint sums for backward Euler,
+/// under which the companion currents telescope exactly.
+fn worst_gate_charge_error(card: MosParams, config: &TranConfig) -> f64 {
+    // Meyer saturation average plus overlap, and overlap alone.
+    let cgs = 2.0 / 3.0 * card.w * card.l * card.cox + card.cov * card.w;
+    let cgd = card.cov * card.w;
+    let c = cgs + cgd;
+    let (ckt, g) = gate_charge_circuit(card);
+    let res = tran::run(&ckt, config).expect("gate-charge transient");
+    let (t, v) = (res.times(), res.voltage(g));
+    let drawn: Vec<f64> = res
+        .current("VG")
+        .expect("gate source branch")
+        .iter()
+        .zip(&v)
+        .map(|(i, vg)| -i - config.newton.gmin * vg)
+        .collect();
+    let swing = v.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x))
+        - v.iter().fold(f64::INFINITY, |m, &x| m.min(x));
+    let backward_euler = config.method == Integration::BackwardEuler;
+    let mut q = 0.0;
+    let mut worst = 0.0f64;
+    for k in 1..t.len() {
+        let dt = t[k] - t[k - 1];
+        q += if backward_euler {
+            dt * drawn[k]
+        } else {
+            0.5 * dt * (drawn[k] + drawn[k - 1])
+        };
+        worst = worst.max((q - c * (v[k] - v[0])).abs() / (c * swing));
+    }
+    worst
+}
+
+#[test]
+fn gate_charge_matches_meyer_capacitances() {
+    let t_stop = 127.0 * UI;
+    let fixed = TranConfig::new(t_stop, 2e-12);
+    let adaptive = TranConfig::new(t_stop, 10e-12).adaptive();
+    let mut worst = 0.0f64;
+    for mos_type in [MosType::Nmos, MosType::Pmos] {
+        for config in [&fixed, &adaptive] {
+            for config in [config.clone(), config.clone().backward_euler()] {
+                let err = worst_gate_charge_error(charge_card(mos_type), &config);
+                assert!(
+                    err < CHARGE_REL_ERR,
+                    "{mos_type:?} {:?} adaptive={}: relative charge error {err:e}",
+                    config.method,
+                    config.adaptive
+                );
+                worst = worst.max(err);
+            }
+        }
+    }
+    eprintln!("gate charge oracle: worst relative error {worst:e}");
 }

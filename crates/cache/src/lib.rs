@@ -3,9 +3,9 @@
 //!
 //! Every expensive pre-numeric artifact in the simulator — recorded
 //! stamp patterns, symbolic Gilbert–Peierls analyses, factored AC
-//! reference states, lint verdicts, analysis warm-start vectors — is a
-//! pure function of circuit structure (and, for value-dependent
-//! artifacts, of a content digest). This crate interns them in memory
+//! reference states, lint verdicts — is a pure function of circuit
+//! structure (and, for value-dependent artifacts, of a content digest).
+//! This crate interns them in memory
 //! ([`intern`]): a sharded `RwLock` map from [`Key`] to `Arc`-shared
 //! artifacts. Compute-under-write-lock guarantees exactly one cold
 //! derivation per unique key process-wide, which is what keeps the
@@ -16,16 +16,15 @@
 //! cold derivation on any mismatch, so a colliding entry can never
 //! change results.
 //!
-//! `CML_CACHE=off|0|false|no` disables the cache; [`set_enabled`]
-//! overrides the environment programmatically (tests and benches).
+//! The cache has no process-wide switch: each solve opts in or out
+//! through its own options (`NewtonOptions::cache` in `cml-spice`).
 
 #![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod intern;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------
 // Keys
@@ -51,8 +50,6 @@ pub enum ArtifactKind {
     /// A passing lint precheck verdict (content-keyed, so a value edit
     /// re-lints).
     LintVerdict = 5,
-    /// Interval-analysis Newton warm-start vector (content-keyed).
-    WarmStart = 6,
 }
 
 impl ArtifactKind {
@@ -160,33 +157,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Configuration
-// ---------------------------------------------------------------------
-
-fn enabled_cell() -> &'static AtomicBool {
-    static CELL: OnceLock<AtomicBool> = OnceLock::new();
-    CELL.get_or_init(|| {
-        AtomicBool::new(!matches!(
-            std::env::var("CML_CACHE")
-                .map(|v| v.trim().to_ascii_lowercase())
-                .as_deref(),
-            Ok("off" | "0" | "false" | "no")
-        ))
-    })
-}
-
-/// Whether the cache is enabled (`CML_CACHE=off` clears it).
-#[must_use]
-pub fn enabled() -> bool {
-    enabled_cell().load(Ordering::Relaxed)
-}
-
-/// Enables or disables the cache process-wide (overrides `CML_CACHE`).
-pub fn set_enabled(on: bool) {
-    enabled_cell().store(on, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------
 // Global statistics (process-wide observability, *not* telemetry)
 // ---------------------------------------------------------------------
 //
@@ -270,8 +240,8 @@ pub fn reset_stats() {
     EVICTIONS.store(0, Ordering::Relaxed);
 }
 
-/// Serializes unit tests that touch the process-global interner,
-/// enable flag, or stats (cargo runs tests of one binary concurrently).
+/// Serializes unit tests that touch the process-global interner or
+/// stats (cargo runs tests of one binary concurrently).
 #[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -308,17 +278,5 @@ mod tests {
         b.write_str("a");
         b.write_str("bc");
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn config_setters_roundtrip() {
-        let _g = test_guard();
-        let before = enabled();
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-        // Restore whatever the environment dictated.
-        set_enabled(before);
     }
 }

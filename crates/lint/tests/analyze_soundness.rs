@@ -3,7 +3,7 @@
 //! The analyzer's core contract: the interval operating-point bounds must
 //! contain the converged Newton solution for every circuit the solver can
 //! handle — checked here over every builtin seed cell, plus the telemetry
-//! cross-checks and the warm-start path.
+//! cross-checks.
 
 use cml_lint::{builtin_circuit, BUILTIN_NAMES};
 use cml_spice::analysis::tran::{self, TranConfig};
@@ -119,39 +119,19 @@ fn telemetry_cross_check_is_clean_on_builtins() {
 }
 
 #[test]
-fn warm_start_converges_to_same_operating_point() {
-    for which in BUILTIN_NAMES {
-        let ckt = builtin_circuit(which).expect("builtin");
-        let cold = op::solve(&ckt).unwrap_or_else(|e| panic!("cold op({which}): {e}"));
-        let warm_opts = NewtonOptions {
-            warm_start_from_analysis: true,
-            ..NewtonOptions::default()
-        };
-        let warm = op::solve_with(&ckt, &warm_opts, None)
-            .unwrap_or_else(|e| panic!("warm op({which}): {e}"));
-        // Every unknown, branch currents included, not just node voltages.
-        assert_eq!(cold.solution().len(), warm.solution().len());
-        for (i, (c, w)) in cold.solution().iter().zip(warm.solution()).enumerate() {
-            assert!(
-                (c - w).abs() <= 1e-6 * (1.0 + c.abs()),
-                "{which}: unknown {i} cold {c} vs warm {w}"
-            );
-        }
-    }
-}
-
-#[test]
 fn midpoints_are_inside_bounds_and_finite() {
     for which in BUILTIN_NAMES {
         let ckt = builtin_circuit(which).expect("builtin");
-        let bounds = analyze::dc_bounds(&ckt, 1e-12);
-        assert_eq!(bounds.len(), ckt.num_nodes());
-        for (raw, b) in bounds.iter().enumerate().skip(1) {
+        let report = analyze::analyze(&ckt);
+        assert_eq!(report.node_bounds.len(), ckt.num_nodes() - 1);
+        for nb in &report.node_bounds {
+            let b = nb.interval();
             let m = b.midpoint();
-            assert!(m.is_finite(), "{which}: node {raw} midpoint");
+            assert!(m.is_finite(), "{which}: node {} midpoint", nb.node);
             assert!(
                 b.contains(m),
-                "{which}: node {raw} midpoint {m} outside [{}, {}]",
+                "{which}: node {} midpoint {m} outside [{}, {}]",
+                nb.node,
                 b.lo,
                 b.hi
             );

@@ -269,5 +269,6 @@ fn error_display_carries_diagnostics() {
     let text = err.to_string();
     assert!(text.contains("L001"), "{text}");
     assert!(text.contains("nowhere"), "{text}");
-    assert!(text.contains("CML_LINT=off"), "{text}");
+    // The precheck has no bypass, so the message must not offer one.
+    assert!(!text.contains("CML_LINT"), "{text}");
 }

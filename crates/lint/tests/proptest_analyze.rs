@@ -90,17 +90,17 @@ proptest! {
                 .join("\n"),
             report.render(Severity::Info)
         );
-        // Spot-check the raw bounds too: check_op and dc_bounds must agree.
-        let bounds = analyze::dc_bounds(&ckt, 1e-12);
-        for (raw, b) in bounds.iter().enumerate().take(ckt.num_nodes()).skip(1) {
-            let node = NodeId::from_raw(u32::try_from(raw).expect("node id"));
+        // Spot-check the raw bounds too: check_op and the report's
+        // node boxes must agree.
+        for (i, nb) in report.node_bounds.iter().enumerate() {
+            let node = NodeId::from_raw(u32::try_from(i + 1).expect("node id"));
             let v = op.voltage(node);
             prop_assert!(
-                b.contains(v),
+                nb.interval().contains(v),
                 "node {} = {v} outside [{}, {}] (seed {seed})",
                 ckt.node_name(node),
-                b.lo,
-                b.hi
+                nb.lo,
+                nb.hi
             );
         }
     }

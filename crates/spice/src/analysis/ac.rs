@@ -146,7 +146,7 @@ pub fn sweep_traced(
 ) -> Result<AcResult, SpiceError> {
     {
         let _t = tel.timer(Phase::LintPrecheck);
-        cache::lint_precheck_cached(ckt, opts.cache_enabled(), tel)?;
+        cache::lint_precheck_cached(ckt, opts.cache, tel)?;
     }
     tel.count(|c| c.lint_prechecks += 1);
     sweep_prechecked(ckt, x_op, freqs, opts, threads, tel)
@@ -241,7 +241,7 @@ fn sweep_prechecked_impl(
     let want_sparse = dim > 0 && dim >= opts.sparse_threshold && !freqs.is_empty();
     let reference: Option<AcSparseState> = if want_sparse {
         let _t = tel.timer(Phase::PatternDiscovery);
-        if opts.cache_enabled() {
+        if opts.cache {
             cache::prepare_ac_sparse_cached(&sys, x_op, freqs[0], gmin, tel)
         } else {
             prepare_ac_sparse(&sys, x_op, freqs[0], gmin)

@@ -370,7 +370,7 @@ impl BatchSparse {
     /// be built: the batch then goes to the scalar ladder.
     fn build(sys: &System<'_>, x0: &[f64], opts: &NewtonOptions, tel: &Telemetry) -> Option<Self> {
         let _t = tel.timer(Phase::PatternDiscovery);
-        let built = if opts.cache_enabled() {
+        let built = if opts.cache {
             cache::sparse_state_cached(sys, x0, &[], StampMode::dc(), tel)
         } else {
             sys.build_sparse(x0, &[], StampMode::dc())
@@ -514,7 +514,7 @@ fn op_batch_impl(
     // connectivity checks.
     {
         let _t = tel.timer(Phase::LintPrecheck);
-        cache::lint_precheck_cached(ckt, opts.cache_enabled(), tel)?;
+        cache::lint_precheck_cached(ckt, opts.cache, tel)?;
         tel.count(|c| c.lint_prechecks += 1);
     }
     let mut lanes = Lanes::new(ckt, cols)?;

@@ -5,8 +5,7 @@
 //! re-derive per analysis invocation even though it is a pure function
 //! of circuit structure: DC/transient Jacobian stamp patterns with
 //! their symbolic LU analyses, the AC `G + jωC` pattern, the factored
-//! AC reference state, lint verdicts, and interval-analysis warm-start
-//! vectors.
+//! AC reference state and lint verdicts.
 //!
 //! # Soundness
 //!
@@ -242,53 +241,6 @@ pub(crate) fn lint_precheck_cached(
                     message: "lint verdict cache lost its error".to_string(),
                 }),
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Warm-start vectors
-// ---------------------------------------------------------------------
-
-/// Cached variant of [`crate::analyze::warm_start_vector`], keyed by
-/// the circuit *content* hash (interval analysis reads element values)
-/// folded with `gmin` and the MNA dimension. The vector is advisory — any stale value would
-/// only change the Newton starting point, never the converged result,
-/// but the content key makes even that impossible.
-pub(super) fn warm_start_cached(
-    sys: &System<'_>,
-    gmin: f64,
-    dim: usize,
-    tel: &Telemetry,
-) -> Vec<f64> {
-    let mut h = Fnv64::new();
-    h.write_u64(sys.circuit().content_hash());
-    h.write_f64(gmin);
-    h.write_usize(dim);
-    let key = Key::new(ArtifactKind::WarmStart, h.finish());
-    let got = intern::get_or_insert_with::<Vec<f64>, _>(key, || {
-        Some(Arc::new(crate::analyze::warm_start_vector(
-            sys.circuit(),
-            gmin,
-            dim,
-            tel,
-        )))
-    });
-    match got {
-        Some((arc, was_hit)) if arc.len() == dim => {
-            count_outcome(tel, was_hit);
-            arc.as_ref().clone()
-        }
-        // Length mismatch can only mean a key collision; derive fresh.
-        _ => {
-            tel.count(|c| {
-                c.cache_misses += 1;
-                c.cache_validation_failures += 1;
-            });
-            tel.event(|| EventKind::CacheRejected {
-                kind: "warm-start".into(),
-            });
-            crate::analyze::warm_start_vector(sys.circuit(), gmin, dim, tel)
         }
     }
 }

@@ -48,16 +48,11 @@ pub struct NewtonOptions {
     /// ([`batch::op_batch`]) is sparse regardless; its scalar fallback
     /// ladder honours this field.
     pub sparse_threshold: usize,
-    /// Start Newton from the interval-analysis midpoint vector instead of
-    /// all-zeros (see [`crate::analyze::dc_bounds`]). Opt-in; also gated by
-    /// the `CML_ANALYZE` environment variable.
-    pub warm_start_from_analysis: bool,
     /// Use the content-addressed topology artifact cache (`cml-cache`)
     /// for stamp patterns, symbolic LU analyses, frozen AC pivot
-    /// orders, lint verdicts and warm-start vectors. Defaults on; also
-    /// gated process-wide by the `CML_CACHE` environment variable (off
-    /// there wins over on here). The cache is advisory — disabling it
-    /// changes cost, never results.
+    /// orders and lint verdicts. Defaults on; this field is the only
+    /// switch. The cache is advisory — disabling it changes cost, never
+    /// results.
     pub cache: bool,
 }
 
@@ -71,18 +66,8 @@ impl Default for NewtonOptions {
             max_step: 0.5,
             gmin: 1e-12,
             sparse_threshold: 1,
-            warm_start_from_analysis: false,
             cache: true,
         }
-    }
-}
-
-impl NewtonOptions {
-    /// Whether cache lookups should run for this solve: the per-options
-    /// flag AND the process-wide `CML_CACHE` gate.
-    #[must_use]
-    pub fn cache_enabled(&self) -> bool {
-        self.cache && cml_cache::enabled()
     }
 }
 
@@ -830,7 +815,7 @@ impl<'a> System<'a> {
                 Some(sp) if sp.kind == ModeKind::of(mode) && sp.mat.rows() == dim);
             if !fresh {
                 let _t = tel.timer(Phase::PatternDiscovery);
-                ws.sparse = if opts.cache_enabled() && !ws.sparse_cache_bypass {
+                ws.sparse = if opts.cache && !ws.sparse_cache_bypass {
                     cache::sparse_state_cached(self, x0, state, mode, tel)
                 } else {
                     self.build_sparse(x0, state, mode)

@@ -131,7 +131,7 @@ fn solve_traced_impl(
     let _span = tel.span("analysis", "op");
     {
         let _t = tel.timer(Phase::LintPrecheck);
-        if let Err(e) = super::cache::lint_precheck_cached(ckt, opts.cache_enabled(), tel) {
+        if let Err(e) = super::cache::lint_precheck_cached(ckt, opts.cache, tel) {
             if let SpiceError::LintRejected { diagnostics } = &e {
                 let errors = diagnostics.len() as u32;
                 tel.event(|| EventKind::LintRejected { errors });
@@ -155,16 +155,7 @@ pub(crate) fn solve_system(
     at_time: Option<f64>,
     tel: &Telemetry,
 ) -> Result<Vec<f64>, SpiceError> {
-    let dim = sys.dim();
-    let x0 = if opts.warm_start_from_analysis && crate::analyze::enabled() {
-        if opts.cache_enabled() {
-            super::cache::warm_start_cached(sys, opts.gmin, dim, tel)
-        } else {
-            crate::analyze::warm_start_vector(sys.circuit(), opts.gmin, dim, tel)
-        }
-    } else {
-        vec![0.0; dim]
-    };
+    let x0 = vec![0.0; sys.dim()];
     let state: Vec<f64> = Vec::new();
     let mode = |scale: f64| StampMode::Dc {
         source_scale: scale,

@@ -21,8 +21,7 @@
 //!   metrics in a single pass).
 //!
 //! Chunk size comes from [`super::tran::TranConfig::chunk_size`]
-//! (default 1024 samples, `CML_TRAN_CHUNK` env override). See
-//! DESIGN.md §12 for the memory model.
+//! (default 1024 samples). See DESIGN.md §12 for the memory model.
 
 use super::System;
 use crate::circuit::NodeId;

@@ -36,7 +36,6 @@ use crate::element::{Integration, StampMode};
 use crate::SpiceError;
 use cml_telemetry::{EventKind, Phase, Telemetry};
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Configuration for a transient run.
 #[derive(Debug, Clone)]
@@ -49,12 +48,10 @@ pub struct TranConfig {
     pub method: Integration,
     /// Newton options per step.
     pub newton: NewtonOptions,
-    /// Maximum consecutive step halvings before giving up.
-    pub max_halvings: u32,
     /// Local-truncation-error control: when `true`, each step's solution
     /// is compared against a polynomial predictor (quadratic through the
     /// three previous accepted points once available, linear before
-    /// that). Steps whose normalized deviation exceeds `lte_factor`
+    /// that). Steps whose normalized deviation exceeds ten Newton
     /// tolerance bands are rejected and retried at half the step, down
     /// to `dt / 4096`; comfortably accurate steps grow back by doubling,
     /// up to `max(dt, t_stop / 50)`. Source-waveform corners become
@@ -63,33 +60,17 @@ pub struct TranConfig {
     /// side. `dt` remains the first-step size and the scale all limits
     /// derive from.
     pub adaptive: bool,
-    /// Rejection threshold for adaptive mode, in units of the Newton
-    /// tolerance band (`reltol·|x| + vntol`).
-    pub lte_factor: f64,
     /// Reuse cached linear-element stamps and (on linear circuits) the
     /// LU factorization across timesteps sharing a step size; see
     /// [`crate::element::Element::is_nonlinear`] and DESIGN.md. Disable
     /// to force the historical assemble-and-factor-every-iteration path
     /// (bit-identical to it on linear circuits either way).
     pub reuse_factorization: bool,
-    /// Samples per streamed waveform chunk. Defaults to the
-    /// `CML_TRAN_CHUNK` environment variable (clamped to 16..=2²⁰) or
-    /// 1024. Accumulators downstream are chunk-invariant, so this only
-    /// trades sink-call overhead against staging-buffer size; it never
-    /// changes results.
+    /// Samples per streamed waveform chunk (default 1024, see
+    /// [`TranConfig::with_chunk_size`]). Accumulators downstream are
+    /// chunk-invariant, so this only trades sink-call overhead against
+    /// staging-buffer size; it never changes results.
     pub chunk_size: usize,
-}
-
-/// Resolves the process-wide default chunk size, honouring the
-/// `CML_TRAN_CHUNK` environment variable (read once).
-fn default_chunk_size() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("CML_TRAN_CHUNK")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .map_or(1024, |n| n.clamp(16, 1 << 20))
-    })
 }
 
 impl TranConfig {
@@ -108,11 +89,9 @@ impl TranConfig {
             dt,
             method: Integration::Trapezoidal,
             newton: NewtonOptions::default(),
-            max_halvings: 10,
             adaptive: false,
-            lte_factor: 10.0,
             reuse_factorization: true,
-            chunk_size: default_chunk_size(),
+            chunk_size: 1024,
         }
     }
 
@@ -241,7 +220,7 @@ impl TranResult {
 /// # Errors
 ///
 /// Propagates initial-OP failures; [`SpiceError::NoConvergence`] if a step
-/// cannot be completed even at `dt / 2^max_halvings`.
+/// cannot be completed even after 10 consecutive halvings of `dt`.
 pub fn run(ckt: &Circuit, config: &TranConfig) -> Result<TranResult, SpiceError> {
     run_traced(ckt, config, &Telemetry::disabled())
 }
@@ -333,7 +312,7 @@ fn run_streaming_impl(
     }
     {
         let _t = tel.timer(Phase::LintPrecheck);
-        super::cache::lint_precheck_cached(ckt, config.newton.cache_enabled(), tel)?;
+        super::cache::lint_precheck_cached(ckt, config.newton.cache, tel)?;
     }
     tel.count(|c| c.lint_prechecks += 1);
     let sys = System::new(ckt);
@@ -418,7 +397,7 @@ fn fixed_loop(
                 }
                 Err(e) => {
                     halvings += 1;
-                    if halvings > config.max_halvings {
+                    if halvings > MAX_HALVINGS {
                         return Err(e);
                     }
                     tel.count(|c| c.newton_retries += 1);
@@ -434,6 +413,13 @@ fn fixed_loop(
 /// Smallest step the LTE controller will shrink to, as a divisor of the
 /// nominal `dt`.
 const MAX_SHRINK: f64 = 4096.0;
+
+/// Maximum consecutive step halvings before a step gives up.
+const MAX_HALVINGS: u32 = 10;
+
+/// Rejection threshold for adaptive mode, in units of the Newton
+/// tolerance band (`reltol·|x| + vntol`).
+const LTE_FACTOR: f64 = 10.0;
 
 /// Step divisor used to restart integration just after a breakpoint.
 const BP_RESTART_DIV: f64 = 64.0;
@@ -603,9 +589,9 @@ fn adaptive_loop(
                     let mut worst = 0.0f64;
                     if hist.len() >= 2 {
                         worst = predictor_deviation(sys, &pred, x_new, &config.newton);
-                        if worst > config.lte_factor
+                        if worst > LTE_FACTOR
                             && dt_step > dt_min * (1.0 + 1e-9)
-                            && halvings < config.max_halvings
+                            && halvings < MAX_HALVINGS
                         {
                             halvings += 1;
                             rejected = true;
@@ -636,14 +622,14 @@ fn adaptive_loop(
                         // Continue at the scale the rejection found;
                         // quiet steps will grow it back.
                         dt = dt_step;
-                    } else if worst < config.lte_factor / 4.0 {
+                    } else if worst < LTE_FACTOR / 4.0 {
                         dt = (dt * 2.0).min(dt_max);
                     }
                     break;
                 }
                 Err(e) => {
                     halvings += 1;
-                    if halvings > config.max_halvings {
+                    if halvings > MAX_HALVINGS {
                         return Err(e);
                     }
                     tel.count(|c| c.newton_retries += 1);

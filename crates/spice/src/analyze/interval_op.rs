@@ -36,8 +36,8 @@
 //! idiom (drain and gate tied through a gate resistor that carries no DC
 //! current) hinges on exactly such a correlation — legs behind a peaking
 //! PMOS can stay supply-budget wide. That is looseness, not unsoundness:
-//! every downstream consumer (warm start, conditioning, stiffness) gates on
-//! box width before trusting a midpoint.
+//! every downstream consumer (conditioning, stiffness) gates on box width
+//! before trusting a midpoint.
 
 use super::{AnalyzeCode, AnalyzeOptions, Finding, MosPrediction};
 use crate::circuit::{Circuit, NodeId};

@@ -27,8 +27,9 @@
 //! against runtime telemetry and surface violations as `A006`
 //! prediction-violation findings — see `tests/analyze_soundness.rs`.
 //!
-//! Set `CML_ANALYZE=off` to disable the opt-in hooks (Newton warm starting)
-//! without touching call sites.
+//! Nothing in the solver calls the analyzer: it runs only when asked
+//! (the `cml-lint analyze` CLI, the soundness tests), so it has no
+//! switch of its own.
 
 mod conditioning;
 mod interval_op;
@@ -404,20 +405,6 @@ impl Default for AnalyzeOptions {
     }
 }
 
-/// Whether the analyzer's opt-in hooks are enabled. Controlled by the
-/// `CML_ANALYZE` environment variable: `off`, `0`, `false`, or `no` disable
-/// it. Explicit [`analyze`] calls always run; this gate only affects
-/// behaviour wired into other paths (Newton warm starting).
-pub fn enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("CML_ANALYZE").as_deref(),
-            Ok("off" | "0" | "false" | "no")
-        )
-    })
-}
-
 /// Runs all passes with default options.
 #[must_use]
 pub fn analyze(ckt: &Circuit) -> AnalysisReport {
@@ -471,35 +458,6 @@ pub fn analyze_traced(ckt: &Circuit, opts: &AnalyzeOptions, tel: &Telemetry) -> 
     let _t = tel.timer(Phase::Analyze);
     tel.count(|c| c.analyze_runs += 1);
     analyze_with(ckt, opts)
-}
-
-/// Interval-only pass used by the Newton warm start: returns per-raw-node
-/// bounds without running the conditioning/stiffness passes.
-#[must_use]
-pub fn dc_bounds(ckt: &Circuit, gmin: f64) -> Vec<Interval> {
-    let opts = AnalyzeOptions {
-        gmin: gmin.max(f64::MIN_POSITIVE),
-        ..AnalyzeOptions::default()
-    };
-    interval_op::interval_dc(ckt, &opts).bounds
-}
-
-/// Builds the Newton starting vector from interval midpoints. Branch
-/// currents start at zero. Called from the solver when
-/// `NewtonOptions::warm_start_from_analysis` is set and [`enabled`] is true.
-pub(crate) fn warm_start_vector(ckt: &Circuit, gmin: f64, dim: usize, tel: &Telemetry) -> Vec<f64> {
-    let _t = tel.timer(Phase::Analyze);
-    tel.count(|c| c.analyze_runs += 1);
-    let bounds = dc_bounds(ckt, gmin);
-    let mut x0 = vec![0.0; dim];
-    for raw in 1..ckt.num_nodes() {
-        // Only trust midpoints of boxes the fixpoint actually tightened; a
-        // half-pruned worst-case box has a midpoint far worse than zero.
-        if raw - 1 < x0.len() && bounds[raw].width() <= 10.0 {
-            x0[raw - 1] = bounds[raw].midpoint();
-        }
-    }
-    x0
 }
 
 /// Closed-loop soundness check: every converged node voltage must lie inside

@@ -269,7 +269,7 @@ impl Circuit {
     /// every builtin element, so `f64` fields print with lossless
     /// shortest-roundtrip formatting). Folds in
     /// [`topology_hash`](Self::topology_hash). Used to key artifacts
-    /// that depend on values, like analysis warm-start vectors; two
+    /// that depend on values, like lint verdicts; two
     /// circuits with equal content hashes are the same netlist.
     #[must_use]
     pub fn content_hash(&self) -> u64 {

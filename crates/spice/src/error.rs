@@ -44,9 +44,7 @@ pub enum SpiceError {
     /// An underlying numeric kernel failed in a way not covered above.
     Numeric(NumericError),
     /// The pre-simulation lint precheck found error-level structural
-    /// defects; the solve was not attempted. Set `CML_LINT=off` to
-    /// bypass the precheck (the solve will then typically fail with
-    /// [`SpiceError::Singular`] instead, without the diagnosis).
+    /// defects; the solve was not attempted.
     LintRejected {
         /// The error-level diagnostics, sorted as in
         /// [`crate::lint::LintReport`].
@@ -84,7 +82,7 @@ impl fmt::Display for SpiceError {
             SpiceError::LintRejected { diagnostics } => {
                 write!(
                     f,
-                    "netlist rejected by pre-simulation lint ({} error(s); CML_LINT=off to bypass)",
+                    "netlist rejected by pre-simulation lint ({} error(s))",
                     diagnostics.len()
                 )?;
                 for d in diagnostics {

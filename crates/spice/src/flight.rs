@@ -13,7 +13,7 @@
 //! — everything needed to replay the failure offline with
 //! `cml-lint forensics <bundle> --replay`.
 //!
-//! # Format (`CMLF`, version 1)
+//! # Format (`CMLF`, version 2)
 //!
 //! The header is magic, version, payload length and an FNV-1a checksum
 //! over the payload, then the payload encoded with the shared
@@ -53,8 +53,9 @@ pub const FLIGHT_EXT: &str = "cmlf";
 pub const FLIGHT_MAGIC: [u8; 4] = *b"CMLF";
 
 /// Current bundle format version. Readers reject other versions with a
-/// typed error instead of guessing.
-pub const FLIGHT_VERSION: u32 = 1;
+/// typed error instead of guessing. Version 2 dropped the warm-start
+/// byte from the options block.
+pub const FLIGHT_VERSION: u32 = 2;
 
 /// Header length: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
@@ -145,8 +146,8 @@ pub struct FlightBundle {
     pub topology_hash: u64,
     /// Which analysis failed (`"op"`, `"tran"`, …).
     pub analysis: String,
-    /// `(variant tag, Display string)` of the error, or `None` for an
-    /// on-demand snapshot.
+    /// `(variant tag, Display string)` of the error. The recorder always
+    /// sets it; the format still encodes a presence flag.
     pub error: Option<(u8, String)>,
     /// The circuit's SPICE netlist ([`Circuit::netlist`]) — re-parseable
     /// by `cml-lint`, which is what makes replay possible.
@@ -302,22 +303,22 @@ fn get_event(r: &mut ByteReader<'_>) -> Result<Event, FlightError> {
 }
 
 impl FlightBundle {
-    /// Encodes the deterministic fields (everything except wall-clock
-    /// timestamps and the report JSON) in a fixed order.
-    fn deterministic_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(1024 + self.netlist.len());
+    /// Encodes every field before `events_dropped`, in payload order.
+    /// Event timestamps are written only when `with_time` is set: the
+    /// payload carries them, the fingerprint leaves them out.
+    fn put_fields(&self, w: &mut ByteWriter, with_time: bool) {
         w.put_u64(self.content_hash);
         w.put_u64(self.topology_hash);
-        put_str(&mut w, &self.analysis);
+        put_str(w, &self.analysis);
         match &self.error {
             None => w.put_u8(0),
             Some((tag, msg)) => {
                 w.put_u8(1);
                 w.put_u8(*tag);
-                put_str(&mut w, msg);
+                put_str(w, msg);
             }
         }
-        put_str(&mut w, &self.netlist);
+        put_str(w, &self.netlist);
         w.put_usize(self.options.max_iter);
         w.put_usize(self.options.sparse_threshold);
         w.put_f64(self.options.vntol);
@@ -325,7 +326,6 @@ impl FlightBundle {
         w.put_f64(self.options.abstol);
         w.put_f64(self.options.max_step);
         w.put_f64(self.options.gmin);
-        w.put_u8(u8::from(self.options.warm_start_from_analysis));
         w.put_u8(u8::from(self.options.cache));
         match self.seed {
             None => w.put_u8(0),
@@ -337,9 +337,8 @@ impl FlightBundle {
         w.put_f64_slice(&self.trajectory);
         w.put_usize(self.events.len());
         for ev in &self.events {
-            put_event(&mut w, ev, false);
+            put_event(w, ev, with_time);
         }
-        w.finish()
     }
 
     /// FNV-1a hash over the deterministic fields. Two dumps of the same
@@ -348,7 +347,9 @@ impl FlightBundle {
     /// comparable word.
     #[must_use]
     pub fn content_fingerprint(&self) -> u64 {
-        fnv1a64(&self.deterministic_bytes())
+        let mut w = ByteWriter::with_capacity(1024 + self.netlist.len());
+        self.put_fields(&mut w, false);
+        fnv1a64(&w.finish())
     }
 
     /// Serializes header + payload; the stored fingerprint is always
@@ -356,39 +357,7 @@ impl FlightBundle {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut p = ByteWriter::with_capacity(2048 + self.netlist.len() + self.report_json.len());
-        p.put_u64(self.content_hash);
-        p.put_u64(self.topology_hash);
-        put_str(&mut p, &self.analysis);
-        match &self.error {
-            None => p.put_u8(0),
-            Some((tag, msg)) => {
-                p.put_u8(1);
-                p.put_u8(*tag);
-                put_str(&mut p, msg);
-            }
-        }
-        put_str(&mut p, &self.netlist);
-        p.put_usize(self.options.max_iter);
-        p.put_usize(self.options.sparse_threshold);
-        p.put_f64(self.options.vntol);
-        p.put_f64(self.options.reltol);
-        p.put_f64(self.options.abstol);
-        p.put_f64(self.options.max_step);
-        p.put_f64(self.options.gmin);
-        p.put_u8(u8::from(self.options.warm_start_from_analysis));
-        p.put_u8(u8::from(self.options.cache));
-        match self.seed {
-            None => p.put_u8(0),
-            Some(s) => {
-                p.put_u8(1);
-                p.put_u64(s);
-            }
-        }
-        p.put_f64_slice(&self.trajectory);
-        p.put_usize(self.events.len());
-        for ev in &self.events {
-            put_event(&mut p, ev, true);
-        }
+        self.put_fields(&mut p, true);
         p.put_u64(self.events_dropped);
         p.put_u64(self.content_fingerprint());
         put_str(&mut p, &self.report_json);
@@ -456,7 +425,6 @@ impl FlightBundle {
             abstol: r.get_f64().ok_or(FlightError::Truncated("options"))?,
             max_step: r.get_f64().ok_or(FlightError::Truncated("options"))?,
             gmin: r.get_f64().ok_or(FlightError::Truncated("options"))?,
-            warm_start_from_analysis: r.get_u8().ok_or(FlightError::Truncated("options"))? != 0,
             cache: r.get_u8().ok_or(FlightError::Truncated("options"))? != 0,
         };
         let seed = match r.get_u8().ok_or(FlightError::Truncated("seed"))? {
@@ -467,7 +435,9 @@ impl FlightBundle {
             .get_f64_vec()
             .ok_or(FlightError::Truncated("trajectory"))?;
         let n_events = r.get_usize().ok_or(FlightError::Truncated("events"))?;
-        if n_events > r.remaining() {
+        // Bound the allocation by the bytes present: every event's fixed
+        // envelope (seq, tid, timestamp, tag) alone takes 21 bytes.
+        if n_events > r.remaining() / 21 {
             return Err(FlightError::Truncated("events"));
         }
         let mut events = Vec::with_capacity(n_events);
@@ -574,10 +544,6 @@ impl FlightBundle {
                     ("abstol".into(), Value::Num(self.options.abstol)),
                     ("max_step".into(), Value::Num(self.options.max_step)),
                     ("gmin".into(), Value::Num(self.options.gmin)),
-                    (
-                        "warm_start_from_analysis".into(),
-                        Value::Bool(self.options.warm_start_from_analysis),
-                    ),
                     ("cache".into(), Value::Bool(self.options.cache)),
                 ]),
             ),
@@ -669,11 +635,15 @@ fn current_seed() -> Option<u64> {
 /// dumps in one process never collide.
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn record(
+/// Dumps a forensic bundle for a failed solve. No-op (returns `None`)
+/// unless a flight directory is configured; also returns `None` if the
+/// dump itself fails (with a [`warn_once`] — a recorder failure must
+/// never mask the solver error it was recording).
+pub fn record_failure(
     ckt: &Circuit,
     opts: &NewtonOptions,
     analysis: &'static str,
-    err: Option<&SpiceError>,
+    err: &SpiceError,
     tel: &Telemetry,
 ) -> Option<PathBuf> {
     let dir = active_dir()?;
@@ -684,7 +654,7 @@ fn record(
         content_hash: ckt.content_hash(),
         topology_hash: ckt.topology_hash(),
         analysis: analysis.to_string(),
-        error: err.map(|e| (error_tag(e), e.to_string())),
+        error: Some((error_tag(err), err.to_string())),
         netlist: ckt.netlist(),
         options: *opts,
         seed: current_seed(),
@@ -722,31 +692,6 @@ fn record(
             None
         }
     }
-}
-
-/// Dumps a forensic bundle for a failed solve. No-op (returns `None`)
-/// unless a flight directory is configured; also returns `None` if the
-/// dump itself fails (with a [`warn_once`] — a recorder failure must
-/// never mask the solver error it was recording).
-pub fn record_failure(
-    ckt: &Circuit,
-    opts: &NewtonOptions,
-    analysis: &'static str,
-    err: &SpiceError,
-    tel: &Telemetry,
-) -> Option<PathBuf> {
-    record(ckt, opts, analysis, Some(err), tel)
-}
-
-/// Dumps an on-demand bundle of the current solver state (no error) —
-/// the "press the button now" half of `CML_FLIGHT_DIR`.
-pub fn record_snapshot(
-    ckt: &Circuit,
-    opts: &NewtonOptions,
-    analysis: &'static str,
-    tel: &Telemetry,
-) -> Option<PathBuf> {
-    record(ckt, opts, analysis, None, tel)
 }
 
 #[cfg(test)]

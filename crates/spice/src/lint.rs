@@ -9,7 +9,8 @@
 //! solver, so a malformed netlist is rejected with an actionable
 //! [`SpiceError::LintRejected`] instead of failing deep inside Newton
 //! with a bare `SingularMatrix` (or converging to gmin-rescued garbage).
-//! Set `CML_LINT=off` in the environment to bypass the precheck.
+//! The precheck always runs; with `NewtonOptions::cache` on, a passing
+//! verdict is cached by circuit content.
 //!
 //! # Passes
 //!
@@ -44,7 +45,6 @@ use crate::SpiceError;
 use cml_numeric::matching::max_bipartite_matching;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// How serious a diagnostic is. Errors predict a failed or meaningless
 /// solve and make [`precheck`] reject the netlist; warnings and infos
@@ -329,20 +329,6 @@ impl LintReport {
     }
 }
 
-/// Whether the mandatory precheck is enabled (`CML_LINT=off|0|false`
-/// disables it; read once per process).
-fn lint_enabled() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        !matches!(
-            std::env::var("CML_LINT")
-                .map(|v| v.trim().to_ascii_lowercase())
-                .as_deref(),
-            Ok("off" | "0" | "false" | "no")
-        )
-    })
-}
-
 /// Runs every lint pass over the circuit.
 #[must_use]
 pub fn lint(ckt: &Circuit) -> LintReport {
@@ -351,16 +337,12 @@ pub fn lint(ckt: &Circuit) -> LintReport {
 
 /// The cheap, mandatory error-level subset run by every analysis entry
 /// point. Returns [`SpiceError::LintRejected`] carrying the error
-/// diagnostics when the netlist is structurally unsolvable; honours the
-/// `CML_LINT=off` escape hatch.
+/// diagnostics when the netlist is structurally unsolvable.
 ///
 /// # Errors
 ///
 /// [`SpiceError::LintRejected`] when any error-level diagnostic fires.
 pub fn precheck(ckt: &Circuit) -> Result<(), SpiceError> {
-    if !lint_enabled() {
-        return Ok(());
-    }
     let report = lint_impl(ckt, true);
     if report.has_errors() {
         return Err(SpiceError::LintRejected {

@@ -188,8 +188,7 @@ pub struct Counters {
     /// Variants evicted from a batch (pivot death, divergence, or
     /// non-convergence) and re-solved on the scalar path.
     pub lane_fallbacks: u64,
-    /// Static-analysis runs (`cml_spice::analyze` full pass sweeps,
-    /// including the interval-only pass behind Newton warm-starts).
+    /// Static-analysis runs (`cml_spice::analyze` full pass sweeps).
     pub analyze_runs: u64,
     /// Closed-loop prediction cross-checks executed: each comparison of
     /// an `AnalysisReport` claim against a converged solution or the

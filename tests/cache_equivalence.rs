@@ -37,10 +37,9 @@ fn lock() -> MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Puts the process-global cache into a known state: enabled, empty
-/// interner, zeroed stats.
+/// Puts the process-global cache into a known state: empty interner,
+/// zeroed stats.
 fn fresh_cache() {
-    cml_cache::set_enabled(true);
     cml_cache::intern::clear_in_memory();
     cml_cache::reset_stats();
 }

@@ -297,7 +297,6 @@ fn warm_cache_gate(reps: usize, n_freqs: usize, floor: f64) {
         let ms = avg_ms(reps, || bits = cache_round(&circuits, &freqs, &opts(cache)));
         (ms, bits)
     };
-    cml_cache::set_enabled(true);
     cache_round(&circuits, &freqs, &opts(false)); // untimed first touch
     let (cold_ms, cold_bits) = leg(false);
     cml_cache::intern::clear_in_memory();

@@ -11,6 +11,10 @@
 //!
 //! This is its own test binary because it sets `CML_TELEMETRY` for the
 //! whole process.
+//!
+//! The same file keeps the inventory of environment knobs: the library
+//! sources read exactly four, each through its `*_ENV` constant, and
+//! README documents each.
 
 // Driver-style target: aborting on a malformed result with a message
 // is the intended failure mode, so expect/unwrap are fine here.
@@ -138,4 +142,66 @@ fn json_sink_parses_outside_the_writer() {
     assert!(num(c, "tran_steps") > 0.0 && num(c, "ac_points") > 0.0);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The environment knobs the library reads, by constant name and value.
+const KNOBS: [(&str, &str); 4] = [
+    ("THREADS_ENV", cml_runner::THREADS_ENV),
+    ("TELEMETRY_ENV", cml_spice::telemetry::TELEMETRY_ENV),
+    ("QUIET_ENV", cml_spice::telemetry::QUIET_ENV),
+    ("FLIGHT_DIR_ENV", cml_spice::flight::FLIGHT_DIR_ENV),
+];
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn library_reads_exactly_the_documented_env_knobs() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("read crates") {
+        let src = krate.expect("crate entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    // Each `env::var(..)` / `env::var_os(..)` call: file and argument.
+    let mut calls: Vec<(String, String)> = Vec::new();
+    let mut sources = String::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("read source");
+        for (at, _) in text.match_indices("env::var") {
+            let rest = &text[at + "env::var".len()..];
+            let rest = rest.strip_prefix("_os").unwrap_or(rest);
+            let Some(args) = rest.strip_prefix('(') else {
+                continue;
+            };
+            let arg = args[..args.find(')').expect("closing paren")].trim();
+            calls.push((file.display().to_string(), arg.to_string()));
+        }
+        sources.push_str(&text);
+    }
+    let mut named: Vec<&str> = calls.iter().map(|(_, arg)| arg.as_str()).collect();
+    named.sort_unstable();
+    let mut expected: Vec<&str> = KNOBS.iter().map(|(name, _)| *name).collect();
+    expected.sort_unstable();
+    assert_eq!(named, expected, "env reads under crates/*/src: {calls:#?}");
+
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("read README");
+    for (name, value) in KNOBS {
+        assert!(
+            sources.contains(&format!("const {name}: &str = \"{value}\";")),
+            "{name} is not defined as \"{value}\""
+        );
+        assert!(readme.contains(value), "README does not document {value}");
+    }
 }

@@ -39,7 +39,8 @@ pub enum ArtifactKind {
     /// DC-mode Jacobian stamp pattern + symbolic LU (topology-keyed).
     DcPattern = 1,
     /// Transient-mode Jacobian stamp pattern + symbolic LU
-    /// (topology-keyed; reactive companion stamps widen the pattern).
+    /// (topology-keyed; the `C` of the reactive elements widens the
+    /// pattern).
     TranPattern = 2,
     /// AC `G + jωC` stamp pattern + symbolic LU (topology-keyed).
     AcPattern = 3,

@@ -295,10 +295,7 @@ fn forensics_main(args: &[String]) -> ExitCode {
             }
             rendered.push(Value::Obj(obj));
         } else {
-            let error = bundle
-                .error
-                .as_ref()
-                .map_or("none (snapshot)".to_string(), |(_, msg)| msg.clone());
+            let error = &bundle.error.1;
             println!("{path}: VALID (cml-flight-v{})", bundle.version);
             println!("  analysis:    {}", bundle.analysis);
             println!("  content:     {:016x}", bundle.content_hash);

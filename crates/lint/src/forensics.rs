@@ -137,7 +137,7 @@ mod tests {
             content_hash: 1,
             topology_hash: 2,
             analysis: analysis.to_string(),
-            error: None,
+            error: (0, "newton: op failed".to_string()),
             netlist: "* divider\nV1 in 0 DC 1\nR1 in out 1000\nR2 out 0 1000\n.end\n".to_string(),
             options: NewtonOptions::default(),
             seed: None,

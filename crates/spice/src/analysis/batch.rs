@@ -371,9 +371,9 @@ impl BatchSparse {
     fn build(sys: &System<'_>, x0: &[f64], opts: &NewtonOptions, tel: &Telemetry) -> Option<Self> {
         let _t = tel.timer(Phase::PatternDiscovery);
         let built = if opts.cache {
-            cache::sparse_state_cached(sys, x0, &[], StampMode::dc(), tel)
+            cache::sparse_state_cached(sys, x0, StampMode::dc(), tel)
         } else {
-            sys.build_sparse(x0, &[], StampMode::dc())
+            sys.build_sparse(x0, StampMode::dc())
         };
         let bs = built.and_then(|sp| {
             // Rebuild the position list from lane 0's CSR; `from_pattern`
@@ -437,7 +437,6 @@ impl BatchSparse {
                 .load(v)
                 .assemble_sparse_full(
                     &xs[l],
-                    &[],
                     StampMode::dc(),
                     opts.gmin,
                     &mut self.sp,

@@ -62,7 +62,7 @@ fn count_outcome(tel: &Telemetry, was_hit: bool) {
 /// Topology-level key: circuit structure hash folded with the MNA
 /// dimensions (defense in depth — a hash-equal circuit with different
 /// unknown counts can never be consulted).
-fn topology_key(sys: &System<'_>, kind: ArtifactKind) -> Key {
+pub(super) fn topology_key(sys: &System<'_>, kind: ArtifactKind) -> Key {
     let mut h = Fnv64::new();
     h.write_u64(sys.circuit().topology_hash());
     h.write_usize(sys.dim());
@@ -75,11 +75,12 @@ fn topology_key(sys: &System<'_>, kind: ArtifactKind) -> Key {
 /// deriving cold at most once per topology process-wide. The returned
 /// state is a pristine pre-factor clone — numeric assembly and
 /// factorization happen in the caller exactly as on the cold path,
-/// which is what keeps warm results bit-identical.
+/// which is what keeps warm results bit-identical. A transient state is
+/// only a pattern: the compiled `G` and `C` values stay with their
+/// system, and the caller checks the pattern against them.
 pub(super) fn sparse_state_cached(
     sys: &System<'_>,
     x0: &[f64],
-    state: &[f64],
     mode: StampMode,
     tel: &Telemetry,
 ) -> Option<SparseState> {
@@ -90,7 +91,7 @@ pub(super) fn sparse_state_cached(
     };
     let key = topology_key(sys, kind);
     let (arc, was_hit) = intern::get_or_insert_with::<SparseState, _>(key, || {
-        sys.build_sparse(x0, state, mode).map(Arc::new)
+        sys.build_sparse(x0, mode).map(Arc::new)
     })?;
     count_outcome(tel, was_hit);
     Some(arc.as_ref().clone())

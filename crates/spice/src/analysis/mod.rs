@@ -1,8 +1,9 @@
 //! Analysis drivers: operating point, DC sweep, AC, transient.
 //!
 //! All analyses share the internal `System` assembler, which owns the MNA
-//! bookkeeping: branch-unknown allocation, per-element state arena layout,
-//! Jacobian assembly and the damped Newton loop.
+//! bookkeeping: branch-unknown allocation, the transient's compiled linear
+//! part and node-space history, Jacobian assembly and the damped Newton
+//! loop.
 
 pub mod ac;
 pub mod batch;
@@ -13,15 +14,16 @@ pub mod sink;
 pub mod tran;
 
 use crate::circuit::{Circuit, NodeId};
-use crate::devices::mosfet::{self, MosDevice, MosSlots};
-use crate::element::{
-    AcStamper, Element, Integration, StampCtx, StampMode, StampPart, StampSlots, Stamper,
-};
+use crate::devices::mosfet::{MosDevice, MosSlots};
+use crate::element::{AcStamper, Element, Integration, StampCtx, StampMode, StampSlots, Stamper};
 use crate::SpiceError;
 use cml_numeric::sparse::CsrMatrix;
-use cml_numeric::{Complex64, ComplexMatrix, DenseMatrix, LuFactors, RefactorOutcome, SparseLu};
+use cml_numeric::{
+    Complex64, ComplexMatrix, DenseMatrix, LuFactors, RefactorOutcome, Scalar, SparseLu,
+};
 use cml_telemetry::{EventKind, Phase, Telemetry};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Newton iteration limits and tolerances (SPICE-like defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,18 +73,23 @@ impl Default for NewtonOptions {
     }
 }
 
-/// Cache key identifying a transient Jacobian structure: the
-/// guess-independent part of the MNA matrix (linear elements plus the
-/// fixed part of nonlinear devices) is fully determined by the step
-/// size, the integration method and the conditioning gmin (see
-/// [`crate::element::Element::is_nonlinear`]), so it — and on linear
-/// circuits its factorization — can be reused across Newton iterations
-/// and timesteps that share this key.
-type MatKey = (u64, Integration, u64);
+/// Step size (bits) and method of a transient solve: all a linear
+/// circuit's transient Jacobian `G + (a/dt)·C` depends on, so its LU can
+/// be reused across solves that share this key.
+type StepKey = (u64, Integration);
+
+/// `a/dt`, the companion scale of `C` for a step of `dt` by `method`:
+/// `a` is 2 for trapezoidal and 1 for backward Euler.
+fn companion_scale(dt: f64, method: Integration) -> f64 {
+    match method {
+        Integration::Trapezoidal => 2.0 / dt,
+        Integration::BackwardEuler => 1.0 / dt,
+    }
+}
 
 /// Which stamp-mode family a sparsity pattern was discovered under.
-/// Reactive elements stamp companion conductances only in transient
-/// mode, so DC and transient Jacobians have different patterns.
+/// Reactive elements enter only the transient pattern (through `C`), so
+/// DC and transient Jacobians have different patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ModeKind {
     Dc,
@@ -98,21 +105,98 @@ impl ModeKind {
     }
 }
 
+/// The CSR pattern of the recorded writes `positions` of one stamp pass,
+/// symmetrized (devices like MOSFETs keep a stable position *set* across
+/// operating regions, but individual entries can migrate across the
+/// diagonal on a drain/source swap) and with every diagonal added (the
+/// conditioning gmin lands there, and structural diagonal zeros would
+/// force avoidable pivoting). `None` when a position is out of range.
+fn csr_pattern<T: Scalar>(dim: usize, mut positions: Vec<(usize, usize)>) -> Option<CsrMatrix<T>> {
+    let n_recorded = positions.len();
+    for i in 0..n_recorded {
+        let (r, c) = positions[i];
+        positions.push((c, r));
+    }
+    positions.extend((0..dim).map(|i| (i, i)));
+    CsrMatrix::from_pattern(dim, dim, &positions).ok()
+}
+
+/// The transient's linear part, compiled once per circuit by
+/// [`System::init_tran`] from the `ω = 1` split of every element's
+/// [`Element::stamp_ac`] and the right-hand side of the linear elements'
+/// [`Element::stamp`] (see the transient contract on [`Element`]). A
+/// transient solve in step `dt` by method `a` loads `G + (a/dt)·C` and the
+/// fixed RHS `b(t) + (a/dt)·q_n + d_n` (see [`System::tran_rhs`]), then
+/// adds the guess-dependent stamps on top.
+///
+/// The values depend on element values, which the topology hash ignores,
+/// so the form lives with its [`System`] and is never interned; only the
+/// pattern is shared through the topology cache.
+#[derive(Debug)]
+struct TranForm<'a> {
+    /// The transient Jacobian pattern, with `G` in its values: linear
+    /// conductances, source and inductor incidences, controlled sources
+    /// and the conditioning gmin the form was compiled with. The pattern
+    /// holds every position of every element's AC stamp and DC stamp, so
+    /// it covers `C` and the guess-dependent stamps too.
+    g: CsrMatrix,
+    /// `C`, parallel to `g.vals()`: every capacitance, and `−L` on each
+    /// inductor's branch diagonal.
+    c: Vec<f64>,
+    /// Right-hand side of every linear element whose stamp does not
+    /// change with time (the DC sources), summed.
+    b_dc: Vec<f64>,
+    /// The linear elements whose right-hand side changes with time, with
+    /// their element index, evaluated at every solve.
+    sources: Vec<(usize, &'a dyn Element)>,
+}
+
+impl TranForm<'_> {
+    /// Writes `vals = g + s·c` over the form's pattern.
+    fn load(&self, s: f64, vals: &mut [f64]) {
+        for ((v, &g), &c) in vals.iter_mut().zip(self.g.vals()).zip(&self.c) {
+            *v = g + s * c;
+        }
+    }
+
+    /// [`load`](Self::load) into a dense matrix.
+    fn load_dense(&self, s: f64, matrix: &mut DenseMatrix) {
+        matrix.clear();
+        let (row_ptr, col_idx) = (self.g.row_ptr(), self.g.col_idx());
+        for r in 0..self.g.rows() {
+            for k in row_ptr[r]..row_ptr[r + 1] {
+                matrix[(r, col_idx[k])] = self.g.vals()[k] + s * self.c[k];
+            }
+        }
+    }
+
+    /// Writes the charge vector `q = C·x`.
+    fn charge(&self, x: &[f64], q: &mut [f64]) {
+        let (row_ptr, col_idx) = (self.g.row_ptr(), self.g.col_idx());
+        for (r, qr) in q.iter_mut().enumerate() {
+            *qr = (row_ptr[r]..row_ptr[r + 1])
+                .map(|k| self.c[k] * x[col_idx[k]])
+                .sum();
+        }
+    }
+
+    /// Whether `mat` has exactly the form's pattern, so that its values
+    /// can be loaded slot for slot.
+    fn fits(&self, mat: &CsrMatrix) -> bool {
+        mat.row_ptr() == self.g.row_ptr() && mat.col_idx() == self.g.col_idx()
+    }
+}
+
 /// Sparse-path state cached in the Newton workspace: the fixed-pattern
 /// CSR Jacobian, its LU (symbolic analysis + pivot order frozen after
-/// the first factorization), the cached linear-element values, the
-/// value slots of every MOSFET's transient writes, and one stamp-pointer
-/// cache per assembly-pass shape.
+/// the first factorization), the value slots of every MOSFET's channel
+/// writes, and the stamp-pointer caches.
 #[derive(Debug, Clone)]
 struct SparseState {
     /// Fixed-pattern Jacobian; only `vals` change between solves.
     mat: CsrMatrix,
     /// Sparse LU with replayable refactorization.
     lu: SparseLu,
-    /// Cached guess-independent values (linear stamps, fixed device
-    /// capacitances, gmin) for the key in `NewtonWorkspace::lin_key`,
-    /// parallel to `mat.vals()`.
-    lin_vals: Vec<f64>,
     /// Value-slot of each node diagonal, for the gmin stamp.
     diag_slots: Vec<usize>,
     /// Value slots of each device-table row's writes, bound once by the
@@ -120,49 +204,25 @@ struct SparseState {
     /// empty in a state fresh from pattern discovery or the topology
     /// cache.
     mos_slots: Vec<MosSlots>,
-    /// Matrix writes of one full assembly pass, as recorded by pattern
+    /// Matrix writes of one full DC assembly pass, as recorded by pattern
     /// discovery: the capacity the full-pass stamp-pointer cache is
     /// given.
     writes: usize,
-    /// Stamp-pointer caches: full assembly, guess-independent assembly,
-    /// and the guess-dependent top-up pass. The two split passes record
-    /// only the writes of elements outside the device table.
+    /// Stamp-pointer caches: the full DC assembly, and the transient
+    /// guess-dependent pass over the elements outside the device table.
     slots_full: StampSlots,
-    slots_lin: StampSlots,
     slots_nonlin: StampSlots,
     /// Mode family the pattern was discovered under.
     kind: ModeKind,
 }
 
-/// One element as the device-table passes visit it.
+/// One nonlinear element as the transient guess-dependent pass visits it.
 #[derive(Debug, Clone, Copy)]
 enum Visit<'a> {
     /// Row `k` of the device table.
     Mos(usize),
-    /// Any other element by index, with the part of its stamp the pass
-    /// asks for.
-    Element(usize, &'a dyn Element, StampPart),
-}
-
-/// One element of a device-table pass ([`System::table_pass`]).
-enum TableStamp<'s> {
-    /// Row `k` of the device table, with the device's slice of the
-    /// previous-step state.
-    Mos(usize, &'s MosDevice, &'s [f64]),
-    /// Any other element, to stamp the given part of through
-    /// [`Element::stamp_part`].
-    Element(&'s dyn Element, StampCtx<'s>, StampPart),
-}
-
-/// Step size and method of a transient stamp mode; the device-table
-/// passes run only in transient mode.
-fn tran_step(mode: StampMode) -> Result<(f64, Integration), AttemptError> {
-    match mode {
-        StampMode::Tran { dt, method, .. } => Ok((dt, method)),
-        StampMode::Dc { .. } => Err(AttemptError::Spice(SpiceError::Internal {
-            message: "device-table pass outside transient mode".to_string(),
-        })),
-    }
+    /// Any other nonlinear element, by index.
+    Element(usize, &'a dyn Element),
 }
 
 /// Internal error type for one Newton attempt: either a real solver
@@ -187,37 +247,31 @@ impl From<cml_numeric::NumericError> for AttemptError {
 }
 
 /// Reusable buffers for [`System::newton_with`]: the MNA matrix, its LU
-/// factors, the cached linear-element stamps and the iteration vectors.
-/// Create once per analysis and pass to every solve; allocations and —
-/// when `reuse` is enabled — factorizations then amortize across
-/// timesteps instead of being redone from scratch each Newton iteration.
+/// factors and the iteration vectors. Create once per analysis and pass
+/// to every solve; allocations and — on linear transient circuits —
+/// factorizations then amortize across timesteps instead of being redone
+/// from scratch each Newton iteration.
 #[derive(Debug)]
 pub(crate) struct NewtonWorkspace {
     /// MNA dimension of the last solve; a change drops every cache.
     dim: usize,
-    /// Full Jacobian (linear stamps + nonlinear linearizations) on the
-    /// dense path; left empty while the workspace solves sparse.
+    /// Full Jacobian on the dense path; left empty while the workspace
+    /// solves sparse.
     matrix: DenseMatrix,
-    /// Cached guess-independent stamps (linear elements, fixed device
-    /// capacitances, gmin), valid for the transient key in `lin_key`;
-    /// dense path only, like `matrix`.
-    lin_matrix: DenseMatrix,
-    /// Full RHS (rebuilt per iteration for nonlinear circuits).
+    /// Full RHS (rebuilt per iteration).
     rhs: Vec<f64>,
-    /// Guess-independent RHS stamps, rebuilt once per solve call.
-    lin_rhs: Vec<f64>,
+    /// The transient solve's fixed RHS, built once per solve call.
+    tran_rhs: Vec<f64>,
     /// Current iterate.
     x: Vec<f64>,
     /// Raw Newton solution before damping.
     x_new: Vec<f64>,
     /// LU factors, reused in place (no per-iteration allocation).
     factors: LuFactors,
-    /// Key `lin_matrix` was assembled for.
-    lin_key: Option<MatKey>,
-    /// Key `factors` holds a factorization of `lin_matrix` for (only
-    /// meaningful on circuits with no nonlinear devices, where the full
-    /// Jacobian *is* the linear matrix).
-    factored_key: Option<MatKey>,
+    /// Step the LU holds a factorization of `G + (a/dt)·C` for (only
+    /// set on circuits with no nonlinear devices, where that *is* the
+    /// Jacobian).
+    factored_key: Option<StepKey>,
     /// Sparse-path state; `None` until the first solve at or above the
     /// sparse threshold (or after a pattern invalidation).
     sparse: Option<SparseState>,
@@ -225,7 +279,7 @@ pub(crate) struct NewtonWorkspace {
     /// every further solve in this workspace stays dense.
     sparse_disabled: bool,
     /// Whether the previous solve ran sparse; a flip invalidates the
-    /// linear-stamp caches (they live in different buffers per path).
+    /// cached factorization (it lives in different buffers per path).
     last_solve_sparse: Option<bool>,
     /// Set after a pattern miss: this workspace stops trusting the
     /// topology cache's interned pattern (which just missed) and derives
@@ -238,13 +292,11 @@ impl NewtonWorkspace {
         NewtonWorkspace {
             dim: 0,
             matrix: DenseMatrix::zeros(0, 0),
-            lin_matrix: DenseMatrix::zeros(0, 0),
             rhs: Vec::new(),
-            lin_rhs: Vec::new(),
+            tran_rhs: Vec::new(),
             x: Vec::new(),
             x_new: Vec::new(),
             factors: LuFactors::default(),
-            lin_key: None,
             factored_key: None,
             sparse: None,
             sparse_disabled: false,
@@ -254,7 +306,8 @@ impl NewtonWorkspace {
     }
 }
 
-/// MNA bookkeeping for one circuit: unknown layout and state arena layout.
+/// MNA bookkeeping for one circuit: unknown layout, the MOSFET device
+/// table and, once a transient starts, its compiled linear part.
 #[derive(Debug)]
 pub(crate) struct System<'a> {
     ckt: &'a Circuit,
@@ -262,9 +315,6 @@ pub(crate) struct System<'a> {
     n_branches: usize,
     /// Per-element first-branch offset (relative to the branch region).
     branch_bases: Vec<usize>,
-    /// Per-element first state slot.
-    state_bases: Vec<usize>,
-    state_len: usize,
     /// Element name → absolute unknown index of its first branch current.
     branch_names: HashMap<String, usize>,
     /// Whether any element's stamp depends on the Newton guess.
@@ -272,53 +322,39 @@ pub(crate) struct System<'a> {
     /// Per-element MOSFET card overrides, empty outside batched solves
     /// ([`batch`] loads each lane's `vth0`/`kp` here before stamping it).
     cards: Vec<Option<crate::devices::mosfet::MosParams>>,
-    /// The MOSFET device table: every MOSFET's first state slot and row,
-    /// in element order. The split transient passes and the state update
-    /// read it instead of calling the element (see
-    /// [`System::table_pass`]).
-    mos: Vec<(usize, MosDevice)>,
-    /// Every element in order as the fixed pass and the state update
-    /// visit it.
-    fixed_visits: Vec<Visit<'a>>,
+    /// The MOSFET device table: every MOSFET's row, in element order.
+    /// The sparse transient guess-dependent pass reads it instead of
+    /// calling the element (see [`System::stamp_sparse_nonlinear`]).
+    mos: Vec<MosDevice>,
     /// The nonlinear elements in order as the guess-dependent pass visits
     /// them.
     guess_visits: Vec<Visit<'a>>,
+    /// The transient's compiled linear part; built by the first
+    /// [`System::init_tran`] and never by any other analysis.
+    tran: OnceLock<TranForm<'a>>,
 }
 
 impl<'a> System<'a> {
     pub(crate) fn new(ckt: &'a Circuit) -> Self {
         let n_nodes = ckt.num_unknown_nodes();
         let mut branch_bases = Vec::new();
-        let mut state_bases = Vec::new();
         let mut branch_names = HashMap::new();
         let mut n_branches = 0;
-        let mut state_len = 0;
         let mut has_nonlinear = false;
         let mut mos = Vec::new();
-        let mut fixed_visits = Vec::new();
         let mut guess_visits = Vec::new();
         for (idx, e) in ckt.elements().enumerate() {
-            let (fixed, guess) = match e.as_mosfet() {
-                Some(m) => {
-                    mos.push((state_len, m.device()));
-                    let row = Visit::Mos(mos.len() - 1);
-                    (row, Some(row))
-                }
-                None if e.is_nonlinear() => (
-                    Visit::Element(idx, e, StampPart::Fixed),
-                    Some(Visit::Element(idx, e, StampPart::GuessDependent)),
-                ),
-                None => (Visit::Element(idx, e, StampPart::Whole), None),
-            };
-            fixed_visits.push(fixed);
-            guess_visits.extend(guess);
+            if let Some(m) = e.as_mosfet() {
+                mos.push(m.device());
+                guess_visits.push(Visit::Mos(mos.len() - 1));
+            } else if e.is_nonlinear() {
+                guess_visits.push(Visit::Element(idx, e));
+            }
             branch_bases.push(n_branches);
-            state_bases.push(state_len);
             if e.num_branches() > 0 {
                 branch_names.insert(e.name().to_string(), n_nodes + n_branches);
             }
             n_branches += e.num_branches();
-            state_len += e.state_size();
             has_nonlinear |= e.is_nonlinear();
         }
         System {
@@ -326,14 +362,12 @@ impl<'a> System<'a> {
             n_nodes,
             n_branches,
             branch_bases,
-            state_bases,
-            state_len,
             branch_names,
             has_nonlinear,
             cards: Vec::new(),
             mos,
-            fixed_visits,
             guess_visits,
+            tran: OnceLock::new(),
         }
     }
 
@@ -349,114 +383,40 @@ impl<'a> System<'a> {
         self.n_nodes
     }
 
-    pub(crate) fn state_len(&self) -> usize {
-        self.state_len
-    }
-
     pub(crate) fn branch_names(&self) -> &HashMap<String, usize> {
         &self.branch_names
     }
 
-    fn ctx<'b>(
-        &self,
-        idx: usize,
-        e: &dyn Element,
-        x: &'b [f64],
-        state: &'b [f64],
-        mode: StampMode,
-    ) -> StampCtx<'b> {
-        let sb = self.state_bases[idx];
-        let sl = e.state_size();
-        // DC solves pass an empty arena (state is only meaningful in
-        // transient mode); fall back to an empty slice there.
-        let state_slice = state.get(sb..sb + sl).unwrap_or(&[]);
+    fn ctx<'b>(&self, idx: usize, x: &'b [f64], mode: StampMode) -> StampCtx<'b> {
         StampCtx {
             x,
-            state: state_slice,
+            state: &[],
             branch_base: self.branch_bases[idx],
             n_nodes: self.n_nodes,
             mode,
         }
     }
 
-    /// Stamps part `pass` of every element at guess `x` into `out`, each
-    /// with its card override when one is loaded. A `Whole` pass stamps
-    /// every element whole. A `Fixed` pass stamps the guess-independent
-    /// part of the system: linear elements whole plus the fixed part of
-    /// nonlinear ones. A `GuessDependent` pass stamps the rest: the
-    /// guess-dependent part of nonlinear elements.
-    fn stamp_pass(
-        &self,
-        out: &mut Stamper<'_>,
-        pass: StampPart,
-        x: &[f64],
-        state: &[f64],
-        mode: StampMode,
-    ) {
+    /// Stamps every element (or, with `nonlinear_only`, every nonlinear
+    /// one) at guess `x` into `out`, each with its card override when one
+    /// is loaded.
+    fn stamp_pass(&self, out: &mut Stamper<'_>, nonlinear_only: bool, x: &[f64], mode: StampMode) {
         for (idx, e) in self.ckt.elements().enumerate() {
-            // A linear element is guess-independent as a whole.
-            let part = match pass {
-                StampPart::Whole => StampPart::Whole,
-                _ if e.is_nonlinear() => pass,
-                StampPart::Fixed => StampPart::Whole,
-                StampPart::GuessDependent => continue,
-            };
-            let ctx = self.ctx(idx, e, x, state, mode);
-            match (part, self.cards.get(idx)) {
-                (StampPart::Whole, None | Some(None)) => e.stamp(&ctx, out),
-                (_, card) => e.stamp_part(&ctx, card.and_then(Option::as_ref), part, out),
+            if nonlinear_only && !e.is_nonlinear() {
+                continue;
+            }
+            let ctx = self.ctx(idx, x, mode);
+            match self.cards.get(idx) {
+                Some(Some(card)) => e.stamp_with_card(&ctx, Some(card), out),
+                _ => e.stamp(&ctx, out),
             }
         }
     }
 
-    /// Walks the elements in order for one split transient pass (`pass`
-    /// is `Fixed` or `GuessDependent`): each MOSFET is handed over as its
-    /// device-table row and every other element as in
-    /// [`stamp_pass`](Self::stamp_pass), with the part of its stamp the
-    /// pass asks for; the guess-dependent pass skips linear elements.
-    /// Keeping the element order keeps every value slot's sequence of
-    /// additions, so table and generic passes agree bit for bit. The
-    /// table holds each device's own card, so card overrides (loaded only
-    /// by the batched DC solver) never reach these passes.
-    fn table_pass<'s>(
-        &'s self,
-        pass: StampPart,
-        x: &'s [f64],
-        state: &'s [f64],
-        mode: StampMode,
-        mut f: impl FnMut(TableStamp<'s>),
-    ) {
-        debug_assert!(
-            self.cards.is_empty(),
-            "device-table pass with card overrides"
-        );
-        let visits = match pass {
-            StampPart::GuessDependent => &self.guess_visits,
-            _ => &self.fixed_visits,
-        };
-        for &visit in visits {
-            match visit {
-                Visit::Mos(k) => {
-                    let (sb, dev) = &self.mos[k];
-                    let at = *sb..*sb + mosfet::STATE_SIZE;
-                    f(TableStamp::Mos(k, dev, state.get(at).unwrap_or(&[])));
-                }
-                Visit::Element(idx, e, part) => {
-                    f(TableStamp::Element(
-                        e,
-                        self.ctx(idx, e, x, state, mode),
-                        part,
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Assembles the Jacobian and RHS at guess `x`.
+    /// Assembles the DC Jacobian and RHS at guess `x`.
     pub(crate) fn assemble(
         &self,
         x: &[f64],
-        state: &[f64],
         mode: StampMode,
         gmin: f64,
         matrix: &mut DenseMatrix,
@@ -466,121 +426,195 @@ impl<'a> System<'a> {
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
         let mut out = Stamper::new(matrix, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, StampPart::Whole, x, state, mode);
+        self.stamp_pass(&mut out, false, x, mode);
         // Conditioning gmin from every node to ground.
         for i in 0..self.n_nodes {
             matrix[(i, i)] += gmin;
         }
     }
 
-    /// Assembles every guess-independent stamp — linear elements plus the
-    /// fixed part of nonlinear devices: matrix, RHS and the conditioning
-    /// gmin.
-    ///
-    /// Passes an *empty* guess slice on purpose: elements reporting
-    /// `is_nonlinear() == false`, and the fixed part of those that do,
-    /// promise never to read `ctx.x`, and an out-of-bounds panic here is
-    /// the loud contract check for a device that breaks the promise.
-    fn assemble_linear(
-        &self,
-        state: &[f64],
-        mode: StampMode,
-        gmin: f64,
-        matrix: &mut DenseMatrix,
-        rhs: &mut Vec<f64>,
-    ) {
-        matrix.clear();
-        rhs.clear();
-        rhs.resize(self.dim(), 0.0);
-        let mut out = Stamper::new(matrix, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, StampPart::Fixed, &[], state, mode);
+    /// Compiles the transient's linear part (see [`TranForm`]) with the
+    /// conditioning `gmin`. The pattern records every element's AC stamp
+    /// at `ω = 1` and DC stamp at `x0`. Passes an empty guess slice to
+    /// the linear elements' stamps: they promise never to read `ctx.x`,
+    /// and an out-of-bounds panic here is the loud contract check for one
+    /// that breaks the promise.
+    fn compile_tran(&self, x0: &[f64], gmin: f64) -> Result<TranForm<'a>, SpiceError> {
+        let dim = self.dim();
+        let unbuildable = || SpiceError::Internal {
+            message: "transient pattern could not be built".to_string(),
+        };
+        let mut positions = Vec::new();
+        let mut ac_rhs = vec![Complex64::ZERO; dim];
+        for (idx, e) in self.ckt.elements().enumerate() {
+            let mut rec = AcStamper::pattern(&mut positions, &mut ac_rhs, self.n_nodes);
+            e.stamp_ac(x0, self.branch_bases[idx], 1.0, &mut rec);
+        }
+        let mut scratch = vec![0.0; dim];
+        let mut rec = Stamper::pattern(&mut positions, &mut scratch, self.n_nodes);
+        self.stamp_pass(&mut rec, false, x0, StampMode::dc());
+        let mut g: CsrMatrix = csr_pattern(dim, positions.clone()).ok_or_else(unbuildable)?;
+        let mut split: CsrMatrix<Complex64> =
+            csr_pattern(dim, positions).ok_or_else(unbuildable)?;
+        // Linear elements first: their real parts are `G`, and their
+        // stamps' right-hand sides are the sources.
+        let mut b_dc = vec![0.0; dim];
+        let mut sources = Vec::new();
+        let mut out = AcStamper::sparse(&mut split, &mut ac_rhs, self.n_nodes);
+        for (idx, e) in self.ckt.elements().enumerate() {
+            if e.is_nonlinear() {
+                continue;
+            }
+            e.stamp_ac(x0, self.branch_bases[idx], 1.0, &mut out);
+            if e.is_time_varying() {
+                sources.push((idx, e));
+            } else {
+                let ctx = self.ctx(idx, &[], StampMode::dc());
+                e.stamp(&ctx, &mut Stamper::rhs_only(&mut b_dc, self.n_nodes));
+            }
+        }
+        let missed = out.missed_pattern();
+        for (v, z) in g.vals_mut().iter_mut().zip(split.vals()) {
+            *v = z.re;
+        }
+        // Then the nonlinear ones, whose imaginary parts complete `C`.
+        let mut out = AcStamper::sparse(&mut split, &mut ac_rhs, self.n_nodes);
+        for (idx, e) in self.ckt.elements().enumerate() {
+            if e.is_nonlinear() {
+                e.stamp_ac(x0, self.branch_bases[idx], 1.0, &mut out);
+            }
+        }
+        if missed || out.missed_pattern() {
+            return Err(unbuildable());
+        }
         for i in 0..self.n_nodes {
-            matrix[(i, i)] += gmin;
+            let slot = g.find(i, i).ok_or_else(unbuildable)?;
+            g.vals_mut()[slot] += gmin;
+        }
+        let c = split.vals().iter().map(|z| z.im).collect();
+        Ok(TranForm {
+            g,
+            c,
+            b_dc,
+            sources,
+        })
+    }
+
+    /// The compiled transient form.
+    fn tran_form(&self) -> Result<&TranForm<'a>, SpiceError> {
+        self.tran.get().ok_or_else(|| SpiceError::Internal {
+            message: "transient solve before the transient was initialized".to_string(),
+        })
+    }
+
+    /// Starts a transient from the converged DC solution `x0`: compiles
+    /// the linear part with the conditioning `gmin` on the first call
+    /// (counted as `lin_stamp_builds`) and returns the node-space history
+    /// `[q_0 | d_0]`: the charge vector `q = C·x0` and `d = C·ẋ = 0`,
+    /// since the operating point is at rest.
+    pub(crate) fn init_tran(
+        &self,
+        x0: &[f64],
+        gmin: f64,
+        tel: &Telemetry,
+    ) -> Result<Vec<f64>, SpiceError> {
+        if self.tran.get().is_none() {
+            let form = self.compile_tran(x0, gmin)?;
+            tel.count(|c| c.lin_stamp_builds += 1);
+            // `set` fails only if another caller compiled the same form.
+            let _ = self.tran.set(form);
+        }
+        let dim = self.dim();
+        let mut state = vec![0.0; 2 * dim];
+        self.tran_form()?.charge(x0, &mut state[..dim]);
+        Ok(state)
+    }
+
+    /// The fixed RHS of a transient solve in `mode` from the history
+    /// `[q_n | d_n]` in `state`: `b(t) + (a/dt)·q_n + d_n`, where backward
+    /// Euler drops `d_n`. `b(t)` is the summed DC sources plus the
+    /// time-varying sources evaluated at the mode's time.
+    fn tran_rhs(&self, form: &TranForm<'_>, state: &[f64], mode: StampMode, out: &mut Vec<f64>) {
+        out.clone_from(&form.b_dc);
+        for &(idx, e) in &form.sources {
+            let ctx = self.ctx(idx, &[], mode);
+            e.stamp(&ctx, &mut Stamper::rhs_only(out, self.n_nodes));
+        }
+        if let StampMode::Tran { dt, method, .. } = mode {
+            let s = companion_scale(dt, method);
+            let (q, d) = state.split_at(self.dim());
+            match method {
+                Integration::Trapezoidal => {
+                    for ((o, &q), &d) in out.iter_mut().zip(q).zip(d) {
+                        *o += s * q + d;
+                    }
+                }
+                Integration::BackwardEuler => {
+                    for (o, &q) in out.iter_mut().zip(q) {
+                        *o += s * q;
+                    }
+                }
+            }
         }
     }
 
-    /// Re-assembles only the guess-independent RHS (source values,
-    /// companion-model history currents of capacitors, inductors and
-    /// device capacitances), dropping matrix writes: used when the cached
-    /// matrix is still valid but time or state has advanced.
-    fn stamp_linear_rhs(&self, state: &[f64], mode: StampMode, rhs: &mut Vec<f64>) {
-        rhs.clear();
-        rhs.resize(self.dim(), 0.0);
-        let mut out = Stamper::rhs_only(rhs, self.n_nodes);
-        self.stamp_pass(&mut out, StampPart::Fixed, &[], state, mode);
-    }
-
-    /// [`stamp_linear_rhs`](Self::stamp_linear_rhs) with the MOSFETs
-    /// stamped from the device table: the sparse path's RHS-only pass.
-    fn stamp_linear_rhs_table(
+    /// Advances the node-space history over an accepted step of `mode`
+    /// that ended at `x`: `q_{n+1} = C·x` by one sparse product, then
+    /// `d_{n+1} = (a/dt)·(q_{n+1} − q_n) − d_n` for trapezoidal and the
+    /// same without `− d_n` for backward Euler.
+    pub(crate) fn advance_history(
         &self,
-        state: &[f64],
+        x: &[f64],
+        prev: &[f64],
         mode: StampMode,
-        rhs: &mut Vec<f64>,
-    ) -> Result<(), AttemptError> {
-        let (dt, method) = tran_step(mode)?;
-        rhs.clear();
-        rhs.resize(self.dim(), 0.0);
-        self.table_pass(StampPart::Fixed, &[], state, mode, |st| match st {
-            TableStamp::Mos(_, dev, state) => {
-                dev.stamp_caps(None, state, dt, method, rhs);
-            }
-            TableStamp::Element(e, ctx, part) => {
-                e.stamp_part(&ctx, None, part, &mut Stamper::rhs_only(rhs, self.n_nodes));
-            }
-        });
+        next: &mut [f64],
+    ) -> Result<(), SpiceError> {
+        let StampMode::Tran { dt, method, .. } = mode else {
+            return Ok(());
+        };
+        let dim = self.dim();
+        let s = companion_scale(dt, method);
+        let trapezoidal = method == Integration::Trapezoidal;
+        let (q0, d0) = prev.split_at(dim);
+        let (q1, d1) = next.split_at_mut(dim);
+        self.tran_form()?.charge(x, q1);
+        for i in 0..dim {
+            d1[i] = s * (q1[i] - q0[i]) - if trapezoidal { d0[i] } else { 0.0 };
+        }
         Ok(())
     }
 
-    /// Adds the guess-dependent part of the nonlinear devices (their
-    /// linearizations at guess `x`) on top of already-copied
-    /// guess-independent stamps.
-    fn stamp_nonlinear(
-        &self,
-        x: &[f64],
-        state: &[f64],
-        mode: StampMode,
-        matrix: &mut DenseMatrix,
-        rhs: &mut [f64],
-    ) {
-        let mut out = Stamper::new(matrix, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, StampPart::GuessDependent, x, state, mode);
-    }
-
-    /// Discovers the Jacobian sparsity pattern with one recording stamp
-    /// pass at `x0`, then builds the fixed-pattern CSR matrix and its
-    /// sparse LU. The recorded position set is symmetrized (devices like
-    /// MOSFETs keep a stable position *set* across operating regions,
-    /// but individual entries can migrate across the diagonal on a
-    /// drain/source swap) and every diagonal is added (the conditioning
-    /// gmin lands there, and structural diagonal zeros would force
-    /// avoidable pivoting). Returns `None` when a pattern cannot be
-    /// built; the caller then disables the sparse path.
-    fn build_sparse(&self, x0: &[f64], state: &[f64], mode: StampMode) -> Option<SparseState> {
+    /// Discovers the Jacobian sparsity pattern and builds the
+    /// fixed-pattern CSR matrix and its sparse LU: in DC mode with one
+    /// recording stamp pass at `x0`, in transient mode as the compiled
+    /// form's pattern. Returns `None` when a pattern cannot be built; the
+    /// caller then disables the sparse path.
+    fn build_sparse(&self, x0: &[f64], mode: StampMode) -> Option<SparseState> {
         let dim = self.dim();
-        let mut positions: Vec<(usize, usize)> = Vec::new();
-        let mut scratch_rhs = vec![0.0; dim];
-        let mut out = Stamper::pattern(&mut positions, &mut scratch_rhs, self.n_nodes);
-        self.stamp_pass(&mut out, StampPart::Whole, x0, state, mode);
-        let n_recorded = positions.len();
-        for i in 0..n_recorded {
-            let (r, c) = positions[i];
-            positions.push((c, r));
-        }
-        positions.extend((0..dim).map(|i| (i, i)));
-        let mat = CsrMatrix::from_pattern(dim, dim, &positions).ok()?;
+        let (mat, writes) = match mode {
+            StampMode::Tran { .. } => {
+                let mut mat = self.tran.get()?.g.clone();
+                mat.clear_vals();
+                (mat, 0)
+            }
+            StampMode::Dc { .. } => {
+                let mut positions = Vec::new();
+                let mut scratch = vec![0.0; dim];
+                let mut rec = Stamper::pattern(&mut positions, &mut scratch, self.n_nodes);
+                self.stamp_pass(&mut rec, false, x0, mode);
+                let writes = positions.len();
+                (csr_pattern(dim, positions)?, writes)
+            }
+        };
         let lu = SparseLu::new(&mat).ok()?;
         let diag_slots: Option<Vec<usize>> = (0..self.n_nodes).map(|i| mat.find(i, i)).collect();
-        let nnz = mat.vals().len();
         Some(SparseState {
             mos_slots: Vec::new(),
             mat,
             lu,
-            lin_vals: vec![0.0; nnz],
             diag_slots: diag_slots?,
-            writes: n_recorded,
+            writes,
             slots_full: StampSlots::default(),
-            slots_lin: StampSlots::default(),
             slots_nonlin: StampSlots::default(),
             kind: ModeKind::of(mode),
         })
@@ -597,7 +631,7 @@ impl<'a> System<'a> {
         sp.mos_slots = self
             .mos
             .iter()
-            .map(|(_, dev)| dev.bind(|r, c| sp.mat.find(r, c)))
+            .map(|dev| dev.bind(|r, c| sp.mat.find(r, c)))
             .collect();
     }
 
@@ -606,7 +640,6 @@ impl<'a> System<'a> {
     fn assemble_sparse_full(
         &self,
         x: &[f64],
-        state: &[f64],
         mode: StampMode,
         gmin: f64,
         sp: &mut SparseState,
@@ -617,7 +650,7 @@ impl<'a> System<'a> {
         rhs.resize(self.dim(), 0.0);
         sp.slots_full.begin_pass();
         let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_full, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, StampPart::Whole, x, state, mode);
+        self.stamp_pass(&mut out, false, x, mode);
         if sp.slots_full.missing() {
             return Err(AttemptError::PatternMiss);
         }
@@ -627,101 +660,54 @@ impl<'a> System<'a> {
         Ok(())
     }
 
-    /// Sparse analogue of [`System::assemble_linear`], with the MOSFETs
-    /// stamped from the device table; passes the same empty guess slice
-    /// as the loud linearity-contract check.
-    fn assemble_sparse_linear(
-        &self,
-        state: &[f64],
-        mode: StampMode,
-        gmin: f64,
-        sp: &mut SparseState,
-        rhs: &mut Vec<f64>,
-    ) -> Result<(), AttemptError> {
-        let (dt, method) = tran_step(mode)?;
-        sp.mat.clear_vals();
-        rhs.clear();
-        rhs.resize(self.dim(), 0.0);
-        sp.slots_lin.begin_pass();
-        let mut hit = true;
-        self.table_pass(StampPart::Fixed, &[], state, mode, |st| match st {
-            TableStamp::Mos(k, dev, state) => {
-                let mat = Some((&sp.mos_slots[k], sp.mat.vals_mut()));
-                hit &= dev.stamp_caps(mat, state, dt, method, rhs);
-            }
-            TableStamp::Element(e, ctx, part) => {
-                let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_lin, rhs, self.n_nodes);
-                e.stamp_part(&ctx, None, part, &mut out);
-            }
-        });
-        if !hit || sp.slots_lin.missing() {
-            return Err(AttemptError::PatternMiss);
-        }
-        for &s in &sp.diag_slots {
-            sp.mat.vals_mut()[s] += gmin;
-        }
-        Ok(())
-    }
-
-    /// Sparse analogue of [`System::stamp_nonlinear`]: tops up the copied
-    /// guess-independent values with the nonlinear-device linearizations
-    /// at `x`, the MOSFETs' from the device table.
+    /// Adds the stamps of the nonlinear elements at guess `x` on top of
+    /// the loaded `G + (a/dt)·C`, the MOSFETs' from the device table and
+    /// every other one through [`Element::stamp`], in element order. The
+    /// table holds each device's own card, so card overrides (loaded only
+    /// by the batched DC solver) never reach this pass.
     fn stamp_sparse_nonlinear(
         &self,
         x: &[f64],
-        state: &[f64],
         mode: StampMode,
         sp: &mut SparseState,
         rhs: &mut [f64],
     ) -> Result<(), AttemptError> {
+        debug_assert!(
+            self.cards.is_empty(),
+            "device-table pass with card overrides"
+        );
         sp.slots_nonlin.begin_pass();
         let mut hit = true;
-        self.table_pass(StampPart::GuessDependent, x, state, mode, |st| match st {
-            TableStamp::Mos(k, dev, _) => {
-                hit &= dev.stamp_channel(&sp.mos_slots[k], x, sp.mat.vals_mut(), rhs);
+        for &visit in &self.guess_visits {
+            match visit {
+                Visit::Mos(k) => {
+                    hit &= self.mos[k].stamp_channel(&sp.mos_slots[k], x, sp.mat.vals_mut(), rhs);
+                }
+                Visit::Element(idx, e) => {
+                    let mut out =
+                        Stamper::sparse(&mut sp.mat, &mut sp.slots_nonlin, rhs, self.n_nodes);
+                    e.stamp(&self.ctx(idx, x, mode), &mut out);
+                }
             }
-            TableStamp::Element(e, ctx, part) => {
-                let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_nonlin, rhs, self.n_nodes);
-                e.stamp_part(&ctx, None, part, &mut out);
-            }
-        });
+        }
         if !hit || sp.slots_nonlin.missing() {
             return Err(AttemptError::PatternMiss);
         }
         Ok(())
     }
 
-    /// Reuse key for the current solve, or `None` when the mode does not
-    /// support stamp caching (DC homotopies vary `source_scale` and gmin
-    /// between calls; transient steps are keyed by step size, method and
-    /// gmin — time enters only through the RHS, which is always rebuilt).
-    fn mat_key(mode: StampMode, gmin: f64) -> Option<MatKey> {
-        match mode {
-            StampMode::Tran { dt, method, .. } => Some((dt.to_bits(), method, gmin.to_bits())),
-            StampMode::Dc { .. } => None,
-        }
-    }
-
     /// Damped Newton iteration using caller-owned buffers.
     ///
-    /// With `reuse` enabled (transient mode only) the solver exploits the
-    /// [`crate::element::Element::is_nonlinear`] contract three ways:
-    ///
-    /// * guess-independent matrix/RHS stamps (linear elements and the
-    ///   fixed capacitances of nonlinear devices) are assembled once per
-    ///   call instead of once per Newton iteration;
-    /// * that matrix is cached across *timesteps* sharing a
-    ///   `(dt, method, gmin)` key, so unchanged companion conductances
-    ///   are not re-stamped at all;
-    /// * on circuits with no nonlinear devices the LU factorization
-    ///   itself is cached across timesteps, reducing each step from
-    ///   O(n³) to an O(n²) substitution.
-    ///
-    /// On linear circuits the reuse path is bit-for-bit identical to the
-    /// plain path (same stamps, same order, same factorization); with
-    /// nonlinear devices the split stamping reorders floating-point
-    /// additions and may differ from the interleaved order at the last
-    /// ulp (well inside Newton tolerances). See DESIGN.md.
+    /// A DC solve stamps every element at every iteration. A transient
+    /// solve reads the compiled linear part ([`TranForm`], built by
+    /// [`System::init_tran`]) and the node-space history in `state`: it
+    /// builds the fixed RHS once per call, and each iteration loads
+    /// `G + (a/dt)·C` in one pass over the matrix values and adds the
+    /// nonlinear elements' stamps at the guess on top. With `reuse`
+    /// enabled, a circuit with no nonlinear devices also keeps its LU
+    /// factorization across solves of the same step size and method,
+    /// reducing each step to a substitution; the results are bit for bit
+    /// those of refactoring every iteration.
     ///
     /// Systems at or above [`NewtonOptions::sparse_threshold`] unknowns
     /// solve through the sparse LU path (fixed-pattern CSR Jacobian,
@@ -750,7 +736,12 @@ impl<'a> System<'a> {
         // mode's < 2 % overhead budget on step-bound workloads.
         let _t = tel.timer_fine(Phase::NewtonSolve);
         let _span = tel.span_fine("solver", "newton");
-        tel.count(|c| c.newton_solves += 1);
+        tel.count(|c| {
+            c.newton_solves += 1;
+            if matches!(mode, StampMode::Tran { .. }) {
+                c.lin_stamp_hits += 1;
+            }
+        });
         let mut rebuilds = 0;
         loop {
             match self.newton_attempt(mode, x0, state, opts, analysis, ws, reuse, tel) {
@@ -764,7 +755,6 @@ impl<'a> System<'a> {
                     // topology cache is bypassed from here on: serving the
                     // interned pattern again would just miss again.
                     ws.sparse = None;
-                    ws.lin_key = None;
                     ws.factored_key = None;
                     ws.sparse_cache_bypass = true;
                     rebuilds += 1;
@@ -800,14 +790,25 @@ impl<'a> System<'a> {
         let dim = self.dim();
         if ws.dim != dim {
             ws.dim = dim;
-            ws.lin_key = None;
             ws.factored_key = None;
             ws.sparse = None;
         }
-        let key = if reuse {
-            Self::mat_key(mode, opts.gmin)
-        } else {
-            None
+        // A transient solve reads the compiled form: its companion scale,
+        // its fixed RHS and, on a linear circuit with reuse, the step key
+        // its LU is kept under.
+        let tran = match mode {
+            StampMode::Tran { dt, method, .. } => {
+                let form = self.tran_form()?;
+                self.tran_rhs(form, state, mode, &mut ws.tran_rhs);
+                Some((form, companion_scale(dt, method)))
+            }
+            StampMode::Dc { .. } => None,
+        };
+        let lu_key = match mode {
+            StampMode::Tran { dt, method, .. } if reuse && !self.has_nonlinear => {
+                Some((dt.to_bits(), method))
+            }
+            _ => None,
         };
         let use_sparse = !ws.sparse_disabled && dim > 0 && dim >= opts.sparse_threshold;
         if use_sparse {
@@ -816,24 +817,27 @@ impl<'a> System<'a> {
             if !fresh {
                 let _t = tel.timer(Phase::PatternDiscovery);
                 ws.sparse = if opts.cache && !ws.sparse_cache_bypass {
-                    cache::sparse_state_cached(self, x0, state, mode, tel)
+                    cache::sparse_state_cached(self, x0, mode, tel)
                 } else {
-                    self.build_sparse(x0, state, mode)
+                    self.build_sparse(x0, mode)
                 };
-                ws.lin_key = None;
                 ws.factored_key = None;
                 if let Some(sp) = ws.sparse.as_mut() {
-                    self.bind_devices(sp);
-                    if key.is_none() {
+                    tel.count(|c| c.pattern_builds += 1);
+                    if let Some((form, _)) = tran {
+                        // A cached pattern of another circuit with the same
+                        // topology hash must match the form slot for slot.
+                        if !form.fits(&sp.mat) {
+                            return Err(AttemptError::PatternMiss);
+                        }
+                    } else {
                         // A state cloned from the topology cache carries
                         // its stamp-pointer caches empty with no capacity;
                         // room for one pass spares the full-pass cache a
-                        // regrowth by doubling. The split caches hold only
-                        // the writes outside the device table, a small
-                        // share of a pass.
+                        // regrowth by doubling.
                         sp.slots_full.reserve(sp.writes);
                     }
-                    tel.count(|c| c.pattern_builds += 1);
+                    self.bind_devices(sp);
                 } else {
                     ws.sparse_disabled = true;
                     tel.count(|c| c.dense_fallbacks += 1);
@@ -847,50 +851,20 @@ impl<'a> System<'a> {
         }
         let run_sparse = use_sparse && ws.sparse.is_some();
         if ws.last_solve_sparse != Some(run_sparse) {
-            // The dense/sparse choice flipped; the linear caches live in
-            // different buffers per path, so both keys are stale.
-            ws.lin_key = None;
+            // The dense/sparse choice flipped; the cached factorization
+            // lives in different buffers per path.
             ws.factored_key = None;
             ws.last_solve_sparse = Some(run_sparse);
         }
         if !run_sparse && ws.matrix.rows() != dim {
-            // Only the dense path reads these; a sparse workspace never
-            // allocates them.
+            // Only the dense path reads it; a sparse workspace never
+            // allocates it.
             ws.matrix = DenseMatrix::zeros(dim, dim);
-            ws.lin_matrix = DenseMatrix::zeros(dim, dim);
-        }
-        if let Some(k) = key {
-            if ws.lin_key == Some(k) {
-                // Matrix still valid; only sources / companion history
-                // moved, and those live purely in the RHS.
-                tel.count(|c| c.lin_stamp_hits += 1);
-                if run_sparse {
-                    self.stamp_linear_rhs_table(state, mode, &mut ws.lin_rhs)?;
-                } else {
-                    self.stamp_linear_rhs(state, mode, &mut ws.lin_rhs);
-                }
-            } else if run_sparse {
-                tel.count(|c| c.lin_stamp_builds += 1);
-                let Some(sp) = ws.sparse.as_mut() else {
-                    return Err(AttemptError::Spice(SpiceError::Internal {
-                        message: "sparse solve selected without sparse workspace".to_string(),
-                    }));
-                };
-                self.assemble_sparse_linear(state, mode, opts.gmin, sp, &mut ws.lin_rhs)?;
-                sp.lin_vals.clear();
-                sp.lin_vals.extend_from_slice(sp.mat.vals());
-                ws.lin_key = Some(k);
-                ws.factored_key = None;
-            } else {
-                tel.count(|c| c.lin_stamp_builds += 1);
-                self.assemble_linear(state, mode, opts.gmin, &mut ws.lin_matrix, &mut ws.lin_rhs);
-                ws.lin_key = Some(k);
-                ws.factored_key = None;
-            }
         }
 
         ws.x.clear();
         ws.x.extend_from_slice(x0);
+        ws.x_new.resize(dim, 0.0);
         // Per-attempt residual trajectory: a flight bundle records the
         // *last* attempt's convergence history, not a concatenation of
         // every homotopy rung tried before it.
@@ -898,100 +872,62 @@ impl<'a> System<'a> {
         let mut worst = f64::INFINITY;
         for iter in 0..opts.max_iter {
             tel.count(|c| c.newton_iterations += 1);
+            let reuse_lu = lu_key.is_some() && ws.factored_key == lu_key;
+            if reuse_lu {
+                tel.count(|c| c.factor_reuse_hits += 1);
+            }
             if run_sparse {
                 let Some(sp) = ws.sparse.as_mut() else {
                     return Err(AttemptError::Spice(SpiceError::Internal {
                         message: "sparse solve selected without sparse workspace".to_string(),
                     }));
                 };
-                ws.x_new.resize(dim, 0.0);
-                match key {
-                    Some(k) if !self.has_nonlinear => {
-                        if ws.factored_key == Some(k) {
-                            tel.count(|c| c.factor_reuse_hits += 1);
-                        } else {
-                            sp.mat.vals_mut().copy_from_slice(&sp.lin_vals);
-                            let oc = {
-                                let _t = tel.timer_fine(Phase::Refactor);
-                                sp.lu.refactor(&sp.mat)?
-                            };
-                            note_refactor(tel, oc, sp.lu.last_dead_pivot());
-                            ws.factored_key = Some(k);
+                match tran {
+                    Some((form, s)) => {
+                        ws.rhs.clone_from(&ws.tran_rhs);
+                        if !reuse_lu {
+                            form.load(s, sp.mat.vals_mut());
                         }
-                        let _t = tel.timer_fine(Phase::BackSubstitute);
-                        sp.lu.solve_into(&ws.lin_rhs, &mut ws.x_new)?;
-                        tel.count(|c| c.sparse_solves += 1);
+                        if self.has_nonlinear {
+                            self.stamp_sparse_nonlinear(&ws.x, mode, sp, &mut ws.rhs)?;
+                        }
                     }
-                    Some(_) => {
-                        sp.mat.vals_mut().copy_from_slice(&sp.lin_vals);
-                        ws.rhs.clear();
-                        ws.rhs.extend_from_slice(&ws.lin_rhs);
-                        self.stamp_sparse_nonlinear(&ws.x, state, mode, sp, &mut ws.rhs)?;
-                        let oc = {
-                            let _t = tel.timer_fine(Phase::Refactor);
-                            sp.lu.refactor(&sp.mat)?
-                        };
-                        note_refactor(tel, oc, sp.lu.last_dead_pivot());
-                        let _t = tel.timer_fine(Phase::BackSubstitute);
-                        sp.lu.solve_into(&ws.rhs, &mut ws.x_new)?;
-                        tel.count(|c| c.sparse_solves += 1);
-                    }
-                    None => {
-                        self.assemble_sparse_full(&ws.x, state, mode, opts.gmin, sp, &mut ws.rhs)?;
-                        let oc = {
-                            let _t = tel.timer_fine(Phase::Refactor);
-                            sp.lu.refactor(&sp.mat)?
-                        };
-                        note_refactor(tel, oc, sp.lu.last_dead_pivot());
-                        let _t = tel.timer_fine(Phase::BackSubstitute);
-                        sp.lu.solve_into(&ws.rhs, &mut ws.x_new)?;
-                        tel.count(|c| c.sparse_solves += 1);
-                    }
+                    None => self.assemble_sparse_full(&ws.x, mode, opts.gmin, sp, &mut ws.rhs)?,
                 }
+                if !reuse_lu {
+                    let oc = {
+                        let _t = tel.timer_fine(Phase::Refactor);
+                        sp.lu.refactor(&sp.mat)?
+                    };
+                    note_refactor(tel, oc, sp.lu.last_dead_pivot());
+                    ws.factored_key = lu_key;
+                }
+                let _t = tel.timer_fine(Phase::BackSubstitute);
+                sp.lu.solve_into(&ws.rhs, &mut ws.x_new)?;
+                tel.count(|c| c.sparse_solves += 1);
             } else {
-                match key {
-                    Some(k) if !self.has_nonlinear => {
-                        // Fully linear system: the cached linear matrix *is*
-                        // the Jacobian and its factorization survives across
-                        // timesteps with the same key.
-                        if ws.factored_key == Some(k) {
-                            tel.count(|c| c.factor_reuse_hits += 1);
-                        } else {
-                            let _t = tel.timer_fine(Phase::Factor);
-                            ws.factors.refactor(&ws.lin_matrix)?;
-                            tel.count(|c| c.full_factorizations += 1);
-                            ws.factored_key = Some(k);
+                match tran {
+                    Some((form, s)) => {
+                        ws.rhs.clone_from(&ws.tran_rhs);
+                        if !reuse_lu {
+                            form.load_dense(s, &mut ws.matrix);
                         }
-                        let _t = tel.timer_fine(Phase::BackSubstitute);
-                        ws.factors.solve_into(&ws.lin_rhs, &mut ws.x_new)?;
-                        tel.count(|c| c.dense_solves += 1);
-                    }
-                    Some(_) => {
-                        ws.matrix.copy_from(&ws.lin_matrix);
-                        ws.rhs.clear();
-                        ws.rhs.extend_from_slice(&ws.lin_rhs);
-                        self.stamp_nonlinear(&ws.x, state, mode, &mut ws.matrix, &mut ws.rhs);
-                        {
-                            let _t = tel.timer_fine(Phase::Factor);
-                            ws.factors.refactor(&ws.matrix)?;
+                        if self.has_nonlinear {
+                            let mut out = Stamper::new(&mut ws.matrix, &mut ws.rhs, self.n_nodes);
+                            self.stamp_pass(&mut out, true, &ws.x, mode);
                         }
-                        tel.count(|c| c.full_factorizations += 1);
-                        let _t = tel.timer_fine(Phase::BackSubstitute);
-                        ws.factors.solve_into(&ws.rhs, &mut ws.x_new)?;
-                        tel.count(|c| c.dense_solves += 1);
                     }
-                    None => {
-                        self.assemble(&ws.x, state, mode, opts.gmin, &mut ws.matrix, &mut ws.rhs);
-                        {
-                            let _t = tel.timer_fine(Phase::Factor);
-                            ws.factors.refactor(&ws.matrix)?;
-                        }
-                        tel.count(|c| c.full_factorizations += 1);
-                        let _t = tel.timer_fine(Phase::BackSubstitute);
-                        ws.factors.solve_into(&ws.rhs, &mut ws.x_new)?;
-                        tel.count(|c| c.dense_solves += 1);
-                    }
+                    None => self.assemble(&ws.x, mode, opts.gmin, &mut ws.matrix, &mut ws.rhs),
                 }
+                if !reuse_lu {
+                    let _t = tel.timer_fine(Phase::Factor);
+                    ws.factors.refactor(&ws.matrix)?;
+                    tel.count(|c| c.full_factorizations += 1);
+                    ws.factored_key = lu_key;
+                }
+                let _t = tel.timer_fine(Phase::BackSubstitute);
+                ws.factors.solve_into(&ws.rhs, &mut ws.x_new)?;
+                tel.count(|c| c.dense_solves += 1);
             }
             let (converged, undamped, w) =
                 newton_update(&mut ws.x, |i| ws.x_new[i], self.n_nodes, opts);
@@ -1038,50 +974,6 @@ impl<'a> System<'a> {
         .into())
     }
 
-    /// Initializes the transient state arena from a DC solution.
-    pub(crate) fn init_state(&self, x: &[f64]) -> Vec<f64> {
-        let mut state = vec![0.0; self.state_len];
-        for (idx, e) in self.ckt.elements().enumerate() {
-            let sb = self.state_bases[idx];
-            let ctx = self.ctx(idx, e, x, &[], StampMode::dc());
-            e.init_state(&ctx, &mut state[sb..sb + e.state_size()]);
-        }
-        state
-    }
-
-    /// Writes the next-state arena after a converged transient step,
-    /// the MOSFETs' from the device table.
-    pub(crate) fn update_state(
-        &self,
-        x: &[f64],
-        state_prev: &[f64],
-        mode: StampMode,
-        state_next: &mut [f64],
-    ) {
-        for &visit in &self.fixed_visits {
-            match visit {
-                Visit::Mos(k) => {
-                    let (sb, dev) = &self.mos[k];
-                    if let StampMode::Tran { dt, method, .. } = mode {
-                        let at = *sb..*sb + mosfet::STATE_SIZE;
-                        dev.update_state(
-                            x,
-                            dt,
-                            method,
-                            &state_prev[at.clone()],
-                            &mut state_next[at],
-                        );
-                    }
-                }
-                Visit::Element(idx, e, _) => {
-                    let sb = self.state_bases[idx];
-                    let ctx = self.ctx(idx, e, x, state_prev, mode);
-                    e.update_state(&ctx, &mut state_next[sb..sb + e.state_size()]);
-                }
-            }
-        }
-    }
-
     /// Assembles and solves the complex small-signal system at `omega`
     /// into caller-owned buffers: `x` carries the RHS in and the solution
     /// out, and the matrix (restamped per frequency, then consumed by the
@@ -1118,9 +1010,9 @@ impl<'a> System<'a> {
     /// analysis only; the caller assembles and runs the first numeric
     /// factorization). The union pattern of `G + jωC` is
     /// frequency-independent — every element writes its full footprint
-    /// at any `omega` — so one recording serves the whole sweep. As in
-    /// [`build_sparse`](Self::build_sparse), the position set is
-    /// symmetrized and every diagonal is added. Returns `None` when the
+    /// at any `omega` — so one recording serves the whole sweep. The
+    /// position set is symmetrized and every diagonal is added
+    /// ([`csr_pattern`]). Returns `None` when the
     /// pattern cannot be built; the sweep then stays dense.
     fn build_ac_sparse(&self, x_op: &[f64]) -> Option<AcSparseState> {
         let dim = self.dim();
@@ -1130,13 +1022,7 @@ impl<'a> System<'a> {
             let mut stamper = AcStamper::pattern(&mut positions, &mut scratch_rhs, self.n_nodes);
             e.stamp_ac(x_op, self.branch_bases[idx], 1.0, &mut stamper);
         }
-        let n_recorded = positions.len();
-        for i in 0..n_recorded {
-            let (r, c) = positions[i];
-            positions.push((c, r));
-        }
-        positions.extend((0..dim).map(|i| (i, i)));
-        let mat = CsrMatrix::<Complex64>::from_pattern(dim, dim, &positions).ok()?;
+        let mat: CsrMatrix<Complex64> = csr_pattern(dim, positions)?;
         let lu = SparseLu::new(&mat).ok()?;
         let diag_slots: Option<Vec<usize>> = (0..self.n_nodes).map(|i| mat.find(i, i)).collect();
         Some(AcSparseState {
@@ -1275,10 +1161,33 @@ fn note_refactor(tel: &Telemetry, outcome: RefactorOutcome, dead_pivot: Option<(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::element::DcTransfer;
     use crate::prelude::*;
+    use std::sync::Arc;
+
+    /// The dense `G + (a/dt)·C` and fixed RHS a transient solve in `mode`
+    /// loads from the history `state`.
+    pub(crate) fn companion(
+        sys: &System<'_>,
+        state: &[f64],
+        mode: StampMode,
+    ) -> (DenseMatrix, Vec<f64>) {
+        let StampMode::Tran { dt, method, .. } = mode else {
+            panic!("companion of a DC mode")
+        };
+        let form = sys.tran_form().expect("initialized transient");
+        let mut m = DenseMatrix::zeros(sys.dim(), sys.dim());
+        form.load_dense(companion_scale(dt, method), &mut m);
+        let mut rhs = Vec::new();
+        sys.tran_rhs(form, state, mode, &mut rhs);
+        (m, rhs)
+    }
+
+    fn tran_mode(time: f64, dt: f64, method: Integration) -> StampMode {
+        StampMode::Tran { time, dt, method }
+    }
 
     #[test]
     fn branch_allocation_and_names() {
@@ -1293,7 +1202,9 @@ mod tests {
         assert_eq!(sys.dim(), 4); // 2 nodes + V branch + L branch
         assert_eq!(sys.branch_names()["V1"], 2);
         assert_eq!(sys.branch_names()["L1"], 3);
-        assert_eq!(sys.state_len(), 2); // inductor state only
+        // Transient history: charges and `C·ẋ`, one entry per unknown each.
+        let state = sys.init_tran(&[0.0; 4], 1e-12, &Telemetry::disabled());
+        assert_eq!(state.unwrap().len(), 8);
     }
 
     fn card(mos_type: MosType, cj: f64) -> MosParams {
@@ -1308,6 +1219,160 @@ mod tests {
             cov: 3.0e-10,
             cj,
             ldiff: 0.5e-6,
+        }
+    }
+
+    /// Largest relative distance allowed between a compiled entry and its
+    /// literal value: the two sum the same terms in different orders.
+    const LITERAL_REL_ERR: f64 = 1e-14;
+
+    fn assert_close(got: f64, want: f64, what: &str) {
+        assert!(
+            (got - want).abs() <= LITERAL_REL_ERR * want.abs().max(1e-3),
+            "{what}: compiled {got:e}, literal {want:e}"
+        );
+    }
+
+    /// The compiled transient form against literal companion values, for
+    /// one element of every builtin kind: `G + (a/dt)·C` and the fixed RHS
+    /// `b(t) + (a/dt)·C·x_n` (`d_0 = 0` after initialization) for both
+    /// methods at two step sizes, then three trapezoidal history steps on
+    /// one capacitor against its hand-computed companion current.
+    #[test]
+    fn compiled_form_matches_literal_companions() {
+        let mut ckt = Circuit::new();
+        let [n1, n2, n3, n4, n5] = ["n1", "n2", "n3", "n4", "n5"].map(|n| ckt.node(n));
+        let gnd = Circuit::GROUND;
+        let (r, c1, l, v1, i1, gain, gm) = (1e3, 2e-12, 1e-9, 1.2, 1e-3, 3.0, 1e-3);
+        let pwl = Waveform::Pwl(vec![(0.0, 0.0), (1e-9, 1.0)]);
+        let (nmos, pmos) = (card(MosType::Nmos, 1.0e-3), card(MosType::Pmos, 0.0));
+        let diode = DiodeParams {
+            cj0: 50e-15,
+            ..DiodeParams::default()
+        };
+        ckt.add(Resistor::new("R1", n1, n2, r));
+        ckt.add(Capacitor::new("C1", n2, gnd, c1));
+        ckt.add(Inductor::new("L1", n2, n3, l));
+        ckt.add(Vsource::dc("V1", n1, gnd, v1));
+        ckt.add(Vsource::new("V2", n4, gnd, pwl.clone()));
+        ckt.add(Isource::dc("I1", n3, gnd, i1));
+        ckt.add(Vcvs::new("E1", n5, gnd, n2, n3, gain));
+        ckt.add(Vccs::new("G1", n3, gnd, n4, gnd, gm));
+        ckt.add(Mosfet::new("M1", n5, n4, gnd, gnd, nmos.clone()));
+        ckt.add(Mosfet::new("M2", n3, n2, n1, n1, pmos.clone()));
+        ckt.add(Diode::new("D1", n3, n5, diode.clone()));
+        let sys = System::new(&ckt);
+        let dim = sys.dim();
+        // Unknowns: five nodes, then the branches of L1, V1, V2 and E1.
+        let (b_l, b_v1, b_v2, b_e) = (5, 6, 7, 8);
+        assert_eq!(dim, 9);
+        let gmin = 1e-3;
+        let x_prev: Vec<f64> = (0..dim).map(|i| 0.1 * (i as f64 + 1.0)).collect();
+        let state = sys
+            .init_tran(&x_prev, gmin, &Telemetry::disabled())
+            .unwrap();
+
+        // Literal `G`.
+        let mut g = DenseMatrix::zeros(dim, dim);
+        let stamp2 = |m: &mut DenseMatrix, p: Option<usize>, q: Option<usize>, v: f64| {
+            for (a, b, sign) in [(p, p, 1.0), (q, q, 1.0), (p, q, -1.0), (q, p, -1.0)] {
+                if let (Some(a), Some(b)) = (a, b) {
+                    m[(a, b)] += sign * v;
+                }
+            }
+        };
+        stamp2(&mut g, Some(0), Some(1), 1.0 / r);
+        for (a, b, v) in [
+            (1, b_l, 1.0),
+            (2, b_l, -1.0),
+            (b_l, 1, 1.0),
+            (b_l, 2, -1.0),
+            (0, b_v1, 1.0),
+            (b_v1, 0, 1.0),
+            (3, b_v2, 1.0),
+            (b_v2, 3, 1.0),
+            (4, b_e, 1.0),
+            (b_e, 4, 1.0),
+            (b_e, 1, -gain),
+            (b_e, 2, gain),
+            (2, 3, gm),
+        ] {
+            g[(a, b)] += v;
+        }
+        for i in 0..5 {
+            g[(i, i)] += gmin;
+        }
+        // Literal capacitances `(p, q, c)`; M2's zero junction is left out.
+        let caps = [
+            (Some(1), None, c1),
+            (Some(3), None, nmos.cgs()),
+            (Some(3), Some(4), nmos.cgd()),
+            (Some(4), None, nmos.cjunc()),
+            (Some(1), Some(0), pmos.cgs()),
+            (Some(1), Some(2), pmos.cgd()),
+            (Some(2), Some(4), diode.cj0),
+        ];
+        let v = |x: &[f64], n: Option<usize>| n.map_or(0.0, |i| x[i]);
+        for method in [Integration::Trapezoidal, Integration::BackwardEuler] {
+            for dt in [1e-12, 3e-12] {
+                let t = 0.25e-9;
+                let (m, rhs) = companion(&sys, &state, tran_mode(t, dt, method));
+                let a = if method == Integration::Trapezoidal {
+                    2.0
+                } else {
+                    1.0
+                };
+                let mut want = g.clone();
+                let mut want_rhs = vec![0.0; dim];
+                for &(p, q, c) in &caps {
+                    let geq = a * c / dt;
+                    stamp2(&mut want, p, q, geq);
+                    let ieq = geq * (v(&x_prev, p) - v(&x_prev, q));
+                    if let Some(p) = p {
+                        want_rhs[p] += ieq;
+                    }
+                    if let Some(q) = q {
+                        want_rhs[q] -= ieq;
+                    }
+                }
+                // Inductor branch row `v_a − v_b − (a·L/dt)·i`, with the
+                // history `−(a·L/dt)·i_n` (its `v_n` term is `d_0 = 0`).
+                want[(b_l, b_l)] -= a * l / dt;
+                want_rhs[b_l] -= a * l / dt * x_prev[b_l];
+                want_rhs[b_v1] += v1;
+                want_rhs[b_v2] += pwl.eval(t);
+                want_rhs[2] -= i1;
+                let what = format!("{method:?} dt {dt:e}");
+                for i in 0..dim {
+                    for j in 0..dim {
+                        assert_close(m[(i, j)], want[(i, j)], &format!("{what} ({i},{j})"));
+                    }
+                    assert_close(rhs[i], want_rhs[i], &format!("{what} rhs {i}"));
+                }
+            }
+        }
+
+        // Three trapezoidal steps of changing size on one capacitor: the
+        // history carries its companion current `i_{n+1} = geq·Δv − i_n`.
+        let mut one = Circuit::new();
+        let a = one.node("a");
+        one.add(Resistor::new("R1", a, gnd, r));
+        one.add(Capacitor::new("C1", a, gnd, c1));
+        let sys = System::new(&one);
+        let mut state = sys.init_tran(&[0.3], 0.0, &Telemetry::disabled()).unwrap();
+        let (mut v_prev, mut i_prev) = (0.3, 0.0);
+        for (dt, v_new) in [(1e-12, 0.5), (2e-12, 0.2), (0.5e-12, 0.9)] {
+            let mode = tran_mode(1e-9, dt, Integration::Trapezoidal);
+            let geq = 2.0 * c1 / dt;
+            let (m, rhs) = companion(&sys, &state, mode);
+            assert_close(m[(0, 0)], 1.0 / r + geq, "matrix");
+            assert_close(rhs[0], geq * v_prev + i_prev, "history current");
+            let mut next = vec![0.0; 2];
+            sys.advance_history(&[v_new], &state, mode, &mut next)
+                .unwrap();
+            let i_new = geq * (v_new - v_prev) - i_prev;
+            assert_close(next[1], i_new, "companion current");
+            (v_prev, i_prev, state) = (v_new, i_new, next);
         }
     }
 
@@ -1340,20 +1405,17 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The three sparse transient passes stamp the MOSFETs from the
-    /// device table and everything else through `stamp_part`; the CSR
-    /// values and RHS they leave must equal those of the generic passes
-    /// bit for bit, for both integration methods and at guesses that put
+    /// The sparse transient guess-dependent pass stamps the MOSFETs from
+    /// the device table and everything else through `stamp`; on top of
+    /// the loaded `G + (a/dt)·C`, the CSR values and RHS it leaves must
+    /// equal those of the generic pass bit for bit, at guesses that put
     /// every MOSFET in both drain/source orientations.
     #[test]
     fn table_passes_match_generic_stamping_bit_for_bit() {
         let ckt = table_circuit();
         let sys = System::new(&ckt);
         assert_eq!(sys.mos.len(), 8);
-        let (dim, n) = (sys.dim(), sys.n_nodes());
-        let state: Vec<f64> = (0..sys.state_len())
-            .map(|i| 0.1 * (i as f64 + 1.0) * if i % 2 == 0 { 1.0 } else { -1e-4 })
-            .collect();
+        let n = sys.n_nodes();
         let guesses = [[0.15, 0.8, 0.45, 1.05, 0.0], [0.8, 0.15, 1.7, 1.05, 0.0]];
         // Every MOSFET conducts at one guess at least, and both
         // polarities conduct in both drain/source orientations.
@@ -1381,74 +1443,27 @@ mod tests {
                 );
             }
         }
-        for method in [Integration::Trapezoidal, Integration::BackwardEuler] {
-            let mode = StampMode::Tran {
-                time: 1e-9,
-                dt: 5e-12,
-                method,
-            };
-            let gmin = 1e-12;
-            let mut sp = sys.build_sparse(&guesses[0], &state, mode).unwrap();
-            sys.bind_devices(&mut sp);
-            // Fixed rebuild.
-            let mut table = sp.clone();
-            let mut table_rhs = Vec::new();
+        let state = sys
+            .init_tran(&guesses[0], 1e-12, &Telemetry::disabled())
+            .unwrap();
+        let mode = tran_mode(1e-9, 5e-12, Integration::Trapezoidal);
+        let form = sys.tran_form().unwrap();
+        let mut sp = sys.build_sparse(&guesses[0], mode).unwrap();
+        sys.bind_devices(&mut sp);
+        form.load(2.0 / 5e-12, sp.mat.vals_mut());
+        let mut fixed_rhs = Vec::new();
+        sys.tran_rhs(form, &state, mode, &mut fixed_rhs);
+        for x in &guesses {
+            let (mut t, mut g) = (sp.clone(), sp.clone());
+            let (mut t_rhs, mut g_rhs) = (fixed_rhs.clone(), fixed_rhs.clone());
             assert!(sys
-                .assemble_sparse_linear(&state, mode, gmin, &mut table, &mut table_rhs)
+                .stamp_sparse_nonlinear(x, mode, &mut t, &mut t_rhs)
                 .is_ok());
-            let mut generic = sp.clone();
-            let mut generic_rhs = vec![0.0; dim];
-            let mut out = Stamper::sparse(
-                &mut generic.mat,
-                &mut generic.slots_lin,
-                &mut generic_rhs,
-                n,
-            );
-            sys.stamp_pass(&mut out, StampPart::Fixed, &[], &state, mode);
-            assert!(!generic.slots_lin.missing());
-            for &s in &generic.diag_slots {
-                generic.mat.vals_mut()[s] += gmin;
-            }
-            assert_eq!(
-                bits(table.mat.vals()),
-                bits(generic.mat.vals()),
-                "{method:?}"
-            );
-            assert_eq!(bits(&table_rhs), bits(&generic_rhs), "{method:?}");
-            // Fixed RHS-only.
-            let (mut table_only, mut generic_only) = (Vec::new(), Vec::new());
-            assert!(sys
-                .stamp_linear_rhs_table(&state, mode, &mut table_only)
-                .is_ok());
-            sys.stamp_linear_rhs(&state, mode, &mut generic_only);
-            assert_eq!(bits(&table_only), bits(&generic_only), "{method:?}");
-            assert_eq!(bits(&table_only), bits(&generic_rhs), "{method:?}");
-            // Guess-dependent top-up of the fixed values.
-            for x in &guesses {
-                let (mut t, mut g) = (table.clone(), generic.clone());
-                let (mut t_rhs, mut g_rhs) = (table_rhs.clone(), generic_rhs.clone());
-                assert!(sys
-                    .stamp_sparse_nonlinear(x, &state, mode, &mut t, &mut t_rhs)
-                    .is_ok());
-                let mut out = Stamper::sparse(&mut g.mat, &mut g.slots_nonlin, &mut g_rhs, n);
-                sys.stamp_pass(&mut out, StampPart::GuessDependent, x, &state, mode);
-                assert!(!g.slots_nonlin.missing());
-                assert_eq!(
-                    bits(t.mat.vals()),
-                    bits(g.mat.vals()),
-                    "{method:?} at {x:?}"
-                );
-                assert_eq!(bits(&t_rhs), bits(&g_rhs), "{method:?} at {x:?}");
-            }
-            // State update.
-            let (mut table_next, mut generic_next) = (state.clone(), state.clone());
-            sys.update_state(&guesses[1], &state, mode, &mut table_next);
-            for (idx, e) in ckt.elements().enumerate() {
-                let sb = sys.state_bases[idx];
-                let ctx = sys.ctx(idx, e, &guesses[1], &state, mode);
-                e.update_state(&ctx, &mut generic_next[sb..sb + e.state_size()]);
-            }
-            assert_eq!(bits(&table_next), bits(&generic_next), "{method:?}");
+            let mut out = Stamper::sparse(&mut g.mat, &mut g.slots_nonlin, &mut g_rhs, n);
+            sys.stamp_pass(&mut out, true, x, mode);
+            assert!(!g.slots_nonlin.missing());
+            assert_eq!(bits(t.mat.vals()), bits(g.mat.vals()), "at {x:?}");
+            assert_eq!(bits(&t_rhs), bits(&g_rhs), "at {x:?}");
         }
     }
 
@@ -1471,32 +1486,37 @@ mod tests {
         ckt
     }
 
-    /// A pattern recorded with `cjunc = 0` lacks the drain-body
-    /// position; the device table needs it once `cjunc > 0`, and must
-    /// report a pattern miss rather than drop the write. The topology
-    /// hash ignores `cj`, so the cached pattern of the first circuit is
-    /// served to the second, which then rebuilds and matches a run that
-    /// never saw the cache.
+    /// The transient Jacobian pattern is the compiled form's, which holds
+    /// every capacitance position even for a zero capacitance, so two
+    /// circuits that share a topology hash share it. A cached pattern that
+    /// differs from the form anyway (here a DC pattern, which lacks the
+    /// drain-body junction position, interned under the transient key)
+    /// must be rejected as a pattern miss and rebuilt from the form, and
+    /// the run must match one that never saw the cache.
     #[test]
-    fn a_pattern_without_the_junction_position_misses_and_rebuilds() {
+    fn a_cached_transient_pattern_unlike_the_form_is_rebuilt() {
         let (without, with) = (junction_circuit(0.0), junction_circuit(1.0e-3));
         assert_eq!(without.topology_hash(), with.topology_hash());
-        let (sys, tight) = (System::new(&with), System::new(&without));
-        let mode = StampMode::Tran {
-            time: 1e-12,
-            dt: 1e-12,
-            method: Integration::Trapezoidal,
-        };
+        let (sys, other) = (System::new(&with), System::new(&without));
         let x = vec![0.0; sys.dim()];
-        let state = vec![0.0; sys.state_len()];
-        let mut sp = tight.build_sparse(&x, &state, mode).unwrap();
-        sys.bind_devices(&mut sp);
-        let mut rhs = Vec::new();
-        let res = sys.assemble_sparse_linear(&state, mode, 1e-12, &mut sp, &mut rhs);
-        assert!(matches!(res, Err(AttemptError::PatternMiss)));
+        let tel = Telemetry::disabled();
+        sys.init_tran(&x, 1e-12, &tel).unwrap();
+        other.init_tran(&x, 1e-12, &tel).unwrap();
+        let mode = tran_mode(1e-12, 1e-12, Integration::Trapezoidal);
+        let tight = sys.build_sparse(&x, StampMode::dc()).unwrap();
+        let form = sys.tran_form().unwrap();
+        assert!(form.fits(&other.build_sparse(&x, mode).unwrap().mat));
+        assert!(!form.fits(&tight.mat));
 
+        let key = cache::topology_key(&sys, cml_cache::ArtifactKind::TranPattern);
+        cml_cache::intern::insert(
+            key,
+            Arc::new(SparseState {
+                kind: ModeKind::Tran,
+                ..tight
+            }),
+        );
         let config = TranConfig::new(50e-12, 1e-12);
-        tran::run(&without, &config).unwrap();
         let tel = Telemetry::enabled();
         let cached = tran::run_traced(&with, &config, &tel).unwrap();
         assert_eq!(tel.report().counters.pattern_rebuilds, 1);

@@ -1,7 +1,11 @@
 //! Transient analysis.
 //!
 //! Two stepping modes share the same companion models (trapezoidal or
-//! backward-Euler) and the same Newton seed: every step's solve starts
+//! backward-Euler) and the same Newton seed. The companion models are
+//! one compiled form per circuit: each solve loads `G + (a/dt)·C`, and
+//! the history lives in node space as the charges `q = C·x` and
+//! `d = C·ẋ` of the last accepted point (see `System::init_tran`).
+//! Every step's solve starts
 //! from the polynomial predictor through the last accepted points
 //! (quadratic through three, linear through two, the last point alone
 //! on the first step and after a breakpoint restart), as SPICE3's
@@ -60,11 +64,13 @@ pub struct TranConfig {
     /// side. `dt` remains the first-step size and the scale all limits
     /// derive from.
     pub adaptive: bool,
-    /// Reuse cached linear-element stamps and (on linear circuits) the
-    /// LU factorization across timesteps sharing a step size; see
-    /// [`crate::element::Element::is_nonlinear`] and DESIGN.md. Disable
-    /// to force the historical assemble-and-factor-every-iteration path
-    /// (bit-identical to it on linear circuits either way).
+    /// On a circuit with no nonlinear devices, keep the LU factorization
+    /// of `G + (a/dt)·C` across timesteps that share a step size and
+    /// method; see [`crate::element::Element::is_nonlinear`] and
+    /// DESIGN.md. Disable to refactor at every Newton iteration (the
+    /// results are bit-identical either way). Every transient path reads
+    /// the same compiled linear part, so this is the only thing it
+    /// changes; nonlinear circuits refactor every iteration regardless.
     pub reuse_factorization: bool,
     /// Samples per streamed waveform chunk (default 1024, see
     /// [`TranConfig::with_chunk_size`]). Accumulators downstream are
@@ -106,7 +112,7 @@ impl TranConfig {
         self
     }
 
-    /// Disables cross-timestep stamp/factorization caching (reference
+    /// Disables the cross-timestep LU reuse of linear circuits (reference
     /// path for equivalence testing and benchmarking).
     #[must_use]
     pub fn without_factor_reuse(mut self) -> Self {
@@ -322,7 +328,7 @@ fn run_streaming_impl(
         let _span = tel.span("phase", "tran_init");
         solve_system(&sys, &config.newton, Some(0.0), tel)?
     };
-    let state = sys.init_state(&x0);
+    let state = sys.init_tran(&x0, config.newton.gmin, tel)?;
 
     let mut emit = ChunkEmitter::new(
         &sys,
@@ -354,14 +360,14 @@ fn fixed_loop(
     emit: &mut ChunkEmitter<'_>,
     tel: &Telemetry,
 ) -> Result<(), SpiceError> {
-    let mut state_next = vec![0.0; sys.state_len()];
+    let mut state_next = vec![0.0; state.len()];
     emit.push(0.0, &x0, tel)?;
 
     let mut t = 0.0;
     let mut hist = History::new(0.0, x0);
     let mut pred = Vec::with_capacity(sys.dim());
-    // One workspace for the whole run: matrices, LU factors and cached
-    // linear stamps survive from step to step.
+    // One workspace for the whole run: the pattern, matrices and LU
+    // factors survive from step to step.
     let mut ws = NewtonWorkspace::new();
     while t < config.t_stop - 1e-18 {
         let mut dt = config.dt.min(config.t_stop - t);
@@ -384,7 +390,7 @@ fn fixed_loop(
                 tel,
             ) {
                 Ok(x_new) => {
-                    sys.update_state(x_new, &state, mode, &mut state_next);
+                    sys.advance_history(x_new, &state, mode, &mut state_next)?;
                     std::mem::swap(&mut state, &mut state_next);
                     t += dt;
                     emit.push(t, x_new, tel)?;
@@ -544,7 +550,7 @@ fn adaptive_loop(
     let dt_max = config.dt.max(t_stop / 50.0);
     let dt_bp_restart = (config.dt / BP_RESTART_DIV).max(dt_min);
 
-    let mut state_next = vec![0.0; sys.state_len()];
+    let mut state_next = vec![0.0; state.len()];
     emit.push(0.0, &x0, tel)?;
     let mut t = 0.0;
     let mut hist = History::new(0.0, x0);
@@ -602,7 +608,7 @@ fn adaptive_loop(
                             continue;
                         }
                     }
-                    sys.update_state(x_new, &state, mode, &mut state_next);
+                    sys.advance_history(x_new, &state, mode, &mut state_next)?;
                     std::mem::swap(&mut state, &mut state_next);
                     t += dt_step;
                     emit.push(t, x_new, tel)?;

@@ -86,7 +86,7 @@ pub(crate) fn conditioning(
     for x in &samples {
         // gmin = 0: the envelope should show what the *elements* hold, so a
         // gmin-only row is visible as numerically empty.
-        sys.assemble(x, &[], StampMode::dc(), 0.0, &mut matrix, &mut rhs);
+        sys.assemble(x, StampMode::dc(), 0.0, &mut matrix, &mut rhs);
         for r in 0..dim {
             for c in 0..dim {
                 let m = matrix[(r, c)].abs();

@@ -4,13 +4,8 @@
 //! clamping structures. The exponential is argument-limited for Newton
 //! robustness, the standard SPICE trick.
 
-use super::mosfet::MosParams;
-use super::DeviceCap;
 use crate::circuit::NodeId;
-use crate::element::{
-    AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, StampMode, StampPart,
-    Stamper,
-};
+use crate::element::{AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, Stamper};
 
 /// Maximum exponent argument before linear extrapolation takes over.
 const MAX_EXP_ARG: f64 = 40.0;
@@ -115,48 +110,14 @@ impl Element for Diode {
         true
     }
 
-    fn state_size(&self) -> usize {
-        2
-    }
-
-    fn init_state(&self, ctx: &StampCtx<'_>, state: &mut [f64]) {
-        DeviceCap::init(ctx.v(self.a), ctx.v(self.k), state);
-    }
-
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
-        self.stamp_part(ctx, None, StampPart::Whole, out);
-    }
-
-    fn stamp_part(
-        &self,
-        ctx: &StampCtx<'_>,
-        _card: Option<&MosParams>,
-        part: StampPart,
-        out: &mut Stamper<'_>,
-    ) {
+        // The junction capacitance is `C` (see the transient contract on
+        // `Element`); the stamp is the junction's linearization alone.
         let (a, k) = (self.a.index(), self.k.index());
-        if part != StampPart::Fixed {
-            let v = ctx.v(self.a) - ctx.v(self.k);
-            let (i, g) = self.iv(v);
-            out.conductance(a, k, g);
-            out.current_source(a, k, i - g * v);
-        }
-        // The junction capacitance reads the mode and the previous-step
-        // state, never the guess.
-        if part != StampPart::GuessDependent && matches!(ctx.mode, StampMode::Tran { .. }) {
-            DeviceCap::stamp(ctx, out, self.params.cj0, a, k, ctx.state);
-        }
-    }
-
-    fn update_state(&self, ctx: &StampCtx<'_>, state_next: &mut [f64]) {
-        DeviceCap::update(
-            ctx,
-            self.params.cj0,
-            ctx.v(self.a),
-            ctx.v(self.k),
-            ctx.state,
-            state_next,
-        );
+        let v = ctx.v(self.a) - ctx.v(self.k);
+        let (i, g) = self.iv(v);
+        out.conductance(a, k, g);
+        out.current_source(a, k, i - g * v);
     }
 
     fn stamp_ac(&self, x_op: &[f64], _bb: usize, omega: f64, out: &mut AcStamper<'_>) {

@@ -3,100 +3,15 @@
 pub mod diode;
 pub mod mosfet;
 
-use crate::element::{Integration, StampCtx, StampMode, Stamper};
-
-/// Shared companion-model helper for the fixed capacitances inside device
-/// models (MOSFET terminal caps, diode junction cap).
-///
-/// State layout per capacitance: `[v_prev, i_prev]`.
-pub(crate) struct DeviceCap;
-
-impl DeviceCap {
-    /// Stamps one internal capacitance for the current mode. `state` is the
-    /// 2-slot state slice for this capacitance.
-    pub(crate) fn stamp(
-        ctx: &StampCtx<'_>,
-        out: &mut Stamper<'_>,
-        c: f64,
-        a: Option<usize>,
-        b: Option<usize>,
-        state: &[f64],
-    ) {
-        if c <= 0.0 {
-            return;
-        }
-        if let StampMode::Tran { dt, method, .. } = ctx.mode {
-            let (geq, ieq) = Self::companion(c, dt, method, state[0], state[1]);
-            out.conductance(a, b, geq);
-            out.current_source(b, a, ieq);
-        }
-    }
-
-    /// Writes next state for one internal capacitance after convergence.
-    pub(crate) fn update(
-        ctx: &StampCtx<'_>,
-        c: f64,
-        va: f64,
-        vb: f64,
-        state_prev: &[f64],
-        state_next: &mut [f64],
-    ) {
-        if let StampMode::Tran { dt, method, .. } = ctx.mode {
-            Self::advance(c, dt, method, va - vb, state_prev, state_next);
-        }
-    }
-
-    /// Writes the next state of a capacitance whose voltage is now
-    /// `v_new` after a step of `dt` by `method`: the voltage and the
-    /// companion current `geq·v_new − ieq` of that step.
-    pub(crate) fn advance(
-        c: f64,
-        dt: f64,
-        method: Integration,
-        v_new: f64,
-        state_prev: &[f64],
-        state_next: &mut [f64],
-    ) {
-        let (geq, ieq) = Self::companion(c, dt, method, state_prev[0], state_prev[1]);
-        state_next[0] = v_new;
-        state_next[1] = geq * v_new - ieq;
-    }
-
-    /// Initializes state from a DC solution.
-    pub(crate) fn init(va: f64, vb: f64, state: &mut [f64]) {
-        state[0] = va - vb;
-        state[1] = 0.0;
-    }
-
-    /// Companion conductance and history current of capacitance `c`
-    /// for a step of `dt` by `method` from state `[v_prev, i_prev]`.
-    pub(crate) fn companion(
-        c: f64,
-        dt: f64,
-        method: Integration,
-        v_prev: f64,
-        i_prev: f64,
-    ) -> (f64, f64) {
-        match method {
-            Integration::Trapezoidal => {
-                let geq = 2.0 * c / dt;
-                (geq, geq * v_prev + i_prev)
-            }
-            Integration::BackwardEuler => {
-                let geq = c / dt;
-                (geq, geq * v_prev)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::diode::{Diode, DiodeParams};
     use super::mosfet::{MosParams, MosType, Mosfet};
     use crate::circuit::NodeId;
-    use crate::element::{Element, Integration, StampCtx, StampMode, StampPart, Stamper};
-    use cml_numeric::DenseMatrix;
+    use crate::element::{
+        AcStamper, DcTransfer, Element, Integration, StampCtx, StampMode, Stamper,
+    };
+    use cml_numeric::{Complex64, ComplexMatrix, DenseMatrix};
 
     /// Unknowns of the test system: four non-ground nodes, no branches.
     const N: usize = 4;
@@ -155,13 +70,10 @@ mod tests {
         ]
     }
 
-    /// Previous-step state: `[v_prev, i_prev]` per device capacitance.
-    const STATE: [f64; 6] = [0.8, 1e-5, -0.2, 2e-6, 1.0, -3e-6];
-
-    fn ctx<'a>(e: &dyn Element, x: &'a [f64], mode: StampMode) -> StampCtx<'a> {
+    fn ctx<'a>(x: &'a [f64], mode: StampMode) -> StampCtx<'a> {
         StampCtx {
             x,
-            state: &STATE[..e.state_size()],
+            state: &[],
             branch_base: 0,
             n_nodes: N,
             mode,
@@ -181,51 +93,59 @@ mod tests {
             .collect()
     }
 
+    /// A device's stamp is its resistive linearization alone, so it is the
+    /// same in every mode: the step size and method of a transient mode
+    /// reach it only through the compiled `C`. Stamping with no card
+    /// override is the plain stamp.
     #[test]
-    fn guess_dependent_then_fixed_part_equals_whole_stamp() {
+    fn device_stamps_are_the_same_in_every_mode() {
         for (e, x) in cases() {
+            let dc = dense_bits(|out| e.stamp(&ctx(&x, StampMode::dc()), out));
             for mode in modes() {
-                let whole = dense_bits(|out| e.stamp(&ctx(&*e, &x, mode), out));
-                let split = dense_bits(|out| {
-                    let part = StampPart::GuessDependent;
-                    e.stamp_part(&ctx(&*e, &x, mode), None, part, out);
-                    // The fixed part must not read the guess: an empty
-                    // slice panics on any voltage lookup.
-                    e.stamp_part(&ctx(&*e, &[], mode), None, StampPart::Fixed, out);
-                });
-                assert_eq!(split, whole, "{} at {x:?} in {mode:?}", e.name());
-                let via_part = dense_bits(|out| {
-                    e.stamp_part(&ctx(&*e, &x, mode), None, StampPart::Whole, out);
-                });
-                assert_eq!(via_part, whole, "{} at {x:?} in {mode:?}", e.name());
+                let whole = dense_bits(|out| e.stamp(&ctx(&x, mode), out));
+                assert_eq!(whole, dc, "{} at {x:?} in {mode:?}", e.name());
+                let with_card = dense_bits(|out| e.stamp_with_card(&ctx(&x, mode), None, out));
+                assert_eq!(with_card, dc, "{} at {x:?} in {mode:?}", e.name());
             }
         }
     }
 
+    /// A MOSFET stamps its six channel entries in every mode, and its
+    /// three capacitances appear only in the imaginary part of its AC
+    /// stamp: exactly `cgs` from gate to source, `cgd` from gate to drain
+    /// and `cjunc` from drain to body.
     #[test]
-    fn fixed_part_writes_nothing_in_dc() {
-        for (e, _) in cases() {
-            let fixed = dense_bits(|out| {
-                e.stamp_part(&ctx(&*e, &[], StampMode::dc()), None, StampPart::Fixed, out);
-            });
-            assert!(fixed.iter().all(|&b| b == 0), "{}", e.name());
-        }
-    }
-
-    #[test]
-    fn mosfet_parts_write_six_and_twelve_matrix_entries_in_tran() {
-        let mode = modes()[1];
+    fn mosfet_stamps_six_entries_and_its_capacitances_only_in_c() {
         for (e, x) in cases().into_iter().take(4) {
-            let count = |x: &[f64], part| {
+            for mode in modes() {
                 let mut positions = Vec::new();
                 let mut rhs = vec![0.0; N];
-                let mut out = Stamper::pattern(&mut positions, &mut rhs, N);
-                e.stamp_part(&ctx(&*e, x, mode), None, part, &mut out);
-                positions.len()
+                e.stamp(
+                    &ctx(&x, mode),
+                    &mut Stamper::pattern(&mut positions, &mut rhs, N),
+                );
+                assert_eq!(positions.len(), 6, "{x:?} in {mode:?}");
+            }
+            let mut m = ComplexMatrix::zeros(N, N);
+            let mut rhs = vec![Complex64::ZERO; N];
+            e.stamp_ac(&x, 0, 1.0, &mut AcStamper::new(&mut m, &mut rhs, N));
+            let card = match e.dc_transfer() {
+                DcTransfer::MosChannel { params, .. } => params,
+                other => panic!("a MOSFET's DC transfer is its channel, got {other:?}"),
             };
-            assert_eq!(count(&x, StampPart::GuessDependent), 6, "{x:?}");
-            assert_eq!(count(&[], StampPart::Fixed), 12, "{x:?}");
-            assert_eq!(count(&x, StampPart::Whole), 18, "{x:?}");
+            let mut want = DenseMatrix::zeros(N, N);
+            let (d, g, s, b) = (0, 1, 2, 3);
+            for (c, p, q) in [(card.cgs(), g, s), (card.cgd(), g, d), (card.cjunc(), d, b)] {
+                want[(p, p)] += c;
+                want[(q, q)] += c;
+                want[(p, q)] -= c;
+                want[(q, p)] -= c;
+            }
+            for r in 0..N {
+                for c in 0..N {
+                    assert_eq!(m[(r, c)].im, want[(r, c)], "C({r},{c}) at {x:?}");
+                }
+            }
         }
     }
 }

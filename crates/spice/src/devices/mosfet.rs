@@ -10,12 +10,8 @@
 //! averages (`2/3·W·L·Cox` gate-source in saturation plus overlaps), kept
 //! constant across the simulation for robustness.
 
-use super::DeviceCap;
 use crate::circuit::NodeId;
-use crate::element::{
-    AcStamper, DcCoupling, DcTransfer, Element, ElementKind, Integration, StampCtx, StampMode,
-    StampPart, Stamper,
-};
+use crate::element::{AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, Stamper};
 use crate::lint::LintCode;
 use std::fmt;
 
@@ -315,7 +311,8 @@ impl Mosfet {
     }
 
     /// Stamps the channel's Norton linearization of `card` at the guess
-    /// in `ctx`: the guess-dependent part of the stamp.
+    /// in `ctx`: the whole stamp (the capacitances are `C`, see the
+    /// transient contract on [`Element`]).
     fn stamp_channel(&self, ctx: &StampCtx<'_>, card: &MosParams, out: &mut Stamper<'_>) {
         let (vd, vg, vs) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s));
         let (swapped, vals, ieq) = Channel::of(card).linearize(vd, vg, vs);
@@ -338,61 +335,25 @@ impl Mosfet {
 
     /// This device's row of a transient device table, with its own card.
     pub(crate) fn device(&self) -> MosDevice {
-        let p = &self.params;
         MosDevice {
-            nodes: [self.d, self.g, self.s, self.b].map(NodeId::index),
-            channel: Channel::of(p),
-            caps: [p.cgs(), p.cgd(), p.cjunc()],
+            nodes: [self.d, self.g, self.s].map(NodeId::index),
+            channel: Channel::of(&self.params),
         }
     }
 }
-
-/// State slots: 3 internal caps × 2 (cgs, cgd, cdb). Source junction cap is
-/// merged into cgs loading for simplicity (source is the low-impedance
-/// terminal in every topology used here).
-const N_CAPS: usize = 3;
-
-/// State slots of one MOSFET: `[v_prev, i_prev]` per capacitance.
-pub(crate) const STATE_SIZE: usize = 2 * N_CAPS;
 
 /// Terminal positions in [`MosDevice::nodes`].
 const D: usize = 0;
 const G: usize = 1;
 const S: usize = 2;
-const B: usize = 3;
 
-/// The matrix positions a MOSFET's transient stamps write, as terminal
-/// pairs, in [`MosSlots`] order: the six channel positions, then the
-/// four writes of each capacitance's conductance — `cgs` from gate to
-/// source, `cgd` from gate to drain, `cjunc` from drain to body.
-const POSITIONS: [(usize, usize); 18] = [
-    (D, G),
-    (D, D),
-    (D, S),
-    (S, G),
-    (S, D),
-    (S, S),
-    (G, G),
-    (S, S),
-    (G, S),
-    (S, G),
-    (G, G),
-    (D, D),
-    (G, D),
-    (D, G),
-    (D, D),
-    (B, B),
-    (D, B),
-    (B, D),
-];
+/// The matrix positions a MOSFET's channel stamp writes, as terminal
+/// pairs, in [`MosSlots`] order.
+const POSITIONS: [(usize, usize); 6] = [(D, G), (D, D), (D, S), (S, G), (S, D), (S, S)];
 
 /// Slots the channel values go to when drain and source swap: the
 /// effective drain is `S`, so `(nd, g)` is `(S, G)`, and so on.
 const SWAPPED: [usize; 6] = [3, 5, 4, 0, 2, 1];
-
-/// Terminals of the three capacitances, `(a, b)` as
-/// [`DeviceCap`] stamps them, in state order.
-const CAPS: [(usize, usize); N_CAPS] = [(G, S), (G, D), (D, B)];
 
 /// Value slot of a write with a grounded terminal: dropped.
 const GROUND_SLOT: usize = usize::MAX;
@@ -401,19 +362,18 @@ const GROUND_SLOT: usize = usize::MAX;
 /// miss.
 const ABSENT_SLOT: usize = usize::MAX - 1;
 
-/// CSR value slots of one MOSFET's transient writes, in [`POSITIONS`]
+/// CSR value slots of one MOSFET's channel writes, in [`POSITIONS`]
 /// order.
-pub(crate) type MosSlots = [usize; 18];
+pub(crate) type MosSlots = [usize; 6];
 
-/// One MOSFET's row of a transient device table: its node indices and
-/// every card value its transient stamps read, computed once.
+/// One MOSFET's row of a transient device table: its drain, gate and
+/// source unknowns and the card values its channel stamp reads, computed
+/// once.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MosDevice {
-    /// Drain, gate, source and body unknowns (`None` for ground).
-    pub(crate) nodes: [Option<usize>; 4],
+    /// Drain, gate and source unknowns (`None` for ground).
+    nodes: [Option<usize>; 3],
     channel: Channel,
-    /// `cgs`, `cgd` and `cjunc`, in state order.
-    caps: [f64; N_CAPS],
 }
 
 /// Adds `v` at value slot `slot`. Returns `false` when the pattern lacks
@@ -450,8 +410,8 @@ impl MosDevice {
     }
 
     /// Stamps the channel's linearization at guess `x`, exactly as
-    /// [`Mosfet`]'s guess-dependent part does, into the CSR values and
-    /// the RHS. Returns `false` on a pattern miss.
+    /// [`Mosfet`]'s stamp does, into the CSR values and the RHS. Returns
+    /// `false` on a pattern miss.
     pub(crate) fn stamp_channel(
         &self,
         slots: &MosSlots,
@@ -474,54 +434,6 @@ impl MosDevice {
         add_rhs(rhs, ns, ieq);
         hit
     }
-
-    /// Stamps the companions of the three capacitances for a step of
-    /// `dt` by `method`, exactly as [`Mosfet`]'s fixed part does: into the
-    /// CSR values through `mat` when given, and always into the RHS.
-    /// `state` is the device's previous-step state. Returns `false` on a
-    /// pattern miss.
-    pub(crate) fn stamp_caps(
-        &self,
-        mut mat: Option<(&MosSlots, &mut [f64])>,
-        state: &[f64],
-        dt: f64,
-        method: Integration,
-        rhs: &mut [f64],
-    ) -> bool {
-        let mut hit = true;
-        for (k, (&c, (a, b))) in self.caps.iter().zip(CAPS).enumerate() {
-            if c <= 0.0 {
-                continue;
-            }
-            let (geq, ieq) = DeviceCap::companion(c, dt, method, state[2 * k], state[2 * k + 1]);
-            if let Some((slots, vals)) = mat.as_mut() {
-                let at = &slots[6 + 4 * k..10 + 4 * k];
-                for (&slot, v) in at.iter().zip([geq, geq, -geq, -geq]) {
-                    hit &= add(vals, slot, v);
-                }
-            }
-            add_rhs(rhs, self.nodes[b], -ieq);
-            add_rhs(rhs, self.nodes[a], ieq);
-        }
-        hit
-    }
-
-    /// Writes the next state of the three capacitances after a converged
-    /// step of `dt` by `method` to solution `x`.
-    pub(crate) fn update_state(
-        &self,
-        x: &[f64],
-        dt: f64,
-        method: Integration,
-        prev: &[f64],
-        next: &mut [f64],
-    ) {
-        for (k, (&c, (a, b))) in self.caps.iter().zip(CAPS).enumerate() {
-            let v_new = self.v(x, a) - self.v(x, b);
-            let at = 2 * k..2 * k + 2;
-            DeviceCap::advance(c, dt, method, v_new, &prev[at.clone()], &mut next[at]);
-        }
-    }
 }
 
 impl Element for Mosfet {
@@ -541,53 +453,12 @@ impl Element for Mosfet {
         Some(self)
     }
 
-    fn state_size(&self) -> usize {
-        STATE_SIZE
-    }
-
-    fn init_state(&self, ctx: &StampCtx<'_>, state: &mut [f64]) {
-        let (vd, vg, vs) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s));
-        let vb = ctx.v(self.b);
-        DeviceCap::init(vg, vs, &mut state[0..2]);
-        DeviceCap::init(vg, vd, &mut state[2..4]);
-        DeviceCap::init(vd, vb, &mut state[4..6]);
-    }
-
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
-        self.stamp_part(ctx, None, StampPart::Whole, out);
+        self.stamp_channel(ctx, &self.params, out);
     }
 
-    fn stamp_part(
-        &self,
-        ctx: &StampCtx<'_>,
-        card: Option<&MosParams>,
-        part: StampPart,
-        out: &mut Stamper<'_>,
-    ) {
-        let card = card.unwrap_or(&self.params);
-        if part != StampPart::Fixed {
-            self.stamp_channel(ctx, card, out);
-        }
-        // Internal capacitances (transient only; no-ops in DC). They read
-        // the mode and the previous-step state, never the guess.
-        if part != StampPart::GuessDependent && matches!(ctx.mode, StampMode::Tran { .. }) {
-            let (g, d, s, b) = (
-                self.g.index(),
-                self.d.index(),
-                self.s.index(),
-                self.b.index(),
-            );
-            DeviceCap::stamp(ctx, out, card.cgs(), g, s, &ctx.state[0..2]);
-            DeviceCap::stamp(ctx, out, card.cgd(), g, d, &ctx.state[2..4]);
-            DeviceCap::stamp(ctx, out, card.cjunc(), d, b, &ctx.state[4..6]);
-        }
-    }
-
-    fn update_state(&self, ctx: &StampCtx<'_>, state_next: &mut [f64]) {
-        if let StampMode::Tran { dt, method, .. } = ctx.mode {
-            self.device()
-                .update_state(ctx.x, dt, method, ctx.state, state_next);
-        }
+    fn stamp_with_card(&self, ctx: &StampCtx<'_>, card: Option<&MosParams>, out: &mut Stamper<'_>) {
+        self.stamp_channel(ctx, card.unwrap_or(&self.params), out);
     }
 
     fn stamp_ac(&self, x_op: &[f64], _bb: usize, omega: f64, out: &mut AcStamper<'_>) {

@@ -4,8 +4,10 @@
 //! iteration the analysis drivers call [`Element::stamp`] with the current
 //! solution guess; linear elements stamp constants, nonlinear elements stamp
 //! their linearization (Norton companion form, exactly as SPICE does).
-//! Reactive elements additionally keep per-element state (previous voltage /
-//! current) in a flat arena owned by the analysis, sliced per element.
+//! Reactive parts (capacitances, inductances) are never stamped there: they
+//! are the imaginary parts of [`Element::stamp_ac`], which the transient
+//! solver compiles once per circuit (see the transient contract on
+//! [`Element`]).
 
 use crate::circuit::NodeId;
 use crate::devices::mosfet::{MosParams, Mosfet};
@@ -58,29 +60,14 @@ impl StampMode {
     }
 }
 
-/// Which part of an element's stamp a call asks for (see
-/// [`Element::stamp_part`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StampPart {
-    /// The whole stamp, exactly what [`Element::stamp`] writes.
-    Whole,
-    /// The part that never reads `ctx.x`: a nonlinear device's fixed
-    /// capacitance companions. The transient solver stamps it together
-    /// with the linear elements, once per step instead of once per
-    /// Newton iteration.
-    Fixed,
-    /// The part that depends on the Newton guess: a nonlinear device's
-    /// channel or junction linearization.
-    GuessDependent,
-}
-
 /// Per-element context for a stamp call.
 #[derive(Debug)]
 pub struct StampCtx<'a> {
     /// Current Newton guess: node voltages followed by branch currents.
     pub x: &'a [f64],
-    /// This element's slice of previous-timestep state (empty outside
-    /// transient analysis or for stateless elements).
+    /// This element's slice of previous-timestep state. The solvers keep
+    /// transient history in node space and always pass an empty slice;
+    /// see [`Element::state_size`].
     pub state: &'a [f64],
     /// First branch-current unknown allocated to this element (offset into
     /// the branch region; see [`Stamper::branch`]).
@@ -566,6 +553,31 @@ pub enum DcTransfer {
 ///
 /// Implementors live in [`crate::elements`] and [`crate::devices`]. The
 /// trait is object-safe; circuits own elements as `Box<dyn Element>`.
+///
+/// # The transient contract
+///
+/// A transient step solves `G(x)·x + C·ẋ = b(t)` by trapezoidal or
+/// backward-Euler companion models. The solver compiles the linear part
+/// once per circuit from two methods every element already has, and adds
+/// nothing per element:
+///
+/// * [`stamp_ac`](Element::stamp_ac) at `ω = 1`: the real parts of every
+///   *linear* element's stamp are its part of `G`, and the imaginary parts
+///   of *every* element's stamp are its part of `C`. So a linear
+///   element's real part must equal the matrix its [`stamp`](Element::stamp)
+///   writes, and the imaginary part of any element must not depend on the
+///   operating point: every capacitance in the simulator is fixed.
+/// * [`stamp`](Element::stamp), right-hand side only: the sources `b(t)`.
+///   Linear elements whose right-hand side changes with time report it
+///   through [`is_time_varying`](Element::is_time_varying); the rest are
+///   summed once.
+///
+/// Each Newton iteration then loads `G + (a/dt)·C` (`a` = 2 for
+/// trapezoidal, 1 for backward Euler) and adds the `stamp` of every
+/// nonlinear element at the guess. So `stamp` never writes a reactive
+/// part: a capacitor stamps nothing and an inductor stamps its DC short,
+/// whose branch row `v_a − v_b = 0` becomes `v_a − v_b − (a·L/dt)·i`
+/// once `C` adds `−L` on the branch diagonal.
 pub trait Element: fmt::Debug + Send + Sync {
     /// Unique name of the element instance (used in diagnostics and for
     /// branch-current lookup).
@@ -581,72 +593,67 @@ pub trait Element: fmt::Debug + Send + Sync {
     }
 
     /// Number of `f64` state slots the element needs across transient
-    /// timesteps (e.g. capacitor: previous voltage and current).
+    /// timesteps. No builtin element keeps any: the solver holds the
+    /// transient history of the whole circuit in node space (see the
+    /// transient contract above) and never allocates element state. The
+    /// hook stays for outside callers that lay out a state arena, such as
+    /// the benchmark's stamp probe.
     fn state_size(&self) -> usize {
         0
     }
 
-    /// Initializes transient state from a converged DC solution `x`.
+    /// Initializes transient state from a converged DC solution `x`; see
+    /// [`state_size`](Element::state_size).
     fn init_state(&self, _ctx: &StampCtx<'_>, _state: &mut [f64]) {}
 
     /// Whether this element's stamp depends on the Newton guess `ctx.x`.
     ///
     /// When this returns `false` (the default), the element promises that
     /// its **entire** stamp — matrix *and* RHS — is a function of
-    /// `ctx.mode` and `ctx.state` only, never of `ctx.x`. The analysis
-    /// drivers exploit the promise to cache linear-element stamps and
-    /// reuse matrix factorizations across Newton iterations and
-    /// timesteps; a violating element would silently converge to wrong
-    /// answers, so nonlinear devices (MOSFET, diode) must override this
-    /// to return `true`.
-    ///
-    /// A nonlinear element makes the same promise for the
-    /// [`StampPart::Fixed`] part of its stamp ([`Element::stamp_part`]):
-    /// that part must never read `ctx.x`. The solver caches it with the
-    /// linear stamps and stamps it with an empty guess slice, so a fixed
-    /// part that reads the guess panics instead of going stale.
+    /// `ctx.mode` only, never of `ctx.x`. The transient solver compiles
+    /// such elements once per circuit and reuses the LU factorization of
+    /// a linear circuit across timesteps; a violating element would
+    /// silently converge to wrong answers, so nonlinear devices (MOSFET,
+    /// diode) must override this to return `true`.
     fn is_nonlinear(&self) -> bool {
         false
     }
 
-    /// Stamps the element's (linearized) contribution for the mode in
-    /// `ctx.mode`.
+    /// Whether the right-hand side of this linear element's stamp changes
+    /// with time: independent sources with a PWL, pulse or sine waveform.
+    /// The transient solver evaluates these at every step and sums the
+    /// right-hand side of every other linear element once per circuit.
+    fn is_time_varying(&self) -> bool {
+        false
+    }
+
+    /// Stamps the element's resistive contribution for the mode in
+    /// `ctx.mode`: conductances, incidences and source values at the
+    /// mode's time, linearized at `ctx.x` for nonlinear elements. The
+    /// reactive part is never stamped here (see the transient contract
+    /// above).
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>);
 
-    /// Stamps `part` of the element's stamp, with `card` (when given) in
-    /// place of the element's own MOSFET model card: how the batched
-    /// solver varies `vth0`/`kp` per lane over one circuit. Elements
-    /// without a card ignore it.
-    ///
-    /// Only nonlinear elements are asked for [`StampPart::Fixed`] or
-    /// [`StampPart::GuessDependent`]; linear ones are always stamped
-    /// whole. Stamping the guess-dependent part and then the fixed part
-    /// must write exactly what the whole stamp writes, in the same order.
-    /// The default keeps the whole stamp guess-dependent, which is
-    /// correct for any element.
-    fn stamp_part(
+    /// [`stamp`](Element::stamp) with `card` (when given) in place of the
+    /// element's own MOSFET model card: how the batched solver varies
+    /// `vth0`/`kp` per lane over one circuit. Elements without a card
+    /// keep the default, which ignores it.
+    fn stamp_with_card(
         &self,
         ctx: &StampCtx<'_>,
         _card: Option<&MosParams>,
-        part: StampPart,
         out: &mut Stamper<'_>,
     ) {
-        if part != StampPart::Fixed {
-            self.stamp(ctx, out);
-        }
+        self.stamp(ctx, out);
     }
 
     /// The MOSFET behind this element, if it is one. The transient solver
     /// stamps MOSFETs from a device table built once per circuit rather
-    /// than through [`Element::stamp_part`]; every other element keeps
-    /// the `None` default.
+    /// than through [`Element::stamp`]; every other element keeps the
+    /// `None` default.
     fn as_mosfet(&self) -> Option<&Mosfet> {
         None
     }
-
-    /// Writes the element's next-timestep state after a converged step.
-    /// `ctx.x` holds the converged solution; `ctx.state` the previous state.
-    fn update_state(&self, _ctx: &StampCtx<'_>, _state_next: &mut [f64]) {}
 
     /// Appends the times in `[0, t_stop]` at which this element's
     /// behaviour has a corner (PWL knots, pulse edges, …). The adaptive
@@ -667,7 +674,9 @@ pub trait Element: fmt::Debug + Send + Sync {
     /// `G + jωC` without calling this method again. An element whose
     /// admittance is not affine in `omega` (a `1/(jωL)` two-terminal
     /// stamp, for example) must add a branch unknown instead, as
-    /// [`Inductor`](crate::elements::two_terminal::Inductor) does.
+    /// [`Inductor`](crate::elements::two_terminal::Inductor) does. The
+    /// transient solver reads the same `ω = 1` split for its `G` and `C`
+    /// (see the transient contract on [`Element`]).
     fn stamp_ac(&self, x_op: &[f64], branch_base: usize, omega: f64, out: &mut AcStamper<'_>);
 
     /// DC power dissipated by the element at operating point `x_op`, in
@@ -1037,8 +1046,8 @@ mod tests {
     /// Finite-difference step, volts.
     const FD_STEP: f64 = 1e-6;
 
-    /// Jacobian oracle: the guess-dependent DC stamp of every nonlinear
-    /// device is its Newton linearization `J·x_new = J·x − i(x)`, so
+    /// Jacobian oracle: the DC stamp of every nonlinear device is its
+    /// Newton linearization `J·x_new = J·x − i(x)`, so
     /// `f(x) = J(x)·x − rhs(x)` recovers the device current `i(x)` and
     /// its central differences must reproduce the stamped `J(x)`. The
     /// diode's reverse bias is −0.2 V: at −1 V its conductance (≈ 1e-29 S)
@@ -1058,7 +1067,7 @@ mod tests {
                 mode: StampMode::dc(),
             };
             let mut out = Stamper::new(&mut m, &mut rhs, DIM - 1);
-            e.stamp_part(&ctx, None, StampPart::GuessDependent, &mut out);
+            e.stamp(&ctx, &mut out);
             (m, rhs)
         };
         let current = |e: &dyn Element, x: &[f64]| {

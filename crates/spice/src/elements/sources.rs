@@ -92,6 +92,10 @@ impl Element for Vsource {
         out.rhs(Some(br), source_value(&self.waveform, ctx.mode));
     }
 
+    fn is_time_varying(&self) -> bool {
+        !matches!(self.waveform, Waveform::Dc(_))
+    }
+
     fn breakpoints(&self, t_stop: f64, out: &mut Vec<f64>) {
         self.waveform.breakpoints(t_stop, out);
     }
@@ -218,6 +222,10 @@ impl Element for Isource {
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
         let i = source_value(&self.waveform, ctx.mode);
         out.current_source(self.a.index(), self.b.index(), i);
+    }
+
+    fn is_time_varying(&self) -> bool {
+        !matches!(self.waveform, Waveform::Dc(_))
     }
 
     fn breakpoints(&self, t_stop: f64, out: &mut Vec<f64>) {

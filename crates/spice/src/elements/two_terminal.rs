@@ -1,10 +1,7 @@
 //! Resistors, capacitors and inductors.
 
 use crate::circuit::NodeId;
-use crate::element::{
-    AcStamper, DcCoupling, DcTransfer, Element, ElementKind, Integration, StampCtx, StampMode,
-    Stamper,
-};
+use crate::element::{AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, Stamper};
 use crate::lint::LintCode;
 use cml_numeric::Complex64;
 
@@ -114,8 +111,9 @@ impl Element for Resistor {
 
 /// A linear capacitor between two nodes.
 ///
-/// Open in DC; in transient analysis it stamps the Norton companion of the
-/// chosen integration rule. State layout: `[v_prev, i_prev]`.
+/// Its stamp is empty: open in DC, and in transient analysis its
+/// capacitance reaches the companion model through `C`, the imaginary
+/// part of its AC stamp (see the transient contract on [`Element`]).
 #[derive(Debug, Clone)]
 pub struct Capacitor {
     name: String,
@@ -149,20 +147,6 @@ impl Capacitor {
     pub fn farads(&self) -> f64 {
         self.farads
     }
-
-    /// Companion conductance and source for one step.
-    fn companion(&self, dt: f64, method: Integration, v_prev: f64, i_prev: f64) -> (f64, f64) {
-        match method {
-            Integration::Trapezoidal => {
-                let geq = 2.0 * self.farads / dt;
-                (geq, geq * v_prev + i_prev)
-            }
-            Integration::BackwardEuler => {
-                let geq = self.farads / dt;
-                (geq, geq * v_prev)
-            }
-        }
-    }
 }
 
 impl Element for Capacitor {
@@ -174,34 +158,7 @@ impl Element for Capacitor {
         vec![self.a, self.b]
     }
 
-    fn state_size(&self) -> usize {
-        2 // [v_prev, i_prev]
-    }
-
-    fn init_state(&self, ctx: &StampCtx<'_>, state: &mut [f64]) {
-        state[0] = ctx.v(self.a) - ctx.v(self.b);
-        state[1] = 0.0; // steady state: no capacitor current
-    }
-
-    fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
-        if let StampMode::Tran { dt, method, .. } = ctx.mode {
-            let (geq, ieq) = self.companion(dt, method, ctx.state[0], ctx.state[1]);
-            let (a, b) = (self.a.index(), self.b.index());
-            out.conductance(a, b, geq);
-            // ieq is the Norton source driving current from b to a.
-            out.current_source(b, a, ieq);
-        }
-        // DC: open circuit, nothing to stamp.
-    }
-
-    fn update_state(&self, ctx: &StampCtx<'_>, state_next: &mut [f64]) {
-        if let StampMode::Tran { dt, method, .. } = ctx.mode {
-            let (geq, ieq) = self.companion(dt, method, ctx.state[0], ctx.state[1]);
-            let v_new = ctx.v(self.a) - ctx.v(self.b);
-            state_next[0] = v_new;
-            state_next[1] = geq * v_new - ieq;
-        }
-    }
+    fn stamp(&self, _ctx: &StampCtx<'_>, _out: &mut Stamper<'_>) {}
 
     fn stamp_ac(&self, _x_op: &[f64], _bb: usize, omega: f64, out: &mut AcStamper<'_>) {
         out.capacitance(self.a.index(), self.b.index(), self.farads, omega);
@@ -249,8 +206,10 @@ impl Element for Capacitor {
 
 /// A linear inductor between two nodes.
 ///
-/// Adds one branch-current unknown. Short in DC. State layout:
-/// `[v_prev, i_prev]`.
+/// Adds one branch-current unknown. Its stamp is the DC short in every
+/// mode; in transient analysis `C` adds `−L` on the branch diagonal, the
+/// imaginary part of its AC stamp (see the transient contract on
+/// [`Element`]).
 #[derive(Debug, Clone)]
 pub struct Inductor {
     name: String,
@@ -299,48 +258,14 @@ impl Element for Inductor {
         1
     }
 
-    fn state_size(&self) -> usize {
-        2 // [v_prev, i_prev]
-    }
-
-    fn init_state(&self, ctx: &StampCtx<'_>, state: &mut [f64]) {
-        state[0] = 0.0; // DC: zero volts across
-        state[1] = ctx.x[ctx.branch_base_abs()];
-    }
-
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
         let (a, b) = (self.a.index(), self.b.index());
         let br = out.branch(ctx.branch_base);
-        // KCL: branch current leaves a, enters b.
+        // KCL: branch current leaves a, enters b; branch row v_a − v_b = 0.
         out.mat(a, Some(br), 1.0);
         out.mat(b, Some(br), -1.0);
-        match ctx.mode {
-            StampMode::Dc { .. } => {
-                // v_a - v_b = 0 (ideal short).
-                out.mat(Some(br), a, 1.0);
-                out.mat(Some(br), b, -1.0);
-            }
-            StampMode::Tran { dt, method, .. } => {
-                let (v_prev, i_prev) = (ctx.state[0], ctx.state[1]);
-                // Trap: i = i_prev + dt/(2L)(v + v_prev); BE: i = i_prev + dt/L·v.
-                let (k, rhs) = match method {
-                    Integration::Trapezoidal => {
-                        let k = dt / (2.0 * self.henries);
-                        (k, i_prev + k * v_prev)
-                    }
-                    Integration::BackwardEuler => (dt / self.henries, i_prev),
-                };
-                out.mat(Some(br), Some(br), 1.0);
-                out.mat(Some(br), a, -k);
-                out.mat(Some(br), b, k);
-                out.rhs(Some(br), rhs);
-            }
-        }
-    }
-
-    fn update_state(&self, ctx: &StampCtx<'_>, state_next: &mut [f64]) {
-        state_next[0] = ctx.v(self.a) - ctx.v(self.b);
-        state_next[1] = ctx.x[ctx.branch_base_abs()];
+        out.mat(Some(br), a, 1.0);
+        out.mat(Some(br), b, -1.0);
     }
 
     fn stamp_ac(&self, _x_op: &[f64], bb: usize, omega: f64, out: &mut AcStamper<'_>) {
@@ -404,6 +329,10 @@ impl Element for Inductor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::System;
+    use crate::circuit::Circuit;
+    use crate::element::{Integration, StampMode};
+    use cml_telemetry::Telemetry;
 
     #[test]
     #[should_panic(expected = "positive")]
@@ -430,18 +359,35 @@ mod tests {
         assert!((r.dc_power(&x, 0).unwrap() - 0.25).abs() < 1e-12);
     }
 
+    /// `G + (a/dt)·C` and the fixed RHS of a lone capacitor to ground
+    /// (no gmin), from history voltage `v_prev` and current `i_prev`.
+    fn companion(method: Integration, v_prev: f64, i_prev: f64) -> (f64, f64) {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.add(Capacitor::new("C", a, Circuit::GROUND, 1e-12));
+        let sys = System::new(&ckt);
+        sys.init_tran(&[0.0], 0.0, &Telemetry::disabled()).unwrap();
+        // History `[q | d]`: the charge `C·v_prev` and the current `i_prev`.
+        let state = [1e-12 * v_prev, i_prev];
+        let mode = StampMode::Tran {
+            time: 1e-9,
+            dt: 1e-12,
+            method,
+        };
+        let (m, rhs) = crate::analysis::tests::companion(&sys, &state, mode);
+        (m[(0, 0)], rhs[0])
+    }
+
     #[test]
     fn capacitor_companion_trapezoidal() {
-        let c = Capacitor::new("C", NodeId::from_raw(1), NodeId::GROUND, 1e-12);
-        let (geq, ieq) = c.companion(1e-12, Integration::Trapezoidal, 1.0, 0.5);
+        let (geq, ieq) = companion(Integration::Trapezoidal, 1.0, 0.5);
         assert!((geq - 2.0).abs() < 1e-12);
         assert!((ieq - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn capacitor_companion_backward_euler() {
-        let c = Capacitor::new("C", NodeId::from_raw(1), NodeId::GROUND, 1e-12);
-        let (geq, ieq) = c.companion(1e-12, Integration::BackwardEuler, 2.0, 9.9);
+        let (geq, ieq) = companion(Integration::BackwardEuler, 2.0, 9.9);
         assert!((geq - 1.0).abs() < 1e-12);
         assert!((ieq - 2.0).abs() < 1e-12); // i_prev ignored by BE
     }

@@ -13,7 +13,7 @@
 //! — everything needed to replay the failure offline with
 //! `cml-lint forensics <bundle> --replay`.
 //!
-//! # Format (`CMLF`, version 2)
+//! # Format (`CMLF`, version 3)
 //!
 //! The header is magic, version, payload length and an FNV-1a checksum
 //! over the payload, then the payload encoded with the shared
@@ -54,8 +54,9 @@ pub const FLIGHT_MAGIC: [u8; 4] = *b"CMLF";
 
 /// Current bundle format version. Readers reject other versions with a
 /// typed error instead of guessing. Version 2 dropped the warm-start
-/// byte from the options block.
-pub const FLIGHT_VERSION: u32 = 2;
+/// byte from the options block; version 3 dropped the presence byte of
+/// the error field, which every bundle carries.
+pub const FLIGHT_VERSION: u32 = 3;
 
 /// Header length: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
@@ -146,9 +147,8 @@ pub struct FlightBundle {
     pub topology_hash: u64,
     /// Which analysis failed (`"op"`, `"tran"`, …).
     pub analysis: String,
-    /// `(variant tag, Display string)` of the error. The recorder always
-    /// sets it; the format still encodes a presence flag.
-    pub error: Option<(u8, String)>,
+    /// `(variant tag, Display string)` of the error the bundle records.
+    pub error: (u8, String),
     /// The circuit's SPICE netlist ([`Circuit::netlist`]) — re-parseable
     /// by `cml-lint`, which is what makes replay possible.
     pub netlist: String,
@@ -310,14 +310,8 @@ impl FlightBundle {
         w.put_u64(self.content_hash);
         w.put_u64(self.topology_hash);
         put_str(w, &self.analysis);
-        match &self.error {
-            None => w.put_u8(0),
-            Some((tag, msg)) => {
-                w.put_u8(1);
-                w.put_u8(*tag);
-                put_str(w, msg);
-            }
-        }
+        w.put_u8(self.error.0);
+        put_str(w, &self.error.1);
         put_str(w, &self.netlist);
         w.put_usize(self.options.max_iter);
         w.put_usize(self.options.sparse_threshold);
@@ -409,13 +403,8 @@ impl FlightBundle {
         let content_hash = r.get_u64().ok_or(FlightError::Truncated("content_hash"))?;
         let topology_hash = r.get_u64().ok_or(FlightError::Truncated("topology_hash"))?;
         let analysis = get_str(&mut r, "analysis")?;
-        let error = match r.get_u8().ok_or(FlightError::Truncated("error"))? {
-            0 => None,
-            _ => {
-                let tag = r.get_u8().ok_or(FlightError::Truncated("error"))?;
-                Some((tag, get_str(&mut r, "error")?))
-            }
-        };
+        let tag = r.get_u8().ok_or(FlightError::Truncated("error"))?;
+        let error = (tag, get_str(&mut r, "error")?);
         let netlist = get_str(&mut r, "netlist")?;
         let options = NewtonOptions {
             max_iter: r.get_usize().ok_or(FlightError::Truncated("options"))?,
@@ -523,13 +512,10 @@ impl FlightBundle {
             ("analysis".into(), Value::Str(self.analysis.clone())),
             (
                 "error".into(),
-                match &self.error {
-                    None => Value::Null,
-                    Some((tag, msg)) => Value::Obj(vec![
-                        ("tag".into(), Value::Num(f64::from(*tag))),
-                        ("message".into(), Value::Str(msg.clone())),
-                    ]),
-                },
+                Value::Obj(vec![
+                    ("tag".into(), Value::Num(f64::from(self.error.0))),
+                    ("message".into(), Value::Str(self.error.1.clone())),
+                ]),
             ),
             (
                 "options".into(),
@@ -654,7 +640,7 @@ pub fn record_failure(
         content_hash: ckt.content_hash(),
         topology_hash: ckt.topology_hash(),
         analysis: analysis.to_string(),
-        error: Some((error_tag(err), err.to_string())),
+        error: (error_tag(err), err.to_string()),
         netlist: ckt.netlist(),
         options: *opts,
         seed: current_seed(),
@@ -704,7 +690,7 @@ mod tests {
             content_hash: 0xdead_beef_cafe_f00d,
             topology_hash: 0x0123_4567_89ab_cdef,
             analysis: "op".to_string(),
-            error: Some((0, "newton: op failed".to_string())),
+            error: (0, "newton: op failed".to_string()),
             netlist: "* test\nV1 in 0 DC 1\nR1 in 0 1k\n.end\n".to_string(),
             options: NewtonOptions {
                 max_iter: 3,

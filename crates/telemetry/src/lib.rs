@@ -126,9 +126,11 @@ pub struct Counters {
     /// Replays aborted by a numerically dead frozen pivot, healed by a
     /// full re-pivoting factorization (DC/transient sparse path).
     pub pivot_fallbacks: u64,
-    /// Cached linear-stamp (matrix) reuses across timesteps.
+    /// Transient Newton solves that read the compiled linear part
+    /// `G + (a/dt)·C` (one per solve call, whatever its step size).
     pub lin_stamp_hits: u64,
-    /// Linear-stamp assemblies (cache misses or uncached modes).
+    /// Compiles of a circuit's transient linear part: one per transient
+    /// run.
     pub lin_stamp_builds: u64,
     /// Sparsity-pattern discoveries (recording stamp passes).
     pub pattern_builds: u64,

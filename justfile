@@ -46,6 +46,11 @@ analyze-circuits:
 perfbench-smoke:
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# Non-test lines of crates/spice and crates/numeric (each `.rs` file up
+# to its first `#[cfg(test)]` line), the size the roadmap tracks.
+loc:
+    sh scripts/loc.sh
+
 # Timing budgets at smoke size (lint and analyzer cost vs a dense
 # transient, batched vs scalar yield, warm vs cold cache).
 perf-budgets-smoke:

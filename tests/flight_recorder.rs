@@ -112,7 +112,7 @@ fn dump_on_failure_is_deterministic_modulo_timestamps() {
     assert_eq!(a.topology_hash, ckt.topology_hash());
     assert_eq!(a.seed, Some(7));
     assert_eq!(a.options, opts);
-    let (tag, msg) = a.error.as_ref().expect("failure bundles carry the error");
+    let (tag, msg) = &a.error;
     assert_eq!(*tag, 0, "NoConvergence is tag 0");
     assert!(
         msg.contains("op"),

@@ -162,7 +162,7 @@ impl Strategy for Bundles {
             content_hash: draw(any::<u64>(), rng),
             topology_hash: draw(any::<u64>(), rng),
             analysis: text(rng, 8),
-            error: draw(any::<bool>(), rng).then(|| (draw(any::<u8>(), rng), text(rng, 40))),
+            error: (draw(any::<u8>(), rng), text(rng, 40)),
             netlist: text(rng, 200),
             options: NewtonOptions {
                 max_iter: draw(0usize..1000, rng),
@@ -197,7 +197,7 @@ enum Token {
     EventTag(usize),
 }
 
-/// Walks the version-2 payload layout of `b` and returns every token
+/// Walks the version-3 payload layout of `b` and returns every token
 /// with its offset, plus the total encoded length the walk arrived at.
 fn tokens(b: &FlightBundle) -> (Vec<Token>, usize) {
     let mut out = Vec::new();
@@ -207,11 +207,8 @@ fn tokens(b: &FlightBundle) -> (Vec<Token>, usize) {
         *at += 8 + s.len();
     };
     string(&mut at, &b.analysis, &mut out);
-    at += 1;
-    if let Some((_, msg)) = &b.error {
-        at += 1;
-        string(&mut at, msg, &mut out);
-    }
+    at += 1; // error tag
+    string(&mut at, &b.error.1, &mut out);
     string(&mut at, &b.netlist, &mut out);
     at += 2 * 8 + 5 * 8 + 1; // max_iter, sparse_threshold, five f64s, cache
     at += 1 + if b.seed.is_some() { 8 } else { 0 };

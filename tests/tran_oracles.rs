@@ -4,7 +4,10 @@
 //! * **Integration order.** An RC low-pass driven by a sine has a
 //!   closed-form response. Halving `dt` must cut the fixed-step error
 //!   about ÷4 for trapezoidal and ÷2 for backward Euler, and the
-//!   LTE-adaptive run must stay within a pinned distance of it.
+//!   LTE-adaptive run must stay within a pinned distance of it. So must
+//!   the capacitor voltage and inductor current of a series RLC under a
+//!   ramped step, which runs through the inductor's branch row and the
+//!   `C·ẋ` history of both reactances.
 //! * **Seed independence.** Newton starts every transient step from the
 //!   polynomial predictor. Where it starts must not move the answer
 //!   beyond the Newton tolerance band: a default-tolerance run of the
@@ -126,6 +129,120 @@ fn adaptive_error_stays_near_closed_form() {
     // Measured: 3.30e-4 V, a third of `reltol` times the 1 V amplitude.
     let err = max_error(&TranConfig::new(T_STOP, 40e-12).adaptive());
     assert!(err < 5e-4, "adaptive error {err:e} V");
+}
+
+// ---------------------------------------------------------------------
+// Series RLC: the inductor's branch row and the `C·ẋ` history
+// ---------------------------------------------------------------------
+
+const RLC_R: f64 = 40.0;
+const RLC_L: f64 = 1e-9;
+const RLC_C: f64 = 1e-12;
+const RLC_V: f64 = 1.0;
+/// Edge of the source step. A multiple of every step size below, so
+/// both corners of the ramp fall on the time grid.
+const RLC_RISE: f64 = 40e-12;
+/// Four periods of the `Q ≈ 0.8` ring, decayed to `e^{−20}`.
+const RLC_T_STOP: f64 = 1e-9;
+
+/// A ramped voltage step through `R`, `L` and `C` in series, and the
+/// capacitor node.
+fn series_rlc() -> (Circuit, NodeId) {
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let mid = ckt.node("mid");
+    let out = ckt.node("out");
+    let edge = Waveform::Pwl(vec![(0.0, 0.0), (RLC_RISE, RLC_V)]);
+    ckt.add(Vsource::new("V1", vin, Circuit::GROUND, edge));
+    ckt.add(Resistor::new("R1", vin, mid, RLC_R));
+    ckt.add(Inductor::new("L1", mid, out, RLC_L));
+    ckt.add(Capacitor::new("C1", out, Circuit::GROUND, RLC_C));
+    (ckt, out)
+}
+
+/// Capacitor voltage `g` and current `C·g'` of the series RLC from rest
+/// under a unit-slope ramp of the source: `LC·g'' + RC·g' + g = t`, so
+/// `g = t − RC + e^{−αt}(RC·cos ω_d t + (αRC − 1)/ω_d · sin ω_d t)` with
+/// `α = R/2L` and `ω_d² = 1/LC − α²`, and `g' = 1 − e^{−αt}(cos ω_d t +
+/// α/ω_d · sin ω_d t)`.
+fn rlc_ramp(t: f64) -> (f64, f64) {
+    if t <= 0.0 {
+        return (0.0, 0.0);
+    }
+    let rc = RLC_R * RLC_C;
+    let alpha = RLC_R / (2.0 * RLC_L);
+    let wd = (1.0 / (RLC_L * RLC_C) - alpha * alpha).sqrt();
+    let (sin, cos) = (wd * t).sin_cos();
+    let decay = (-alpha * t).exp();
+    let g = t - rc + decay * (rc * cos + (alpha * rc - 1.0) / wd * sin);
+    let dg = 1.0 - decay * (cos + alpha / wd * sin);
+    (g, RLC_C * dg)
+}
+
+/// The step response as two ramps: the source rises at `V/RLC_RISE`
+/// from 0 and stops rising at `RLC_RISE`. Capacitor voltage and the
+/// inductor current.
+fn rlc_exact(t: f64) -> (f64, f64) {
+    let (up, up_i) = rlc_ramp(t);
+    let (stop, stop_i) = rlc_ramp(t - RLC_RISE);
+    let slope = RLC_V / RLC_RISE;
+    (slope * (up - stop), slope * (up_i - stop_i))
+}
+
+/// Largest error of the capacitor voltage and of the inductor current
+/// against the closed form.
+fn rlc_errors(cfg: &TranConfig) -> (f64, f64) {
+    let (ckt, out) = series_rlc();
+    let res = tran::run(&ckt, cfg).expect("rlc transient");
+    let (v, i) = (
+        res.voltage(out),
+        res.current("L1").expect("inductor branch"),
+    );
+    let mut worst = (0.0f64, 0.0f64);
+    for (k, &t) in res.times().iter().enumerate() {
+        let (v_exact, i_exact) = rlc_exact(t);
+        worst.0 = worst.0.max((v[k] - v_exact).abs());
+        worst.1 = worst.1.max((i[k] - i_exact).abs());
+    }
+    worst
+}
+
+/// Error ratios of the capacitor voltage and the inductor current
+/// between successive halvings of `dt`, from 2 ps down to 0.25 ps
+/// (`T/128` to `T/1024` of the 257 ps ring).
+fn rlc_halving_ratios(backward_euler: bool) -> Vec<(f64, f64)> {
+    let errs: Vec<(f64, f64)> = [2e-12, 1e-12, 0.5e-12, 0.25e-12]
+        .iter()
+        .map(|&dt| {
+            let cfg = TranConfig::new(RLC_T_STOP, dt);
+            rlc_errors(&if backward_euler {
+                cfg.backward_euler()
+            } else {
+                cfg
+            })
+        })
+        .collect();
+    errs.windows(2)
+        .map(|w| (w[0].0 / w[1].0, w[0].1 / w[1].1))
+        .collect()
+}
+
+#[test]
+fn series_rlc_trapezoidal_error_falls_fourfold_per_halving() {
+    // Measured: 3.998–4.0002 over the three halvings.
+    for (rv, ri) in rlc_halving_ratios(false) {
+        assert!((3.95..=4.05).contains(&rv), "voltage ratio {rv}");
+        assert!((3.95..=4.05).contains(&ri), "current ratio {ri}");
+    }
+}
+
+#[test]
+fn series_rlc_backward_euler_error_falls_twofold_per_halving() {
+    // Measured: 1.975–1.996 over the three halvings.
+    for (rv, ri) in rlc_halving_ratios(true) {
+        assert!((1.95..=2.05).contains(&rv), "voltage ratio {rv}");
+        assert!((1.95..=2.05).contains(&ri), "current ratio {ri}");
+    }
 }
 
 // ---------------------------------------------------------------------

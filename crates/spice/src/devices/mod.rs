@@ -20,7 +20,10 @@ mod tests {
         NodeId::from_raw(i + 1)
     }
 
-    fn mosfet(mos_type: MosType) -> Mosfet {
+    /// A MOSFET card; `caps` false zeroes `cgs`, `cgd` and `cjunc` and
+    /// leaves the channel as it is.
+    fn mosfet(mos_type: MosType, caps: bool) -> Mosfet {
+        let on = if caps { 1.0 } else { 0.0 };
         let card = MosParams {
             mos_type,
             w: 10e-6,
@@ -28,18 +31,18 @@ mod tests {
             vth0: 0.45,
             kp: 170e-6,
             lambda: 0.1,
-            cox: 8.4e-3,
-            cov: 3.0e-10,
-            cj: 1.0e-3,
+            cox: 8.4e-3 * on,
+            cov: 3.0e-10 * on,
+            cj: 1.0e-3 * on,
             ldiff: 0.5e-6,
         };
         // Drain, gate, source and body on MNA rows 0..4.
         Mosfet::new("M1", node(0), node(1), node(2), node(3), card)
     }
 
-    fn diode() -> Diode {
+    fn diode(caps: bool) -> Diode {
         let params = DiodeParams {
-            cj0: 50e-15,
+            cj0: if caps { 50e-15 } else { 0.0 },
             ..DiodeParams::default()
         };
         Diode::new("D1", node(0), node(1), params)
@@ -61,12 +64,17 @@ mod tests {
     /// Every device under test with the guesses it is stamped at: NMOS
     /// and PMOS with normal and swapped drain/source, and the diode.
     fn cases() -> Vec<(Box<dyn Element>, [f64; N])> {
+        cases_with(true)
+    }
+
+    /// [`cases`], with or without the devices' capacitances.
+    fn cases_with(caps: bool) -> Vec<(Box<dyn Element>, [f64; N])> {
         vec![
-            (Box::new(mosfet(MosType::Nmos)), [1.2, 1.0, 0.2, 0.0]),
-            (Box::new(mosfet(MosType::Nmos)), [0.2, 1.0, 1.2, 0.0]),
-            (Box::new(mosfet(MosType::Pmos)), [0.5, 0.6, 1.8, 1.8]),
-            (Box::new(mosfet(MosType::Pmos)), [1.8, 0.6, 0.5, 1.8]),
-            (Box::new(diode()), [0.65, 0.1, 0.0, 0.0]),
+            (Box::new(mosfet(MosType::Nmos, caps)), [1.2, 1.0, 0.2, 0.0]),
+            (Box::new(mosfet(MosType::Nmos, caps)), [0.2, 1.0, 1.2, 0.0]),
+            (Box::new(mosfet(MosType::Pmos, caps)), [0.5, 0.6, 1.8, 1.8]),
+            (Box::new(mosfet(MosType::Pmos, caps)), [1.8, 0.6, 0.5, 1.8]),
+            (Box::new(diode(caps)), [0.65, 0.1, 0.0, 0.0]),
         ]
     }
 
@@ -106,6 +114,20 @@ mod tests {
                 assert_eq!(whole, dc, "{} at {x:?} in {mode:?}", e.name());
                 let with_card = dense_bits(|out| e.stamp_with_card(&ctx(&x, mode), None, out));
                 assert_eq!(with_card, dc, "{} at {x:?} in {mode:?}", e.name());
+            }
+        }
+    }
+
+    /// A device's capacitances write nothing into its stamp in any mode,
+    /// DC included: they reach a transient only through the compiled `C`,
+    /// so zeroing them leaves every stamp bit for bit as it was.
+    #[test]
+    fn device_capacitances_write_nothing_in_any_mode() {
+        for ((e, x), (bare, _)) in cases().into_iter().zip(cases_with(false)) {
+            for mode in modes() {
+                let with_caps = dense_bits(|out| e.stamp(&ctx(&x, mode), out));
+                let without = dense_bits(|out| bare.stamp(&ctx(&x, mode), out));
+                assert_eq!(with_caps, without, "{} at {x:?} in {mode:?}", e.name());
             }
         }
     }

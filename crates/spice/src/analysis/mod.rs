@@ -73,9 +73,11 @@ impl Default for NewtonOptions {
     }
 }
 
-/// Step size (bits) and method of a transient solve: all a linear
-/// circuit's transient Jacobian `G + (a/dt)·C` depends on, so its LU can
-/// be reused across solves that share this key.
+/// Step size (bits) and method of a transient solve: the key of the LU
+/// a workspace holds. A linear circuit's Jacobian `G + (a/dt)·C` depends
+/// on nothing else, so its LU serves every solve with the key; a
+/// nonlinear circuit's serves the chord step that starts the next solve
+/// with the key.
 type StepKey = (u64, Integration);
 
 /// `a/dt`, the companion scale of `C` for a step of `dt` by `method`:
@@ -268,9 +270,10 @@ pub(crate) struct NewtonWorkspace {
     x_new: Vec<f64>,
     /// LU factors, reused in place (no per-iteration allocation).
     factors: LuFactors,
-    /// Step the LU holds a factorization of `G + (a/dt)·C` for (only
-    /// set on circuits with no nonlinear devices, where that *is* the
-    /// Jacobian).
+    /// Step of the transient Jacobian the LU holds (dense `factors` or
+    /// the sparse state's LU, whichever path ran last); `None` after a
+    /// DC factorization, a pattern rebuild, a path flip or a failed
+    /// solve.
     factored_key: Option<StepKey>,
     /// Sparse-path state; `None` until the first solve at or above the
     /// sparse threshold (or after a pattern invalidation).
@@ -703,11 +706,22 @@ impl<'a> System<'a> {
     /// [`System::init_tran`]) and the node-space history in `state`: it
     /// builds the fixed RHS once per call, and each iteration loads
     /// `G + (a/dt)·C` in one pass over the matrix values and adds the
-    /// nonlinear elements' stamps at the guess on top. With `reuse`
-    /// enabled, a circuit with no nonlinear devices also keeps its LU
-    /// factorization across solves of the same step size and method,
-    /// reducing each step to a substitution; the results are bit for bit
-    /// those of refactoring every iteration.
+    /// nonlinear elements' stamps at the guess on top.
+    ///
+    /// The workspace keeps the last transient LU under its step key
+    /// (`dt` and method). When a solve starts with the key unchanged, a
+    /// nonlinear circuit takes its predictor iteration as a chord
+    /// (simplified-Newton) step: it loads the Jacobian `J(x₀)` at the
+    /// start point as usual, forms `r = rhs − J(x₀)·x₀` with one product
+    /// and solves `J_prev·Δ = r` against the kept LU, so `x₁ = x₀ + Δ`.
+    /// Every later iteration refactors. A chord step ends the solve only
+    /// when its whole update is already inside the convergence band; its
+    /// error is then about that update times the relative change of the
+    /// Jacobian since the kept factorization. With
+    /// `reuse` enabled, a circuit with no nonlinear devices keeps its LU
+    /// for every iteration of every solve with the key, reducing each
+    /// step to a substitution; its results are bit for bit those of
+    /// refactoring every iteration. A failed solve drops the kept LU.
     ///
     /// Systems at or above [`NewtonOptions::sparse_threshold`] unknowns
     /// solve through the sparse LU path (fixed-pattern CSR Jacobian,
@@ -746,7 +760,12 @@ impl<'a> System<'a> {
         loop {
             match self.newton_attempt(mode, x0, state, opts, analysis, ws, reuse, tel) {
                 Ok(()) => return Ok(&ws.x),
-                Err(AttemptError::Spice(e)) => return Err(e),
+                Err(AttemptError::Spice(e)) => {
+                    // The retry after a failure starts from a fresh
+                    // factorization, never from the LU that failed.
+                    ws.factored_key = None;
+                    return Err(e);
+                }
                 Err(AttemptError::PatternMiss) => {
                     // An element stamped a position absent from the cached
                     // pattern. Rebuild once from the current guess; a
@@ -794,21 +813,17 @@ impl<'a> System<'a> {
             ws.sparse = None;
         }
         // A transient solve reads the compiled form: its companion scale,
-        // its fixed RHS and, on a linear circuit with reuse, the step key
-        // its LU is kept under.
-        let tran = match mode {
+        // its fixed RHS and the step key its LU is kept under.
+        let (tran, step_key) = match mode {
             StampMode::Tran { dt, method, .. } => {
                 let form = self.tran_form()?;
                 self.tran_rhs(form, state, mode, &mut ws.tran_rhs);
-                Some((form, companion_scale(dt, method)))
+                (
+                    Some((form, companion_scale(dt, method))),
+                    Some((dt.to_bits(), method)),
+                )
             }
-            StampMode::Dc { .. } => None,
-        };
-        let lu_key = match mode {
-            StampMode::Tran { dt, method, .. } if reuse && !self.has_nonlinear => {
-                Some((dt.to_bits(), method))
-            }
-            _ => None,
+            StampMode::Dc { .. } => (None, None),
         };
         let use_sparse = !ws.sparse_disabled && dim > 0 && dim >= opts.sparse_threshold;
         if use_sparse {
@@ -872,8 +887,14 @@ impl<'a> System<'a> {
         let mut worst = f64::INFINITY;
         for iter in 0..opts.max_iter {
             tel.count(|c| c.newton_iterations += 1);
-            let reuse_lu = lu_key.is_some() && ws.factored_key == lu_key;
-            if reuse_lu {
+            let held = step_key.is_some() && ws.factored_key == step_key;
+            // A linear circuit's kept LU is its Jacobian's, so with reuse
+            // it serves every iteration and the loaded matrix stays. A
+            // nonlinear circuit's serves only the predictor iteration, as
+            // a chord step.
+            let keep = held && reuse && !self.has_nonlinear;
+            let chord = held && iter == 0 && self.has_nonlinear;
+            if keep || chord {
                 tel.count(|c| c.factor_reuse_hits += 1);
             }
             if run_sparse {
@@ -885,7 +906,7 @@ impl<'a> System<'a> {
                 match tran {
                     Some((form, s)) => {
                         ws.rhs.clone_from(&ws.tran_rhs);
-                        if !reuse_lu {
+                        if !keep {
                             form.load(s, sp.mat.vals_mut());
                         }
                         if self.has_nonlinear {
@@ -894,13 +915,15 @@ impl<'a> System<'a> {
                     }
                     None => self.assemble_sparse_full(&ws.x, mode, opts.gmin, sp, &mut ws.rhs)?,
                 }
-                if !reuse_lu {
+                if chord {
+                    sub_product(&sp.mat, &ws.x, &mut ws.rhs);
+                } else if !keep {
                     let oc = {
                         let _t = tel.timer_fine(Phase::Refactor);
                         sp.lu.refactor(&sp.mat)?
                     };
                     note_refactor(tel, oc, sp.lu.last_dead_pivot());
-                    ws.factored_key = lu_key;
+                    ws.factored_key = step_key;
                 }
                 let _t = tel.timer_fine(Phase::BackSubstitute);
                 sp.lu.solve_into(&ws.rhs, &mut ws.x_new)?;
@@ -909,7 +932,7 @@ impl<'a> System<'a> {
                 match tran {
                     Some((form, s)) => {
                         ws.rhs.clone_from(&ws.tran_rhs);
-                        if !reuse_lu {
+                        if !keep {
                             form.load_dense(s, &mut ws.matrix);
                         }
                         if self.has_nonlinear {
@@ -919,15 +942,27 @@ impl<'a> System<'a> {
                     }
                     None => self.assemble(&ws.x, mode, opts.gmin, &mut ws.matrix, &mut ws.rhs),
                 }
-                if !reuse_lu {
+                if chord {
+                    let m = ws.matrix.as_slice();
+                    for (i, r) in ws.rhs.iter_mut().enumerate() {
+                        let row = &m[i * dim..(i + 1) * dim];
+                        *r -= row.iter().zip(&ws.x).map(|(a, x)| a * x).sum::<f64>();
+                    }
+                } else if !keep {
                     let _t = tel.timer_fine(Phase::Factor);
                     ws.factors.refactor(&ws.matrix)?;
                     tel.count(|c| c.full_factorizations += 1);
-                    ws.factored_key = lu_key;
+                    ws.factored_key = step_key;
                 }
                 let _t = tel.timer_fine(Phase::BackSubstitute);
                 ws.factors.solve_into(&ws.rhs, &mut ws.x_new)?;
                 tel.count(|c| c.dense_solves += 1);
+            }
+            if chord {
+                // The chord solve gave the update; the raw step is `x₀ + Δ`.
+                for (xn, x) in ws.x_new.iter_mut().zip(&ws.x) {
+                    *xn += x;
+                }
             }
             let (converged, undamped, w) =
                 newton_update(&mut ws.x, |i| ws.x_new[i], self.n_nodes, opts);
@@ -1128,6 +1163,16 @@ fn newton_update(
         *xi = next;
     }
     (converged, undamped, worst)
+}
+
+/// `r −= A·x`: the chord step's residual against the loaded Jacobian.
+fn sub_product(a: &CsrMatrix, x: &[f64], r: &mut [f64]) {
+    let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.vals());
+    for (row, ri) in r.iter_mut().enumerate() {
+        *ri -= (row_ptr[row]..row_ptr[row + 1])
+            .map(|k| vals[k] * x[col_idx[k]])
+            .sum::<f64>();
+    }
 }
 
 /// Voltage lookup shared by all result types.
@@ -1464,6 +1509,60 @@ pub(crate) mod tests {
             assert!(!g.slots_nonlin.missing());
             assert_eq!(bits(t.mat.vals()), bits(g.mat.vals()), "at {x:?}");
             assert_eq!(bits(&t_rhs), bits(&g_rhs), "at {x:?}");
+        }
+    }
+
+    /// A transient solve starts with a chord step exactly when the
+    /// workspace holds the LU of a successful solve with the same `dt`
+    /// and method: not on the first solve, not after a `dt` or method
+    /// change, a DC solve or a failed solve. On both LU paths.
+    #[test]
+    fn a_chord_step_needs_the_step_key_of_a_successful_solve() {
+        let ckt = junction_circuit(1.0e-3);
+        let sys = System::new(&ckt);
+        let drain = ckt.find_node("junction_d").unwrap().index().unwrap();
+        let tel = Telemetry::disabled();
+        for threshold in [usize::MAX, 1] {
+            let opts = NewtonOptions {
+                sparse_threshold: threshold,
+                ..NewtonOptions::default()
+            };
+            let one_iteration = NewtonOptions {
+                max_iter: 1,
+                ..opts
+            };
+            let x_op = op::solve_system(&sys, &opts, Some(0.0), &tel).unwrap();
+            let state = sys.init_tran(&x_op, opts.gmin, &tel).unwrap();
+            let mut ws = NewtonWorkspace::new();
+            // Whether a solve from the operating point with the drain moved
+            // by `kick` converged, and how many chord steps it took.
+            let mut solve = |mode, opts: &NewtonOptions, kick: f64| {
+                let mut x0 = x_op.clone();
+                x0[drain] += kick;
+                let tel = Telemetry::enabled();
+                let ok = sys
+                    .newton_with(mode, &x0, &state, opts, "test", &mut ws, true, &tel)
+                    .is_ok();
+                (ok, tel.report().counters.factor_reuse_hits)
+            };
+            let trap = |dt| tran_mode(dt, dt, Integration::Trapezoidal);
+            let be = |dt| tran_mode(dt, dt, Integration::BackwardEuler);
+            let steps = [
+                (solve(trap(1e-12), &opts, 0.1), (true, 0)),
+                (solve(trap(1e-12), &opts, 0.1), (true, 1)),
+                (solve(trap(2e-12), &opts, 0.1), (true, 0)),
+                (solve(trap(2e-12), &opts, 0.1), (true, 1)),
+                (solve(be(2e-12), &opts, 0.1), (true, 0)),
+                (solve(be(2e-12), &one_iteration, 0.3), (false, 1)),
+                (solve(be(2e-12), &opts, 0.1), (true, 0)),
+                (solve(be(2e-12), &opts, 0.1), (true, 1)),
+                (solve(StampMode::dc(), &opts, 0.1), (true, 0)),
+                (solve(be(2e-12), &opts, 0.1), (true, 0)),
+                (solve(be(2e-12), &opts, 0.1), (true, 1)),
+            ];
+            for (k, (got, want)) in steps.into_iter().enumerate() {
+                assert_eq!(got, want, "threshold {threshold}, solve {k}");
+            }
         }
     }
 

@@ -70,7 +70,10 @@ pub struct TranConfig {
     /// DESIGN.md. Disable to refactor at every Newton iteration (the
     /// results are bit-identical either way). Every transient path reads
     /// the same compiled linear part, so this is the only thing it
-    /// changes; nonlinear circuits refactor every iteration regardless.
+    /// changes. It has no effect on nonlinear circuits: their solves
+    /// start with a chord step against the previous solve's LU whenever
+    /// the step size and method are unchanged, and refactor on every
+    /// later iteration, whatever this flag says.
     pub reuse_factorization: bool,
     /// Samples per streamed waveform chunk (default 1024, see
     /// [`TranConfig::with_chunk_size`]). Accumulators downstream are
@@ -113,7 +116,8 @@ impl TranConfig {
     }
 
     /// Disables the cross-timestep LU reuse of linear circuits (reference
-    /// path for equivalence testing and benchmarking).
+    /// path for equivalence testing and benchmarking). Nonlinear circuits
+    /// solve the same way with or without it, chord steps included.
     #[must_use]
     pub fn without_factor_reuse(mut self) -> Self {
         self.reuse_factorization = false;

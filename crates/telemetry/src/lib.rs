@@ -114,8 +114,13 @@ pub struct Counters {
     pub newton_solves: u64,
     /// Total Newton iterations across all solves.
     pub newton_iterations: u64,
-    /// Solve iterations served by a cached LU factorization (the
-    /// `MatKey` hit path: no factorization of any kind ran).
+    /// Newton iterations solved against a kept LU instead of a fresh
+    /// factorization: every iteration of a linear circuit's transient
+    /// solve whose step size and method match the kept LU, and the chord
+    /// step that starts a nonlinear circuit's transient solve under the
+    /// same condition. Every other iteration factors, so
+    /// `full_factorizations + refactorizations + factor_reuse_hits` is
+    /// `newton_iterations` on the scalar solver.
     pub factor_reuse_hits: u64,
     /// Full factorizations: dense LU eliminations plus sparse
     /// factorizations that ran the pivot search.
@@ -338,9 +343,11 @@ impl Counters {
         self.dt_histogram[bucket] += 1;
     }
 
-    /// Fraction of solve iterations served by a cached factorization
-    /// (`hits / (hits + factorizations of any kind)`); 0 when nothing
-    /// was solved.
+    /// Fraction of Newton iterations solved against a kept LU (linear
+    /// carries and chord steps, see
+    /// [`factor_reuse_hits`](Counters::factor_reuse_hits)):
+    /// `hits / (hits + factorizations of any kind)`; 0 when nothing was
+    /// solved.
     #[must_use]
     pub fn reuse_hit_rate(&self) -> f64 {
         let misses = self.full_factorizations + self.refactorizations;

@@ -46,6 +46,11 @@ analyze-circuits:
 perfbench-smoke:
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# Alternating A/B runs of the benchmark in BENCHMARK.json: the commit
+# REV against the working tree, N pairs of full-length runs on WORKLOAD.
+bench-pairs REV WORKLOAD N:
+    sh scripts/bench_pairs.sh {{REV}} {{WORKLOAD}} {{N}}
+
 # Non-test lines of crates/spice and crates/numeric (each `.rs` file up
 # to its first `#[cfg(test)]` line), the size the roadmap tracks.
 loc:

@@ -1,15 +1,19 @@
-//! Equivalence tests for the transient factorization-reuse fast path.
+//! Tests for the transient factorization-reuse paths.
 //!
 //! Every transient path reads the same compiled linear part
-//! `G + (a/dt)·C` and the same node-space history; `TranConfig` reuse
-//! only keeps the LU factorization of a linear circuit across timesteps
-//! of one step size. These tests pin the contract that it changes
-//! wall-clock only, never results: a reuse-enabled run must match the
-//! refactor-every-iteration reference bit-for-bit on linear circuits and
-//! to ≤ 1e-12 on nonlinear (MOSFET) circuits, at fixed and adaptive
-//! steps, and the linear part must be compiled once per run. Every test
-//! runs on the dense LU path (forced with `sparse_threshold =
-//! usize::MAX`) and on the default sparse one, so both stay pinned.
+//! `G + (a/dt)·C` and the same node-space history, and a Newton
+//! workspace keeps its last transient LU under the step size and method
+//! it factored. `TranConfig` reuse only lets a linear circuit keep that
+//! LU across timesteps of one step size. These tests pin the contract
+//! that it changes wall-clock only, never results: a reuse-enabled run
+//! must match the refactor-every-iteration reference bit-for-bit on
+//! linear circuits and to ≤ 1e-12 on nonlinear (MOSFET) circuits, at
+//! fixed and adaptive steps, and the linear part must be compiled once
+//! per run. A nonlinear circuit starts each solve whose step size and
+//! method match the kept LU with a chord step against it, with or
+//! without the flag; the counters pin when it does. Every test runs on
+//! the dense LU path (forced with `sparse_threshold = usize::MAX`) and
+//! on the default sparse one, so both stay pinned.
 
 // Driver-style target: aborting on a malformed result with a message
 // is the intended failure mode, so expect/unwrap are fine here.
@@ -94,8 +98,9 @@ fn rc_ladder_reuse_is_bit_identical() {
 /// accumulation — but no more. Both runs load the one compiled linear
 /// part at every solve, at fixed and at adaptive steps, where `dt`
 /// changes from step to step.
-#[test]
-fn cml_buffer_reuse_matches_reference() {
+/// The paper's CML buffer cell under a differential step, with its
+/// input and output ports.
+fn buffer_step() -> (Circuit, DiffPort, DiffPort) {
     let cfg = CmlBufferConfig::paper_default();
     let pdk = Pdk018::typical();
     let mut ckt = Circuit::new();
@@ -115,11 +120,21 @@ fn cml_buffer_reuse_matches_reference() {
     cml_buffer::build(&mut ckt, &pdk, &cfg, "buf", input, output, vdd);
     ckt.add(Capacitor::new("CLP", output.p, Circuit::GROUND, 30e-15));
     ckt.add(Capacitor::new("CLN", output.n, Circuit::GROUND, 30e-15));
+    (ckt, input, output)
+}
 
-    let configs = [
+/// The buffer at a fixed and at an adaptive step.
+fn buffer_configs() -> [TranConfig; 2] {
+    [
         TranConfig::new(0.3e-9, 1e-12),
         TranConfig::new(0.3e-9, 2e-12).adaptive(),
-    ];
+    ]
+}
+
+#[test]
+fn cml_buffer_reuse_matches_reference() {
+    let (ckt, input, output) = buffer_step();
+    let configs = buffer_configs();
     for threshold in THRESHOLDS {
         for (k, tcfg) in configs.iter().enumerate() {
             let mut tcfg = tcfg.clone();
@@ -153,6 +168,47 @@ fn cml_buffer_reuse_matches_reference() {
                 c.lin_stamp_builds,
                 c.lin_stamp_hits
             );
+        }
+    }
+}
+
+/// Each Newton iteration either factors or takes a chord step against
+/// the kept LU. At a fixed step every transient solve after the first
+/// keeps the step key its predecessor left, so each one starts with a
+/// chord step. In an adaptive run the solve after an LTE reject or a
+/// Newton retry runs at a new `dt` and refactors from its first
+/// iteration (`a_chord_step_needs_the_step_key_of_a_successful_solve`
+/// in `cml-spice` pins the rule solve by solve).
+#[test]
+fn cml_buffer_chord_steps_follow_the_step_key() {
+    let (ckt, ..) = buffer_step();
+    for threshold in THRESHOLDS {
+        for (k, tcfg) in buffer_configs().iter().enumerate() {
+            let mut tcfg = tcfg.clone();
+            tcfg.newton.sparse_threshold = threshold;
+            let tel = Telemetry::enabled();
+            tran::run_traced(&ckt, &tcfg, &tel).expect("transient");
+            let c = tel.report().counters;
+            let case = format!("threshold {threshold}, config {k}");
+            assert_eq!(
+                c.full_factorizations + c.refactorizations,
+                c.newton_iterations - c.factor_reuse_hits,
+                "{case}: an iteration neither factored nor took a chord step"
+            );
+            let tran_solves = c.tran_steps + c.lte_rejects + c.newton_retries;
+            if tcfg.adaptive {
+                assert!(
+                    c.factor_reuse_hits > 0
+                        && c.factor_reuse_hits + c.lte_rejects + c.newton_retries < tran_solves,
+                    "{case}: {} chord steps, {} rejects, {} retries, {tran_solves} solves",
+                    c.factor_reuse_hits,
+                    c.lte_rejects,
+                    c.newton_retries
+                );
+            } else {
+                assert_eq!(c.newton_retries, 0, "{case}");
+                assert_eq!(c.factor_reuse_hits, tran_solves - 1, "{case}");
+            }
         }
     }
 }

@@ -12,7 +12,8 @@
 //!   polynomial predictor. Where it starts must not move the answer
 //!   beyond the Newton tolerance band: a default-tolerance run of the
 //!   CML buffer stays within 1e-4 bands of a tight-tolerance reference
-//!   on the same grid.
+//!   on the same grid. The receive chain's version of that test is
+//!   ignored: it misses the bound with or without chord steps.
 //! * **Iteration count.** The predictor seed is what keeps Newton near
 //!   two iterations per step solve. Counts are deterministic, so a
 //!   ceiling on `newton_iterations / newton_solves` guards it.
@@ -314,6 +315,32 @@ fn newton_start_point_does_not_move_the_result() {
     // 4.4e-6 seeded from the predictor. Both sit far inside one band:
     // the last Newton update is below the band, and the error after it
     // is quadratically smaller.
+    let worst = worst_in_bands(&ckt, &default, &reference);
+    assert!(
+        worst < 1e-4,
+        "default run sits {worst:e} bands from the reference"
+    );
+}
+
+/// The same contract on the receive chain at a fixed 1 ps, where every
+/// solve after the first starts with a chord step against the LU its
+/// predecessor left. The bound was set before the first run and fails
+/// with or without chord steps: the default run sits 4.92 bands from the
+/// reference without them and 4.96 with them. The worst nodes
+/// (`_rx_lp`, `_rx_ob_tail`, `_rx_la_p1tf`) sit within 1.3 mV of
+/// ground, where a band is 1–2.3 µV, and miss by 6–12 µV. Tightening
+/// only the operating point still leaves 5.9 bands, so the distance
+/// builds up over the steps.
+#[test]
+#[ignore = "fails at the 1e-4 bound with or without chord steps (about 5 bands on near-ground nodes); see ROADMAP item 13"]
+fn receive_chain_default_run_sits_within_bands_of_tight_reference() {
+    let ckt = rx_circuit(12);
+    let cfg = TranConfig::new(12.0 * UI, 1e-12);
+    let mut tight = cfg.clone();
+    tight.newton.reltol = 1e-9;
+    tight.newton.vntol = 1e-12;
+    let default = tran::run(&ckt, &cfg).expect("default-tolerance run");
+    let reference = tran::run(&ckt, &tight).expect("tight-tolerance run");
     let worst = worst_in_bands(&ckt, &default, &reference);
     assert!(
         worst < 1e-4,

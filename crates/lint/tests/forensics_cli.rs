@@ -53,7 +53,7 @@ fn forensics_cli_replays_a_dumped_bundle() {
     let blob = std::fs::read(bundle).expect("read bundle");
     assert!(blob.len() >= 24, "bundle shorter than its header");
     assert_eq!(&blob[..4], b"CMLF", "magic");
-    assert_eq!(u32_le(&blob, 4), 3, "container version");
+    assert_eq!(u32_le(&blob, 4), 4, "container version");
     let payload = &blob[24..];
     assert_eq!(u64_le(&blob, 8), payload.len() as u64, "payload length");
     assert_eq!(u64_le(&blob, 16), fnv1a_64(payload), "FNV-1a-64 checksum");

@@ -59,10 +59,11 @@ pub struct TranConfig {
     /// tolerance bands are rejected and retried at half the step, down
     /// to `dt / 4096`; comfortably accurate steps grow back by doubling,
     /// up to `max(dt, t_stop / 50)`. Source-waveform corners become
-    /// breakpoints the controller lands on exactly, restarting with a
-    /// small step (`dt / 64`) and a cleared predictor history on the far
-    /// side. `dt` remains the first-step size and the scale all limits
-    /// derive from.
+    /// breakpoints the controller lands on exactly, restarting on the far
+    /// side with a cleared predictor history and a tenth of the smaller
+    /// of the working step and the gap to the next breakpoint (floored
+    /// at `dt / 4096`). `dt` remains the first-step size and the scale
+    /// all limits derive from.
     pub adaptive: bool,
     /// On a circuit with no nonlinear devices, keep the LU factorization
     /// of `G + (a/dt)·C` across timesteps that share a step size and
@@ -431,14 +432,17 @@ const MAX_HALVINGS: u32 = 10;
 /// tolerance band (`reltol·|x| + vntol`).
 const LTE_FACTOR: f64 = 10.0;
 
-/// Step divisor used to restart integration just after a breakpoint.
-const BP_RESTART_DIV: f64 = 64.0;
+/// First step after a breakpoint, as a fraction of the smaller of the
+/// working step and the gap to the next breakpoint (SPICE3's `DCtran`
+/// rule).
+const BP_RESTART_FRACTION: f64 = 0.1;
 
 /// Collects, sorts and deduplicates source-waveform breakpoints in
 /// `(0, t_stop)`. Coincident or *near*-coincident corners (two PWL
 /// sources sharing an edge, rendered complements, clock trees) merge
-/// into one breakpoint: each survivor costs the controller a `dt/64`
-/// restart with a cleared predictor history, so duplicates within
+/// into one breakpoint: each survivor costs the controller a restart at
+/// a tenth of the step in use (or of the gap to the next breakpoint)
+/// with a cleared predictor history, so duplicates within
 /// [`breakpoint_merge_eps`] would silently multiply step counts.
 pub(crate) fn merged_breakpoints(ckt: &Circuit, t_stop: f64) -> Vec<f64> {
     let mut bps: Vec<f64> = Vec::new();
@@ -536,7 +540,9 @@ impl History {
 /// comfortably accurate steps. Source-waveform corners are collected up
 /// front as breakpoints; a step that would cross one is truncated to
 /// land exactly on it, and the predictor history is cleared on the far
-/// side since the derivative is discontinuous there.
+/// side since the derivative is discontinuous there. The step after the
+/// corner is [`BP_RESTART_FRACTION`] of the smaller of the working step
+/// and the gap to the next breakpoint.
 fn adaptive_loop(
     ckt: &Circuit,
     sys: &System<'_>,
@@ -552,7 +558,6 @@ fn adaptive_loop(
 
     let dt_min = config.dt / MAX_SHRINK;
     let dt_max = config.dt.max(t_stop / 50.0);
-    let dt_bp_restart = (config.dt / BP_RESTART_DIV).max(dt_min);
 
     let mut state_next = vec![0.0; state.len()];
     emit.push(0.0, &x0, tel)?;
@@ -598,7 +603,8 @@ fn adaptive_loop(
                 Ok(x_new) => {
                     let mut worst = 0.0f64;
                     if hist.len() >= 2 {
-                        worst = predictor_deviation(sys, &pred, x_new, &config.newton);
+                        let (dev, node) = predictor_deviation(sys, &pred, x_new, &config.newton);
+                        worst = dev;
                         if worst > LTE_FACTOR
                             && dt_step > dt_min * (1.0 + 1e-9)
                             && halvings < MAX_HALVINGS
@@ -607,7 +613,11 @@ fn adaptive_loop(
                             rejected = true;
                             lands_on_bp = false;
                             tel.count(|c| c.lte_rejects += 1);
-                            tel.event(|| EventKind::LteReject { t, dt: dt_step });
+                            tel.event(|| EventKind::LteReject {
+                                t,
+                                dt: dt_step,
+                                node: u32::try_from(node).unwrap_or(u32::MAX),
+                            });
                             dt_step = (dt_step / 2.0).max(dt_min);
                             continue;
                         }
@@ -627,7 +637,8 @@ fn adaptive_loop(
                     });
                     if lands_on_bp {
                         hist.restart();
-                        dt = dt_bp_restart;
+                        let next = breakpoints.get(bp_idx + 1).copied().unwrap_or(t_stop);
+                        dt = (BP_RESTART_FRACTION * dt.min(next - t)).max(dt_min);
                     } else if rejected {
                         // Continue at the scale the rejection found;
                         // quiet steps will grow it back.
@@ -655,19 +666,23 @@ fn adaptive_loop(
 }
 
 /// Worst normalized deviation of `x_new` from the predictor `pred`
-/// ([`History::predict_into`]). Only node voltages participate (branch
-/// currents scale too wildly for the voltage band). The unit is Newton
-/// tolerance bands, so `1.0` means "off by exactly `reltol·|v| + vntol`".
+/// ([`History::predict_into`]) and the MNA index of the node it sits on.
+/// Only node voltages participate (branch currents scale too wildly for
+/// the voltage band). The unit is Newton tolerance bands, so `1.0` means
+/// "off by exactly `reltol·|v| + vntol`".
 fn predictor_deviation(
     sys: &System<'_>,
     pred: &[f64],
     x_new: &[f64],
     newton: &NewtonOptions,
-) -> f64 {
-    let mut worst = 0.0f64;
+) -> (f64, usize) {
+    let mut worst = (0.0f64, 0);
     for i in 0..sys.n_nodes() {
         let band = newton.reltol * x_new[i].abs() + newton.vntol;
-        worst = worst.max((x_new[i] - pred[i]).abs() / band);
+        let dev = (x_new[i] - pred[i]).abs() / band;
+        if dev > worst.0 {
+            worst = (dev, i);
+        }
     }
     worst
 }
@@ -1123,6 +1138,61 @@ mod adaptive_tests {
             assert!(
                 res.times().iter().any(|&t| (t - corner).abs() < 1e-15),
                 "no accepted point at corner {corner:.3e}"
+            );
+        }
+    }
+
+    /// After each source corner the controller restarts at
+    /// `0.1 · min(working step, gap to the next corner)`, floored at
+    /// `dt / MAX_SHRINK`. The drive is slow against the RC's 1 µs time
+    /// constant, so no step is rejected and the working step doubles
+    /// after every accepted step up to `dt_max = dt = 10 ps`.
+    #[test]
+    fn breakpoint_restart_scales_with_step_and_gap() {
+        let ps = 1e-12;
+        let dt_min = 10.0 * ps / MAX_SHRINK;
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let out = ckt.node("out");
+        let pwl = vec![
+            (0.0, 0.0),
+            (95.0 * ps, 0.1),
+            (98.0 * ps, 0.0),
+            (245.0 * ps, 0.05),
+            (245.01 * ps, 0.05),
+        ];
+        ckt.add(Vsource::new("V1", vin, Circuit::GROUND, Waveform::Pwl(pwl)));
+        ckt.add(Resistor::new("R1", vin, out, 1e3));
+        ckt.add(Capacitor::new("C1", out, Circuit::GROUND, 1e-9));
+        let res = run(&ckt, &TranConfig::new(400.0 * ps, 10.0 * ps).adaptive()).unwrap();
+        let times = res.times();
+        let first_step_after = |corner: f64| {
+            let k = times
+                .iter()
+                .position(|&t| (t - corner).abs() < 1e-18)
+                .unwrap_or_else(|| panic!("no accepted point at {corner:e}"));
+            times[k + 1] - times[k]
+        };
+        // (corner, working step when it was reached, gap to the next
+        // corner or t_stop).
+        let cases = [
+            // Gap below the step: 0.3 ps.
+            (95.0 * ps, 10.0 * ps, 3.0 * ps),
+            // Steps 0.3, 0.6 and 1.2 ps reach 97.1 ps; the working step
+            // 2.4 ps is truncated to land. Gap above it: 0.24 ps.
+            (98.0 * ps, 2.4 * ps, 147.0 * ps),
+            // 0.1 · 10 fs is below the floor.
+            (245.0 * ps, 10.0 * ps, 0.01 * ps),
+            // dt_min and 2·dt_min reach 7.3 fs; 4·dt_min is truncated
+            // to land, and 0.1 · 4·dt_min is below the floor again.
+            (245.01 * ps, 4.0 * dt_min, 154.99 * ps),
+        ];
+        for (corner, step, gap) in cases {
+            let want = (0.1 * step.min(gap)).max(dt_min);
+            let got = first_step_after(corner);
+            assert!(
+                (got - want).abs() < 1e-6 * want,
+                "first step after {corner:e}: {got:e}, want {want:e}"
             );
         }
     }

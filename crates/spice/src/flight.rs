@@ -13,7 +13,7 @@
 //! — everything needed to replay the failure offline with
 //! `cml-lint forensics <bundle> --replay`.
 //!
-//! # Format (`CMLF`, version 3)
+//! # Format (`CMLF`, version 4)
 //!
 //! The header is magic, version, payload length and an FNV-1a checksum
 //! over the payload, then the payload encoded with the shared
@@ -55,8 +55,9 @@ pub const FLIGHT_MAGIC: [u8; 4] = *b"CMLF";
 /// Current bundle format version. Readers reject other versions with a
 /// typed error instead of guessing. Version 2 dropped the warm-start
 /// byte from the options block; version 3 dropped the presence byte of
-/// the error field, which every bundle carries.
-pub const FLIGHT_VERSION: u32 = 3;
+/// the error field, which every bundle carries; version 4 added the
+/// limiting node to LTE-reject events.
+pub const FLIGHT_VERSION: u32 = 4;
 
 /// Header length: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
@@ -221,10 +222,11 @@ fn put_event(w: &mut ByteWriter, ev: &Event, with_time: bool) {
             w.put_u32(*iterations);
             w.put_f64(*residual);
         }
-        EventKind::LteReject { t, dt } => {
+        EventKind::LteReject { t, dt, node } => {
             w.put_u8(2);
             w.put_f64(*t);
             w.put_f64(*dt);
+            w.put_u32(*node);
         }
         EventKind::NewtonRetry { t, dt } => {
             w.put_u8(3);
@@ -274,6 +276,7 @@ fn get_event(r: &mut ByteReader<'_>) -> Result<Event, FlightError> {
         2 => EventKind::LteReject {
             t: num_f64(r)?,
             dt: num_f64(r)?,
+            node: num_u32(r)?,
         },
         3 => EventKind::NewtonRetry {
             t: num_f64(r)?,

@@ -70,6 +70,10 @@ pub enum EventKind {
         t: f64,
         /// The rejected step size, seconds.
         dt: f64,
+        /// MNA index of the node that strayed furthest from the
+        /// predictor, the one that limited the step (the netlist node
+        /// with raw id `node + 1`; ground has no MNA row).
+        node: u32,
     },
     /// A transient step was retried at half size after Newton failed to
     /// converge.
@@ -148,7 +152,12 @@ impl EventKind {
                 fields.push(("iterations".into(), Value::Num(f64::from(*iterations))));
                 fields.push(("residual".into(), Value::Num(*residual)));
             }
-            EventKind::LteReject { t, dt } | EventKind::NewtonRetry { t, dt } => {
+            EventKind::LteReject { t, dt, node } => {
+                fields.push(("t".into(), Value::Num(*t)));
+                fields.push(("dt".into(), Value::Num(*dt)));
+                fields.push(("node".into(), Value::Num(f64::from(*node))));
+            }
+            EventKind::NewtonRetry { t, dt } => {
                 fields.push(("t".into(), Value::Num(*t)));
                 fields.push(("dt".into(), Value::Num(*dt)));
             }
@@ -366,9 +375,28 @@ mod tests {
     }
 
     #[test]
+    fn lte_reject_json_names_the_limiting_node() {
+        let kind = EventKind::LteReject {
+            t: 1e-9,
+            dt: 1e-12,
+            node: 20,
+        };
+        let Value::Obj(fields) = kind.to_value() else {
+            panic!("event must render as an object")
+        };
+        let node = fields.iter().find(|(k, _)| k == "node").map(|(_, v)| v);
+        assert_eq!(node, Some(&Value::Num(20.0)));
+    }
+
+    #[test]
     fn kind_names_are_stable() {
         assert_eq!(
-            EventKind::LteReject { t: 0.0, dt: 1e-12 }.name(),
+            EventKind::LteReject {
+                t: 0.0,
+                dt: 1e-12,
+                node: 0
+            }
+            .name(),
             "lte_reject"
         );
         assert_eq!(

@@ -1736,7 +1736,11 @@ mod tests {
     fn events_count_and_snapshot() {
         let tel = Telemetry::enabled();
         tel.event(|| EventKind::LintRejected { errors: 2 });
-        tel.event(|| EventKind::LteReject { t: 1e-9, dt: 1e-12 });
+        tel.event(|| EventKind::LteReject {
+            t: 1e-9,
+            dt: 1e-12,
+            node: 3,
+        });
         let report = tel.report();
         assert_eq!(report.counters.events_emitted, 2);
         assert_eq!(report.events.len(), 2);
@@ -1773,7 +1777,11 @@ mod tests {
                     .map(|w| {
                         let worker = probe.fork(w as u32 + 1);
                         for _ in 0..12 / workers {
-                            worker.event(|| EventKind::LteReject { t: 0.0, dt: 1e-12 });
+                            worker.event(|| EventKind::LteReject {
+                                t: 0.0,
+                                dt: 1e-12,
+                                node: 0,
+                            });
                         }
                         worker.into_parts()
                     })

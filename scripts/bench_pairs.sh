@@ -10,9 +10,12 @@
 # pairs of `<command> --workload WORKLOAD --seed SEED --seconds SECONDS
 # --trace 0`, A first in even pairs and B first in odd ones, each in its
 # own tree. SECONDS defaults to BENCHMARK.json's `run_seconds`, SEED
-# to 1. Prints every run's end-to-end metrics, then per metric the
-# median and q1–q3 of each side and the pairs B won. Needs python3 for
-# the JSON.
+# to 1. Prints every run's end-to-end metrics beside its raw wall job and
+# calibration medians, then per metric the median and q1–q3 of each
+# side and the pairs B won, then each side's median of the two raw
+# times. A normalized gain with a flat raw job time and a slower
+# calibration is a calibration-kernel shift, not a simulator speedup.
+# Needs python3 for the JSON.
 set -eu
 
 if [ $# -lt 3 ] || [ $# -gt 5 ]; then
@@ -68,18 +71,25 @@ run() {
     ) >"$out/$label.log" 2>&1
 }
 
-# summary LOG: the result line of one run, as `name=value` pairs.
+# The raw wall times of a run's summary line, in ms.
+raw_times='wall: job median ([0-9.]+) ms.*calibration median ([0-9.]+) ms'
+
+# summary LOG: the result line of one run, as `name=value` pairs, and
+# the raw wall job and calibration medians of its summary line.
 summary() {
-    python3 - "$1" <<'PY'
-import json, sys
+    python3 - "$1" "$raw_times" <<'PY'
+import json, re, sys
 try:
     with open(sys.argv[1]) as f:
-        r = json.loads(f.read().strip().splitlines()[-1])
+        lines = f.read().strip().splitlines()
+    r = json.loads(lines[-1])
 except (OSError, ValueError, IndexError):
     print("no result line")
 else:
     m = " ".join(f"{k}={v['value']:.4g}" for k, v in r["metrics"].items())
-    print(f"correct={r['correct']} failed={r['failed']} {m}")
+    raw = next((g for g in map(re.compile(sys.argv[2]).search, lines) if g), None)
+    raw = f" job_ms={raw[1]} cal_ms={raw[2]}" if raw else " no summary line"
+    print(f"correct={r['correct']} failed={r['failed']} {m}{raw}")
 PY
 }
 
@@ -109,17 +119,30 @@ while [ $i -lt "$pairs" ]; do
     i=$((i + 1))
 done
 
-python3 - "$out" "$pairs" <<'EOF'
-import json, sys
-out, pairs = sys.argv[1], int(sys.argv[2])
+python3 - "$out" "$pairs" "$raw_times" <<'EOF'
+import json, re, sys
+out, pairs, raw_times = sys.argv[1], int(sys.argv[2]), re.compile(sys.argv[3])
 bench = json.load(open("BENCHMARK.json"))
+
+def lines(label):
+    try:
+        with open(f"{out}/{label}.log") as f:
+            return f.read().strip().splitlines()
+    except OSError:
+        return []
 
 def result(label):
     try:
-        with open(f"{out}/{label}.log") as f:
-            return json.loads(f.read().strip().splitlines()[-1])
-    except (OSError, ValueError, IndexError):
+        return json.loads(lines(label)[-1])
+    except (ValueError, IndexError):
         return None
+
+def raw(label):
+    """(job median, calibration median) in ms from the summary line."""
+    for line in lines(label):
+        if m := raw_times.search(line):
+            return float(m[1]), float(m[2])
+    return None
 
 def quantile(xs, q):
     xs = sorted(xs)
@@ -154,5 +177,13 @@ for m in bench["end_to_end"]:
         )
     if len(med) == 2 and med["A"]:
         print(f"  B/A median {med['B'] / med['A'] - 1:+.2%}; B better in {won} of {pairs} pairs")
+print("raw wall medians (ms, not normalized)")
+for s in "AB":
+    times = [t for t in (raw(f"{s}-{i}") for i in range(pairs)) if t]
+    if not times:
+        print(f"  {s}: no summary lines")
+        continue
+    job, cal = zip(*times)
+    print(f"  {s}: job {quantile(job, 0.5):.3f}  calibration {quantile(cal, 0.5):.3f}")
 EOF
 echo "logs in $out"

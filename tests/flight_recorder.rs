@@ -160,6 +160,7 @@ fn ring_overflow_keeps_newest_and_counts_drops() {
         tel.event(|| EventKind::LteReject {
             t: f64::from(i),
             dt: 1.0,
+            node: 0,
         });
     }
     let held = tel.events_snapshot();

@@ -122,6 +122,7 @@ fn event(rng: &mut TestRng) -> Event {
         2 => EventKind::LteReject {
             t: f(rng),
             dt: f(rng),
+            node: draw(any::<u32>(), rng),
         },
         3 => EventKind::NewtonRetry {
             t: f(rng),
@@ -197,7 +198,7 @@ enum Token {
     EventTag(usize),
 }
 
-/// Walks the version-3 payload layout of `b` and returns every token
+/// Walks the version-4 payload layout of `b` and returns every token
 /// with its offset, plus the total encoded length the walk arrived at.
 fn tokens(b: &FlightBundle) -> (Vec<Token>, usize) {
     let mut out = Vec::new();
@@ -229,9 +230,8 @@ fn tokens(b: &FlightBundle) -> (Vec<Token>, usize) {
                 string(&mut at, analysis, &mut out);
                 at += 4 + 8;
             }
-            EventKind::LteReject { .. }
-            | EventKind::NewtonRetry { .. }
-            | EventKind::PivotFallback { .. } => at += 16,
+            EventKind::LteReject { .. } => at += 16 + 4,
+            EventKind::NewtonRetry { .. } | EventKind::PivotFallback { .. } => at += 16,
             EventKind::CacheRejected { kind: s } | EventKind::Degradation { code: s } => {
                 string(&mut at, s, &mut out);
             }

@@ -6,19 +6,27 @@
 //! perturbed MOSFET cards. [`op_batch`] takes that circuit once, plus
 //! [`ParamColumns`]: per-variant `vth0`/`kp` values of named MOSFETs,
 //! column-major. One MNA system, one lint precheck and one sparsity
-//! pattern serve every variant; each lane stamps its devices from its
-//! own column entries through the same slot caches into a lane-packed
-//! CSR matrix whose pivot order is frozen after the first factorization
-//! and replayed across iterations and lane groups. Variants are packed
-//! eight at a time into the lanes of an [`F64x8`] (a batch that is not a
-//! multiple of eight runs its last group with the tail lanes masked
-//! off), and the damped-Newton driver tracks convergence **per lane**: a
-//! lane that converges freezes while the others keep iterating, and a
-//! lane whose frozen pivot dies or whose iterate diverges is quarantined
-//! by the masked LU entry point ([`SparseLu::refactor_frozen_masked`]:
-//! the sparse LU's one replay kernel, the same one scalar and AC solves
-//! run, with a pivot guard that heals dead lanes) and re-solved through the scalar `op::solve_system` homotopy ladder —
-//! one bad variant never stalls or corrupts the batch. The ladder is
+//! pattern serve every variant. A stamp program compiled once per
+//! pattern assembles every lane at once into a lane-packed CSR matrix:
+//! it walks the elements in element order, adding each linear element's
+//! recorded writes to all lanes, linearizing each MOSFET's device-table
+//! row per lane with the channel of that lane's column entries, and
+//! stamping any other nonlinear element per lane; gmin comes last. Every
+//! slot so sums in the scalar assembly's order, and each lane's matrix
+//! is bitwise its variant's scalar one. The matrix's pivot order is
+//! frozen after the first factorization and replayed across iterations
+//! and lane groups. Variants are packed eight at a time into the lanes
+//! of an [`F64x8`] (a batch that is not a multiple of eight runs its
+//! last group with the tail lanes masked off), and the damped-Newton
+//! driver tracks convergence **per lane**: a lane that converges freezes
+//! while the others keep iterating, and a lane whose frozen pivot dies
+//! or whose iterate diverges is quarantined by the masked LU entry point
+//! ([`SparseLu::refactor_frozen_masked`]: the sparse LU's one replay
+//! kernel, the same one scalar and AC solves run, with a pivot guard
+//! that heals dead lanes) and re-solved through the scalar
+//! `op::solve_system` homotopy ladder, which stamps the lane's cards
+//! through the system's card overrides — one bad variant never stalls
+//! or corrupts the batch. The ladder is
 //! also the only degradation: a group whose stamps miss the pattern goes
 //! to it whole (the pattern is rebuilt once for the next group), and a
 //! batch whose pattern cannot be built or misses twice sends every later
@@ -30,10 +38,10 @@
 //! solver report.
 
 use super::op::solve_system;
-use super::{cache, newton_update, AttemptError, NewtonOptions, SparseState, System};
+use super::{cache, newton_update, NewtonOptions, SparseState, System, Visit};
 use crate::circuit::{Circuit, NodeId};
-use crate::devices::mosfet::MosParams;
-use crate::element::{DcTransfer, ElementKind, StampMode};
+use crate::devices::mosfet::{Channel, MosParams, MosSlots};
+use crate::element::{DcTransfer, ElementKind, StampMode, StampWrite, Stamper};
 use crate::SpiceError;
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{F64x8, LaneScalar, Scalar, SparseLu};
@@ -179,6 +187,9 @@ pub fn op_batch(
 struct Lanes<'a> {
     sys: System<'a>,
     cols: Vec<(usize, MosField, &'a [f64])>,
+    /// `(device-table row, element index)` of every MOSFET a column
+    /// names.
+    carded: Vec<(usize, usize)>,
 }
 
 impl<'a> Lanes<'a> {
@@ -212,9 +223,18 @@ impl<'a> Lanes<'a> {
             }
             resolved.push((idx, *field, values.as_slice()));
         }
+        let carded = ckt
+            .elements()
+            .enumerate()
+            .filter(|(_, e)| e.as_mosfet().is_some())
+            .map(|(idx, _)| idx)
+            .enumerate()
+            .filter(|&(_, idx)| sys.cards[idx].is_some())
+            .collect();
         Ok(Lanes {
             sys,
             cols: resolved,
+            carded,
         })
     }
 
@@ -227,6 +247,22 @@ impl<'a> Lanes<'a> {
         }
         &self.sys
     }
+
+    /// Writes every device-table row's channel in each lane of `group`
+    /// into `out`: the lane card's where a column names the device, the
+    /// device's own card elsewhere and in the lanes past the group.
+    fn channels(&mut self, group: Range<usize>, out: &mut Vec<[Channel; F64x8::LANES]>) {
+        out.clear();
+        out.extend(self.sys.mos.iter().map(|d| [d.channel(); F64x8::LANES]));
+        for (l, v) in group.enumerate() {
+            self.load(v);
+            for &(k, idx) in &self.carded {
+                if let Some(card) = &self.sys.cards[idx] {
+                    out[k][l] = Channel::of(card);
+                }
+            }
+        }
+    }
 }
 
 /// Why one lockstep linear-solve iteration could not continue.
@@ -237,44 +273,69 @@ enum StepFail {
     /// A stamp missed the cached sparsity pattern; the whole group goes
     /// scalar and the pattern is rebuilt for the next group.
     PatternMiss,
-    /// A real error that fallback cannot paper over.
-    Hard(SpiceError),
 }
 
 /// The lockstep kernel of one batch driver call: the sparse lane state,
-/// shared across lane groups so the pattern, slot caches and frozen
+/// shared across lane groups so the pattern, stamp program and frozen
 /// pivot order amortize over *all* variants, plus the degradation state
 /// that sends lanes straight to the scalar ladder.
 #[derive(Default)]
-struct BatchKernel {
-    sparse: Option<BatchSparse>,
+struct BatchKernel<'a> {
+    sparse: Option<BatchSparse<'a>>,
     /// Set when the pattern could not be built or missed twice: every
     /// later lane goes to the scalar ladder.
     scalar_only: bool,
     pattern_misses: u32,
 }
 
-/// The lane state on one sparsity pattern: every lane stamps through the
-/// same scalar slot caches (same topology, same slot sequence) and is
-/// transposed into one lane-packed CSR matrix with a shared-pivot LU.
-struct BatchSparse {
-    /// Scalar stamping workspace: pattern, slot caches, value buffer.
-    sp: SparseState,
-    /// Lane-packed values on the identical pattern.
+/// One step of a batch's stamp program, in element order.
+#[derive(Debug, Clone, Copy)]
+enum Op<'a> {
+    /// Adds `v` at value slot `slot` in every lane: one matrix write of a
+    /// linear element, or the conditioning gmin on a node diagonal.
+    Mat(usize, f64),
+    /// Adds `v` to RHS row `row` in every lane: one RHS write of a linear
+    /// element.
+    Rhs(usize, f64),
+    /// A nonlinear element, stamped lane by lane at each lane's guess.
+    Nonlinear(Visit<'a>),
+}
+
+/// The lane state on one sparsity pattern: a lane-packed CSR matrix with
+/// a shared-pivot LU, and the stamp program that assembles every lane of
+/// it at once.
+///
+/// The program lists the circuit's elements in element order, then gmin.
+/// A linear element's writes do not depend on the guess or the lane, so
+/// they are recorded once, write by write, and each adds its value to
+/// every lane. A MOSFET is its device-table row, linearized per lane with
+/// that lane's [`Channel`]; any other nonlinear element is stamped per
+/// lane through [`Element::stamp`](crate::element::Element::stamp).
+/// Every slot thus receives its additions in the scalar
+/// [`System::assemble_sparse_full`] order, and each lane's matrix and RHS
+/// are bitwise that lane's scalar assembly.
+struct BatchSparse<'a> {
+    /// Lane-packed values on the batch's pattern.
     packed: CsrMatrix<F64x8>,
     /// Shared-pivot LU; pivot order frozen after the first full factor
     /// and replayed (masked) for every later iteration and group.
     lu: SparseLu<F64x8>,
     factored: bool,
-    /// Scalar RHS scratch: each lane stamps through the ordinary scalar
-    /// machinery, then transposes into the lane-packed buffers.
-    scratch_rhs: Vec<f64>,
+    /// The stamp program, compiled once per pattern.
+    ops: Vec<Op<'a>>,
+    /// Value slots of each device-table row's writes.
+    mos_slots: Vec<MosSlots>,
+    /// Each device-table row's channel in every lane of the current
+    /// group.
+    channels: Vec<[Channel; F64x8::LANES]>,
+    /// The recorded writes of one generic stamp.
+    writes: Vec<StampWrite>,
     packed_rhs: Vec<F64x8>,
     /// Raw lockstep Newton solution before damping.
     packed_x: Vec<F64x8>,
 }
 
-impl BatchKernel {
+impl<'a> BatchKernel<'a> {
     /// One lockstep damped-Newton DC solve over up to `F64x8::LANES`
     /// variants. `xs` holds the per-lane initial guesses in and the
     /// per-lane iterates out. Returns the mask of converged lanes, whose
@@ -284,12 +345,12 @@ impl BatchKernel {
     /// the scalar path.
     fn newton_lockstep(
         &mut self,
-        lanes: &mut Lanes<'_>,
+        lanes: &mut Lanes<'a>,
         group: Range<usize>,
         xs: &mut [Vec<f64>],
         opts: &NewtonOptions,
         tel: &Telemetry,
-    ) -> Result<u64, SpiceError> {
+    ) -> u64 {
         let k = group.len();
         debug_assert!((1..=F64x8::LANES).contains(&k));
         debug_assert_eq!(k, xs.len());
@@ -300,8 +361,9 @@ impl BatchKernel {
             self.scalar_only = self.sparse.is_none();
         }
         let Some(bs) = self.sparse.as_mut() else {
-            return Ok(0);
+            return 0;
         };
+        lanes.channels(group, &mut bs.channels);
         let mut converged_lanes = 0u64;
         let mut active: u64 = (1u64 << k) - 1;
         for _iter in 0..opts.max_iter {
@@ -313,9 +375,9 @@ impl BatchKernel {
                 c.batch_lane_slots += F64x8::LANES as u64;
                 c.batch_lanes_active += u64::from(active.count_ones());
             });
-            let newly_dead = match bs.iteration(lanes, group.clone(), xs, opts, active, tel) {
+            let newly_dead = match bs.iteration(&lanes.sys, k, xs, active, tel) {
                 Ok(d) => d,
-                Err(StepFail::GroupDead) => return Ok(converged_lanes),
+                Err(StepFail::GroupDead) => return converged_lanes,
                 Err(StepFail::PatternMiss) => {
                     // One rebuild allowance, as in the scalar driver,
                     // then scalar only. Either way this group has a
@@ -331,9 +393,8 @@ impl BatchKernel {
                              variant of this batch goes to the scalar ladder",
                         );
                     }
-                    return Ok(converged_lanes);
+                    return converged_lanes;
                 }
-                Err(StepFail::Hard(e)) => return Err(e),
             };
             // Per-lane convergence check + damping, the exact scalar
             // `newton_attempt` update replayed lane-wise.
@@ -358,24 +419,25 @@ impl BatchKernel {
             }
         }
         // Lanes still active exhausted the iteration budget: fallback.
-        Ok(converged_lanes)
+        converged_lanes
     }
 }
 
-impl BatchSparse {
+impl<'a> BatchSparse<'a> {
     /// Discovers the sparsity pattern from lane 0 (served from the
     /// topology cache when enabled, so a whole batch — and every batch
-    /// after it — derives the symbolic analysis at most once) and
-    /// builds the lane-packed CSR mirror. `None` when the pattern cannot
-    /// be built: the batch then goes to the scalar ladder.
-    fn build(sys: &System<'_>, x0: &[f64], opts: &NewtonOptions, tel: &Telemetry) -> Option<Self> {
+    /// after it — derives the symbolic analysis at most once), builds the
+    /// lane-packed CSR mirror and compiles the stamp program on it.
+    /// `None` when the pattern cannot be built or a linear element writes
+    /// outside it: the batch then goes to the scalar ladder.
+    fn build(sys: &System<'a>, x0: &[f64], opts: &NewtonOptions, tel: &Telemetry) -> Option<Self> {
         let _t = tel.timer(Phase::PatternDiscovery);
         let built = if opts.cache {
             cache::sparse_state_cached(sys, x0, StampMode::dc(), tel)
         } else {
             sys.build_sparse(x0, StampMode::dc())
         };
-        let bs = built.and_then(|sp| {
+        let bs = built.and_then(|mut sp| {
             // Rebuild the position list from lane 0's CSR; `from_pattern`
             // sorts and dedups, so the packed matrix gets the identical
             // slot layout and scalar value-slot indices transfer directly.
@@ -388,12 +450,16 @@ impl BatchSparse {
             }
             let packed = CsrMatrix::<F64x8>::from_pattern(dim, dim, &positions).ok()?;
             let lu = SparseLu::new(&packed).ok()?;
+            sys.bind_devices(&mut sp);
+            let ops = Self::compile(sys, &sp, opts.gmin)?;
             Some(BatchSparse {
-                sp,
                 packed,
                 lu,
                 factored: false,
-                scratch_rhs: Vec::with_capacity(dim),
+                ops,
+                mos_slots: sp.mos_slots,
+                channels: Vec::new(),
+                writes: Vec::new(),
                 packed_rhs: vec![F64x8::ZERO; dim],
                 packed_x: vec![F64x8::ZERO; dim],
             })
@@ -410,53 +476,112 @@ impl BatchSparse {
         bs
     }
 
-    /// One lockstep iteration: per-lane slot-cached assembly into the
-    /// scalar CSR workspace, lane packing of the value array, masked
-    /// frozen-pivot replay and substitution. Returns the lanes that died
-    /// during factorization.
-    fn iteration(
-        &mut self,
-        lanes: &mut Lanes<'_>,
-        group: Range<usize>,
-        xs: &[Vec<f64>],
-        opts: &NewtonOptions,
-        active: u64,
-        tel: &Telemetry,
-    ) -> Result<u64, StepFail> {
-        let k = group.len();
-        // Before the first full factorization the unused lanes (k..N)
-        // still hold zeros, which would wreck the shared pivot metric
-        // (min over *all* lanes). Mirror lane 0 into them once; after
-        // that every replay is masked and ignores non-live lanes.
-        let mirror_tail = !self.factored && k < F64x8::LANES;
-        for (l, v) in group.enumerate() {
-            if active & (1 << l) == 0 {
+    /// The stamp program of `sys` on the pattern of `sp`, with `gmin` on
+    /// the node diagonals last. A linear element is stamped once, in DC
+    /// mode with an empty guess (it promises never to read one), and its
+    /// writes are kept one by one: two writes to one slot are never
+    /// summed first, which would reassociate the slot's sum. `None` when
+    /// a linear write misses the pattern.
+    fn compile(sys: &System<'a>, sp: &SparseState, gmin: f64) -> Option<Vec<Op<'a>>> {
+        let mut ops = Vec::new();
+        let mut writes = Vec::new();
+        let mut visits = sys.guess_visits.iter();
+        for (idx, e) in sys.circuit().elements().enumerate() {
+            if e.as_mosfet().is_some() || e.is_nonlinear() {
+                ops.push(Op::Nonlinear(*visits.next()?));
                 continue;
             }
-            lanes
-                .load(v)
-                .assemble_sparse_full(
-                    &xs[l],
-                    StampMode::dc(),
-                    opts.gmin,
-                    &mut self.sp,
-                    &mut self.scratch_rhs,
-                )
-                .map_err(|e| match e {
-                    AttemptError::PatternMiss => StepFail::PatternMiss,
-                    AttemptError::Spice(err) => StepFail::Hard(err),
-                })?;
-            let mirror = mirror_tail && l == 0;
-            for (dst, &v) in self.packed.vals_mut().iter_mut().zip(self.sp.mat.vals()) {
-                dst.set_lane(l, v);
-                if mirror {
-                    for j in k..F64x8::LANES {
-                        dst.set_lane(j, v);
+            writes.clear();
+            let ctx = sys.ctx(idx, &[], StampMode::dc());
+            e.stamp(&ctx, &mut Stamper::record(&mut writes, sys.n_nodes()));
+            for &w in &writes {
+                ops.push(match w {
+                    StampWrite::Mat(r, c, v) => Op::Mat(sp.mat.find(r, c)?, v),
+                    StampWrite::Rhs(r, v) => Op::Rhs(r, v),
+                });
+            }
+        }
+        ops.extend(sp.diag_slots.iter().map(|&s| Op::Mat(s, gmin)));
+        Some(ops)
+    }
+
+    /// Runs the stamp program at the lanes' guesses `xs`: zeroes the
+    /// packed values and RHS, then adds every op. Only `active` lanes'
+    /// nonlinear elements are stamped; the other lanes hold the linear
+    /// part and gmin alone.
+    fn assemble(&mut self, sys: &System<'_>, xs: &[Vec<f64>], active: u64) -> Result<(), StepFail> {
+        self.packed.clear_vals();
+        self.packed_rhs.fill(F64x8::ZERO);
+        let lanes = || (0..F64x8::LANES).filter(move |l| active & (1 << l) != 0);
+        let mut hit = true;
+        for &op in &self.ops {
+            match op {
+                Op::Mat(s, v) => self.packed.vals_mut()[s] += F64x8::splat(v),
+                Op::Rhs(r, v) => self.packed_rhs[r] += F64x8::splat(v),
+                Op::Nonlinear(Visit::Mos(k)) => {
+                    let (dev, slots) = (&sys.mos[k], &self.mos_slots[k]);
+                    for l in lanes() {
+                        hit &= dev.stamp_lane(
+                            &self.channels[k][l],
+                            slots,
+                            &xs[l],
+                            l,
+                            self.packed.vals_mut(),
+                            &mut self.packed_rhs,
+                        );
+                    }
+                }
+                Op::Nonlinear(Visit::Element(idx, e)) => {
+                    for l in lanes() {
+                        self.writes.clear();
+                        let ctx = sys.ctx(idx, &xs[l], StampMode::dc());
+                        e.stamp(&ctx, &mut Stamper::record(&mut self.writes, sys.n_nodes()));
+                        for &w in &self.writes {
+                            let (x, v) = match w {
+                                StampWrite::Mat(r, c, v) => match self.packed.find(r, c) {
+                                    Some(s) => (&mut self.packed.vals_mut()[s], v),
+                                    None => {
+                                        hit = false;
+                                        continue;
+                                    }
+                                },
+                                StampWrite::Rhs(r, v) => (&mut self.packed_rhs[r], v),
+                            };
+                            x.set_lane(l, x.lane(l) + v);
+                        }
                     }
                 }
             }
-            for (dst, &v) in self.packed_rhs.iter_mut().zip(&self.scratch_rhs) {
-                dst.set_lane(l, v);
+        }
+        if hit {
+            Ok(())
+        } else {
+            Err(StepFail::PatternMiss)
+        }
+    }
+
+    /// One lockstep iteration over a group of `k` lanes: the stamp
+    /// program, masked frozen-pivot replay and substitution. Returns the
+    /// lanes that died during factorization.
+    fn iteration(
+        &mut self,
+        sys: &System<'_>,
+        k: usize,
+        xs: &[Vec<f64>],
+        active: u64,
+        tel: &Telemetry,
+    ) -> Result<u64, StepFail> {
+        self.assemble(sys, xs, active)?;
+        // Before the first full factorization the unused lanes (k..N)
+        // hold the linear part alone, which would wreck the shared pivot
+        // metric (min over *all* lanes). Mirror lane 0 into them once;
+        // after that every replay is masked and ignores non-live lanes.
+        if !self.factored && k < F64x8::LANES {
+            for v in self.packed.vals_mut() {
+                let v0 = v.lane(0);
+                for j in k..F64x8::LANES {
+                    v.set_lane(j, v0);
+                }
             }
         }
         let newly_dead = if self.factored {
@@ -535,7 +660,7 @@ fn op_batch_impl(
         let x0 = |v: usize| warm.get(v).map_or_else(|| vec![0.0; dim], |w| w.to_vec());
         xs.clear();
         xs.extend(group.clone().map(x0));
-        let converged = kernel.newton_lockstep(&mut lanes, group.clone(), &mut xs, opts, tel)?;
+        let converged = kernel.newton_lockstep(&mut lanes, group.clone(), &mut xs, opts, tel);
         for (l, v) in group.enumerate() {
             let fell_back = converged & (1 << l) == 0;
             if fell_back {
@@ -805,6 +930,100 @@ mod tests {
             assert_eq!(res.solution(v), s.solution(), "variant {v}");
         }
         assert_eq!(tel.report().counters.lane_fallbacks, n as u64);
+    }
+
+    /// One pass of the stamp program leaves every lane of an eight-lane
+    /// and a three-lane group with bitwise the matrix and RHS of the
+    /// scalar assembly of that lane's variant. The circuit mixes MOSFETs
+    /// with column cards (one of them a PMOS) and one without, grounded
+    /// terminals, and a diode, which takes the generic per-lane row; the
+    /// guesses put some devices in cutoff and swap drain and source on
+    /// others.
+    #[test]
+    fn stamp_program_matches_scalar_assembly_bit_for_bit() {
+        let mut ckt = Circuit::new();
+        let [vdd, inp, inn, outp, outn, tail, bias] =
+            ["vdd", "inp", "inn", "outp", "outn", "tail", "bias"].map(|n| ckt.node(n));
+        ckt.add(Vsource::dc("VDD", vdd, Circuit::GROUND, 1.8));
+        ckt.add(Vsource::dc("VBP", inp, Circuit::GROUND, 0.9));
+        ckt.add(Vsource::dc("VBN", inn, Circuit::GROUND, 0.9));
+        ckt.add(Resistor::new("RL1", vdd, outp, 500.0));
+        ckt.add(Diode::new("D2", vdd, outn, DiodeParams::default()));
+        ckt.add(Mosfet::new(
+            "M1",
+            outp,
+            inp,
+            tail,
+            Circuit::GROUND,
+            nmos_params(0.45, KP),
+        ));
+        ckt.add(Mosfet::new(
+            "M2",
+            outn,
+            inn,
+            tail,
+            Circuit::GROUND,
+            nmos_params(0.45, KP),
+        ));
+        let pmos = MosParams {
+            mos_type: MosType::Pmos,
+            ..nmos_params(0.5, 60e-6)
+        };
+        ckt.add(Mosfet::new("M4", bias, bias, vdd, vdd, pmos));
+        ckt.add(Resistor::new("RB", bias, Circuit::GROUND, 2e3));
+        ckt.add(Mosfet::new(
+            "M3",
+            tail,
+            bias,
+            Circuit::GROUND,
+            Circuit::GROUND,
+            nmos_params(0.4, KP),
+        ));
+        let n = 11;
+        let col = |f: fn(usize) -> f64| (0..n).map(f).collect();
+        let cols = ParamColumns::new(n)
+            .column("M1", MosField::Vth0, col(|v| 0.44 + 1e-3 * v as f64))
+            .column("M2", MosField::Kp, col(|v| KP * (1.0 + 0.03 * v as f64)))
+            .column("M4", MosField::Vth0, col(|v| 0.5 - 2e-3 * v as f64));
+        let mut lanes = Lanes::new(&ckt, &cols).unwrap();
+        let dim = lanes.sys.dim();
+        let opts = NewtonOptions::default();
+        let x0 = vec![0.0; dim];
+        let tel = Telemetry::disabled();
+        let mut bs = BatchSparse::build(lanes.load(0), &x0, &opts, &tel).unwrap();
+        let mut sp = lanes.sys.build_sparse(&x0, StampMode::dc()).unwrap();
+        let mut rhs = Vec::new();
+        // A guess per variant, spread over −0.4..2.0 V.
+        let guess = |v: usize| -> Vec<f64> {
+            (0..dim)
+                .map(|i| -0.4 + 2.4 * (((v * 7 + i * 13) % 17) as f64 / 16.0))
+                .collect()
+        };
+        for group in [0..8, 8..n] {
+            let xs: Vec<_> = group.clone().map(guess).collect();
+            lanes.channels(group.clone(), &mut bs.channels);
+            let active = (1 << group.len()) - 1;
+            assert!(bs.assemble(&lanes.sys, &xs, active).is_ok());
+            for (l, v) in group.enumerate() {
+                let scalar = lanes.load(v).assemble_sparse_full(
+                    &xs[l],
+                    StampMode::dc(),
+                    opts.gmin,
+                    &mut sp,
+                    &mut rhs,
+                );
+                assert!(scalar.is_ok(), "variant {v}: scalar pattern miss");
+                let lane =
+                    |p: &[F64x8]| -> Vec<u64> { p.iter().map(|p| p.lane(l).to_bits()).collect() };
+                let bits = |s: &[f64]| -> Vec<u64> { s.iter().map(|s| s.to_bits()).collect() };
+                assert_eq!(
+                    lane(bs.packed.vals()),
+                    bits(sp.mat.vals()),
+                    "variant {v} matrix"
+                );
+                assert_eq!(lane(&bs.packed_rhs), bits(&rhs), "variant {v} rhs");
+            }
+        }
     }
 
     /// The paper's four-stage limiting-amplifier chain: 18 unknowns.

@@ -322,8 +322,10 @@ pub(crate) struct System<'a> {
     branch_names: HashMap<String, usize>,
     /// Whether any element's stamp depends on the Newton guess.
     has_nonlinear: bool,
-    /// Per-element MOSFET card overrides, empty outside batched solves
-    /// ([`batch`] loads each lane's `vth0`/`kp` here before stamping it).
+    /// Per-element MOSFET card overrides, empty outside batched solves.
+    /// [`batch`] loads a variant's `vth0`/`kp` here to build its lane
+    /// channels, and before re-solving an evicted lane through the scalar
+    /// ladder, which is the only solve that stamps through them.
     cards: Vec<Option<crate::devices::mosfet::MosParams>>,
     /// The MOSFET device table: every MOSFET's row, in element order.
     /// The sparse transient guess-dependent pass reads it instead of

@@ -13,6 +13,7 @@
 use crate::circuit::NodeId;
 use crate::element::{AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, Stamper};
 use crate::lint::LintCode;
+use cml_numeric::LaneScalar;
 use std::fmt;
 
 /// Channel polarity.
@@ -376,22 +377,27 @@ pub(crate) struct MosDevice {
     channel: Channel,
 }
 
-/// Adds `v` at value slot `slot`. Returns `false` when the pattern lacks
-/// the position.
-fn add(vals: &mut [f64], slot: usize, v: f64) -> bool {
+/// Adds `v` to lane `lane` of `x`.
+fn add_lane<T: LaneScalar>(x: &mut T, lane: usize, v: f64) {
+    x.set_lane(lane, x.lane(lane) + v);
+}
+
+/// Adds `v` at lane `lane` of value slot `slot`. Returns `false` when the
+/// pattern lacks the position.
+fn add<T: LaneScalar>(vals: &mut [T], slot: usize, lane: usize, v: f64) -> bool {
     match vals.get_mut(slot) {
         Some(x) => {
-            *x += v;
+            add_lane(x, lane, v);
             true
         }
         None => slot != ABSENT_SLOT,
     }
 }
 
-/// Adds `v` to the RHS at `r` (dropped for ground).
-fn add_rhs(rhs: &mut [f64], r: Option<usize>, v: f64) {
+/// Adds `v` at lane `lane` of the RHS at `r` (dropped for ground).
+fn add_rhs<T: LaneScalar>(rhs: &mut [T], r: Option<usize>, lane: usize, v: f64) {
     if let Some(r) = r {
-        rhs[r] += v;
+        add_lane(&mut rhs[r], lane, v);
     }
 }
 
@@ -403,6 +409,11 @@ impl MosDevice {
             (Some(r), Some(c)) => find(r, c).unwrap_or(ABSENT_SLOT),
             _ => GROUND_SLOT,
         })
+    }
+
+    /// The channel of the device's own card.
+    pub(crate) fn channel(&self) -> Channel {
+        self.channel
     }
 
     fn v(&self, x: &[f64], t: usize) -> f64 {
@@ -419,8 +430,24 @@ impl MosDevice {
         vals: &mut [f64],
         rhs: &mut [f64],
     ) -> bool {
+        self.stamp_lane(&self.channel, slots, x, 0, vals, rhs)
+    }
+
+    /// [`stamp_channel`](Self::stamp_channel) with `channel` in place of
+    /// the device's own card, into lane `lane` of lane-packed CSR values
+    /// and RHS: the same writes in the same order, so each lane sums
+    /// exactly what a scalar stamp with that card would.
+    pub(crate) fn stamp_lane<T: LaneScalar>(
+        &self,
+        channel: &Channel,
+        slots: &MosSlots,
+        x: &[f64],
+        lane: usize,
+        vals: &mut [T],
+        rhs: &mut [T],
+    ) -> bool {
         let (vd, vg, vs) = (self.v(x, D), self.v(x, G), self.v(x, S));
-        let (swapped, stamp, ieq) = self.channel.linearize(vd, vg, vs);
+        let (swapped, stamp, ieq) = channel.linearize(vd, vg, vs);
         let (order, nd, ns) = if swapped {
             (SWAPPED, self.nodes[S], self.nodes[D])
         } else {
@@ -428,10 +455,10 @@ impl MosDevice {
         };
         let mut hit = true;
         for (k, v) in order.into_iter().zip(stamp) {
-            hit &= add(vals, slots[k], v);
+            hit &= add(vals, slots[k], lane, v);
         }
-        add_rhs(rhs, nd, -ieq);
-        add_rhs(rhs, ns, ieq);
+        add_rhs(rhs, nd, lane, -ieq);
+        add_rhs(rhs, ns, lane, ieq);
         hit
     }
 }

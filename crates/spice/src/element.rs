@@ -133,6 +133,15 @@ impl StampSlots {
     }
 }
 
+/// One write of a recording [`Stamper`], in call order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum StampWrite {
+    /// `v` added at matrix position `(row, col)`.
+    Mat(usize, usize, f64),
+    /// `v` added to the RHS at `row`.
+    Rhs(usize, f64),
+}
+
 /// Where matrix writes of a [`Stamper`] go.
 #[derive(Debug)]
 enum MatSink<'a> {
@@ -149,6 +158,9 @@ enum MatSink<'a> {
         mat: &'a mut CsrMatrix,
         slots: &'a mut StampSlots,
     },
+    /// Record every matrix *and* RHS write, with its value, in call
+    /// order; nothing is accumulated.
+    Record(&'a mut Vec<StampWrite>),
 }
 
 /// Write access to the real MNA matrix and right-hand side, with
@@ -219,6 +231,17 @@ impl<'a> Stamper<'a> {
         }
     }
 
+    /// Creates a stamper that records every non-ground matrix and RHS
+    /// write into `writes`, in call order, without summing any two: how
+    /// the batched solver replays a stamp write by write.
+    pub(crate) fn record(writes: &'a mut Vec<StampWrite>, n_nodes: usize) -> Self {
+        Stamper {
+            matrix: MatSink::Record(writes),
+            rhs: &mut [],
+            n_nodes,
+        }
+    }
+
     /// Row/column index of a branch unknown.
     #[must_use]
     pub fn branch(&self, branch: usize) -> usize {
@@ -234,6 +257,7 @@ impl<'a> Stamper<'a> {
             MatSink::Discard => {}
             MatSink::Dense(m) => m[(r, c)] += v,
             MatSink::Pattern(p) => p.push((r, c)),
+            MatSink::Record(w) => w.push(StampWrite::Mat(r, c, v)),
             MatSink::Sparse { mat, slots } => {
                 let cur = slots.cursor;
                 if let Some(&(er, ec, es)) = slots.seq.get(cur) {
@@ -264,7 +288,10 @@ impl<'a> Stamper<'a> {
     /// Adds `v` to the RHS at row `r` (ignored for ground).
     pub fn rhs(&mut self, r: Option<usize>, v: f64) {
         if let Some(r) = r {
-            self.rhs[r] += v;
+            match &mut self.matrix {
+                MatSink::Record(w) => w.push(StampWrite::Rhs(r, v)),
+                _ => self.rhs[r] += v,
+            }
         }
     }
 
@@ -635,9 +662,9 @@ pub trait Element: fmt::Debug + Send + Sync {
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>);
 
     /// [`stamp`](Element::stamp) with `card` (when given) in place of the
-    /// element's own MOSFET model card: how the batched solver varies
-    /// `vth0`/`kp` per lane over one circuit. Elements without a card
-    /// keep the default, which ignores it.
+    /// element's own MOSFET model card: how the batched solver's scalar
+    /// ladder re-solves an evicted lane with that lane's `vth0`/`kp`.
+    /// Elements without a card keep the default, which ignores it.
     fn stamp_with_card(
         &self,
         ctx: &StampCtx<'_>,

@@ -15,6 +15,10 @@
 # side and the pairs B won, then each side's median of the two raw
 # times. A normalized gain with a flat raw job time and a slower
 # calibration is a calibration-kernel shift, not a simulator speedup.
+# So it last prints, per pair, B's normalized `jobs_per_s` change beside
+# its raw wall job-median speed change (A's raw job time over B's, so a
+# positive figure is faster in both), counts the pairs whose two changes
+# disagree in sign, and warns when the two medians do.
 # Needs python3 for the JSON.
 set -eu
 
@@ -185,5 +189,30 @@ for s in "AB":
         continue
     job, cal = zip(*times)
     print(f"  {s}: job {quantile(job, 0.5):.3f}  calibration {quantile(cal, 0.5):.3f}")
+
+# Normalized against raw, pair by pair: a change that only the
+# calibration normalization shows has opposite signs here.
+print("jobs_per_s change (normalized) beside raw job speed change, B against A")
+norm, rawc = [], []
+for i in range(pairs):
+    a, b = result(f"A-{i}"), result(f"B-{i}")
+    ta, tb = raw(f"A-{i}"), raw(f"B-{i}")
+    if not (a and b and ta and tb):
+        print(f"  pair {i}: incomplete")
+        continue
+    n = b["metrics"]["jobs_per_s"]["value"] / a["metrics"]["jobs_per_s"]["value"] - 1
+    r = ta[0] / tb[0] - 1
+    norm.append(n)
+    rawc.append(r)
+    flag = "  signs disagree" if n * r < 0 else ""
+    print(f"  pair {i}: normalized {n:+.2%}  raw {r:+.2%}{flag}")
+if norm:
+    split = sum(1 for n, r in zip(norm, rawc) if n * r < 0)
+    print(f"  signs disagree in {split} of {len(norm)} pairs")
+    med_n, med_r = quantile(norm, 0.5), quantile(rawc, 0.5)
+    print(f"  medians: normalized {med_n:+.2%}  raw {med_r:+.2%}")
+    if med_n * med_r < 0:
+        print("  WARNING: the normalized and raw medians disagree in sign; "
+              "the normalized change may be a calibration-kernel shift")
 EOF
 echo "logs in $out"

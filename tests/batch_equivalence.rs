@@ -64,6 +64,29 @@ fn diff_pair(dvth: f64, vin: f64, kp_scale: f64) -> Circuit {
     ckt
 }
 
+/// [`diff_pair`] with diode loads in place of the resistors: the diodes
+/// are the batch's generic nonlinear elements, stamped lane by lane
+/// beside the MOSFETs' device-table rows.
+fn diode_pair(dvth: f64, vin: f64) -> Circuit {
+    let mut ckt = Circuit::new();
+    let vdd = ckt.node("vdd");
+    let outp = ckt.node("outp");
+    let outn = ckt.node("outn");
+    let tail = ckt.node("tail");
+    let inp = ckt.node("inp");
+    let inn = ckt.node("inn");
+    ckt.add(Vsource::dc("VDD", vdd, Circuit::GROUND, 1.8));
+    ckt.add(Vsource::dc("VBP", inp, Circuit::GROUND, 0.9 + vin));
+    ckt.add(Vsource::dc("VBN", inn, Circuit::GROUND, 0.9 - vin));
+    ckt.add(Diode::new("D1", vdd, outp, DiodeParams::default()));
+    ckt.add(Diode::new("D2", vdd, outn, DiodeParams::default()));
+    let (m1, m2) = (nmos(0.45 + dvth / 2.0, KP), nmos(0.45 - dvth / 2.0, KP));
+    ckt.add(Mosfet::new("M1", outp, inp, tail, Circuit::GROUND, m1));
+    ckt.add(Mosfet::new("M2", outn, inn, tail, Circuit::GROUND, m2));
+    ckt.add(Isource::dc("IT", tail, Circuit::GROUND, 1e-3));
+    ckt
+}
+
 /// The pair's per-variant `(ΔV_TH, kp scale)` as parameter columns over
 /// `diff_pair(0.0, vin, 1.0)`, with the same arithmetic as [`diff_pair`].
 fn pair_columns(variants: &[(f64, f64)]) -> batch::ParamColumns {
@@ -120,6 +143,34 @@ proptest! {
             let opts = NewtonOptions { sparse_threshold, ..NewtonOptions::default() };
             for (v, &d) in dvths.iter().enumerate() {
                 let s = op::solve_with(&diff_pair(d, vin, 1.0), &opts, None).expect("scalar op");
+                for (a, b) in res.solution(v).iter().zip(s.solution()) {
+                    prop_assert!((a - b).abs() <= 1e-9,
+                        "threshold={} variant={} batched={} scalar={}",
+                        sparse_threshold, v, a, b);
+                }
+            }
+        }
+    }
+
+    /// [`batched_op_equals_scalar_mosfet`] on the diode-loaded pair: the
+    /// diodes take the batch's generic per-lane stamp, and the result
+    /// must still match the dense and the sparse scalar reference.
+    #[test]
+    fn batched_op_equals_scalar_diode_loaded(
+        dvths in prop::collection::vec(-10e-3..10e-3f64, 1..=20),
+        vin in -0.05..0.05f64,
+    ) {
+        let variants: Vec<(f64, f64)> = dvths.iter().map(|&d| (d, 1.0)).collect();
+        let res = batch::op_batch(
+            &diode_pair(0.0, vin), &pair_columns(&variants), &NewtonOptions::default(), &[],
+            &cml_spice::telemetry::Telemetry::disabled(),
+        ).expect("batched op");
+        prop_assert_eq!(res.len(), variants.len());
+        prop_assert_eq!(res.fallback_count(), 0);
+        for sparse_threshold in [usize::MAX, 1] {
+            let opts = NewtonOptions { sparse_threshold, ..NewtonOptions::default() };
+            for (v, &d) in dvths.iter().enumerate() {
+                let s = op::solve_with(&diode_pair(d, vin), &opts, None).expect("scalar op");
                 for (a, b) in res.solution(v).iter().zip(s.solution()) {
                     prop_assert!((a - b).abs() <= 1e-9,
                         "threshold={} variant={} batched={} scalar={}",

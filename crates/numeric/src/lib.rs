@@ -17,11 +17,11 @@
 //!   behind all three entry points ([`SparseLu::refactor`],
 //!   [`SparseLu::refactor_frozen`], [`SparseLu::refactor_frozen_masked`]);
 //!   they differ only in what a dead pivot does,
-//! * [`lanes`] — structure-of-arrays `f64` lane packs ([`F64s`]) with
-//!   per-lane pivot-death masks, letting that same replay kernel factor K
-//!   same-pattern matrices in lockstep
+//! * [`lanes`] — structure-of-arrays `f64` and complex lane packs
+//!   ([`F64s`], [`C64s`]) with per-lane pivot-death masks, letting that
+//!   same replay kernel factor K same-pattern matrices in lockstep
 //!   ([`SparseLu::refactor_frozen_masked`]) for batched Monte-Carlo
-//!   solves,
+//!   solves and for eight AC frequency points per replay,
 //! * [`fft`] — radix-2 complex FFT / inverse FFT plus real-signal helpers,
 //!   used to synthesize channel impulse responses from loss profiles,
 //! * [`interp`] — linear and monotone cubic (PCHIP) interpolation for
@@ -69,7 +69,7 @@ pub use complex::Complex64;
 pub use dense::{lu, ComplexMatrix, DenseMatrix, LuFactors};
 pub use error::NumericError;
 pub use interval::Interval;
-pub use lanes::{F64s, F64x2, F64x4, F64x8};
+pub use lanes::{C64s, C64x8, F64s, F64x2, F64x4, F64x8};
 pub use scalar::{LaneScalar, Scalar};
 pub use sparse_lu::{RefactorOutcome, SparseLu};
 

@@ -54,8 +54,10 @@ pub trait Scalar:
     fn finite(self) -> bool;
 }
 
-/// A [`Scalar`] that packs `LANES` independent `f64` problem instances
-/// into one value, structure-of-arrays style (see [`crate::lanes`]).
+/// A [`Scalar`] that packs `LANES` independent problem instances of the
+/// element field [`Elem`](Self::Elem) into one value, structure-of-arrays
+/// style (see [`crate::lanes`]): `f64` lanes for the batched DC solver,
+/// [`Complex64`] lanes for AC frequency points.
 ///
 /// Every arithmetic operator acts lane-wise — lane `i` of any result
 /// depends only on lane `i` of the operands — so running an elimination
@@ -69,6 +71,9 @@ pub trait Scalar:
 /// Masks are `u64` bitsets with bit `i` = lane `i`; bits at and above
 /// [`LANES`](Self::LANES) are ignored.
 pub trait LaneScalar: Scalar {
+    /// The scalar field of one lane.
+    type Elem: Scalar;
+
     /// Number of packed lanes.
     const LANES: usize;
 
@@ -76,29 +81,31 @@ pub trait LaneScalar: Scalar {
     const LANE_MASK: u64 = (1u64 << Self::LANES) - 1;
 
     /// Broadcasts one scalar into every lane.
-    fn splat(v: f64) -> Self;
+    fn splat(v: Self::Elem) -> Self;
 
     /// Reads lane `i` (must be `< LANES`).
-    fn lane(self, i: usize) -> f64;
+    fn lane(self, i: usize) -> Self::Elem;
 
     /// Writes lane `i` (must be `< LANES`).
-    fn set_lane(&mut self, i: usize, v: f64);
+    fn set_lane(&mut self, i: usize, v: Self::Elem);
 
     /// Lanes where the value is unusable as a pivot: bit `i` set when
-    /// lane `i` is non-finite or `|x_i| <= tol` (NaN compares unusable).
+    /// lane `i` is non-finite or `!(|x_i| > tol)` (NaN compares
+    /// unusable) — the unmasked replay's pivot guard, per lane.
     fn bad_mask(self, tol: f64) -> u64;
 
     /// Replaces the lanes selected by `mask` with `fill`, leaving the
     /// others untouched — used to overwrite a dead lane's pivot with a
     /// benign value so lockstep division never poisons live lanes.
     #[must_use]
-    fn heal(self, mask: u64, fill: f64) -> Self;
+    fn heal(self, mask: u64, fill: Self::Elem) -> Self;
 }
 
 /// `f64` is the trivial one-lane pack: lane masks degenerate to bit 0.
 /// This lets lockstep drivers be written once over [`LaneScalar`] and
 /// still instantiate a true scalar loop.
 impl LaneScalar for f64 {
+    type Elem = f64;
     const LANES: usize = 1;
 
     #[inline]

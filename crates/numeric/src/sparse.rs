@@ -306,6 +306,21 @@ impl<T: Scalar> CsrMatrix<T> {
         self.vals.fill(T::ZERO);
     }
 
+    /// A matrix over another scalar on this one's pattern, every value
+    /// zero: slot `i` of the result is the position of slot `i` here, so
+    /// value-slot indices transfer directly (a lane-packed mirror of a
+    /// scalar system).
+    #[must_use]
+    pub fn repacked<U: Scalar>(&self) -> CsrMatrix<U> {
+        CsrMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.clone(),
+            vals: vec![U::ZERO; self.vals.len()],
+        }
+    }
+
     /// Matrix–vector product `A·x`.
     ///
     /// # Errors

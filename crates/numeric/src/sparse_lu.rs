@@ -623,6 +623,54 @@ impl<T: Scalar> SparseLu<T> {
 }
 
 impl<T: LaneScalar> SparseLu<T> {
+    /// A lane-packed twin of the frozen factorization `reference`: the
+    /// same pattern, column order, pivot order and `L`/`U` patterns,
+    /// with the reference's factor values splatted into every lane. A
+    /// [`refactor_frozen_masked`](Self::refactor_frozen_masked) of the
+    /// twin then replays, in each lane, the elimination that
+    /// [`refactor_frozen`](Self::refactor_frozen) on the reference
+    /// performs, so each lane whose pivots survive gets bitwise the
+    /// factors and solution of the scalar replay of its values.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericError::DimensionMismatch`] if `reference` holds no
+    /// factorization yet.
+    pub fn frozen_twin(reference: &SparseLu<T::Elem>) -> Result<Self, NumericError> {
+        if !reference.factored {
+            return Err(NumericError::DimensionMismatch {
+                expected: "a frozen factorization (call factor first)".into(),
+                got: "unfactored SparseLu".into(),
+            });
+        }
+        let n = reference.n;
+        let splat = |v: &[T::Elem]| v.iter().map(|&x| T::splat(x)).collect();
+        Ok(SparseLu {
+            n,
+            cp: reference.cp.clone(),
+            cri: reference.cri.clone(),
+            cmap: reference.cmap.clone(),
+            q: reference.q.clone(),
+            pinv: reference.pinv.clone(),
+            prow: reference.prow.clone(),
+            lp: reference.lp.clone(),
+            li: reference.li.clone(),
+            lx: splat(&reference.lx),
+            up: reference.up.clone(),
+            ui: reference.ui.clone(),
+            ux: splat(&reference.ux),
+            x: vec![T::ZERO; n],
+            xi: vec![0; n],
+            stack: Vec::new(),
+            pstack: Vec::new(),
+            mark: vec![0; n],
+            mark_gen: 0,
+            work: vec![T::ZERO; n],
+            factored: true,
+            last_dead_pivot: None,
+        })
+    }
+
     /// Masked frozen replay for lane-packed scalars: like
     /// [`refactor_frozen`](Self::refactor_frozen), but a pivot that dies
     /// in *some* lanes kills only those lanes instead of the whole
@@ -669,7 +717,7 @@ impl<T: LaneScalar> SparseLu<T> {
                 });
             }
             Ok(if dead != 0 {
-                pivot.heal(dead, 1.0)
+                pivot.heal(dead, T::Elem::ONE)
             } else {
                 pivot
             })
@@ -1124,6 +1172,81 @@ mod tests {
         // Unfactored workspace is an API error, as in the unmasked path.
         let mut fresh = SparseLu::<F64x4>::new(&packed).unwrap();
         assert!(fresh.refactor_frozen_masked(&packed, 0b1111).is_err());
+    }
+
+    /// A `C64x8` twin of a frozen complex factorization replays eight
+    /// `G + jωC` points at once: every live lane's factors and solution
+    /// are bitwise the scalar `refactor_frozen` + `solve_into` at its ω,
+    /// and a lane whose pivot dies is reported without disturbing the
+    /// others.
+    #[test]
+    fn complex_twin_lanes_equal_scalar_replays_bit_for_bit() {
+        use crate::{C64x8, F64x8};
+        // An MNA-shaped system: the random node block as G, a capacitance
+        // on every node position as C, and a voltage-source branch (row
+        // and column n) whose diagonal is structurally zero.
+        let n = 18;
+        let node = random_system(n, 909).to_csr().unwrap();
+        let mut positions: Vec<(usize, usize)> = node.iter().map(|(r, c, _)| (r, c)).collect();
+        positions.extend([(3, n), (n, 3)]);
+        let pattern = CsrMatrix::<Complex64>::from_pattern(n + 1, n + 1, &positions).unwrap();
+        let mut st = 4242u64;
+        let (g, c): (Vec<f64>, Vec<f64>) = pattern
+            .iter()
+            .map(|(r, col, _)| {
+                if r == n || col == n {
+                    (1.0, 0.0)
+                } else {
+                    (node.get(r, col), 1e-12 * (1.5 + lcg(&mut st)))
+                }
+            })
+            .unzip();
+        let at = |omega: f64| {
+            let mut m = pattern.clone();
+            for ((v, &g), &c) in m.vals_mut().iter_mut().zip(&g).zip(&c) {
+                *v = Complex64::new(g, omega * c);
+            }
+            m
+        };
+        // Excitation only on the branch row: the RHS's structural zeros
+        // are zero in every lane.
+        let mut b = vec![Complex64::ZERO; n + 1];
+        b[n] = Complex64::ONE;
+        let mut reference = SparseLu::new(&pattern).unwrap();
+        reference
+            .factor(&at(2.0 * std::f64::consts::PI * 1e3))
+            .unwrap();
+        let omegas: [f64; 8] =
+            std::array::from_fn(|l| 2.0 * std::f64::consts::PI * 10f64.powi(l as i32 + 3));
+        let dead_lane = 5;
+        let mut packed = CsrMatrix::<C64x8>::from_pattern(n + 1, n + 1, &positions).unwrap();
+        for (s, v) in packed.vals_mut().iter_mut().enumerate() {
+            let im = F64x8::from_fn(|l| omegas[l]) * F64x8::splat(c[s]);
+            *v = C64x8::new(F64x8::splat(g[s]), im);
+            v.set_lane(dead_lane, Complex64::ZERO);
+        }
+        let mut twin = SparseLu::<C64x8>::frozen_twin(&reference).unwrap();
+        assert_eq!(
+            twin.refactor_frozen_masked(&packed, 0xff).unwrap(),
+            1 << dead_lane
+        );
+        let packed_b: Vec<C64x8> = b.iter().map(|&v| C64x8::splat(v)).collect();
+        let mut xs = vec![C64x8::ZERO; n + 1];
+        twin.solve_into(&packed_b, &mut xs).unwrap();
+        let lane_bits =
+            |v: &[C64x8], l: usize| bits(&v.iter().map(|z| z.lane(l)).collect::<Vec<_>>());
+        for (l, &omega) in omegas.iter().enumerate() {
+            if l == dead_lane {
+                continue;
+            }
+            let mut scalar = reference.clone();
+            scalar.refactor_frozen(&at(omega)).unwrap();
+            let mut x = vec![Complex64::ZERO; n + 1];
+            scalar.solve_into(&b, &mut x).unwrap();
+            assert_eq!(lane_bits(&twin.lx, l), bits(&scalar.lx), "lane {l} L");
+            assert_eq!(lane_bits(&twin.ux, l), bits(&scalar.ux), "lane {l} U");
+            assert_eq!(lane_bits(&xs, l), bits(&x), "lane {l} solution");
+        }
     }
 
     /// Every component's bit pattern, so comparisons see `-0.0` and NaN.

@@ -14,22 +14,30 @@
 //! `ω = 1`: by the [`Element::stamp_ac`](crate::element::Element::stamp_ac)
 //! contract the real parts are `G`, the imaginary parts are `C` and the
 //! RHS does not depend on `ω`. One reference factorization at the first
-//! frequency freezes the symbolic analysis and pivot order. Every point
-//! is then a load of `G + jωC` into the CSR values plus an in-place
-//! numeric refactorization and solve — no stamping, no DFS, no pivot
-//! search, no dense O(n³) elimination. The frequency grid is
-//! partitioned into chunks executed on `cml_runner::par_map`; each
-//! worker clones the reference state, so all points share one stamp and
-//! one pivot order and results are bit-identical for any thread count.
-//! A point whose frozen-pivot replay fails (a dead pivot) falls back to
-//! the dense solve for that point only — the self-heal ladder of the
+//! frequency freezes the symbolic analysis and pivot order. The
+//! frequency grid is partitioned into chunks of whole lane groups
+//! executed on `cml_runner::par_map`, and each chunk builds a lane
+//! mirror of the reference: the lane-packed CSR on the reference
+//! pattern, a [`C64x8`] twin of the frozen LU
+//! ([`SparseLu::frozen_twin`]) and the RHS in every lane. The points
+//! then go eight at a time into the lanes: a load of `G + jω_l·C` into
+//! lane `l` of the CSR values, one masked frozen-pivot replay
+//! ([`SparseLu::refactor_frozen_masked`]) and one solve serve the group —
+//! no stamping, no DFS, no pivot search, no dense O(n³) elimination —
+//! and each lane is bitwise the scalar replay at its `ω`. So all points
+//! share one stamp and one pivot order and results are bit-identical
+//! for any thread count and any lane position. A lane
+//! dies exactly where the scalar frozen replay of its point would fail
+//! (the masked pivot guard is the scalar one, per lane), and a point
+//! whose lane dies is solved dense — the self-heal ladder of the
 //! DC/transient sparse path, specialized to a sweep of independent
 //! solves.
 
 use super::{cache, AcSparseState, NewtonOptions, System};
 use crate::circuit::{Circuit, NodeId};
 use crate::SpiceError;
-use cml_numeric::{Complex64, ComplexMatrix};
+use cml_numeric::sparse::CsrMatrix;
+use cml_numeric::{C64x8, Complex64, ComplexMatrix, F64x8, LaneScalar, Scalar, SparseLu};
 use cml_telemetry::{Phase, Telemetry};
 
 /// Result of an AC sweep.
@@ -264,15 +272,17 @@ fn sweep_prechecked_impl(
     }
 
     // Chunked fan-out: big enough chunks to amortize the per-chunk
-    // workspace clone, small enough to load-balance. Chunking affects
-    // only scheduling — every point is a pure function of (x_op, f).
-    // Telemetry from each worker is recorded into a forked buffer and
-    // absorbed in chunk order below, so counter totals cannot depend on
-    // the thread count (per-point events only; nothing per-chunk).
+    // workspace clone, small enough to load-balance, and a whole number
+    // of lane groups. Chunking affects only scheduling — every point is a
+    // pure function of (x_op, f), whichever lane it lands in. Telemetry
+    // from each worker is recorded into a forked buffer and absorbed in
+    // chunk order below, so counter totals cannot depend on the thread
+    // count (per-point events only; nothing per-chunk).
     let chunk_len = freqs
         .len()
         .div_ceil(threads.max(1) * 4)
-        .max(8)
+        .next_multiple_of(C64x8::LANES)
+        .max(C64x8::LANES)
         .min(freqs.len().max(1));
     let chunks: Vec<&[f64]> = freqs.chunks(chunk_len).collect();
     let probe = tel.probe();
@@ -312,14 +322,56 @@ fn prepare_ac_sparse(sys: &System<'_>, x_op: &[f64], f0: f64, gmin: f64) -> Opti
     Some(sp)
 }
 
+/// The lane mirror of a sweep's reference state: the lane-packed CSR on
+/// the reference pattern, a [`C64x8`] twin of the frozen LU and the RHS
+/// splatted into every lane. Each chunk builds its own from the
+/// reference, in place of a clone of a shared one, so a worker holds
+/// one mirror at a time; it is never interned.
+struct AcLanes {
+    mat: CsrMatrix<C64x8>,
+    lu: SparseLu<C64x8>,
+    rhs: Vec<C64x8>,
+    x: Vec<C64x8>,
+}
+
+impl AcLanes {
+    fn new(state: &AcSparseState) -> Option<Self> {
+        Some(AcLanes {
+            mat: state.mat.repacked(),
+            lu: SparseLu::frozen_twin(&state.lu).ok()?,
+            rhs: state.rhs.iter().map(|&v| C64x8::splat(v)).collect(),
+            x: vec![C64x8::ZERO; state.rhs.len()],
+        })
+    }
+
+    /// Loads `G + jω_l·C` into lane `l`, each lane exactly
+    /// [`AcSparseState::load`] at its `ω`.
+    fn load(&mut self, state: &AcSparseState, omegas: F64x8) {
+        for ((v, &g), &c) in self.mat.vals_mut().iter_mut().zip(&state.g).zip(&state.c) {
+            *v = C64x8::new(F64x8::splat(g), omegas * F64x8::splat(c));
+        }
+    }
+
+    /// Replays the frozen factorization for the `live` lanes and solves
+    /// them; returns the lanes whose solution stands.
+    fn solve(&mut self, live: u64) -> u64 {
+        match self.lu.refactor_frozen_masked(&self.mat, live) {
+            Ok(dead) if self.lu.solve_into(&self.rhs, &mut self.x).is_ok() => live & !dead,
+            _ => 0,
+        }
+    }
+}
+
 /// Solves one chunk of frequency points, returning the flat solutions.
 ///
-/// Each chunk clones the reference state, so every point in every chunk
-/// loads `G + jωC` from the same stamp and replays the *same* frozen
-/// pivot order; a point whose replay fails (a dead pivot) is solved
-/// dense instead. Both make each point's result independent of the
-/// chunking, which is what guarantees bit-identical sweeps across thread
-/// counts.
+/// The points go eight at a time into the lanes of the chunk's lane
+/// mirror of the reference: one masked replay of its frozen pivot
+/// order and one solve serve the group, and each lane is bitwise the
+/// scalar replay at its `ω`. A lane dies exactly where the scalar replay
+/// of its point would fail (the masked guard is the scalar one per
+/// lane), so a point whose lane dies is solved dense. Every point's
+/// result is thus independent of the chunking and of its lane, which is
+/// what guarantees bit-identical sweeps across thread counts.
 fn solve_chunk(
     sys: &System<'_>,
     x_op: &[f64],
@@ -330,41 +382,49 @@ fn solve_chunk(
 ) -> Result<Vec<Complex64>, SpiceError> {
     let dim = sys.dim();
     let mut out = Vec::with_capacity(freqs.len() * dim);
-    let mut sp = reference.cloned();
+    let mut lanes = reference.and_then(AcLanes::new);
     let mut dense: Option<ComplexMatrix> = None;
     let mut x: Vec<Complex64> = vec![Complex64::ZERO; dim];
-    for &f in freqs {
-        let omega = 2.0 * std::f64::consts::PI * f;
-        let solved_sparse = match sp.as_mut() {
-            Some(sp) => {
-                let _t = tel.timer_fine(Phase::Refactor);
-                sp.load(omega);
-                sp.lu.refactor_frozen(&sp.mat).is_ok() && sp.lu.solve_into(&sp.rhs, &mut x).is_ok()
-            }
-            None => false,
-        };
-        // Per-point events only: counting anything per *chunk* here would
-        // make totals depend on the thread count via the partitioning.
-        tel.count(|c| {
-            c.ac_points += 1;
-            if solved_sparse {
-                c.ac_points_sparse += 1;
-            } else if sp.is_some() {
-                c.ac_point_fallbacks += 1;
-            }
-        });
-        if !solved_sparse {
-            if sp.is_some() {
-                tel.degradation(
-                    "ac-point-fallback",
-                    "an AC point's frozen-pivot replay failed (pivot \
-                     death); that point was solved dense",
-                );
-            }
-            let matrix = dense.get_or_insert_with(|| ComplexMatrix::zeros(dim, dim));
-            sys.solve_ac_into(x_op, omega, gmin, matrix, &mut x)?;
+    let omega = |f: f64| 2.0 * std::f64::consts::PI * f;
+    for group in freqs.chunks(C64x8::LANES) {
+        let mut solved = 0;
+        if let (Some(r), Some(ln)) = (reference, lanes.as_mut()) {
+            let _t = tel.timer_fine(Phase::Refactor);
+            ln.load(r, F64x8::from_fn(|l| omega(group[l.min(group.len() - 1)])));
+            solved = ln.solve((1 << group.len()) - 1);
         }
-        out.extend_from_slice(&x);
+        for (l, &f) in group.iter().enumerate() {
+            let solved_sparse = solved & (1 << l) != 0;
+            // Per-point events only: counting anything per *chunk* here
+            // would make totals depend on the thread count via the
+            // partitioning.
+            tel.count(|c| {
+                c.ac_points += 1;
+                if solved_sparse {
+                    c.ac_points_sparse += 1;
+                } else if reference.is_some() {
+                    c.ac_point_fallbacks += 1;
+                }
+            });
+            match &lanes {
+                Some(ln) if solved_sparse => {
+                    x.clear();
+                    x.extend(ln.x.iter().map(|v| v.lane(l)));
+                }
+                _ => {
+                    if reference.is_some() {
+                        tel.degradation(
+                            "ac-point-fallback",
+                            "an AC point's frozen-pivot replay failed (pivot \
+                             death); that point was solved dense",
+                        );
+                    }
+                    let matrix = dense.get_or_insert_with(|| ComplexMatrix::zeros(dim, dim));
+                    sys.solve_ac_into(x_op, omega(f), gmin, matrix, &mut x)?;
+                }
+            }
+            out.extend_from_slice(&x);
+        }
     }
     Ok(out)
 }

@@ -6,21 +6,26 @@
 //! perturbed MOSFET cards. [`op_batch`] takes that circuit once, plus
 //! [`ParamColumns`]: per-variant `vth0`/`kp` values of named MOSFETs,
 //! column-major. One MNA system, one lint precheck and one sparsity
-//! pattern serve every variant. A stamp program compiled once per
-//! pattern assembles every lane at once into a lane-packed CSR matrix:
-//! it walks the elements in element order, adding each linear element's
-//! recorded writes to all lanes, linearizing each MOSFET's device-table
-//! row per lane with the channel of that lane's column entries, and
-//! stamping any other nonlinear element per lane; gmin comes last. Every
-//! slot so sums in the scalar assembly's order, and each lane's matrix
-//! is bitwise its variant's scalar one. The matrix's pivot order is
-//! frozen after the first factorization and replayed across iterations
-//! and lane groups. Variants are packed eight at a time into the lanes
-//! of an [`F64x8`] (a batch that is not a multiple of eight runs its
-//! last group with the tail lanes masked off), and the damped-Newton
-//! driver tracks convergence **per lane**: a lane that converges freezes
-//! while the others keep iterating, and a lane whose frozen pivot dies
-//! or whose iterate diverges is quarantined by the masked LU entry point
+//! pattern serve every variant. Variants are packed eight at a time into
+//! the lanes of an [`F64x8`] (a batch that is not a multiple of eight
+//! runs its last group with the tail lanes masked off), and each group's
+//! iterates stay lane-packed for its whole lockstep. A stamp program
+//! compiled once per pattern assembles every lane at once into a
+//! lane-packed CSR matrix: it walks the elements in element order,
+//! adding each linear element's recorded writes to all lanes,
+//! linearizing each MOSFET's device-table row in all eight lanes at once
+//! with lane selects over the scalar square law (the lane channels are
+//! built once per group from the column entries), and stamping any other
+//! nonlinear element lane by lane from a scratch copy of its lane's
+//! iterate; gmin comes last. Every slot so sums in the scalar assembly's
+//! order, and each lane's matrix is bitwise its variant's scalar one. The
+//! matrix's pivot order is frozen after the first factorization and
+//! replayed across iterations and lane groups. The damped-Newton update
+//! and its convergence test run lane-wise on the packed vectors, each
+//! lane the scalar arithmetic, and the lockstep tracks convergence **per
+//! lane**: a lane that converges freezes while the others keep
+//! iterating, and a lane whose frozen pivot dies or whose iterate
+//! diverges is quarantined by the masked LU entry point
 //! ([`SparseLu::refactor_frozen_masked`]: the sparse LU's one replay
 //! kernel, the same one scalar and AC solves run, with a pivot guard
 //! that heals dead lanes) and re-solved through the scalar
@@ -38,9 +43,9 @@
 //! solver report.
 
 use super::op::solve_system;
-use super::{cache, newton_update, NewtonOptions, SparseState, System, Visit};
+use super::{cache, NewtonOptions, SparseState, System, Visit};
 use crate::circuit::{Circuit, NodeId};
-use crate::devices::mosfet::{Channel, MosParams, MosSlots};
+use crate::devices::mosfet::{check_kp, check_vth0, Channel, LaneChannel, MosParams, MosSlots};
 use crate::element::{DcTransfer, ElementKind, StampMode, StampWrite, Stamper};
 use crate::SpiceError;
 use cml_numeric::sparse::CsrMatrix;
@@ -64,6 +69,14 @@ impl MosField {
         match self {
             MosField::Vth0 => card.vth0 = v,
             MosField::Kp => card.kp = v,
+        }
+    }
+
+    /// The card validation rule of this one field.
+    fn check(self, v: f64) -> Result<(), String> {
+        match self {
+            MosField::Vth0 => check_vth0(v),
+            MosField::Kp => check_kp(v),
         }
     }
 }
@@ -214,11 +227,12 @@ impl<'a> Lanes<'a> {
                     cols.variants
                 )));
             }
-            let card = sys.cards[idx].get_or_insert(params);
+            // The base card is valid (`Mosfet::new` checks it), so a lane
+            // card is valid exactly when its one column value is.
+            sys.cards[idx].get_or_insert(params);
             for &v in values {
-                let mut lane = card.clone();
-                field.set(&mut lane, v);
-                lane.validate()
+                field
+                    .check(v)
                     .map_err(|m| invalid(format!("batch column {name}.{field:?}: {m}")))?;
             }
             resolved.push((idx, *field, values.as_slice()));
@@ -251,14 +265,19 @@ impl<'a> Lanes<'a> {
     /// Writes every device-table row's channel in each lane of `group`
     /// into `out`: the lane card's where a column names the device, the
     /// device's own card elsewhere and in the lanes past the group.
-    fn channels(&mut self, group: Range<usize>, out: &mut Vec<[Channel; F64x8::LANES]>) {
+    fn channels(&mut self, group: Range<usize>, out: &mut Vec<LaneChannel>) {
         out.clear();
-        out.extend(self.sys.mos.iter().map(|d| [d.channel(); F64x8::LANES]));
+        out.extend(
+            self.sys
+                .mos
+                .iter()
+                .map(|d| LaneChannel::splat(&d.channel())),
+        );
         for (l, v) in group.enumerate() {
             self.load(v);
             for &(k, idx) in &self.carded {
                 if let Some(card) = &self.sys.cards[idx] {
-                    out[k][l] = Channel::of(card);
+                    out[k].set_lane(l, &Channel::of(card));
                 }
             }
         }
@@ -327,9 +346,11 @@ struct BatchSparse<'a> {
     mos_slots: Vec<MosSlots>,
     /// Each device-table row's channel in every lane of the current
     /// group.
-    channels: Vec<[Channel; F64x8::LANES]>,
+    channels: Vec<LaneChannel>,
     /// The recorded writes of one generic stamp.
     writes: Vec<StampWrite>,
+    /// Each lane's iterate, unpacked for the generic stamps.
+    guesses: Vec<Vec<f64>>,
     packed_rhs: Vec<F64x8>,
     /// Raw lockstep Newton solution before damping.
     packed_x: Vec<F64x8>,
@@ -337,27 +358,27 @@ struct BatchSparse<'a> {
 
 impl<'a> BatchKernel<'a> {
     /// One lockstep damped-Newton DC solve over up to `F64x8::LANES`
-    /// variants. `xs` holds the per-lane initial guesses in and the
-    /// per-lane iterates out. Returns the mask of converged lanes, whose
-    /// entries are their solutions; every other lane was quarantined
-    /// (pivot death, divergence, iteration exhaustion or a pattern
-    /// miss), its entry is garbage, and the caller re-solves it through
-    /// the scalar path.
+    /// variants. `xs` holds the lane-packed initial guesses in and the
+    /// iterates out. Returns the mask of converged lanes, whose lanes of
+    /// `xs` are their solutions; every other lane was quarantined (pivot
+    /// death, divergence, iteration exhaustion or a pattern miss), its
+    /// lane is garbage, and the caller re-solves it through the scalar
+    /// path.
     fn newton_lockstep(
         &mut self,
         lanes: &mut Lanes<'a>,
         group: Range<usize>,
-        xs: &mut [Vec<f64>],
+        xs: &mut [F64x8],
         opts: &NewtonOptions,
         tel: &Telemetry,
     ) -> u64 {
         let k = group.len();
         debug_assert!((1..=F64x8::LANES).contains(&k));
-        debug_assert_eq!(k, xs.len());
         let n_nodes = lanes.sys.n_nodes();
         let _t = tel.timer(Phase::BatchSolve);
         if !self.scalar_only && self.sparse.is_none() {
-            self.sparse = BatchSparse::build(lanes.load(group.start), &xs[0], opts, tel);
+            let x0: Vec<f64> = xs.iter().map(|x| x.lane(0)).collect();
+            self.sparse = BatchSparse::build(lanes.load(group.start), &x0, opts, tel);
             self.scalar_only = self.sparse.is_none();
         }
         let Some(bs) = self.sparse.as_mut() else {
@@ -397,30 +418,50 @@ impl<'a> BatchKernel<'a> {
                 }
             };
             // Per-lane convergence check + damping, the exact scalar
-            // `newton_attempt` update replayed lane-wise.
-            let packed_x = &bs.packed_x;
-            for (l, x) in xs.iter_mut().enumerate() {
-                let bit = 1u64 << l;
-                if active & bit == 0 {
-                    continue;
-                }
-                if newly_dead & bit != 0 {
-                    active &= !bit;
-                    continue;
-                }
-                let (converged, undamped, _) =
-                    newton_update(x, |i| packed_x[i].lane(l), n_nodes, opts);
-                if !x.iter().all(|v| v.is_finite()) {
-                    active &= !bit;
-                } else if converged && undamped {
-                    converged_lanes |= bit;
-                    active &= !bit;
-                }
-            }
+            // `newton_attempt` update on every live lane at once.
+            let live = active & !newly_dead;
+            let (failed, damped, non_finite) =
+                newton_update_lanes(xs, &bs.packed_x, live, n_nodes, opts);
+            active = live & !non_finite;
+            let done = active & !failed & !damped;
+            converged_lanes |= done;
+            active &= !done;
         }
         // Lanes still active exhausted the iteration budget: fallback.
         converged_lanes
     }
+}
+
+/// The damped Newton update of `super::newton_update` on every lane of
+/// the packed iterate `x` toward the raw solution `x_new` at once, each
+/// lane performing exactly the scalar arithmetic. Only the `live` lanes
+/// of `x` take the result. Returns the masks of the live lanes that
+/// missed a tolerance, that a clamp damped, and whose new iterate holds
+/// a non-finite entry.
+fn newton_update_lanes(
+    x: &mut [F64x8],
+    x_new: &[F64x8],
+    live: u64,
+    n_nodes: usize,
+    opts: &NewtonOptions,
+) -> (u64, u64, u64) {
+    let (mut failed, mut damped, mut non_finite) = (0u64, 0u64, 0u64);
+    let (reltol, dust) = (F64x8::splat(opts.reltol), F64x8::splat(1e-15));
+    for (i, (xi, &xn)) in x.iter_mut().zip(x_new).enumerate() {
+        let delta = xn - *xi;
+        let (atol, clamp) = if i < n_nodes {
+            (opts.vntol, opts.max_step)
+        } else {
+            (opts.abstol, f64::INFINITY)
+        };
+        let tol = F64x8::splat(atol) + reltol * xi.abs().max(xn.abs());
+        failed |= delta.abs().mask(tol, |a, b| a > b);
+        let next = *xi + delta.clamp(-clamp, clamp);
+        damped |= (next - xn).abs().mask(dust, |a, b| a >= b);
+        non_finite |= next.non_finite_mask();
+        *xi = F64x8::select(live, next, *xi);
+    }
+    (failed & live, damped & live, non_finite & live)
 }
 
 impl<'a> BatchSparse<'a> {
@@ -438,17 +479,10 @@ impl<'a> BatchSparse<'a> {
             sys.build_sparse(x0, StampMode::dc())
         };
         let bs = built.and_then(|mut sp| {
-            // Rebuild the position list from lane 0's CSR; `from_pattern`
-            // sorts and dedups, so the packed matrix gets the identical
-            // slot layout and scalar value-slot indices transfer directly.
+            // Lane 0's slot layout, so scalar value-slot indices
+            // transfer directly.
             let dim = sp.mat.rows();
-            let mut positions = Vec::with_capacity(sp.mat.vals().len());
-            for r in 0..dim {
-                for i in sp.mat.row_ptr()[r]..sp.mat.row_ptr()[r + 1] {
-                    positions.push((r, sp.mat.col_idx()[i]));
-                }
-            }
-            let packed = CsrMatrix::<F64x8>::from_pattern(dim, dim, &positions).ok()?;
+            let packed: CsrMatrix<F64x8> = sp.mat.repacked();
             let lu = SparseLu::new(&packed).ok()?;
             sys.bind_devices(&mut sp);
             let ops = Self::compile(sys, &sp, opts.gmin)?;
@@ -460,6 +494,7 @@ impl<'a> BatchSparse<'a> {
                 mos_slots: sp.mos_slots,
                 channels: Vec::new(),
                 writes: Vec::new(),
+                guesses: vec![Vec::new(); F64x8::LANES],
                 packed_rhs: vec![F64x8::ZERO; dim],
                 packed_x: vec![F64x8::ZERO; dim],
             })
@@ -505,36 +540,43 @@ impl<'a> BatchSparse<'a> {
         Some(ops)
     }
 
-    /// Runs the stamp program at the lanes' guesses `xs`: zeroes the
-    /// packed values and RHS, then adds every op. Only `active` lanes'
-    /// nonlinear elements are stamped; the other lanes hold the linear
-    /// part and gmin alone.
-    fn assemble(&mut self, sys: &System<'_>, xs: &[Vec<f64>], active: u64) -> Result<(), StepFail> {
+    /// Runs the stamp program at the lane-packed guesses `xs`: zeroes
+    /// the packed values and RHS, then adds every op. Only `active`
+    /// lanes' nonlinear elements are stamped; the other lanes hold the
+    /// linear part and gmin alone. A MOSFET is linearized in all lanes at
+    /// once; any other nonlinear element is stamped lane by lane from a
+    /// scratch copy of that lane's guess.
+    fn assemble(&mut self, sys: &System<'_>, xs: &[F64x8], active: u64) -> Result<(), StepFail> {
         self.packed.clear_vals();
         self.packed_rhs.fill(F64x8::ZERO);
         let lanes = || (0..F64x8::LANES).filter(move |l| active & (1 << l) != 0);
+        let mut unpacked = false;
         let mut hit = true;
         for &op in &self.ops {
             match op {
                 Op::Mat(s, v) => self.packed.vals_mut()[s] += F64x8::splat(v),
                 Op::Rhs(r, v) => self.packed_rhs[r] += F64x8::splat(v),
                 Op::Nonlinear(Visit::Mos(k)) => {
-                    let (dev, slots) = (&sys.mos[k], &self.mos_slots[k]);
-                    for l in lanes() {
-                        hit &= dev.stamp_lane(
-                            &self.channels[k][l],
-                            slots,
-                            &xs[l],
-                            l,
-                            self.packed.vals_mut(),
-                            &mut self.packed_rhs,
-                        );
-                    }
+                    hit &= sys.mos[k].stamp_lanes(
+                        &self.channels[k],
+                        &self.mos_slots[k],
+                        xs,
+                        active,
+                        self.packed.vals_mut(),
+                        &mut self.packed_rhs,
+                    );
                 }
                 Op::Nonlinear(Visit::Element(idx, e)) => {
+                    if !unpacked {
+                        for l in lanes() {
+                            self.guesses[l].clear();
+                            self.guesses[l].extend(xs.iter().map(|x| x.lane(l)));
+                        }
+                        unpacked = true;
+                    }
                     for l in lanes() {
                         self.writes.clear();
-                        let ctx = sys.ctx(idx, &xs[l], StampMode::dc());
+                        let ctx = sys.ctx(idx, &self.guesses[l], StampMode::dc());
                         e.stamp(&ctx, &mut Stamper::record(&mut self.writes, sys.n_nodes()));
                         for &w in &self.writes {
                             let (x, v) = match w {
@@ -567,7 +609,7 @@ impl<'a> BatchSparse<'a> {
         &mut self,
         sys: &System<'_>,
         k: usize,
-        xs: &[Vec<f64>],
+        xs: &[F64x8],
         active: u64,
         tel: &Telemetry,
     ) -> Result<u64, StepFail> {
@@ -654,12 +696,14 @@ fn op_batch_impl(
     let mut kernel = BatchKernel::default();
     let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n);
     let mut fallbacks = Vec::with_capacity(n);
-    let mut xs: Vec<Vec<f64>> = Vec::new();
+    let mut xs = vec![F64x8::ZERO; dim];
     for start in (0..n).step_by(F64x8::LANES) {
         let group = start..n.min(start + F64x8::LANES);
-        let x0 = |v: usize| warm.get(v).map_or_else(|| vec![0.0; dim], |w| w.to_vec());
-        xs.clear();
-        xs.extend(group.clone().map(x0));
+        // Each lane starts from its warm start, or from zero without
+        // one, as do the lanes past the batch's end.
+        for (i, x) in xs.iter_mut().enumerate() {
+            *x = F64x8::from_fn(|l| warm.get(start + l).map_or(0.0, |w| w[i]));
+        }
         let converged = kernel.newton_lockstep(&mut lanes, group.clone(), &mut xs, opts, tel);
         for (l, v) in group.enumerate() {
             let fell_back = converged & (1 << l) == 0;
@@ -667,7 +711,7 @@ fn op_batch_impl(
                 tel.count(|c| c.lane_fallbacks += 1);
                 solutions.push(solve_system(lanes.load(v), opts, None, tel)?);
             } else {
-                solutions.push(std::mem::take(&mut xs[l]));
+                solutions.push(xs.iter().map(|x| x.lane(l)).collect());
             }
             fallbacks.push(fell_back);
         }
@@ -1001,9 +1045,12 @@ mod tests {
         };
         for group in [0..8, 8..n] {
             let xs: Vec<_> = group.clone().map(guess).collect();
+            let packed: Vec<_> = (0..dim)
+                .map(|i| F64x8::from_fn(|l| xs.get(l).map_or(0.0, |x| x[i])))
+                .collect();
             lanes.channels(group.clone(), &mut bs.channels);
             let active = (1 << group.len()) - 1;
-            assert!(bs.assemble(&lanes.sys, &xs, active).is_ok());
+            assert!(bs.assemble(&lanes.sys, &packed, active).is_ok());
             for (l, v) in group.enumerate() {
                 let scalar = lanes.load(v).assemble_sparse_full(
                     &xs[l],
@@ -1024,6 +1071,148 @@ mod tests {
                 assert_eq!(lane(&bs.packed_rhs), bits(&rhs), "variant {v} rhs");
             }
         }
+    }
+
+    /// The lane-wise MOSFET linearization and Newton update against
+    /// their scalar originals, bit for bit. The circuit has a
+    /// diode-connected PMOS load (gate on drain) and an NMOS with its
+    /// gate on its source, whose channel writes land twice in one slot
+    /// that a resistor has written before; the guesses swap drain and
+    /// source on both in the even lanes only.
+    /// The update sees a clamped node step, a branch step that is not
+    /// clamped, a NaN and a lane outside the live set.
+    #[test]
+    fn lane_linearization_matches_scalar_rows_bit_for_bit() {
+        let mut ckt = Circuit::new();
+        let [vdd, inp, out, load, mid] = ["vdd", "inp", "out", "load", "mid"].map(|n| ckt.node(n));
+        ckt.add(Vsource::dc("VDD", vdd, Circuit::GROUND, 1.8));
+        ckt.add(Vsource::dc("VIN", inp, Circuit::GROUND, 0.9));
+        // Resistors ahead of the two devices on the slots they write
+        // twice, so the order of those two adds shows in the bits.
+        ckt.add(Resistor::new("RL", load, vdd, 3e3));
+        ckt.add(Resistor::new("RO", out, Circuit::GROUND, 1e3));
+        ckt.add(Resistor::new("RMO", mid, out, 5e3));
+        let pmos = MosParams {
+            mos_type: MosType::Pmos,
+            ..nmos_params(0.5, 60e-6)
+        };
+        ckt.add(Mosfet::new("MP", load, load, vdd, vdd, pmos));
+        ckt.add(Mosfet::new(
+            "MG",
+            mid,
+            out,
+            out,
+            Circuit::GROUND,
+            nmos_params(0.4, KP),
+        ));
+        ckt.add(Mosfet::new(
+            "MN",
+            load,
+            inp,
+            mid,
+            Circuit::GROUND,
+            nmos_params(0.45, KP),
+        ));
+        ckt.add(Resistor::new("RM", mid, Circuit::GROUND, 2e3));
+        let n = 8;
+        let col = |f: fn(usize) -> f64| (0..n).map(f).collect();
+        let cols = ParamColumns::new(n)
+            .column("MP", MosField::Vth0, col(|v| 0.45 + 0.02 * v as f64))
+            .column("MG", MosField::Kp, col(|v| KP * (1.0 + 0.1 * v as f64)))
+            .column("MN", MosField::Vth0, col(|v| 0.3 + 0.05 * v as f64));
+        let mut lanes = Lanes::new(&ckt, &cols).unwrap();
+        let dim = lanes.sys.dim();
+        let opts = NewtonOptions::default();
+        let x0 = vec![0.0; dim];
+        let tel = Telemetry::disabled();
+        let mut bs = BatchSparse::build(lanes.load(0), &x0, &opts, &tel).unwrap();
+        let mut sp = lanes.sys.build_sparse(&x0, StampMode::dc()).unwrap();
+        let at = |node: NodeId| node.index().unwrap();
+        // Even lanes: `load` above `vdd` (the PMOS swaps) and `mid` below
+        // `out` (the gate-on-source NMOS swaps); odd lanes the reverse.
+        let guess = |l: usize| -> Vec<f64> {
+            let mut x: Vec<f64> = (0..dim).map(|i| 0.1 * ((l + 3 * i) % 7) as f64).collect();
+            let (up, down) = (0.05 * l as f64, 0.15 * l as f64);
+            x[at(vdd)] = 1.8;
+            x[at(inp)] = 0.6 + down;
+            if l.is_multiple_of(2) {
+                (x[at(load)], x[at(out)], x[at(mid)]) = (2.0 + up, 0.9 + up, 0.2);
+            } else {
+                (x[at(load)], x[at(out)], x[at(mid)]) = (0.7 + down, 0.3, 1.1 - up);
+            }
+            x
+        };
+        let xs: Vec<Vec<f64>> = (0..n).map(guess).collect();
+        // The device table lists the MOSFETs in element order.
+        for (row, d, g, s) in [(0, load, load, vdd), (1, mid, out, out)] {
+            let channel = lanes.sys.mos[row].channel();
+            for (l, x) in xs.iter().enumerate() {
+                let (swapped, _, _) = channel.linearize(x[at(d)], x[at(g)], x[at(s)]);
+                assert_eq!(swapped, l.is_multiple_of(2), "device {row} lane {l}");
+            }
+        }
+        let packed: Vec<F64x8> = (0..dim).map(|i| F64x8::from_fn(|l| xs[l][i])).collect();
+        lanes.channels(0..n, &mut bs.channels);
+        assert!(bs.assemble(&lanes.sys, &packed, 0xff).is_ok());
+        let mut rhs = Vec::new();
+        let bits = |s: &[f64]| -> Vec<u64> { s.iter().map(|s| s.to_bits()).collect() };
+        let lane =
+            |p: &[F64x8], l: usize| -> Vec<u64> { p.iter().map(|p| p.lane(l).to_bits()).collect() };
+        for (l, x) in xs.iter().enumerate() {
+            let scalar = lanes.load(l).assemble_sparse_full(
+                x,
+                StampMode::dc(),
+                opts.gmin,
+                &mut sp,
+                &mut rhs,
+            );
+            assert!(scalar.is_ok(), "lane {l}: scalar pattern miss");
+            assert_eq!(
+                lane(bs.packed.vals(), l),
+                bits(sp.mat.vals()),
+                "lane {l} matrix"
+            );
+            assert_eq!(lane(&bs.packed_rhs, l), bits(&rhs), "lane {l} rhs");
+        }
+
+        // The update: lane 1 steps a node past `max_step` (clamped), lane
+        // 2 steps the branch current (never clamped), lane 3 reads a NaN,
+        // lane 4 has converged, lane 7 is not live.
+        let n_nodes = lanes.sys.n_nodes();
+        assert!(dim > n_nodes, "the circuit needs a branch current");
+        let mut x_new = packed.clone();
+        for (i, v) in x_new.iter_mut().enumerate() {
+            *v = F64x8::from_fn(|l| match l {
+                1 if i == 0 => v.lane(l) + 2.0,
+                2 if i == n_nodes => v.lane(l) - 3.0,
+                3 if i == 1 => f64::NAN,
+                4 => v.lane(l) * (1.0 + 1e-9),
+                _ => v.lane(l) * 1.01 + 1e-4,
+            });
+        }
+        let live = 0x7f;
+        let mut updated = packed.clone();
+        let (failed, damped, non_finite) =
+            newton_update_lanes(&mut updated, &x_new, live, n_nodes, &opts);
+        for (l, x) in xs.iter().enumerate() {
+            let bit = 1u64 << l;
+            if live & bit == 0 {
+                assert_eq!(lane(&updated, l), bits(x), "lane {l} is not live");
+                continue;
+            }
+            let mut scalar = x.clone();
+            let (converged, undamped, _) =
+                super::super::newton_update(&mut scalar, |i| x_new[i].lane(l), n_nodes, &opts);
+            assert_eq!(lane(&updated, l), bits(&scalar), "lane {l} iterate");
+            assert_eq!(failed & bit == 0, converged, "lane {l} convergence");
+            assert_eq!(damped & bit == 0, undamped, "lane {l} damping");
+            assert_eq!(
+                non_finite & bit != 0,
+                scalar.iter().any(|v| !v.is_finite()),
+                "lane {l}"
+            );
+        }
+        assert_eq!((failed & 0x10, damped & 0x2, non_finite), (0, 0x2, 0x8));
     }
 
     /// The paper's four-stage limiting-amplifier chain: 18 unknowns.
@@ -1138,6 +1327,26 @@ mod tests {
                 "{what}: {err}"
             );
         }
+    }
+
+    /// A bad column value is reported with the card rule of its field.
+    #[test]
+    fn column_errors_name_the_field_rule() {
+        let ckt = nominal();
+        let opts = NewtonOptions::default();
+        let message =
+            |cols: ParamColumns| match op_batch(&ckt, &cols, &opts, &[], &Telemetry::disabled()) {
+                Err(SpiceError::InvalidConfig { message }) => message,
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            };
+        assert_eq!(
+            message(ParamColumns::new(2).column("M1", MosField::Vth0, vec![0.45, -0.1])),
+            "batch column M1.Vth0: vth0 must be a non-negative magnitude, got -0.1"
+        );
+        assert_eq!(
+            message(ParamColumns::new(2).column("M2", MosField::Kp, vec![f64::NAN, KP])),
+            "batch column M2.Kp: kp must be positive, got NaN"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::circuit::NodeId;
 use crate::element::{AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, Stamper};
 use crate::lint::LintCode;
-use cml_numeric::LaneScalar;
+use cml_numeric::{F64x8, LaneScalar, Scalar};
 use std::fmt;
 
 /// Channel polarity.
@@ -73,6 +73,24 @@ pub struct MosParams {
     pub ldiff: f64,
 }
 
+/// [`MosParams::validate`]'s rule for `kp`.
+pub(crate) fn check_kp(kp: f64) -> Result<(), String> {
+    if kp > 0.0 && kp.is_finite() {
+        Ok(())
+    } else {
+        Err(format!("kp must be positive, got {kp}"))
+    }
+}
+
+/// [`MosParams::validate`]'s rule for `vth0`.
+pub(crate) fn check_vth0(vth0: f64) -> Result<(), String> {
+    if vth0.is_finite() && vth0 >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("vth0 must be a non-negative magnitude, got {vth0}"))
+    }
+}
+
 impl MosParams {
     /// Validates the parameter set, returning a message on violation.
     pub(crate) fn validate(&self) -> Result<(), String> {
@@ -82,15 +100,8 @@ impl MosParams {
         if !(self.l > 0.0 && self.l.is_finite()) {
             return Err(format!("length must be positive, got {}", self.l));
         }
-        if !(self.kp > 0.0 && self.kp.is_finite()) {
-            return Err(format!("kp must be positive, got {}", self.kp));
-        }
-        if !(self.vth0.is_finite() && self.vth0 >= 0.0) {
-            return Err(format!(
-                "vth0 must be a non-negative magnitude, got {}",
-                self.vth0
-            ));
-        }
+        check_kp(self.kp)?;
+        check_vth0(self.vth0)?;
         if !(self.lambda >= 0.0 && self.lambda.is_finite()) {
             return Err(format!("lambda must be non-negative, got {}", self.lambda));
         }
@@ -243,6 +254,73 @@ impl Channel {
     }
 }
 
+/// [`Channel`]'s constants in the eight lanes of a batch group: lane `l`
+/// holds the channel of that lane's card.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LaneChannel {
+    p: F64x8,
+    beta: F64x8,
+    vth0: F64x8,
+    lambda: F64x8,
+}
+
+impl LaneChannel {
+    /// `channel` in every lane.
+    pub(crate) fn splat(channel: &Channel) -> Self {
+        LaneChannel {
+            p: F64x8::splat(channel.p),
+            beta: F64x8::splat(channel.beta),
+            vth0: F64x8::splat(channel.vth0),
+            lambda: F64x8::splat(channel.lambda),
+        }
+    }
+
+    /// Puts `channel` into lane `l`.
+    pub(crate) fn set_lane(&mut self, l: usize, channel: &Channel) {
+        self.p.set_lane(l, channel.p);
+        self.beta.set_lane(l, channel.beta);
+        self.vth0.set_lane(l, channel.vth0);
+        self.lambda.set_lane(l, channel.lambda);
+    }
+
+    /// [`Channel::linearize`] in every lane at once: the swap, cutoff,
+    /// triode and saturation branches become lane selects over the
+    /// scalar's exact expressions, so each lane is bitwise the scalar
+    /// linearization of its channel at its voltages. Returns the mask of
+    /// swapped lanes, the six values in stamp order and the equivalent
+    /// current.
+    fn linearize(&self, vd: F64x8, vg: F64x8, vs: F64x8) -> (u64, [F64x8; 6], F64x8) {
+        let zero = F64x8::ZERO;
+        let p = self.p;
+        let vds_raw = p * (vd - vs);
+        let swapped = !vds_raw.mask(zero, |a, b| a >= b) & F64x8::LANE_MASK;
+        let vgs = F64x8::select(swapped, p * (vg - vd), p * (vg - vs));
+        let vds = F64x8::select(swapped, -vds_raw, vds_raw);
+        // Square law, normalized frame.
+        let (beta, lambda) = (self.beta, self.lambda);
+        let vov = vgs - self.vth0;
+        let on = !vov.mask(zero, |a, b| a <= b);
+        let clm = F64x8::ONE + lambda * vds;
+        let triode = vds.mask(vov, |a, b| a < b);
+        let half = F64x8::splat(0.5);
+        let core_t = vov * vds - half * vds * vds;
+        let core_s = half * vov * vov;
+        let core = F64x8::select(triode, core_t, core_s);
+        let ids = F64x8::select(on, beta * core * clm, zero);
+        let gm = F64x8::select(on, beta * F64x8::select(triode, vds, vov) * clm, zero);
+        let gds_t = beta * ((vov - vds) * clm + core_t * lambda);
+        let gds_s = beta * core_s * lambda;
+        let gds = F64x8::select(on, F64x8::select(triode, gds_t, gds_s), zero);
+        // Norton equivalent in the real frame.
+        let vde = F64x8::select(swapped, vs, vd);
+        let vse = F64x8::select(swapped, vd, vs);
+        let vals = [gm, gds, -(gm + gds), -gm, -gds, gm + gds];
+        let i_actual = p * ids;
+        let ieq = i_actual - gm * vg - gds * vde + (gm + gds) * vse;
+        (swapped, vals, ieq)
+    }
+}
+
 /// A four-terminal MOSFET instance (body terminal accepted for netlist
 /// fidelity; the Level-1 equations here use `gamma = 0`, so it only loads
 /// the circuit through junction capacitance).
@@ -353,7 +431,11 @@ const S: usize = 2;
 const POSITIONS: [(usize, usize); 6] = [(D, G), (D, D), (D, S), (S, G), (S, D), (S, S)];
 
 /// Slots the channel values go to when drain and source swap: the
-/// effective drain is `S`, so `(nd, g)` is `(S, G)`, and so on.
+/// effective drain is `S`, so `(nd, g)` is `(S, G)`, and so on. It is an
+/// involution, so it also names the value a swapped stamp puts at each
+/// slot, and it is increasing on the position pairs that can share a
+/// slot — `(0, 1)` and `(3, 4)` when gate is drain, `(0, 2)` and
+/// `(3, 5)` when gate is source.
 const SWAPPED: [usize; 6] = [3, 5, 4, 0, 2, 1];
 
 /// Value slot of a write with a grounded terminal: dropped.
@@ -377,27 +459,22 @@ pub(crate) struct MosDevice {
     channel: Channel,
 }
 
-/// Adds `v` to lane `lane` of `x`.
-fn add_lane<T: LaneScalar>(x: &mut T, lane: usize, v: f64) {
-    x.set_lane(lane, x.lane(lane) + v);
-}
-
-/// Adds `v` at lane `lane` of value slot `slot`. Returns `false` when the
-/// pattern lacks the position.
-fn add<T: LaneScalar>(vals: &mut [T], slot: usize, lane: usize, v: f64) -> bool {
+/// Adds `v` at value slot `slot`. Returns `false` when the pattern
+/// lacks the position.
+fn add(vals: &mut [f64], slot: usize, v: f64) -> bool {
     match vals.get_mut(slot) {
         Some(x) => {
-            add_lane(x, lane, v);
+            *x += v;
             true
         }
         None => slot != ABSENT_SLOT,
     }
 }
 
-/// Adds `v` at lane `lane` of the RHS at `r` (dropped for ground).
-fn add_rhs<T: LaneScalar>(rhs: &mut [T], r: Option<usize>, lane: usize, v: f64) {
+/// Adds `v` to the RHS at `r` (dropped for ground).
+fn add_rhs(rhs: &mut [f64], r: Option<usize>, v: f64) {
     if let Some(r) = r {
-        add_lane(&mut rhs[r], lane, v);
+        rhs[r] += v;
     }
 }
 
@@ -430,22 +507,7 @@ impl MosDevice {
         vals: &mut [f64],
         rhs: &mut [f64],
     ) -> bool {
-        self.stamp_lane(&self.channel, slots, x, 0, vals, rhs)
-    }
-
-    /// [`stamp_channel`](Self::stamp_channel) with `channel` in place of
-    /// the device's own card, into lane `lane` of lane-packed CSR values
-    /// and RHS: the same writes in the same order, so each lane sums
-    /// exactly what a scalar stamp with that card would.
-    pub(crate) fn stamp_lane<T: LaneScalar>(
-        &self,
-        channel: &Channel,
-        slots: &MosSlots,
-        x: &[f64],
-        lane: usize,
-        vals: &mut [T],
-        rhs: &mut [T],
-    ) -> bool {
+        let channel = &self.channel;
         let (vd, vg, vs) = (self.v(x, D), self.v(x, G), self.v(x, S));
         let (swapped, stamp, ieq) = channel.linearize(vd, vg, vs);
         let (order, nd, ns) = if swapped {
@@ -455,10 +517,49 @@ impl MosDevice {
         };
         let mut hit = true;
         for (k, v) in order.into_iter().zip(stamp) {
-            hit &= add(vals, slots[k], lane, v);
+            hit &= add(vals, slots[k], v);
         }
-        add_rhs(rhs, nd, lane, -ieq);
-        add_rhs(rhs, ns, lane, ieq);
+        add_rhs(rhs, nd, -ieq);
+        add_rhs(rhs, ns, ieq);
+        hit
+    }
+
+    /// [`stamp_channel`](Self::stamp_channel) in all eight lanes of a
+    /// lane-packed iterate, CSR values and RHS at once, lane `l` with
+    /// lane `l` of `channel`; lanes outside `active` add zero. A swapped
+    /// lane takes value `SWAPPED[j]` at slot position `j`. The writes go
+    /// in position order, which is the scalar write order on every pair
+    /// of positions that can share a slot (gate on drain or on source),
+    /// so each lane sums exactly what a scalar stamp with its card would.
+    /// Returns `false` on a pattern miss.
+    pub(crate) fn stamp_lanes(
+        &self,
+        channel: &LaneChannel,
+        slots: &MosSlots,
+        x: &[F64x8],
+        active: u64,
+        vals: &mut [F64x8],
+        rhs: &mut [F64x8],
+    ) -> bool {
+        let v = |t: usize| self.nodes[t].map_or(F64x8::ZERO, |i| x[i]);
+        let (swapped, stamp, ieq) = channel.linearize(v(D), v(G), v(S));
+        let live = |v: F64x8| F64x8::select(active, v, F64x8::ZERO);
+        let mut hit = true;
+        for (j, &slot) in slots.iter().enumerate() {
+            let value = live(F64x8::select(swapped, stamp[SWAPPED[j]], stamp[j]));
+            match vals.get_mut(slot) {
+                Some(x) => *x += value,
+                None => hit &= slot != ABSENT_SLOT,
+            }
+        }
+        // The effective drain takes −ieq and the effective source +ieq.
+        let ieq = live(ieq);
+        if let Some(d) = self.nodes[D] {
+            rhs[d] += F64x8::select(swapped, ieq, -ieq);
+        }
+        if let Some(s) = self.nodes[S] {
+            rhs[s] += F64x8::select(swapped, -ieq, ieq);
+        }
         hit
     }
 }

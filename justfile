@@ -51,6 +51,11 @@ perfbench-smoke:
 bench-pairs REV WORKLOAD N:
     sh scripts/bench_pairs.sh {{REV}} {{WORKLOAD}} {{N}}
 
+# Every `cml-bench` binary at the commit REV against the working tree:
+# byte-identical stdout (sweeps at `--threads 1`), one line per binary.
+bins-identical REV:
+    sh scripts/bins_identical.sh {{REV}}
+
 # Non-test lines of crates/spice and crates/numeric (each `.rs` file up
 # to its first `#[cfg(test)]` line), the size the roadmap tracks.
 loc:

@@ -25,6 +25,7 @@ use cml_pdk::Pdk018;
 use cml_spice::analysis::ac::{self, AcResult};
 use cml_spice::analysis::{op, NewtonOptions};
 use cml_spice::prelude::*;
+use cml_spice::telemetry::Telemetry;
 use proptest::prelude::*;
 
 fn equalizer_circuit() -> Circuit {
@@ -166,6 +167,49 @@ fn ac_parallel_is_bit_identical_to_serial() {
                         "{name}: node {raw} at point {idx} differs with {threads} threads"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The sweep solves its points eight to a lane group, so inserting one
+/// point `g` after `f0` moves every later point one lane over (and the
+/// last ones into the next group). Keeping `f0` first keeps the
+/// reference factorization and so the pivot order; every shifted point
+/// must then read the same bits, all of them solved on the sparse path.
+#[test]
+fn ac_point_does_not_depend_on_its_lane() {
+    let grid = logspace(1e6, 60e9, 21);
+    let (f0, rest) = (grid[0], &grid[1..]);
+    let g = 3.7e6;
+    let plain: Vec<f64> = std::iter::once(f0).chain(rest.iter().copied()).collect();
+    let shifted: Vec<f64> = [f0, g].into_iter().chain(rest.iter().copied()).collect();
+    let opts = NewtonOptions {
+        sparse_threshold: 1,
+        ..NewtonOptions::default()
+    };
+    for (name, ckt) in &seed_cells() {
+        let op = op::solve(ckt).expect("operating point");
+        let sweep = |freqs: &[f64]| {
+            let tel = Telemetry::enabled();
+            let res = ac::sweep_traced(ckt, op.solution(), freqs, &opts, 1, &tel).expect("ac");
+            let c = tel.report().counters;
+            assert_eq!(
+                c.ac_points_sparse,
+                freqs.len() as u64,
+                "{name}: a point left the lanes"
+            );
+            res
+        };
+        let (a, b) = (sweep(&plain), sweep(&shifted));
+        for raw in 1..=ckt.num_unknown_nodes() {
+            let node = NodeId::from_raw(raw as u32);
+            for idx in 1..plain.len() {
+                let (x, y) = (a.voltage(node, idx), b.voltage(node, idx + 1));
+                assert!(
+                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                    "{name}: node {raw} at point {idx} depends on its lane"
+                );
             }
         }
     }

@@ -31,9 +31,11 @@ pub struct GainStageConfig {
 }
 
 impl GainStageConfig {
-    /// The paper's limiting-amplifier gain stage: 2 mA tail, 300 Ω loads,
-    /// gain ≈ gm·R ≈ 3 per stage (four stages plus the equalizer and
-    /// buffers reach the 40 dB differential DC gain of Table I).
+    /// The limiting-amplifier gain stage as built: 4 mA tail, 350 Ω
+    /// loads and 0.25 V input overdrive, so gm·R = 16 mS · 350 Ω = 5.6
+    /// per stage on paper. At this point the stage's output common mode
+    /// puts the next stage's tail below ground; ROADMAP item 16
+    /// re-derives it under a tail-compliance check.
     #[must_use]
     pub fn paper_default() -> Self {
         GainStageConfig {

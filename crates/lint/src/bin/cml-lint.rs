@@ -1,17 +1,15 @@
-//! `cml-lint` — lint or statically analyze SPICE netlists (or the paper's
-//! generated blocks) without running any simulation.
+//! `cml-lint` — lint SPICE netlists (or the paper's generated blocks)
+//! without running any simulation.
 //!
 //! ```text
-//! cml-lint [analyze] [--format text|json|sarif] [--level error|warning|info]
+//! cml-lint [--format text|json|sarif] [--level error|warning|info]
 //!          [--builtin buffer|equalizer|bmvr|la|all] [--codes]
 //!          [FILES... | -]
 //! cml-lint forensics BUNDLE... [--format text|json] [--replay]
 //! ```
 //!
 //! The default mode runs the structural netlist linter (`L` codes). The
-//! `analyze` subcommand runs the abstract-interpretation circuit analyzer
-//! instead (`A` codes): interval operating-point bounds, conditioning
-//! prediction, and the stiffness spectrum. The `forensics` subcommand
+//! `forensics` subcommand
 //! validates and inspects the `CMLF` flight bundles the solver dumps on
 //! failure (`CML_FLIGHT_DIR`); with `--replay` it re-runs the recorded
 //! failure and checks the residual trajectory reproduces bit-for-bit.
@@ -22,10 +20,9 @@
 //! errors, 2 on usage or parse failure.
 
 use cml_lint::{
-    analysis_to_json, builtin_circuit, forensics, lint, parse_netlist, report_to_json, sarif,
-    LintCode, LintReport, Severity, BUILTIN_NAMES,
+    builtin_circuit, forensics, lint, parse_netlist, report_to_json, sarif, LintCode, LintReport,
+    Severity, BUILTIN_NAMES,
 };
-use cml_spice::analyze::{self, AnalysisReport, AnalyzeCode};
 use cml_spice::flight::FlightBundle;
 use cml_spice::Circuit;
 use serde::Value;
@@ -40,7 +37,6 @@ enum Format {
 }
 
 struct Options {
-    analyze: bool,
     format: Format,
     min: Severity,
     builtins: Vec<String>,
@@ -49,36 +45,34 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: cml-lint [analyze] [--format text|json|sarif] [--level error|warning|info]\n\
+    "usage: cml-lint [--format text|json|sarif] [--level error|warning|info]\n\
      \x20               [--builtin buffer|equalizer|bmvr|la|all] [--codes] [FILES... | -]"
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
-        analyze: false,
         format: Format::Text,
         min: Severity::Info,
         builtins: Vec::new(),
         files: Vec::new(),
         codes: false,
     };
-    let mut it = args.iter().enumerate();
-    while let Some((i, arg)) = it.next() {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
         match arg.as_str() {
-            "analyze" if i == 0 => opts.analyze = true,
-            "--format" => match it.next().map(|(_, s)| s.as_str()) {
+            "--format" => match it.next().map(String::as_str) {
                 Some("json") => opts.format = Format::Json,
                 Some("text") => opts.format = Format::Text,
                 Some("sarif") => opts.format = Format::Sarif,
                 other => return Err(format!("--format expects text|json|sarif, got {other:?}")),
             },
-            "--level" => match it.next().map(|(_, s)| s.as_str()) {
+            "--level" => match it.next().map(String::as_str) {
                 Some("error") => opts.min = Severity::Error,
                 Some("warning") => opts.min = Severity::Warning,
                 Some("info") => opts.min = Severity::Info,
                 other => return Err(format!("--level expects error|warning|info, got {other:?}")),
             },
-            "--builtin" => match it.next().map(|(_, s)| s.as_str()) {
+            "--builtin" => match it.next().map(String::as_str) {
                 Some("all") => opts
                     .builtins
                     .extend(BUILTIN_NAMES.iter().map(|s| (*s).to_string())),
@@ -104,25 +98,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn print_code_table(analyze_mode: bool) {
-    if analyze_mode {
-        for code in AnalyzeCode::ALL {
-            println!(
-                "{}  {:<7}  {}",
-                code.as_str(),
-                code.severity(),
-                code.title()
-            );
-        }
-    } else {
-        for code in LintCode::ALL {
-            println!(
-                "{}  {:<7}  {}",
-                code.as_str(),
-                code.severity(),
-                code.title()
-            );
-        }
+fn print_code_table() {
+    for code in LintCode::ALL {
+        println!(
+            "{}  {:<7}  {}",
+            code.as_str(),
+            code.severity(),
+            code.title()
+        );
     }
 }
 
@@ -144,38 +127,6 @@ fn lint_one(label: &str, ckt: &Circuit, opts: &Options) -> (bool, LintReport) {
             );
             print!("{body}");
         }
-    }
-    (had_errors, report)
-}
-
-/// Analyzes one named circuit; returns (had_errors, report).
-fn analyze_one(label: &str, ckt: &Circuit, opts: &Options) -> (bool, AnalysisReport) {
-    let report = analyze::analyze(ckt);
-    let had_errors = report.has_errors();
-    if opts.format == Format::Text {
-        let body = report.render(opts.min);
-        if body.is_empty() {
-            println!("{label}: clean");
-        } else {
-            println!(
-                "{label}: {} error(s), {} warning(s), {} info(s)",
-                report.count(Severity::Error),
-                report.count(Severity::Warning),
-                report.count(Severity::Info)
-            );
-            print!("{body}");
-        }
-        if let Some(s) = &report.stiffness {
-            println!(
-                "  spectrum: tau in [{:.3e}, {:.3e}] s over {} reactive node(s), dt0 ~ {:.3e} s",
-                s.tau_min, s.tau_max, s.reactive_nodes, s.recommended_dt
-            );
-        }
-        let c = &report.conditioning;
-        println!(
-            "  matrix: dim {} nnz {}, worst row spread {:.1e}",
-            c.dim, c.nnz, c.max_row_spread
-        );
     }
     (had_errors, report)
 }
@@ -353,7 +304,7 @@ fn main() -> ExitCode {
         }
     };
     if opts.codes {
-        print_code_table(opts.analyze);
+        print_code_table();
         if opts.files.is_empty() && opts.builtins.is_empty() {
             return ExitCode::SUCCESS;
         }
@@ -385,52 +336,27 @@ fn main() -> ExitCode {
     }
 
     let mut any_errors = false;
-    let rendered = if opts.analyze {
-        let mut reports = Vec::new();
-        for (label, ckt) in &inputs {
-            let (errs, report) = analyze_one(label, ckt, &opts);
-            any_errors |= errs;
-            reports.push((label.clone(), report));
-        }
-        match opts.format {
-            Format::Text => None,
-            Format::Json => Some(Value::Arr(
-                reports
-                    .iter()
-                    .map(|(label, r)| {
-                        let mut obj = vec![("input".to_string(), Value::Str(label.clone()))];
-                        if let Value::Obj(fields) = analysis_to_json(r, opts.min) {
-                            obj.extend(fields);
-                        }
-                        Value::Obj(obj)
-                    })
-                    .collect(),
-            )),
-            Format::Sarif => Some(sarif::analyze_to_sarif(&reports, opts.min)),
-        }
-    } else {
-        let mut reports = Vec::new();
-        for (label, ckt) in &inputs {
-            let (errs, report) = lint_one(label, ckt, &opts);
-            any_errors |= errs;
-            reports.push((label.clone(), report));
-        }
-        match opts.format {
-            Format::Text => None,
-            Format::Json => Some(Value::Arr(
-                reports
-                    .iter()
-                    .map(|(label, r)| {
-                        let mut obj = vec![("input".to_string(), Value::Str(label.clone()))];
-                        if let Value::Obj(fields) = report_to_json(r, opts.min) {
-                            obj.extend(fields);
-                        }
-                        Value::Obj(obj)
-                    })
-                    .collect(),
-            )),
-            Format::Sarif => Some(sarif::lint_to_sarif(&reports, opts.min)),
-        }
+    let mut reports = Vec::new();
+    for (label, ckt) in &inputs {
+        let (errs, report) = lint_one(label, ckt, &opts);
+        any_errors |= errs;
+        reports.push((label.clone(), report));
+    }
+    let rendered = match opts.format {
+        Format::Text => None,
+        Format::Json => Some(Value::Arr(
+            reports
+                .iter()
+                .map(|(label, r)| {
+                    let mut obj = vec![("input".to_string(), Value::Str(label.clone()))];
+                    if let Value::Obj(fields) = report_to_json(r, opts.min) {
+                        obj.extend(fields);
+                    }
+                    Value::Obj(obj)
+                })
+                .collect(),
+        )),
+        Format::Sarif => Some(sarif::lint_to_sarif(&reports, opts.min)),
     };
 
     if let Some(v) = rendered {

@@ -379,129 +379,6 @@ pub fn report_to_json(report: &LintReport, min: Severity) -> Value {
     ])
 }
 
-/// Converts one analyzer finding to a JSON value.
-#[must_use]
-pub fn finding_to_json(f: &cml_spice::analyze::Finding) -> Value {
-    Value::Obj(vec![
-        ("code".into(), Value::Str(f.code.as_str().into())),
-        ("severity".into(), Value::Str(f.severity().to_string())),
-        ("title".into(), Value::Str(f.code.title().into())),
-        (
-            "element".into(),
-            match &f.element {
-                Some(e) => Value::Str(e.clone()),
-                None => Value::Null,
-            },
-        ),
-        (
-            "nodes".into(),
-            Value::Arr(f.nodes.iter().map(|n| Value::Str(n.clone())).collect()),
-        ),
-        ("message".into(), Value::Str(f.message.clone())),
-        ("hint".into(), Value::Str(f.code.hint().into())),
-    ])
-}
-
-/// Converts a static-analysis report to a JSON value: node bounds, per-pass
-/// summaries, and the findings at or above `min`.
-#[must_use]
-pub fn analysis_to_json(report: &cml_spice::analyze::AnalysisReport, min: Severity) -> Value {
-    let num = |x: f64| {
-        if x.is_finite() {
-            Value::Num(x)
-        } else {
-            Value::Null // JSON has no ±inf; null marks an unbounded side
-        }
-    };
-    let bounds: Vec<Value> = report
-        .node_bounds
-        .iter()
-        .map(|b| {
-            Value::Obj(vec![
-                ("node".into(), Value::Str(b.node.clone())),
-                ("lo".into(), num(b.lo)),
-                ("hi".into(), num(b.hi)),
-            ])
-        })
-        .collect();
-    let mosfets: Vec<Value> = report
-        .mosfets
-        .iter()
-        .map(|m| {
-            Value::Obj(vec![
-                ("element".into(), Value::Str(m.element.clone())),
-                ("vgs_lo".into(), num(m.vgs.0)),
-                ("vgs_hi".into(), num(m.vgs.1)),
-                ("vds_lo".into(), num(m.vds.0)),
-                ("vds_hi".into(), num(m.vds.1)),
-                (
-                    "regions".into(),
-                    Value::Arr(
-                        m.regions()
-                            .iter()
-                            .map(|r| Value::Str((*r).into()))
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    let c = &report.conditioning;
-    let conditioning = Value::Obj(vec![
-        ("dim".into(), Value::Num(c.dim as f64)),
-        ("nnz".into(), Value::Num(c.nnz as f64)),
-        ("density".into(), num(c.density)),
-        ("max_row_spread".into(), num(c.max_row_spread)),
-        (
-            "worst_row".into(),
-            match &c.worst_row {
-                Some(r) => Value::Str(r.clone()),
-                None => Value::Null,
-            },
-        ),
-        (
-            "empty_rows".into(),
-            Value::Arr(c.empty_rows.iter().map(|r| Value::Str(r.clone())).collect()),
-        ),
-    ]);
-    let stiffness = match &report.stiffness {
-        Some(s) => Value::Obj(vec![
-            ("tau_min".into(), num(s.tau_min)),
-            ("tau_max".into(), num(s.tau_max)),
-            ("tau_min_node".into(), Value::Str(s.tau_min_node.clone())),
-            ("tau_max_node".into(), Value::Str(s.tau_max_node.clone())),
-            ("stiffness_ratio".into(), num(s.stiffness_ratio)),
-            ("recommended_dt".into(), num(s.recommended_dt)),
-            ("reactive_nodes".into(), Value::Num(s.reactive_nodes as f64)),
-        ]),
-        None => Value::Null,
-    };
-    let findings: Vec<Value> = report
-        .findings
-        .iter()
-        .filter(|f| f.severity() >= min)
-        .map(finding_to_json)
-        .collect();
-    Value::Obj(vec![
-        (
-            "fixpoint".into(),
-            Value::Obj(vec![
-                ("sweeps".into(), Value::Num(report.fixpoint.sweeps as f64)),
-                ("converged".into(), Value::Bool(report.fixpoint.converged)),
-                (
-                    "conflicts".into(),
-                    Value::Num(report.fixpoint.conflicts as f64),
-                ),
-            ]),
-        ),
-        ("node_bounds".into(), Value::Arr(bounds)),
-        ("mosfets".into(), Value::Arr(mosfets)),
-        ("conditioning".into(), conditioning),
-        ("stiffness".into(), stiffness),
-        ("findings".into(), Value::Arr(findings)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,17 +394,16 @@ mod tests {
 
     #[test]
     fn exported_netlists_reparse() {
-        use cml_spice::element::DcTransfer;
+        use cml_spice::element::ElementKind;
         for which in BUILTIN_NAMES {
             let ckt = builtin_circuit(which).expect("builtin");
             let text = ckt.netlist();
-            // Vcvs/Vccs render as comment cards and are exactly the
-            // elements with an opaque DC transfer (the output driver's
+            // Vcvs/Vccs render as comment cards (the output driver's
             // peaking Vccs, for instance); everything else must
             // round-trip through the exporter and parser.
             let concrete = ckt
                 .elements()
-                .filter(|e| !matches!(e.dc_transfer(), DcTransfer::Opaque))
+                .filter(|e| !matches!(e.kind(), ElementKind::Vcvs | ElementKind::Vccs))
                 .count();
             let reparsed =
                 parse_netlist(&text).unwrap_or_else(|e| panic!("reparse of '{which}' failed: {e}"));

@@ -1,17 +1,16 @@
-//! SARIF 2.1.0 rendering for lint and analysis reports.
+//! SARIF 2.1.0 rendering for lint reports.
 //!
-//! One run per invocation, one [rule] per stable diagnostic code — `L001`…
-//! for the netlist linter, `A001`… for the static analyzer — so that SARIF
-//! viewers (GitHub code scanning, VS Code) can group, filter, and suppress
-//! by code. Severities map `error → error`, `warning → warning`,
-//! `info → note`. Circuits have no file/line provenance, so findings carry
-//! [logical locations] (element and node names) instead of physical ones.
+//! One run per invocation and one [rule] per stable diagnostic code
+//! (`L001`…), so that SARIF viewers (GitHub code scanning, VS Code) can
+//! group, filter, and suppress by code. Severities map `error → error`,
+//! `warning → warning`, `info → note`. Circuits have no file/line
+//! provenance, so diagnostics carry [logical locations] (element and node
+//! names) instead of physical ones.
 //!
 //! [rule]: https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html#_Toc34317556
 //! [logical locations]: https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html#_Toc34317670
 
 use crate::{Diagnostic, LintCode, LintReport, Severity};
-use cml_spice::analyze::{AnalysisReport, AnalyzeCode, Finding};
 use serde::Value;
 
 fn level(sev: Severity) -> &'static str {
@@ -35,48 +34,6 @@ fn rule(id: &str, title: &str, hint: &str, sev: Severity) -> Value {
         (
             "defaultConfiguration".into(),
             Value::Obj(vec![("level".into(), Value::Str(level(sev).into()))]),
-        ),
-    ])
-}
-
-/// One SARIF `result` object. `input` labels which netlist/builtin the
-/// finding came from (SARIF has no native multi-input notion for logical
-/// locations, so it rides in `properties`).
-fn result(
-    input: &str,
-    code: &str,
-    sev: Severity,
-    message: &str,
-    element: Option<&str>,
-    nodes: &[String],
-) -> Value {
-    let mut logical = Vec::new();
-    if let Some(e) = element {
-        logical.push(Value::Obj(vec![
-            ("name".into(), Value::Str(e.into())),
-            ("kind".into(), Value::Str("element".into())),
-        ]));
-    }
-    for n in nodes {
-        logical.push(Value::Obj(vec![
-            ("name".into(), Value::Str(n.clone())),
-            ("kind".into(), Value::Str("node".into())),
-        ]));
-    }
-    Value::Obj(vec![
-        ("ruleId".into(), Value::Str(code.into())),
-        ("level".into(), Value::Str(level(sev).into())),
-        ("message".into(), text(message)),
-        (
-            "locations".into(),
-            Value::Arr(vec![Value::Obj(vec![(
-                "logicalLocations".into(),
-                Value::Arr(logical),
-            )])]),
-        ),
-        (
-            "properties".into(),
-            Value::Obj(vec![("input".into(), Value::Str(input.into()))]),
         ),
     ])
 }
@@ -106,26 +63,39 @@ fn sarif_log(rules: Vec<Value>, results: Vec<Value>) -> Value {
     ])
 }
 
+/// One SARIF `result` object. `input` labels which netlist/builtin the
+/// diagnostic came from (SARIF has no native multi-input notion for
+/// logical locations, so it rides in `properties`).
 fn diag_result(input: &str, d: &Diagnostic) -> Value {
-    result(
-        input,
-        d.code.as_str(),
-        d.severity(),
-        &d.message,
-        d.element.as_deref(),
-        &d.nodes,
-    )
-}
-
-fn finding_result(input: &str, f: &Finding) -> Value {
-    result(
-        input,
-        f.code.as_str(),
-        f.severity(),
-        &f.message,
-        f.element.as_deref(),
-        &f.nodes,
-    )
+    let mut logical = Vec::new();
+    if let Some(e) = &d.element {
+        logical.push(Value::Obj(vec![
+            ("name".into(), Value::Str(e.clone())),
+            ("kind".into(), Value::Str("element".into())),
+        ]));
+    }
+    for n in &d.nodes {
+        logical.push(Value::Obj(vec![
+            ("name".into(), Value::Str(n.clone())),
+            ("kind".into(), Value::Str("node".into())),
+        ]));
+    }
+    Value::Obj(vec![
+        ("ruleId".into(), Value::Str(d.code.as_str().into())),
+        ("level".into(), Value::Str(level(d.severity()).into())),
+        ("message".into(), text(&d.message)),
+        (
+            "locations".into(),
+            Value::Arr(vec![Value::Obj(vec![(
+                "logicalLocations".into(),
+                Value::Arr(logical),
+            )])]),
+        ),
+        (
+            "properties".into(),
+            Value::Obj(vec![("input".into(), Value::Str(input.into()))]),
+        ),
+    ])
 }
 
 /// SARIF log for a batch of linted inputs, one rule per `L` code.
@@ -138,26 +108,6 @@ pub fn lint_to_sarif(inputs: &[(String, LintReport)], min: Severity) -> Value {
     let results = inputs
         .iter()
         .flat_map(|(label, report)| report.at_least(min).map(|d| diag_result(label, d)))
-        .collect();
-    sarif_log(rules, results)
-}
-
-/// SARIF log for a batch of analyzed inputs, one rule per `A` code.
-#[must_use]
-pub fn analyze_to_sarif(inputs: &[(String, AnalysisReport)], min: Severity) -> Value {
-    let rules = AnalyzeCode::ALL
-        .iter()
-        .map(|c| rule(c.as_str(), c.title(), c.hint(), c.severity()))
-        .collect();
-    let results = inputs
-        .iter()
-        .flat_map(|(label, report)| {
-            report
-                .findings
-                .iter()
-                .filter(move |f| f.severity() >= min)
-                .map(|f| finding_result(label, f))
-        })
         .collect();
     sarif_log(rules, results)
 }

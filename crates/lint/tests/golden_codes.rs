@@ -164,6 +164,45 @@ fn l009_extreme_parameter() {
     assert_only(&ckt, LintCode::ExtremeParameter);
 }
 
+// L009 judges each value against its own unit: a 1 fF parasitic is
+// normal, a 1 fΩ resistor, a 1 zF capacitor or a 1 aH inductor is not.
+
+#[test]
+fn l009_femtofarad_parasitic_is_clean() {
+    let mut ckt = divider();
+    let out = ckt.node("out");
+    ckt.add(Capacitor::new("Cp", out, Circuit::GROUND, 1e-15)); // 1 fF
+    assert!(
+        lint(&ckt).is_clean(),
+        "1 fF parasitic must not fire L009:\n{}",
+        lint(&ckt).render(Severity::Info)
+    );
+}
+
+#[test]
+fn l009_femtoohm_resistor_fires() {
+    let mut ckt = divider();
+    let out = ckt.node("out");
+    ckt.add(Resistor::new("Rt", out, Circuit::GROUND, 1e-15)); // 1 fΩ typo
+    assert!(fired(&ckt).contains(&LintCode::ExtremeParameter));
+}
+
+#[test]
+fn l009_zeptofarad_capacitor_fires() {
+    let mut ckt = divider();
+    let out = ckt.node("out");
+    ckt.add(Capacitor::new("Cz", out, Circuit::GROUND, 1e-21));
+    assert!(fired(&ckt).contains(&LintCode::ExtremeParameter));
+}
+
+#[test]
+fn l009_attohenry_inductor_fires() {
+    let mut ckt = divider();
+    let out = ckt.node("out");
+    ckt.add(Inductor::new("Lz", out, Circuit::GROUND, 1e-18));
+    assert!(fired(&ckt).contains(&LintCode::ExtremeParameter));
+}
+
 #[test]
 fn l010_unreferenced_bias() {
     // A tail current source feeding a transistor whose gate network has

@@ -57,7 +57,6 @@ mod dense;
 mod error;
 pub mod fft;
 pub mod interp;
-pub mod interval;
 pub mod lanes;
 pub mod matching;
 mod scalar;
@@ -68,7 +67,6 @@ pub mod stats;
 pub use complex::Complex64;
 pub use dense::{lu, ComplexMatrix, DenseMatrix, LuFactors};
 pub use error::NumericError;
-pub use interval::Interval;
 pub use lanes::{C64s, C64x8, F64s, F64x2, F64x4, F64x8};
 pub use scalar::{LaneScalar, Scalar};
 pub use sparse_lu::{RefactorOutcome, SparseLu};

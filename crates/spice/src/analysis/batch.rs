@@ -46,7 +46,7 @@ use super::op::solve_system;
 use super::{cache, NewtonOptions, SparseState, System, Visit};
 use crate::circuit::{Circuit, NodeId};
 use crate::devices::mosfet::{check_kp, check_vth0, Channel, LaneChannel, MosParams, MosSlots};
-use crate::element::{DcTransfer, ElementKind, StampMode, StampWrite, Stamper};
+use crate::element::{StampMode, StampWrite, Stamper};
 use crate::SpiceError;
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{F64x8, LaneScalar, Scalar, SparseLu};
@@ -214,10 +214,7 @@ impl<'a> Lanes<'a> {
         let mut resolved = Vec::with_capacity(cols.columns.len());
         for (name, field, values) in &cols.columns {
             let found = ckt.elements().enumerate().find(|(_, e)| e.name() == name);
-            let Some((idx, DcTransfer::MosChannel { params, .. })) = found
-                .filter(|(_, e)| e.kind() == ElementKind::Mosfet)
-                .map(|(i, e)| (i, e.dc_transfer()))
-            else {
+            let Some((idx, mosfet)) = found.and_then(|(i, e)| Some((i, e.as_mosfet()?))) else {
                 return Err(invalid(format!("batch column on '{name}', not a MOSFET")));
             };
             if values.len() != cols.variants {
@@ -229,7 +226,7 @@ impl<'a> Lanes<'a> {
             }
             // The base card is valid (`Mosfet::new` checks it), so a lane
             // card is valid exactly when its one column value is.
-            sys.cards[idx].get_or_insert(params);
+            sys.cards[idx].get_or_insert_with(|| mosfet.params().clone());
             for &v in values {
                 field
                     .check(v)

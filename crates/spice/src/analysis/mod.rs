@@ -1210,7 +1210,6 @@ fn note_refactor(tel: &Telemetry, outcome: RefactorOutcome, dead_pivot: Option<(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::element::DcTransfer;
     use crate::prelude::*;
     use std::sync::Arc;
 
@@ -1468,10 +1467,10 @@ pub(crate) mod tests {
         // polarities conduct in both drain/source orientations.
         let mut seen = Vec::new();
         for m in ckt.elements().filter_map(|e| e.as_mosfet()) {
-            let DcTransfer::MosChannel { d, s, params, .. } = m.dc_transfer() else {
-                unreachable!("a MOSFET's DC transfer is its channel")
+            let [d, _, s, _] = m.nodes()[..] else {
+                unreachable!("a MOSFET has four terminals")
             };
-            let p = params.mos_type.polarity();
+            let p = m.params().mos_type.polarity();
             let on: Vec<_> = guesses
                 .iter()
                 .filter(|x| m.small_signal(*x).gm > 0.0)
@@ -1479,7 +1478,7 @@ pub(crate) mod tests {
             assert!(!on.is_empty(), "{} never conducts", m.name());
             for x in on {
                 let v = |n: NodeId| n.index().map_or(0.0, |i| x[i]);
-                seen.push((params.mos_type, p * (v(d) - v(s)) < 0.0));
+                seen.push((m.params().mos_type, p * (v(d) - v(s)) < 0.0));
             }
         }
         for mos_type in [MosType::Nmos, MosType::Pmos] {

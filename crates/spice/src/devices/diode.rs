@@ -5,7 +5,7 @@
 //! robustness, the standard SPICE trick.
 
 use crate::circuit::NodeId;
-use crate::element::{AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, Stamper};
+use crate::element::{AcStamper, DcCoupling, Element, ElementKind, StampCtx, Stamper};
 
 /// Maximum exponent argument before linear extrapolation takes over.
 const MAX_EXP_ARG: f64 = 40.0;
@@ -82,19 +82,13 @@ impl Diode {
     /// Current and conductance at junction voltage `v`.
     #[must_use]
     pub fn iv(&self, v: f64) -> (f64, f64) {
-        junction_iv(&self.params, v)
+        let p = &self.params;
+        let vt = crate::thermal_voltage(p.temp_c) * p.n;
+        let (e, de) = limited_exp(v / vt);
+        let i = p.is * (e - 1.0);
+        let g = p.is * de / vt;
+        (i, g)
     }
-}
-
-/// Current and conductance for a junction with `params` at voltage `v` —
-/// the exact curve the Newton stamps use, shared with the static analyzer so
-/// its interval bounds match the solver's model bit-for-bit.
-pub(crate) fn junction_iv(params: &DiodeParams, v: f64) -> (f64, f64) {
-    let vt = crate::thermal_voltage(params.temp_c) * params.n;
-    let (e, de) = limited_exp(v / vt);
-    let i = params.is * (e - 1.0);
-    let g = params.is * de / vt;
-    (i, g)
 }
 
 impl Element for Diode {
@@ -141,14 +135,6 @@ impl Element for Diode {
 
     fn dc_couplings(&self) -> Vec<DcCoupling> {
         vec![DcCoupling::Conductive(self.a, self.k)]
-    }
-
-    fn dc_transfer(&self) -> DcTransfer {
-        DcTransfer::Junction {
-            a: self.a,
-            k: self.k,
-            params: self.params.clone(),
-        }
     }
 
     fn card(&self, node_name: &dyn Fn(NodeId) -> String) -> String {

@@ -8,9 +8,7 @@ mod tests {
     use super::diode::{Diode, DiodeParams};
     use super::mosfet::{MosParams, MosType, Mosfet};
     use crate::circuit::NodeId;
-    use crate::element::{
-        AcStamper, DcTransfer, Element, Integration, StampCtx, StampMode, Stamper,
-    };
+    use crate::element::{AcStamper, Element, Integration, StampCtx, StampMode, Stamper};
     use cml_numeric::{Complex64, ComplexMatrix, DenseMatrix};
 
     /// Unknowns of the test system: four non-ground nodes, no branches.
@@ -151,10 +149,7 @@ mod tests {
             let mut m = ComplexMatrix::zeros(N, N);
             let mut rhs = vec![Complex64::ZERO; N];
             e.stamp_ac(&x, 0, 1.0, &mut AcStamper::new(&mut m, &mut rhs, N));
-            let card = match e.dc_transfer() {
-                DcTransfer::MosChannel { params, .. } => params,
-                other => panic!("a MOSFET's DC transfer is its channel, got {other:?}"),
-            };
+            let card = e.as_mosfet().expect("the first cases are MOSFETs").params();
             let mut want = DenseMatrix::zeros(N, N);
             let (d, g, s, b) = (0, 1, 2, 3);
             for (c, p, q) in [(card.cgs(), g, s), (card.cgd(), g, d), (card.cjunc(), d, b)] {

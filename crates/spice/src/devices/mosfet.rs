@@ -11,7 +11,7 @@
 //! constant across the simulation for robustness.
 
 use crate::circuit::NodeId;
-use crate::element::{AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, Stamper};
+use crate::element::{AcStamper, DcCoupling, Element, ElementKind, StampCtx, Stamper};
 use crate::lint::LintCode;
 use cml_numeric::{F64x8, LaneScalar, Scalar};
 use std::fmt;
@@ -355,6 +355,11 @@ impl Mosfet {
         }
     }
 
+    /// The device's model card.
+    pub(crate) fn params(&self) -> &MosParams {
+        &self.params
+    }
+
     /// Large-signal evaluation of `card` at the given terminal voltages
     /// (actual, un-normalized). Returns the evaluation in the normalized
     /// frame plus whether drain/source were swapped.
@@ -630,15 +635,6 @@ impl Element for Mosfet {
         // Only the channel conducts at DC: the gate is an open circuit
         // and the bulk junctions are modelled as capacitances only.
         vec![DcCoupling::Conductive(self.d, self.s)]
-    }
-
-    fn dc_transfer(&self) -> DcTransfer {
-        DcTransfer::MosChannel {
-            d: self.d,
-            g: self.g,
-            s: self.s,
-            params: self.params.clone(),
-        }
     }
 
     fn lint_self(&self) -> Vec<(LintCode, String)> {

@@ -509,73 +509,6 @@ pub enum DcCoupling {
     CurrentInjection(NodeId, NodeId),
 }
 
-/// Abstract DC transfer model of an element, consumed by the static
-/// analyzer ([`crate::analyze`]).
-///
-/// Where [`DcCoupling`] answers the linter's *structural* questions (is
-/// there a path?), `DcTransfer` carries the *quantitative* model the
-/// interval abstract interpretation needs: conductances, source values
-/// and full device cards. Elements outside this vocabulary report
-/// [`DcTransfer::Opaque`]; the analyzer then refuses to tighten any node
-/// they touch (sound, just imprecise) and flags the node `A001`.
-#[derive(Debug, Clone)]
-pub enum DcTransfer {
-    /// Linear conductance `g` siemens between `a` and `b`.
-    Conductance {
-        /// First terminal.
-        a: NodeId,
-        /// Second terminal.
-        b: NodeId,
-        /// Conductance, siemens.
-        g: f64,
-    },
-    /// Branch element forcing `v_a − v_b = v` at DC (voltage source with
-    /// its DC value, inductor with `v = 0`).
-    VoltageDefined {
-        /// Positive terminal.
-        a: NodeId,
-        /// Negative terminal.
-        b: NodeId,
-        /// Forced DC voltage difference, volts.
-        v: f64,
-    },
-    /// Independent DC current `i` flowing from `a` through the element
-    /// into `b` (SPICE convention: `i` leaves node `a`).
-    CurrentSource {
-        /// Terminal the current leaves.
-        a: NodeId,
-        /// Terminal the current enters.
-        b: NodeId,
-        /// DC current, amps.
-        i: f64,
-    },
-    /// No DC coupling at all (capacitor).
-    Open,
-    /// Square-law MOSFET channel between drain and source, gate sensing.
-    MosChannel {
-        /// Drain terminal.
-        d: NodeId,
-        /// Gate terminal.
-        g: NodeId,
-        /// Source terminal.
-        s: NodeId,
-        /// Full Level-1 model card.
-        params: MosParams,
-    },
-    /// Exponential diode junction from anode to cathode.
-    Junction {
-        /// Anode.
-        a: NodeId,
-        /// Cathode.
-        k: NodeId,
-        /// Diode model card.
-        params: crate::devices::diode::DiodeParams,
-    },
-    /// Element outside the analyzer's vocabulary; nodes it touches keep
-    /// their global envelope bounds.
-    Opaque,
-}
-
 /// A circuit element that can stamp itself into the MNA system.
 ///
 /// Implementors live in [`crate::elements`] and [`crate::devices`]. The
@@ -743,16 +676,6 @@ pub trait Element: fmt::Debug + Send + Sync {
     /// Used by the linter's bias-path heuristics.
     fn dc_source_value(&self) -> Option<f64> {
         None
-    }
-
-    /// Quantitative DC model for the static analyzer ([`crate::analyze`]).
-    ///
-    /// The default [`DcTransfer::Opaque`] is always sound: the analyzer
-    /// treats opaque elements as "could inject anything" and keeps the
-    /// global envelope on their nodes. Built-in elements override this
-    /// with their true transfer model so interval bounds stay tight.
-    fn dc_transfer(&self) -> DcTransfer {
-        DcTransfer::Opaque
     }
 
     /// Element-local sanity findings (degenerate connections, dead

@@ -1,9 +1,7 @@
 //! Independent voltage and current sources.
 
 use crate::circuit::NodeId;
-use crate::element::{
-    AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, StampMode, Stamper,
-};
+use crate::element::{AcStamper, DcCoupling, Element, ElementKind, StampCtx, StampMode, Stamper};
 use crate::lint::LintCode;
 use crate::waveform::Waveform;
 use cml_numeric::Complex64;
@@ -130,14 +128,6 @@ impl Element for Vsource {
         Some(self.waveform.dc_value())
     }
 
-    fn dc_transfer(&self) -> DcTransfer {
-        DcTransfer::VoltageDefined {
-            a: self.a,
-            b: self.b,
-            v: self.waveform.dc_value(),
-        }
-    }
-
     fn lint_self(&self) -> Vec<(LintCode, String)> {
         if matches!(self.waveform, Waveform::Dc(v) if v == 0.0) && self.ac_mag == 0.0 {
             vec![(
@@ -254,14 +244,6 @@ impl Element for Isource {
 
     fn dc_source_value(&self) -> Option<f64> {
         Some(self.waveform.dc_value())
-    }
-
-    fn dc_transfer(&self) -> DcTransfer {
-        DcTransfer::CurrentSource {
-            a: self.a,
-            b: self.b,
-            i: self.waveform.dc_value(),
-        }
     }
 
     fn lint_self(&self) -> Vec<(LintCode, String)> {

@@ -1,7 +1,7 @@
 //! Resistors, capacitors and inductors.
 
 use crate::circuit::NodeId;
-use crate::element::{AcStamper, DcCoupling, DcTransfer, Element, ElementKind, StampCtx, Stamper};
+use crate::element::{AcStamper, DcCoupling, Element, ElementKind, StampCtx, Stamper};
 use crate::lint::LintCode;
 use cml_numeric::Complex64;
 
@@ -71,14 +71,6 @@ impl Element for Resistor {
 
     fn dc_couplings(&self) -> Vec<DcCoupling> {
         vec![DcCoupling::Conductive(self.a, self.b)]
-    }
-
-    fn dc_transfer(&self) -> DcTransfer {
-        DcTransfer::Conductance {
-            a: self.a,
-            b: self.b,
-            g: 1.0 / self.ohms,
-        }
     }
 
     fn lint_self(&self) -> Vec<(LintCode, String)> {
@@ -170,10 +162,6 @@ impl Element for Capacitor {
 
     fn dc_couplings(&self) -> Vec<DcCoupling> {
         Vec::new() // open at DC
-    }
-
-    fn dc_transfer(&self) -> DcTransfer {
-        DcTransfer::Open
     }
 
     fn lint_self(&self) -> Vec<(LintCode, String)> {
@@ -288,14 +276,6 @@ impl Element for Inductor {
 
     fn dc_couplings(&self) -> Vec<DcCoupling> {
         vec![DcCoupling::VoltageDefined(self.a, self.b)] // DC short
-    }
-
-    fn dc_transfer(&self) -> DcTransfer {
-        DcTransfer::VoltageDefined {
-            a: self.a,
-            b: self.b,
-            v: 0.0,
-        }
     }
 
     fn lint_self(&self) -> Vec<(LintCode, String)> {

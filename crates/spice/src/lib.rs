@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod analyze;
 pub mod circuit;
 pub mod devices;
 pub mod element;
@@ -78,7 +77,6 @@ pub mod prelude {
         DenseSink, Tee, TranMeta, TranProbes, TranStats, WaveChunk, WaveSink,
     };
     pub use crate::analysis::tran::{self, TranConfig, TranResult};
-    pub use crate::analyze::{self, AnalysisReport, AnalyzeCode, Finding as AnalyzeFinding};
     pub use crate::circuit::{Circuit, NodeId};
     pub use crate::devices::diode::{Diode, DiodeParams};
     pub use crate::devices::mosfet::{MosParams, MosType, Mosfet};

@@ -195,16 +195,6 @@ pub struct Counters {
     /// Variants evicted from a batch (pivot death, divergence, or
     /// non-convergence) and re-solved on the scalar path.
     pub lane_fallbacks: u64,
-    /// Static-analysis runs (`cml_spice::analyze` full pass sweeps).
-    pub analyze_runs: u64,
-    /// Closed-loop prediction cross-checks executed: each comparison of
-    /// an `AnalysisReport` claim against a converged solution or the
-    /// runtime counters.
-    pub prediction_checks: u64,
-    /// Prediction cross-checks that failed (an A006 prediction-violation
-    /// finding was emitted). Must stay 0 on healthy circuits — the
-    /// analyzer's soundness contract.
-    pub prediction_violations: u64,
     /// Topology-cache artifacts served from the in-memory interner
     /// (`cml-cache`): a symbolic analysis, stamp pattern, factored AC
     /// reference state, or lint verdict was reused instead of
@@ -270,9 +260,6 @@ impl Default for Counters {
             batch_lane_slots: 0,
             batch_lanes_active: 0,
             lane_fallbacks: 0,
-            analyze_runs: 0,
-            prediction_checks: 0,
-            prediction_violations: 0,
             cache_hits: 0,
             cache_misses: 0,
             cache_validation_failures: 0,
@@ -317,9 +304,6 @@ impl Counters {
         self.batch_lane_slots += other.batch_lane_slots;
         self.batch_lanes_active += other.batch_lanes_active;
         self.lane_fallbacks += other.lane_fallbacks;
-        self.analyze_runs += other.analyze_runs;
-        self.prediction_checks += other.prediction_checks;
-        self.prediction_violations += other.prediction_violations;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_validation_failures += other.cache_validation_failures;
@@ -444,12 +428,6 @@ impl Counters {
             ("batch_lane_slots".into(), num(self.batch_lane_slots)),
             ("batch_lanes_active".into(), num(self.batch_lanes_active)),
             ("lane_fallbacks".into(), num(self.lane_fallbacks)),
-            ("analyze_runs".into(), num(self.analyze_runs)),
-            ("prediction_checks".into(), num(self.prediction_checks)),
-            (
-                "prediction_violations".into(),
-                num(self.prediction_violations),
-            ),
             ("cache_hits".into(), num(self.cache_hits)),
             ("cache_misses".into(), num(self.cache_misses)),
             (
@@ -499,13 +477,10 @@ pub enum Phase {
     /// factorization and per-lane convergence bookkeeping of one batch
     /// (coarse — one span per batch, not per iteration).
     BatchSolve,
-    /// Static-analysis passes (`cml_spice::analyze`): interval fixpoint,
-    /// conditioning envelope, stiffness spectrum and prediction checks.
-    Analyze,
 }
 
 /// Number of [`Phase`] variants (array backing for [`Timings`]).
-pub const N_PHASES: usize = 8;
+pub const N_PHASES: usize = 7;
 
 impl Phase {
     /// Stable index into [`Timings`] arrays.
@@ -519,7 +494,6 @@ impl Phase {
             Phase::Refactor => 4,
             Phase::BackSubstitute => 5,
             Phase::BatchSolve => 6,
-            Phase::Analyze => 7,
         }
     }
 
@@ -534,7 +508,6 @@ impl Phase {
             Phase::Refactor => "refactor",
             Phase::BackSubstitute => "back_substitute",
             Phase::BatchSolve => "batch_solve",
-            Phase::Analyze => "analyze",
         }
     }
 
@@ -547,7 +520,6 @@ impl Phase {
         Phase::Refactor,
         Phase::BackSubstitute,
         Phase::BatchSolve,
-        Phase::Analyze,
     ];
 }
 

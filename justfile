@@ -1,7 +1,7 @@
 # Development task runner. Same gates as .github/workflows/ci.yml.
 
 # Run every CI gate locally.
-ci: fmt-check clippy doc test test-release perfbench-smoke lint-circuits analyze-circuits perf-budgets-smoke
+ci: fmt-check clippy doc test test-release perfbench-smoke lint-circuits perf-budgets-smoke
 
 # Formatting gate.
 fmt-check:
@@ -34,13 +34,6 @@ test-release:
 lint-circuits:
     cargo run --release -p cml-lint --bin cml-lint -- --builtin all
 
-# Abstract-interpretation static analysis over every generated circuit
-# block: interval operating-point bounds, conditioning prediction and
-# the stiffness spectrum (fails on any error-level finding;
-# `cml-lint analyze --codes` documents the A-code table).
-analyze-circuits:
-    cargo run --release -p cml-lint --bin cml-lint -- analyze --builtin all
-
 # Benchmark smoke test: builds the benchmark against the current
 # crates and runs every workload at smoke size.
 perfbench-smoke:
@@ -61,7 +54,7 @@ bins-identical REV:
 loc:
     sh scripts/loc.sh
 
-# Timing budgets at smoke size (lint and analyzer cost vs a dense
+# Timing budgets at smoke size (lint precheck cost vs a dense
 # transient, batched vs scalar yield, warm vs cold cache).
 perf-budgets-smoke:
     cargo test --release -p cml-bench --test perf_budgets

@@ -13,8 +13,7 @@
 //! The budgets:
 //!
 //! * the lint precheck costs < 1 % of a dense fixed-step transient of
-//!   the PRBS-7 receive chain, and the static analyzer < 5 % (smoke,
-//!   8 bits) or < 1 % (full, 40 bits);
+//!   the PRBS-7 receive chain (smoke, 8 bits; full, 40 bits);
 //! * the batched Monte-Carlo yield engine is ≥ 3× the scalar ladder on
 //!   the four-stage chain, with the same yield table to ≤ 1e-9;
 //! * the warm topology cache is ≥ 1.05× (smoke) or ≥ 1.3× (full) the
@@ -38,9 +37,9 @@ use cml_sig::nrz::NrzConfig;
 use cml_sig::prbs::Prbs;
 use cml_spice::analysis::tran::{self, TranConfig};
 use cml_spice::analysis::{ac, op, NewtonOptions};
+use cml_spice::lint;
 use cml_spice::prelude::*;
 use cml_spice::telemetry::Telemetry;
-use cml_spice::{analyze, lint};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -179,33 +178,6 @@ fn lint_precheck_under_1pct_of_dense_transient() {
 fn lint_precheck_under_1pct_of_dense_transient_full() {
     let _g = lock();
     lint_precheck_gate(40, 200);
-}
-
-/// The static analyzer over the receive chain, averaged over `reps`,
-/// against one dense transient of it. The analyzer's cost is fixed per
-/// circuit while the 8-bit transient is a fifth of the 40-bit one, so
-/// the smoke budget is five times the full one.
-fn analyzer_gate(n_bits: usize, reps: usize, budget: f64) {
-    let (ckt, t_stop) = rx_chain(n_bits);
-    let analyze_ms = avg_ms(reps, || {
-        let _ = analyze::analyze(&ckt);
-    });
-    let dense_ms = dense_tran_ms(&ckt, t_stop);
-    assert_below("analyzer / dense transient", analyze_ms / dense_ms, budget);
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "timing gate: CI runs it in release")]
-fn analyzer_under_5pct_of_dense_transient() {
-    let _g = lock();
-    analyzer_gate(8, 20, 0.05);
-}
-
-#[test]
-#[ignore = "full-size timing gate: run with --include-ignored in release"]
-fn analyzer_under_1pct_of_dense_transient_full() {
-    let _g = lock();
-    analyzer_gate(40, 200, 0.01);
 }
 
 /// Transistor-level offset yield on the four-stage chain: one run of

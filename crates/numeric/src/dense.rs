@@ -108,6 +108,11 @@ impl DenseMatrix {
         &self.data
     }
 
+    /// Mutable row-major flat view of the entries (`data[r * cols + c]`).
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Adds `v` to entry `(r, c)` — the "stamping" primitive used by MNA.
     ///
     /// # Panics

@@ -186,11 +186,11 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Builds a CSR matrix with the given nonzero *pattern* and all values
     /// zero. Duplicate positions collapse to a single slot.
     ///
-    /// This is the entry point for stamp-pointer caching: the circuit
-    /// engine records every position an element ever writes, builds the
-    /// pattern once, and then re-stamps values into the reserved slots
-    /// (found via [`find`](Self::find)) on every Newton iteration or
-    /// AC frequency point.
+    /// This is how the circuit engine fixes a Jacobian's pattern: it
+    /// records every position an element ever writes, builds the pattern
+    /// once, and then re-stamps values into the reserved slots (found via
+    /// [`find`](Self::find), or bound once per device) on every Newton
+    /// iteration or AC sweep.
     ///
     /// # Errors
     ///

@@ -15,12 +15,12 @@
 //! adding each linear element's recorded writes to all lanes,
 //! linearizing each MOSFET's device-table row in all eight lanes at once
 //! with lane selects over the scalar square law (the lane channels are
-//! built once per group from the column entries), and stamping any other
-//! nonlinear element lane by lane from a scratch copy of its lane's
-//! iterate; gmin comes last. Every slot so sums in the scalar assembly's
-//! order, and each lane's matrix is bitwise its variant's scalar one. The
-//! matrix's pivot order is frozen after the first factorization and
-//! replayed across iterations and lane groups. The damped-Newton update
+//! read once per group from the rows each variant is loaded into), and
+//! stamping any other nonlinear element lane by lane from a scratch copy
+//! of its lane's iterate; gmin comes last. Every slot so sums in the
+//! scalar assembly's order, and each lane's matrix is bitwise its
+//! variant's scalar one. The matrix's pivot order is frozen after the
+//! first factorization and replayed across iterations and lane groups. The damped-Newton update
 //! and its convergence test run lane-wise on the packed vectors, each
 //! lane the scalar arithmetic, and the lockstep tracks convergence **per
 //! lane**: a lane that converges freezes while the others keep
@@ -29,9 +29,11 @@
 //! ([`SparseLu::refactor_frozen_masked`]: the sparse LU's one replay
 //! kernel, the same one scalar and AC solves run, with a pivot guard
 //! that heals dead lanes) and re-solved through the scalar
-//! `op::solve_system` homotopy ladder, which stamps the lane's cards
-//! through the system's card overrides — one bad variant never stalls
-//! or corrupts the batch. The ladder is
+//! `op::solve_system` homotopy ladder — one bad variant never stalls or
+//! corrupts the batch. A variant's cards live in the system's MOSFET
+//! device-table rows: loading a variant writes its channels there, the
+//! lane channels are read from them, and the ladder stamps from them,
+//! sparse or dense. The ladder is
 //! also the only degradation: a group whose stamps miss the pattern goes
 //! to it whole (the pattern is rebuilt once for the next group), and a
 //! batch whose pattern cannot be built or misses twice sends every later
@@ -195,26 +197,35 @@ pub fn op_batch(
     res
 }
 
-/// The one MNA system of a batch plus its columns resolved to element
-/// indices; [`Lanes::load`] puts one variant's cards into the system.
+/// The one MNA system of a batch plus its columns resolved to
+/// device-table rows; [`Lanes::load`] puts one variant's cards into the
+/// rows they vary.
 struct Lanes<'a> {
     sys: System<'a>,
+    /// `(index into cards, field, values)` of every column.
     cols: Vec<(usize, MosField, &'a [f64])>,
-    /// `(device-table row, element index)` of every MOSFET a column
-    /// names.
-    carded: Vec<(usize, usize)>,
+    /// `(device-table row, card)` of every MOSFET a column names, the
+    /// card holding the variant last loaded.
+    cards: Vec<(usize, MosParams)>,
+    /// Every row's channel of its own card, as [`System::new`] built it.
+    own: Vec<Channel>,
 }
 
 impl<'a> Lanes<'a> {
     /// Resolves and checks `cols` against `ckt`.
     fn new(ckt: &'a Circuit, cols: &'a ParamColumns) -> Result<Self, SpiceError> {
         let invalid = |message: String| SpiceError::InvalidConfig { message };
-        let mut sys = System::new(ckt);
-        sys.cards = vec![None; ckt.num_elements()];
+        let sys = System::new(ckt);
+        let mut cards: Vec<(usize, MosParams)> = Vec::new();
         let mut resolved = Vec::with_capacity(cols.columns.len());
         for (name, field, values) in &cols.columns {
-            let found = ckt.elements().enumerate().find(|(_, e)| e.name() == name);
-            let Some((idx, mosfet)) = found.and_then(|(i, e)| Some((i, e.as_mosfet()?))) else {
+            let found = ckt
+                .elements()
+                .zip(&sys.visits)
+                .find(|(e, _)| e.name() == name);
+            let Some((mosfet, &Visit::Mos(row))) =
+                found.and_then(|(e, visit)| Some((e.as_mosfet()?, visit)))
+            else {
                 return Err(invalid(format!("batch column on '{name}', not a MOSFET")));
             };
             if values.len() != cols.variants {
@@ -226,56 +237,51 @@ impl<'a> Lanes<'a> {
             }
             // The base card is valid (`Mosfet::new` checks it), so a lane
             // card is valid exactly when its one column value is.
-            sys.cards[idx].get_or_insert_with(|| mosfet.params().clone());
+            let card = match cards.iter().position(|&(r, _)| r == row) {
+                Some(card) => card,
+                None => {
+                    cards.push((row, mosfet.params().clone()));
+                    cards.len() - 1
+                }
+            };
             for &v in values {
                 field
                     .check(v)
                     .map_err(|m| invalid(format!("batch column {name}.{field:?}: {m}")))?;
             }
-            resolved.push((idx, *field, values.as_slice()));
+            resolved.push((card, *field, values.as_slice()));
         }
-        let carded = ckt
-            .elements()
-            .enumerate()
-            .filter(|(_, e)| e.as_mosfet().is_some())
-            .map(|(idx, _)| idx)
-            .enumerate()
-            .filter(|&(_, idx)| sys.cards[idx].is_some())
-            .collect();
+        let own = sys.mos.iter().map(|d| d.channel()).collect();
         Ok(Lanes {
             sys,
             cols: resolved,
-            carded,
+            cards,
+            own,
         })
     }
 
-    /// The system with variant `v`'s cards loaded.
+    /// The system with variant `v`'s cards loaded into the device-table
+    /// rows they vary.
     fn load(&mut self, v: usize) -> &System<'a> {
-        for &(idx, field, values) in &self.cols {
-            if let Some(card) = self.sys.cards[idx].as_mut() {
-                field.set(card, values[v]);
-            }
+        for &(card, field, values) in &self.cols {
+            field.set(&mut self.cards[card].1, values[v]);
+        }
+        for (row, card) in &self.cards {
+            self.sys.mos[*row].set_channel(Channel::of(card));
         }
         &self.sys
     }
 
     /// Writes every device-table row's channel in each lane of `group`
-    /// into `out`: the lane card's where a column names the device, the
-    /// device's own card elsewhere and in the lanes past the group.
+    /// into `out`: the lane variant's where a column names the device,
+    /// the device's own elsewhere and in the lanes past the group.
     fn channels(&mut self, group: Range<usize>, out: &mut Vec<LaneChannel>) {
         out.clear();
-        out.extend(
-            self.sys
-                .mos
-                .iter()
-                .map(|d| LaneChannel::splat(&d.channel())),
-        );
+        out.extend(self.own.iter().map(LaneChannel::splat));
         for (l, v) in group.enumerate() {
             self.load(v);
-            for &(k, idx) in &self.carded {
-                if let Some(card) = &self.sys.cards[idx] {
-                    out[k].set_lane(l, &Channel::of(card));
-                }
+            for &(row, _) in &self.cards {
+                out[row].set_lane(l, &self.sys.mos[row].channel());
             }
         }
     }
@@ -517,10 +523,13 @@ impl<'a> BatchSparse<'a> {
     fn compile(sys: &System<'a>, sp: &SparseState, gmin: f64) -> Option<Vec<Op<'a>>> {
         let mut ops = Vec::new();
         let mut writes = Vec::new();
-        let mut visits = sys.guess_visits.iter();
-        for (idx, e) in sys.circuit().elements().enumerate() {
-            if e.as_mosfet().is_some() || e.is_nonlinear() {
-                ops.push(Op::Nonlinear(*visits.next()?));
+        for &visit in &sys.visits {
+            let Visit::Element(idx, e) = visit else {
+                ops.push(Op::Nonlinear(visit));
+                continue;
+            };
+            if e.is_nonlinear() {
+                ops.push(Op::Nonlinear(visit));
                 continue;
             }
             writes.clear();
@@ -881,22 +890,28 @@ mod tests {
         }
     }
 
-    /// A pair whose `kp` is scaled by 1e-6 can only carry its tail
-    /// current with its source near −124 V: plain lockstep Newton, at
-    /// 0.5 V per step, exhausts `max_iter`, and the lane must fall back
-    /// to the scalar homotopy ladder. The healthy lanes converge in
-    /// lockstep and must be untouched. One sick lane sits in the full
-    /// first group, one in the masked tail group.
-    #[test]
-    fn lane_falls_back_to_scalar_ladder() {
-        let sick = [1, 9];
-        let cards: Vec<_> = (0..11)
+    /// Eleven skewed pairs, the `sick` ones with `kp` scaled by 1e-6: such
+    /// a pair can only carry its tail current with its source near
+    /// −124 V, and plain lockstep Newton, at 0.5 V per step, exhausts
+    /// `max_iter` on it.
+    fn sick_cards(sick: &[usize]) -> Vec<Cards> {
+        (0..11)
             .map(|i| {
                 let ((v1, k1), (v2, k2)) = skew(1e-3 * i as f64);
                 let s = if sick.contains(&i) { 1e-6 } else { 1.0 };
                 ((v1, k1 * s), (v2, k2 * s))
             })
-            .collect();
+            .collect()
+    }
+
+    /// A sick lane (see [`sick_cards`]) must fall back to the scalar
+    /// homotopy ladder. The healthy lanes converge in lockstep and must
+    /// be untouched. One sick lane sits in the full first group, one in
+    /// the masked tail group.
+    #[test]
+    fn lane_falls_back_to_scalar_ladder() {
+        let sick = [1, 9];
+        let cards = sick_cards(&sick);
         let ckt = nominal();
         let tel = Telemetry::enabled();
         let opts = NewtonOptions::default();
@@ -915,6 +930,28 @@ mod tests {
             );
         }
         for (v, &(m1, m2)) in cards.iter().enumerate() {
+            let s = op::solve_with(&diff_pair(m1, m2), &opts, None).unwrap();
+            assert_eq!(res.solution(v), s.solution(), "variant {v}");
+        }
+    }
+
+    /// An evicted lane re-solved through the dense scalar ladder
+    /// (`sparse_threshold = usize::MAX`) stamps its variant's cards from
+    /// the device-table rows, so it equals the dense scalar solve of the
+    /// circuit built with those cards, bit for bit.
+    #[test]
+    fn evicted_lane_on_the_dense_ladder_matches_its_circuit_bit_for_bit() {
+        let sick = [1, 9];
+        let cards = sick_cards(&sick);
+        let opts = NewtonOptions {
+            sparse_threshold: usize::MAX,
+            ..NewtonOptions::default()
+        };
+        let res = solve(&nominal(), &pair_columns(&cards), &opts);
+        assert_eq!(res.fallback_count(), sick.len());
+        for v in sick {
+            assert!(res.used_fallback(v), "variant {v} stayed in lockstep");
+            let (m1, m2) = cards[v];
             let s = op::solve_with(&diff_pair(m1, m2), &opts, None).unwrap();
             assert_eq!(res.solution(v), s.solution(), "variant {v}");
         }
@@ -973,15 +1010,42 @@ mod tests {
         assert_eq!(tel.report().counters.lane_fallbacks, n as u64);
     }
 
-    /// One pass of the stamp program leaves every lane of an eight-lane
-    /// and a three-lane group with bitwise the matrix and RHS of the
-    /// scalar assembly of that lane's variant. The circuit mixes MOSFETs
-    /// with column cards (one of them a PMOS) and one without, grounded
-    /// terminals, and a diode, which takes the generic per-lane row; the
-    /// guesses put some devices in cutoff and swap drain and source on
-    /// others.
-    #[test]
-    fn stamp_program_matches_scalar_assembly_bit_for_bit() {
+    fn bits(s: &[f64]) -> Vec<u64> {
+        s.iter().map(|s| s.to_bits()).collect()
+    }
+
+    fn lane_bits(p: &[F64x8], l: usize) -> Vec<u64> {
+        p.iter().map(|p| p.lane(l).to_bits()).collect()
+    }
+
+    /// The DC matrix values and RHS of `ckt` at guess `x` by generic
+    /// stamping: every element through `Element::stamp` into a sparse
+    /// stamper on the pattern of `packed`, then gmin.
+    fn generic_assembly(
+        ckt: &Circuit,
+        packed: &CsrMatrix<F64x8>,
+        x: &[f64],
+        gmin: f64,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let sys = System::new(ckt);
+        let mut sp = sys.build_sparse(x, StampMode::dc()).unwrap();
+        assert_eq!(
+            (sp.mat.row_ptr(), sp.mat.col_idx()),
+            (packed.row_ptr(), packed.col_idx())
+        );
+        let mut rhs = vec![0.0; sys.dim()];
+        let mut out = Stamper::sparse(&mut sp.mat, &mut rhs, sys.n_nodes());
+        sys.stamp_pass(&mut out, false, x, StampMode::dc());
+        assert!(!out.missed_pattern());
+        for &s in &sp.diag_slots {
+            sp.mat.vals_mut()[s] += gmin;
+        }
+        (bits(sp.mat.vals()), bits(&rhs))
+    }
+
+    /// The stamp program's circuit with the given M1 `vth0`, M2 `kp` and
+    /// M4 `vth0`.
+    fn program_circuit(m1_vth0: f64, m2_kp: f64, m4_vth0: f64) -> Circuit {
         let mut ckt = Circuit::new();
         let [vdd, inp, inn, outp, outn, tail, bias] =
             ["vdd", "inp", "inn", "outp", "outn", "tail", "bias"].map(|n| ckt.node(n));
@@ -996,7 +1060,7 @@ mod tests {
             inp,
             tail,
             Circuit::GROUND,
-            nmos_params(0.45, KP),
+            nmos_params(m1_vth0, KP),
         ));
         ckt.add(Mosfet::new(
             "M2",
@@ -1004,11 +1068,11 @@ mod tests {
             inn,
             tail,
             Circuit::GROUND,
-            nmos_params(0.45, KP),
+            nmos_params(0.45, m2_kp),
         ));
         let pmos = MosParams {
             mos_type: MosType::Pmos,
-            ..nmos_params(0.5, 60e-6)
+            ..nmos_params(m4_vth0, 60e-6)
         };
         ckt.add(Mosfet::new("M4", bias, bias, vdd, vdd, pmos));
         ckt.add(Resistor::new("RB", bias, Circuit::GROUND, 2e3));
@@ -1020,12 +1084,28 @@ mod tests {
             Circuit::GROUND,
             nmos_params(0.4, KP),
         ));
+        ckt
+    }
+
+    /// One pass of the stamp program leaves every lane of an eight-lane
+    /// and a three-lane group with bitwise the matrix and RHS of the
+    /// scalar assembly of that lane's variant, and of generic stamping of
+    /// the circuit built with that variant's cards. The circuit mixes
+    /// MOSFETs with column cards (one of them a PMOS) and one without,
+    /// grounded terminals, and a diode, which takes the generic per-lane
+    /// row; the guesses put some devices in cutoff and swap drain and
+    /// source on others.
+    #[test]
+    fn stamp_program_matches_scalar_assembly_bit_for_bit() {
+        let ckt = program_circuit(0.45, KP, 0.5);
         let n = 11;
-        let col = |f: fn(usize) -> f64| (0..n).map(f).collect();
+        let m1_vth0 = |v: usize| 0.44 + 1e-3 * v as f64;
+        let m2_kp = |v: usize| KP * (1.0 + 0.03 * v as f64);
+        let m4_vth0 = |v: usize| 0.5 - 2e-3 * v as f64;
         let cols = ParamColumns::new(n)
-            .column("M1", MosField::Vth0, col(|v| 0.44 + 1e-3 * v as f64))
-            .column("M2", MosField::Kp, col(|v| KP * (1.0 + 0.03 * v as f64)))
-            .column("M4", MosField::Vth0, col(|v| 0.5 - 2e-3 * v as f64));
+            .column("M1", MosField::Vth0, (0..n).map(m1_vth0).collect())
+            .column("M2", MosField::Kp, (0..n).map(m2_kp).collect())
+            .column("M4", MosField::Vth0, (0..n).map(m4_vth0).collect());
         let mut lanes = Lanes::new(&ckt, &cols).unwrap();
         let dim = lanes.sys.dim();
         let opts = NewtonOptions::default();
@@ -1033,6 +1113,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let mut bs = BatchSparse::build(lanes.load(0), &x0, &opts, &tel).unwrap();
         let mut sp = lanes.sys.build_sparse(&x0, StampMode::dc()).unwrap();
+        lanes.sys.bind_devices(&mut sp);
         let mut rhs = Vec::new();
         // A guess per variant, spread over −0.4..2.0 V.
         let guess = |v: usize| -> Vec<f64> {
@@ -1057,15 +1138,11 @@ mod tests {
                     &mut rhs,
                 );
                 assert!(scalar.is_ok(), "variant {v}: scalar pattern miss");
-                let lane =
-                    |p: &[F64x8]| -> Vec<u64> { p.iter().map(|p| p.lane(l).to_bits()).collect() };
-                let bits = |s: &[f64]| -> Vec<u64> { s.iter().map(|s| s.to_bits()).collect() };
-                assert_eq!(
-                    lane(bs.packed.vals()),
-                    bits(sp.mat.vals()),
-                    "variant {v} matrix"
-                );
-                assert_eq!(lane(&bs.packed_rhs), bits(&rhs), "variant {v} rhs");
+                let lane = (lane_bits(bs.packed.vals(), l), lane_bits(&bs.packed_rhs, l));
+                assert_eq!(lane, (bits(sp.mat.vals()), bits(&rhs)), "variant {v}");
+                let rebuilt = program_circuit(m1_vth0(v), m2_kp(v), m4_vth0(v));
+                let generic = generic_assembly(&rebuilt, &bs.packed, &xs[l], opts.gmin);
+                assert_eq!(lane, generic, "variant {v} against its circuit");
             }
         }
     }
@@ -1080,43 +1157,17 @@ mod tests {
     /// clamped, a NaN and a lane outside the live set.
     #[test]
     fn lane_linearization_matches_scalar_rows_bit_for_bit() {
-        let mut ckt = Circuit::new();
-        let [vdd, inp, out, load, mid] = ["vdd", "inp", "out", "load", "mid"].map(|n| ckt.node(n));
-        ckt.add(Vsource::dc("VDD", vdd, Circuit::GROUND, 1.8));
-        ckt.add(Vsource::dc("VIN", inp, Circuit::GROUND, 0.9));
-        // Resistors ahead of the two devices on the slots they write
-        // twice, so the order of those two adds shows in the bits.
-        ckt.add(Resistor::new("RL", load, vdd, 3e3));
-        ckt.add(Resistor::new("RO", out, Circuit::GROUND, 1e3));
-        ckt.add(Resistor::new("RMO", mid, out, 5e3));
-        let pmos = MosParams {
-            mos_type: MosType::Pmos,
-            ..nmos_params(0.5, 60e-6)
-        };
-        ckt.add(Mosfet::new("MP", load, load, vdd, vdd, pmos));
-        ckt.add(Mosfet::new(
-            "MG",
-            mid,
-            out,
-            out,
-            Circuit::GROUND,
-            nmos_params(0.4, KP),
-        ));
-        ckt.add(Mosfet::new(
-            "MN",
-            load,
-            inp,
-            mid,
-            Circuit::GROUND,
-            nmos_params(0.45, KP),
-        ));
-        ckt.add(Resistor::new("RM", mid, Circuit::GROUND, 2e3));
+        let mp_vth0 = |v: usize| 0.45 + 0.02 * v as f64;
+        let mg_kp = |v: usize| KP * (1.0 + 0.1 * v as f64);
+        let mn_vth0 = |v: usize| 0.3 + 0.05 * v as f64;
+        let ckt = linearization_circuit(0.5, KP, 0.45);
+        let [vdd, inp, out, load, mid] =
+            ["vdd", "inp", "out", "load", "mid"].map(|n| ckt.find_node(n).unwrap());
         let n = 8;
-        let col = |f: fn(usize) -> f64| (0..n).map(f).collect();
         let cols = ParamColumns::new(n)
-            .column("MP", MosField::Vth0, col(|v| 0.45 + 0.02 * v as f64))
-            .column("MG", MosField::Kp, col(|v| KP * (1.0 + 0.1 * v as f64)))
-            .column("MN", MosField::Vth0, col(|v| 0.3 + 0.05 * v as f64));
+            .column("MP", MosField::Vth0, (0..n).map(mp_vth0).collect())
+            .column("MG", MosField::Kp, (0..n).map(mg_kp).collect())
+            .column("MN", MosField::Vth0, (0..n).map(mn_vth0).collect());
         let mut lanes = Lanes::new(&ckt, &cols).unwrap();
         let dim = lanes.sys.dim();
         let opts = NewtonOptions::default();
@@ -1124,6 +1175,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let mut bs = BatchSparse::build(lanes.load(0), &x0, &opts, &tel).unwrap();
         let mut sp = lanes.sys.build_sparse(&x0, StampMode::dc()).unwrap();
+        lanes.sys.bind_devices(&mut sp);
         let at = |node: NodeId| node.index().unwrap();
         // Even lanes: `load` above `vdd` (the PMOS swaps) and `mid` below
         // `out` (the gate-on-source NMOS swaps); odd lanes the reverse.
@@ -1152,9 +1204,6 @@ mod tests {
         lanes.channels(0..n, &mut bs.channels);
         assert!(bs.assemble(&lanes.sys, &packed, 0xff).is_ok());
         let mut rhs = Vec::new();
-        let bits = |s: &[f64]| -> Vec<u64> { s.iter().map(|s| s.to_bits()).collect() };
-        let lane =
-            |p: &[F64x8], l: usize| -> Vec<u64> { p.iter().map(|p| p.lane(l).to_bits()).collect() };
         for (l, x) in xs.iter().enumerate() {
             let scalar = lanes.load(l).assemble_sparse_full(
                 x,
@@ -1164,12 +1213,11 @@ mod tests {
                 &mut rhs,
             );
             assert!(scalar.is_ok(), "lane {l}: scalar pattern miss");
-            assert_eq!(
-                lane(bs.packed.vals(), l),
-                bits(sp.mat.vals()),
-                "lane {l} matrix"
-            );
-            assert_eq!(lane(&bs.packed_rhs, l), bits(&rhs), "lane {l} rhs");
+            let lane = (lane_bits(bs.packed.vals(), l), lane_bits(&bs.packed_rhs, l));
+            assert_eq!(lane, (bits(sp.mat.vals()), bits(&rhs)), "lane {l}");
+            let rebuilt = linearization_circuit(mp_vth0(l), mg_kp(l), mn_vth0(l));
+            let generic = generic_assembly(&rebuilt, &bs.packed, x, opts.gmin);
+            assert_eq!(lane, generic, "lane {l} against its circuit");
         }
 
         // The update: lane 1 steps a node past `max_step` (clamped), lane
@@ -1194,13 +1242,13 @@ mod tests {
         for (l, x) in xs.iter().enumerate() {
             let bit = 1u64 << l;
             if live & bit == 0 {
-                assert_eq!(lane(&updated, l), bits(x), "lane {l} is not live");
+                assert_eq!(lane_bits(&updated, l), bits(x), "lane {l} is not live");
                 continue;
             }
             let mut scalar = x.clone();
             let (converged, undamped, _) =
                 super::super::newton_update(&mut scalar, |i| x_new[i].lane(l), n_nodes, &opts);
-            assert_eq!(lane(&updated, l), bits(&scalar), "lane {l} iterate");
+            assert_eq!(lane_bits(&updated, l), bits(&scalar), "lane {l} iterate");
             assert_eq!(failed & bit == 0, converged, "lane {l} convergence");
             assert_eq!(damped & bit == 0, undamped, "lane {l} damping");
             assert_eq!(
@@ -1210,6 +1258,43 @@ mod tests {
             );
         }
         assert_eq!((failed & 0x10, damped & 0x2, non_finite), (0, 0x2, 0x8));
+    }
+
+    /// The linearization test's circuit with the given MP `vth0`, MG `kp`
+    /// and MN `vth0`.
+    fn linearization_circuit(mp_vth0: f64, mg_kp: f64, mn_vth0: f64) -> Circuit {
+        let mut ckt = Circuit::new();
+        let [vdd, inp, out, load, mid] = ["vdd", "inp", "out", "load", "mid"].map(|n| ckt.node(n));
+        ckt.add(Vsource::dc("VDD", vdd, Circuit::GROUND, 1.8));
+        ckt.add(Vsource::dc("VIN", inp, Circuit::GROUND, 0.9));
+        // Resistors ahead of the two devices on the slots they write
+        // twice, so the order of those two adds shows in the bits.
+        ckt.add(Resistor::new("RL", load, vdd, 3e3));
+        ckt.add(Resistor::new("RO", out, Circuit::GROUND, 1e3));
+        ckt.add(Resistor::new("RMO", mid, out, 5e3));
+        let pmos = MosParams {
+            mos_type: MosType::Pmos,
+            ..nmos_params(mp_vth0, 60e-6)
+        };
+        ckt.add(Mosfet::new("MP", load, load, vdd, vdd, pmos));
+        ckt.add(Mosfet::new(
+            "MG",
+            mid,
+            out,
+            out,
+            Circuit::GROUND,
+            nmos_params(0.4, mg_kp),
+        ));
+        ckt.add(Mosfet::new(
+            "MN",
+            load,
+            inp,
+            mid,
+            Circuit::GROUND,
+            nmos_params(mn_vth0, KP),
+        ));
+        ckt.add(Resistor::new("RM", mid, Circuit::GROUND, 2e3));
+        ckt
     }
 
     /// The paper's four-stage limiting-amplifier chain: 18 unknowns.

@@ -15,7 +15,7 @@ pub mod tran;
 
 use crate::circuit::{Circuit, NodeId};
 use crate::devices::mosfet::{MosDevice, MosSlots};
-use crate::element::{AcStamper, Element, Integration, StampCtx, StampMode, StampSlots, Stamper};
+use crate::element::{AcStamper, Element, Integration, StampCtx, StampMode, Stamper};
 use crate::SpiceError;
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{
@@ -191,8 +191,8 @@ impl TranForm<'_> {
 
 /// Sparse-path state cached in the Newton workspace: the fixed-pattern
 /// CSR Jacobian, its LU (symbolic analysis + pivot order frozen after
-/// the first factorization), the value slots of every MOSFET's channel
-/// writes, and the stamp-pointer caches.
+/// the first factorization) and the value slots of every MOSFET's
+/// channel writes.
 #[derive(Debug, Clone)]
 struct SparseState {
     /// Fixed-pattern Jacobian; only `vals` change between solves.
@@ -206,24 +206,16 @@ struct SparseState {
     /// empty in a state fresh from pattern discovery or the topology
     /// cache.
     mos_slots: Vec<MosSlots>,
-    /// Matrix writes of one full DC assembly pass, as recorded by pattern
-    /// discovery: the capacity the full-pass stamp-pointer cache is
-    /// given.
-    writes: usize,
-    /// Stamp-pointer caches: the full DC assembly, and the transient
-    /// guess-dependent pass over the elements outside the device table.
-    slots_full: StampSlots,
-    slots_nonlin: StampSlots,
     /// Mode family the pattern was discovered under.
     kind: ModeKind,
 }
 
-/// One nonlinear element as the transient guess-dependent pass visits it.
+/// One element as an assembly pass visits it.
 #[derive(Debug, Clone, Copy)]
 enum Visit<'a> {
     /// Row `k` of the device table.
     Mos(usize),
-    /// Any other nonlinear element, by index.
+    /// Any other element, by index.
     Element(usize, &'a dyn Element),
 }
 
@@ -322,15 +314,13 @@ pub(crate) struct System<'a> {
     branch_names: HashMap<String, usize>,
     /// Whether any element's stamp depends on the Newton guess.
     has_nonlinear: bool,
-    /// Per-element MOSFET card overrides, empty outside batched solves.
-    /// [`batch`] loads a variant's `vth0`/`kp` here to build its lane
-    /// channels, and before re-solving an evicted lane through the scalar
-    /// ladder, which is the only solve that stamps through them.
-    cards: Vec<Option<crate::devices::mosfet::MosParams>>,
     /// The MOSFET device table: every MOSFET's row, in element order.
-    /// The sparse transient guess-dependent pass reads it instead of
-    /// calling the element (see [`System::stamp_sparse_nonlinear`]).
+    /// Every assembly that solves stamps a MOSFET from its row instead of
+    /// calling the element; [`batch`] loads a variant's card into the
+    /// rows it varies.
     mos: Vec<MosDevice>,
+    /// Every element in order as a full assembly pass visits it.
+    visits: Vec<Visit<'a>>,
     /// The nonlinear elements in order as the guess-dependent pass visits
     /// them.
     guess_visits: Vec<Visit<'a>>,
@@ -347,13 +337,18 @@ impl<'a> System<'a> {
         let mut n_branches = 0;
         let mut has_nonlinear = false;
         let mut mos = Vec::new();
+        let mut visits = Vec::new();
         let mut guess_visits = Vec::new();
         for (idx, e) in ckt.elements().enumerate() {
-            if let Some(m) = e.as_mosfet() {
+            let visit = if let Some(m) = e.as_mosfet() {
                 mos.push(m.device());
-                guess_visits.push(Visit::Mos(mos.len() - 1));
-            } else if e.is_nonlinear() {
-                guess_visits.push(Visit::Element(idx, e));
+                Visit::Mos(mos.len() - 1)
+            } else {
+                Visit::Element(idx, e)
+            };
+            visits.push(visit);
+            if e.is_nonlinear() {
+                guess_visits.push(visit);
             }
             branch_bases.push(n_branches);
             if e.num_branches() > 0 {
@@ -369,8 +364,8 @@ impl<'a> System<'a> {
             branch_bases,
             branch_names,
             has_nonlinear,
-            cards: Vec::new(),
             mos,
+            visits,
             guess_visits,
             tran: OnceLock::new(),
         }
@@ -403,22 +398,21 @@ impl<'a> System<'a> {
     }
 
     /// Stamps every element (or, with `nonlinear_only`, every nonlinear
-    /// one) at guess `x` into `out`, each with its card override when one
-    /// is loaded.
+    /// one) at guess `x` into `out` through [`Element::stamp`], each
+    /// MOSFET with its own card.
     fn stamp_pass(&self, out: &mut Stamper<'_>, nonlinear_only: bool, x: &[f64], mode: StampMode) {
         for (idx, e) in self.ckt.elements().enumerate() {
             if nonlinear_only && !e.is_nonlinear() {
                 continue;
             }
-            let ctx = self.ctx(idx, x, mode);
-            match self.cards.get(idx) {
-                Some(Some(card)) => e.stamp_with_card(&ctx, Some(card), out),
-                _ => e.stamp(&ctx, out),
-            }
+            e.stamp(&self.ctx(idx, x, mode), out);
         }
     }
 
-    /// Assembles the DC Jacobian and RHS at guess `x`.
+    /// Assembles the dense DC Jacobian and RHS at guess `x`, in element
+    /// order: each MOSFET from its device-table row, bound to the dense
+    /// row-major layout, every other element through [`Element::stamp`];
+    /// then the conditioning gmin.
     pub(crate) fn assemble(
         &self,
         x: &[f64],
@@ -430,8 +424,20 @@ impl<'a> System<'a> {
         matrix.clear();
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
-        let mut out = Stamper::new(matrix, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, false, x, mode);
+        let cols = matrix.cols();
+        for &visit in &self.visits {
+            match visit {
+                Visit::Mos(k) => {
+                    let dev = &self.mos[k];
+                    let slots = dev.bind(|r, c| Some(r * cols + c));
+                    dev.stamp_channel(&slots, x, matrix.as_mut_slice(), rhs);
+                }
+                Visit::Element(idx, e) => {
+                    let mut out = Stamper::new(matrix, rhs, self.n_nodes);
+                    e.stamp(&self.ctx(idx, x, mode), &mut out);
+                }
+            }
+        }
         // Conditioning gmin from every node to ground.
         for i in 0..self.n_nodes {
             matrix[(i, i)] += gmin;
@@ -596,19 +602,18 @@ impl<'a> System<'a> {
     /// caller then disables the sparse path.
     fn build_sparse(&self, x0: &[f64], mode: StampMode) -> Option<SparseState> {
         let dim = self.dim();
-        let (mat, writes) = match mode {
+        let mat = match mode {
             StampMode::Tran { .. } => {
                 let mut mat = self.tran.get()?.g.clone();
                 mat.clear_vals();
-                (mat, 0)
+                mat
             }
             StampMode::Dc { .. } => {
                 let mut positions = Vec::new();
                 let mut scratch = vec![0.0; dim];
                 let mut rec = Stamper::pattern(&mut positions, &mut scratch, self.n_nodes);
                 self.stamp_pass(&mut rec, false, x0, mode);
-                let writes = positions.len();
-                (csr_pattern(dim, positions)?, writes)
+                csr_pattern(dim, positions)?
             }
         };
         let lu = SparseLu::new(&mat).ok()?;
@@ -618,9 +623,6 @@ impl<'a> System<'a> {
             mat,
             lu,
             diag_slots: diag_slots?,
-            writes,
-            slots_full: StampSlots::default(),
-            slots_nonlin: StampSlots::default(),
             kind: ModeKind::of(mode),
         })
     }
@@ -640,8 +642,40 @@ impl<'a> System<'a> {
             .collect();
     }
 
-    /// Sparse analogue of [`System::assemble`]: every stamp accumulates
-    /// directly into its reserved CSR value slot.
+    /// Stamps the elements of `visits` at guess `x` into the CSR values
+    /// and `rhs` in order: each MOSFET from its device-table row through
+    /// the slots bound by [`System::bind_devices`], every other element
+    /// through [`Element::stamp`] into a [`Stamper::sparse`]. Returns
+    /// `false` on a pattern miss.
+    fn stamp_sparse_visits(
+        &self,
+        visits: &[Visit<'_>],
+        x: &[f64],
+        mode: StampMode,
+        sp: &mut SparseState,
+        rhs: &mut [f64],
+    ) -> bool {
+        let mut hit = true;
+        for &visit in visits {
+            match visit {
+                Visit::Mos(k) => {
+                    hit &= self.mos[k].stamp_channel(&sp.mos_slots[k], x, sp.mat.vals_mut(), rhs);
+                }
+                Visit::Element(idx, e) => {
+                    let mut out = Stamper::sparse(&mut sp.mat, rhs, self.n_nodes);
+                    e.stamp(&self.ctx(idx, x, mode), &mut out);
+                    hit &= !out.missed_pattern();
+                }
+            }
+        }
+        hit
+    }
+
+    /// Sparse analogue of [`System::assemble`]: every element in element
+    /// order, then gmin, each stamp accumulating directly into its CSR
+    /// value slot. Kept out of line: inlined, it grows
+    /// [`System::newton_with`] and slows the transient loop.
+    #[inline(never)]
     fn assemble_sparse_full(
         &self,
         x: &[f64],
@@ -653,10 +687,7 @@ impl<'a> System<'a> {
         sp.mat.clear_vals();
         rhs.clear();
         rhs.resize(self.dim(), 0.0);
-        sp.slots_full.begin_pass();
-        let mut out = Stamper::sparse(&mut sp.mat, &mut sp.slots_full, rhs, self.n_nodes);
-        self.stamp_pass(&mut out, false, x, mode);
-        if sp.slots_full.missing() {
+        if !self.stamp_sparse_visits(&self.visits, x, mode, sp, rhs) {
             return Err(AttemptError::PatternMiss);
         }
         for &s in &sp.diag_slots {
@@ -667,9 +698,7 @@ impl<'a> System<'a> {
 
     /// Adds the stamps of the nonlinear elements at guess `x` on top of
     /// the loaded `G + (a/dt)·C`, the MOSFETs' from the device table and
-    /// every other one through [`Element::stamp`], in element order. The
-    /// table holds each device's own card, so card overrides (loaded only
-    /// by the batched DC solver) never reach this pass.
+    /// every other one through [`Element::stamp`], in element order.
     fn stamp_sparse_nonlinear(
         &self,
         x: &[f64],
@@ -677,25 +706,7 @@ impl<'a> System<'a> {
         sp: &mut SparseState,
         rhs: &mut [f64],
     ) -> Result<(), AttemptError> {
-        debug_assert!(
-            self.cards.is_empty(),
-            "device-table pass with card overrides"
-        );
-        sp.slots_nonlin.begin_pass();
-        let mut hit = true;
-        for &visit in &self.guess_visits {
-            match visit {
-                Visit::Mos(k) => {
-                    hit &= self.mos[k].stamp_channel(&sp.mos_slots[k], x, sp.mat.vals_mut(), rhs);
-                }
-                Visit::Element(idx, e) => {
-                    let mut out =
-                        Stamper::sparse(&mut sp.mat, &mut sp.slots_nonlin, rhs, self.n_nodes);
-                    e.stamp(&self.ctx(idx, x, mode), &mut out);
-                }
-            }
-        }
-        if !hit || sp.slots_nonlin.missing() {
+        if !self.stamp_sparse_visits(&self.guess_visits, x, mode, sp, rhs) {
             return Err(AttemptError::PatternMiss);
         }
         Ok(())
@@ -703,12 +714,13 @@ impl<'a> System<'a> {
 
     /// Damped Newton iteration using caller-owned buffers.
     ///
-    /// A DC solve stamps every element at every iteration. A transient
-    /// solve reads the compiled linear part ([`TranForm`], built by
-    /// [`System::init_tran`]) and the node-space history in `state`: it
-    /// builds the fixed RHS once per call, and each iteration loads
-    /// `G + (a/dt)·C` in one pass over the matrix values and adds the
-    /// nonlinear elements' stamps at the guess on top.
+    /// A DC solve stamps every element at every iteration, each MOSFET
+    /// from its device-table row. A transient solve reads the compiled
+    /// linear part ([`TranForm`], built by [`System::init_tran`]) and the
+    /// node-space history in `state`: it builds the fixed RHS once per
+    /// call, and each iteration loads `G + (a/dt)·C` in one pass over the
+    /// matrix values and adds the nonlinear elements' stamps at the
+    /// guess on top.
     ///
     /// The workspace keeps the last transient LU under its step key
     /// (`dt` and method). When a solve starts with the key unchanged, a
@@ -719,15 +731,15 @@ impl<'a> System<'a> {
     /// Every later iteration refactors. A chord step ends the solve only
     /// when its whole update is already inside the convergence band; its
     /// error is then about that update times the relative change of the
-    /// Jacobian since the kept factorization. With
-    /// `reuse` enabled, a circuit with no nonlinear devices keeps its LU
-    /// for every iteration of every solve with the key, reducing each
-    /// step to a substitution; its results are bit for bit those of
-    /// refactoring every iteration. A failed solve drops the kept LU.
+    /// Jacobian since the kept factorization. A circuit with no
+    /// nonlinear devices keeps its LU for every iteration of every solve
+    /// with the key, reducing each step to a substitution; its results
+    /// are bit for bit those of refactoring every iteration. A failed
+    /// solve drops the kept LU.
     ///
     /// Systems at or above [`NewtonOptions::sparse_threshold`] unknowns
     /// solve through the sparse LU path (fixed-pattern CSR Jacobian,
-    /// stamp-pointer caching, replayed numeric refactorization — see
+    /// device-table MOSFET stamps, replayed numeric refactorization — see
     /// DESIGN.md §8). A stamp that misses the cached pattern triggers one
     /// pattern rebuild; a second miss permanently falls back to dense
     /// for this workspace, so correctness never depends on discovery
@@ -744,7 +756,6 @@ impl<'a> System<'a> {
         opts: &NewtonOptions,
         analysis: &'static str,
         ws: &'w mut NewtonWorkspace,
-        reuse: bool,
         tel: &Telemetry,
     ) -> Result<&'w [f64], SpiceError> {
         // Fine-gated: one Newton solve per transient step means two clock
@@ -760,7 +771,7 @@ impl<'a> System<'a> {
         });
         let mut rebuilds = 0;
         loop {
-            match self.newton_attempt(mode, x0, state, opts, analysis, ws, reuse, tel) {
+            match self.newton_attempt(mode, x0, state, opts, analysis, ws, tel) {
                 Ok(()) => return Ok(&ws.x),
                 Err(AttemptError::Spice(e)) => {
                     // The retry after a failure starts from a fresh
@@ -805,7 +816,6 @@ impl<'a> System<'a> {
         opts: &NewtonOptions,
         analysis: &'static str,
         ws: &mut NewtonWorkspace,
-        reuse: bool,
         tel: &Telemetry,
     ) -> Result<(), AttemptError> {
         let dim = self.dim();
@@ -841,18 +851,10 @@ impl<'a> System<'a> {
                 ws.factored_key = None;
                 if let Some(sp) = ws.sparse.as_mut() {
                     tel.count(|c| c.pattern_builds += 1);
-                    if let Some((form, _)) = tran {
-                        // A cached pattern of another circuit with the same
-                        // topology hash must match the form slot for slot.
-                        if !form.fits(&sp.mat) {
-                            return Err(AttemptError::PatternMiss);
-                        }
-                    } else {
-                        // A state cloned from the topology cache carries
-                        // its stamp-pointer caches empty with no capacity;
-                        // room for one pass spares the full-pass cache a
-                        // regrowth by doubling.
-                        sp.slots_full.reserve(sp.writes);
+                    // A cached pattern of another circuit with the same
+                    // topology hash must match the form slot for slot.
+                    if tran.is_some_and(|(form, _)| !form.fits(&sp.mat)) {
+                        return Err(AttemptError::PatternMiss);
                     }
                     self.bind_devices(sp);
                 } else {
@@ -890,11 +892,11 @@ impl<'a> System<'a> {
         for iter in 0..opts.max_iter {
             tel.count(|c| c.newton_iterations += 1);
             let held = step_key.is_some() && ws.factored_key == step_key;
-            // A linear circuit's kept LU is its Jacobian's, so with reuse
-            // it serves every iteration and the loaded matrix stays. A
-            // nonlinear circuit's serves only the predictor iteration, as
-            // a chord step.
-            let keep = held && reuse && !self.has_nonlinear;
+            // A linear circuit's kept LU is its Jacobian's, so it serves
+            // every iteration and the loaded matrix stays. A nonlinear
+            // circuit's serves only the predictor iteration, as a chord
+            // step.
+            let keep = held && !self.has_nonlinear;
             let chord = held && iter == 0 && self.has_nonlinear;
             if keep || chord {
                 tel.count(|c| c.factor_reuse_hits += 1);
@@ -1425,7 +1427,8 @@ pub(crate) mod tests {
     /// MOSFETs of both polarities with each terminal on ground in turn,
     /// one body tied to its source and one gate tied to its drain (where
     /// two channel writes share a slot, so their order shows), between
-    /// linear elements, a branch and a diode that keep the generic path.
+    /// linear elements, a branch, a PWL current source and a diode that
+    /// keep the generic path.
     fn table_circuit() -> Circuit {
         use MosType::{Nmos, Pmos};
         let mut ckt = Circuit::new();
@@ -1436,6 +1439,8 @@ pub(crate) mod tests {
         ckt.add(Mosfet::new("M1", a, b, c, d, card(Nmos, cj)));
         ckt.add(Mosfet::new("M2", b, c, d, d, card(Pmos, cj)));
         ckt.add(Capacitor::new("C1", c, gnd, 20e-15));
+        let ramp = Waveform::Pwl(vec![(0.0, 0.0), (1e-9, 2e-3)]);
+        ckt.add(Isource::new("I1", a, gnd, ramp));
         ckt.add(Mosfet::new("M3", gnd, a, b, c, card(Nmos, cj)));
         ckt.add(Mosfet::new("M4", c, gnd, a, b, card(Pmos, cj)));
         ckt.add(Vsource::dc("V1", d, gnd, 1.0));
@@ -1451,20 +1456,11 @@ pub(crate) mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The sparse transient guess-dependent pass stamps the MOSFETs from
-    /// the device table and everything else through `stamp`; on top of
-    /// the loaded `G + (a/dt)·C`, the CSR values and RHS it leaves must
-    /// equal those of the generic pass bit for bit, at guesses that put
-    /// every MOSFET in both drain/source orientations.
-    #[test]
-    fn table_passes_match_generic_stamping_bit_for_bit() {
-        let ckt = table_circuit();
-        let sys = System::new(&ckt);
-        assert_eq!(sys.mos.len(), 8);
-        let n = sys.n_nodes();
+    /// Two guesses on [`table_circuit`] under which every MOSFET conducts
+    /// at least once and both polarities conduct in both drain/source
+    /// orientations (checked here).
+    fn table_guesses(ckt: &Circuit) -> [[f64; 5]; 2] {
         let guesses = [[0.15, 0.8, 0.45, 1.05, 0.0], [0.8, 0.15, 1.7, 1.05, 0.0]];
-        // Every MOSFET conducts at one guess at least, and both
-        // polarities conduct in both drain/source orientations.
         let mut seen = Vec::new();
         for m in ckt.elements().filter_map(|e| e.as_mosfet()) {
             let [d, _, s, _] = m.nodes()[..] else {
@@ -1489,6 +1485,21 @@ pub(crate) mod tests {
                 );
             }
         }
+        guesses
+    }
+
+    /// The sparse transient guess-dependent pass stamps the MOSFETs from
+    /// the device table and everything else through `stamp`; on top of
+    /// the loaded `G + (a/dt)·C`, the CSR values and RHS it leaves must
+    /// equal those of the generic pass bit for bit, at guesses that put
+    /// every MOSFET in both drain/source orientations.
+    #[test]
+    fn table_passes_match_generic_stamping_bit_for_bit() {
+        let ckt = table_circuit();
+        let sys = System::new(&ckt);
+        assert_eq!(sys.mos.len(), 8);
+        let n = sys.n_nodes();
+        let guesses = table_guesses(&ckt);
         let state = sys
             .init_tran(&guesses[0], 1e-12, &Telemetry::disabled())
             .unwrap();
@@ -1505,11 +1516,59 @@ pub(crate) mod tests {
             assert!(sys
                 .stamp_sparse_nonlinear(x, mode, &mut t, &mut t_rhs)
                 .is_ok());
-            let mut out = Stamper::sparse(&mut g.mat, &mut g.slots_nonlin, &mut g_rhs, n);
+            let mut out = Stamper::sparse(&mut g.mat, &mut g_rhs, n);
             sys.stamp_pass(&mut out, true, x, mode);
-            assert!(!g.slots_nonlin.missing());
+            assert!(!out.missed_pattern());
             assert_eq!(bits(t.mat.vals()), bits(g.mat.vals()), "at {x:?}");
             assert_eq!(bits(&t_rhs), bits(&g_rhs), "at {x:?}");
+        }
+    }
+
+    /// The full DC passes stamp the MOSFETs from the device table, the
+    /// sparse one through the bound CSR slots and the dense one through
+    /// the row-major layout. Each must equal generic stamping of every
+    /// element through `stamp` plus gmin, bit for bit: at guesses that
+    /// put every MOSFET in both drain/source orientations, under source
+    /// stepping at a time where the PWL source is mid-ramp, at two gmin
+    /// values.
+    #[test]
+    fn full_passes_match_generic_stamping_bit_for_bit() {
+        let ckt = table_circuit();
+        let sys = System::new(&ckt);
+        let (n, dim) = (sys.n_nodes(), sys.dim());
+        let mode = StampMode::Dc {
+            source_scale: 0.35,
+            at_time: Some(0.4e-9),
+        };
+        let mut sp = sys.build_sparse(&vec![0.0; dim], mode).unwrap();
+        sys.bind_devices(&mut sp);
+        for x in &table_guesses(&ckt) {
+            for gmin in [1e-12, 1e-3] {
+                let what = format!("at {x:?}, gmin {gmin:e}");
+                let (mut t, mut t_rhs) = (sp.clone(), Vec::new());
+                assert!(sys
+                    .assemble_sparse_full(x, mode, gmin, &mut t, &mut t_rhs)
+                    .is_ok());
+                let (mut g, mut g_rhs) = (sp.clone(), vec![0.0; dim]);
+                let mut out = Stamper::sparse(&mut g.mat, &mut g_rhs, n);
+                sys.stamp_pass(&mut out, false, x, mode);
+                assert!(!out.missed_pattern());
+                for &s in &g.diag_slots {
+                    g.mat.vals_mut()[s] += gmin;
+                }
+                assert_eq!(bits(t.mat.vals()), bits(g.mat.vals()), "sparse {what}");
+                assert_eq!(bits(&t_rhs), bits(&g_rhs), "sparse rhs {what}");
+
+                let (mut t, mut t_rhs) = (DenseMatrix::zeros(dim, dim), Vec::new());
+                sys.assemble(x, mode, gmin, &mut t, &mut t_rhs);
+                let (mut g, mut g_rhs) = (DenseMatrix::zeros(dim, dim), vec![0.0; dim]);
+                sys.stamp_pass(&mut Stamper::new(&mut g, &mut g_rhs, n), false, x, mode);
+                for i in 0..n {
+                    g[(i, i)] += gmin;
+                }
+                assert_eq!(bits(t.as_slice()), bits(g.as_slice()), "dense {what}");
+                assert_eq!(bits(&t_rhs), bits(&g_rhs), "dense rhs {what}");
+            }
         }
     }
 
@@ -1542,7 +1601,7 @@ pub(crate) mod tests {
                 x0[drain] += kick;
                 let tel = Telemetry::enabled();
                 let ok = sys
-                    .newton_with(mode, &x0, &state, opts, "test", &mut ws, true, &tel)
+                    .newton_with(mode, &x0, &state, opts, "test", &mut ws, &tel)
                     .is_ok();
                 (ok, tel.report().counters.factor_reuse_hits)
             };

@@ -161,12 +161,12 @@ pub(crate) fn solve_system(
         source_scale: scale,
         at_time,
     };
-    // One workspace for the whole homotopy ladder: no stamp caching in
-    // DC mode (gmin and source scale change between rungs), but the
-    // matrix, RHS and LU buffers are reused instead of reallocated.
+    // One workspace for the whole homotopy ladder: the sparse pattern,
+    // its bound device slots and the matrix, RHS and LU buffers serve
+    // every rung (only gmin and the source scale change between them).
     let mut ws = NewtonWorkspace::new();
     let mut newton = |mode: StampMode, x0: &[f64], o: &NewtonOptions| {
-        sys.newton_with(mode, x0, &state, o, "op", &mut ws, false, tel)
+        sys.newton_with(mode, x0, &state, o, "op", &mut ws, tel)
             .map(<[f64]>::to_vec)
     };
 

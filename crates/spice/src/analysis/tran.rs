@@ -65,17 +65,6 @@ pub struct TranConfig {
     /// at `dt / 4096`). `dt` remains the first-step size and the scale
     /// all limits derive from.
     pub adaptive: bool,
-    /// On a circuit with no nonlinear devices, keep the LU factorization
-    /// of `G + (a/dt)·C` across timesteps that share a step size and
-    /// method; see [`crate::element::Element::is_nonlinear`] and
-    /// DESIGN.md. Disable to refactor at every Newton iteration (the
-    /// results are bit-identical either way). Every transient path reads
-    /// the same compiled linear part, so this is the only thing it
-    /// changes. It has no effect on nonlinear circuits: their solves
-    /// start with a chord step against the previous solve's LU whenever
-    /// the step size and method are unchanged, and refactor on every
-    /// later iteration, whatever this flag says.
-    pub reuse_factorization: bool,
     /// Samples per streamed waveform chunk (default 1024, see
     /// [`TranConfig::with_chunk_size`]). Accumulators downstream are
     /// chunk-invariant, so this only trades sink-call overhead against
@@ -100,7 +89,6 @@ impl TranConfig {
             method: Integration::Trapezoidal,
             newton: NewtonOptions::default(),
             adaptive: false,
-            reuse_factorization: true,
             chunk_size: 1024,
         }
     }
@@ -113,15 +101,6 @@ impl TranConfig {
     #[must_use]
     pub fn adaptive(mut self) -> Self {
         self.adaptive = true;
-        self
-    }
-
-    /// Disables the cross-timestep LU reuse of linear circuits (reference
-    /// path for equivalence testing and benchmarking). Nonlinear circuits
-    /// solve the same way with or without it, chord steps included.
-    #[must_use]
-    pub fn without_factor_reuse(mut self) -> Self {
-        self.reuse_factorization = false;
         self
     }
 
@@ -384,16 +363,7 @@ fn fixed_loop(
                 method: config.method,
             };
             hist.predict_into(t + dt, &mut pred);
-            match sys.newton_with(
-                mode,
-                &pred,
-                &state,
-                &config.newton,
-                "tran",
-                &mut ws,
-                config.reuse_factorization,
-                tel,
-            ) {
+            match sys.newton_with(mode, &pred, &state, &config.newton, "tran", &mut ws, tel) {
                 Ok(x_new) => {
                     sys.advance_history(x_new, &state, mode, &mut state_next)?;
                     std::mem::swap(&mut state, &mut state_next);
@@ -590,16 +560,7 @@ fn adaptive_loop(
             // One predictor per attempt: the Newton seed and the LTE
             // reference.
             hist.predict_into(t + dt_step, &mut pred);
-            match sys.newton_with(
-                mode,
-                &pred,
-                &state,
-                &config.newton,
-                "tran",
-                &mut ws,
-                config.reuse_factorization,
-                tel,
-            ) {
+            match sys.newton_with(mode, &pred, &state, &config.newton, "tran", &mut ws, tel) {
                 Ok(x_new) => {
                     let mut worst = 0.0f64;
                     if hist.len() >= 2 {

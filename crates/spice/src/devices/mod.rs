@@ -101,8 +101,7 @@ mod tests {
 
     /// A device's stamp is its resistive linearization alone, so it is the
     /// same in every mode: the step size and method of a transient mode
-    /// reach it only through the compiled `C`. Stamping with no card
-    /// override is the plain stamp.
+    /// reach it only through the compiled `C`.
     #[test]
     fn device_stamps_are_the_same_in_every_mode() {
         for (e, x) in cases() {
@@ -110,8 +109,6 @@ mod tests {
             for mode in modes() {
                 let whole = dense_bits(|out| e.stamp(&ctx(&x, mode), out));
                 assert_eq!(whole, dc, "{} at {x:?} in {mode:?}", e.name());
-                let with_card = dense_bits(|out| e.stamp_with_card(&ctx(&x, mode), None, out));
-                assert_eq!(with_card, dc, "{} at {x:?} in {mode:?}", e.name());
             }
         }
     }

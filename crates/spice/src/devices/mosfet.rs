@@ -394,30 +394,7 @@ impl Mosfet {
         }
     }
 
-    /// Stamps the channel's Norton linearization of `card` at the guess
-    /// in `ctx`: the whole stamp (the capacitances are `C`, see the
-    /// transient contract on [`Element`]).
-    fn stamp_channel(&self, ctx: &StampCtx<'_>, card: &MosParams, out: &mut Stamper<'_>) {
-        let (vd, vg, vs) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s));
-        let (swapped, vals, ieq) = Channel::of(card).linearize(vd, vg, vs);
-        // Effective (normalized-frame) drain and source node indices.
-        let (nd, ns) = if swapped {
-            (self.s.index(), self.d.index())
-        } else {
-            (self.d.index(), self.s.index())
-        };
-        let ng = self.g.index();
-        let [v_dg, v_dd, v_ds, v_sg, v_sd, v_ss] = vals;
-        out.mat(nd, ng, v_dg);
-        out.mat(nd, nd, v_dd);
-        out.mat(nd, ns, v_ds);
-        out.mat(ns, ng, v_sg);
-        out.mat(ns, nd, v_sd);
-        out.mat(ns, ns, v_ss);
-        out.current_source(nd, ns, ieq);
-    }
-
-    /// This device's row of a transient device table, with its own card.
+    /// This device's row of the device table, with its own card.
     pub(crate) fn device(&self) -> MosDevice {
         MosDevice {
             nodes: [self.d, self.g, self.s].map(NodeId::index),
@@ -454,9 +431,9 @@ const ABSENT_SLOT: usize = usize::MAX - 1;
 /// order.
 pub(crate) type MosSlots = [usize; 6];
 
-/// One MOSFET's row of a transient device table: its drain, gate and
-/// source unknowns and the card values its channel stamp reads, computed
-/// once.
+/// One MOSFET's row of the device table: its drain, gate and source
+/// unknowns and the card values its channel stamp reads, computed once
+/// (or loaded by the batched solver for one variant's card).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MosDevice {
     /// Drain, gate and source unknowns (`None` for ground).
@@ -493,9 +470,14 @@ impl MosDevice {
         })
     }
 
-    /// The channel of the device's own card.
+    /// The channel the row stamps with.
     pub(crate) fn channel(&self) -> Channel {
         self.channel
+    }
+
+    /// Replaces the channel the row stamps with.
+    pub(crate) fn set_channel(&mut self, channel: Channel) {
+        self.channel = channel;
     }
 
     fn v(&self, x: &[f64], t: usize) -> f64 {
@@ -503,8 +485,8 @@ impl MosDevice {
     }
 
     /// Stamps the channel's linearization at guess `x`, exactly as
-    /// [`Mosfet`]'s stamp does, into the CSR values and the RHS. Returns
-    /// `false` on a pattern miss.
+    /// [`Mosfet`]'s stamp does, into the matrix values (CSR, or a dense
+    /// row-major layout) and the RHS. Returns `false` on a pattern miss.
     pub(crate) fn stamp_channel(
         &self,
         slots: &MosSlots,
@@ -586,12 +568,27 @@ impl Element for Mosfet {
         Some(self)
     }
 
+    /// Stamps the channel's Norton linearization at the guess in `ctx`:
+    /// the whole stamp (the capacitances are `C`, see the transient
+    /// contract on [`Element`]).
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>) {
-        self.stamp_channel(ctx, &self.params, out);
-    }
-
-    fn stamp_with_card(&self, ctx: &StampCtx<'_>, card: Option<&MosParams>, out: &mut Stamper<'_>) {
-        self.stamp_channel(ctx, card.unwrap_or(&self.params), out);
+        let (vd, vg, vs) = (ctx.v(self.d), ctx.v(self.g), ctx.v(self.s));
+        let (swapped, vals, ieq) = Channel::of(&self.params).linearize(vd, vg, vs);
+        // Effective (normalized-frame) drain and source node indices.
+        let (nd, ns) = if swapped {
+            (self.s.index(), self.d.index())
+        } else {
+            (self.d.index(), self.s.index())
+        };
+        let ng = self.g.index();
+        let [v_dg, v_dd, v_ds, v_sg, v_sd, v_ss] = vals;
+        out.mat(nd, ng, v_dg);
+        out.mat(nd, nd, v_dd);
+        out.mat(nd, ns, v_ds);
+        out.mat(ns, ng, v_sg);
+        out.mat(ns, nd, v_sd);
+        out.mat(ns, ns, v_ss);
+        out.current_source(nd, ns, ieq);
     }
 
     fn stamp_ac(&self, x_op: &[f64], _bb: usize, omega: f64, out: &mut AcStamper<'_>) {

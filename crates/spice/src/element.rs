@@ -10,7 +10,7 @@
 //! [`Element`]).
 
 use crate::circuit::NodeId;
-use crate::devices::mosfet::{MosParams, Mosfet};
+use crate::devices::mosfet::Mosfet;
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{Complex64, ComplexMatrix, DenseMatrix};
 use std::fmt;
@@ -96,43 +96,6 @@ impl StampCtx<'_> {
     }
 }
 
-/// Cached stamp-pointer sequence for one sparse assembly pass.
-///
-/// While stamping into a [`CsrMatrix`], the stamper records the flat
-/// value-slot of every matrix write in call order. On the next pass over
-/// the same elements, each write is satisfied by the cached slot after a
-/// cheap `(row, col)` check — no binary search, no triplet rebuild. A
-/// mismatch (e.g. a MOSFET reordering its drain/source writes between
-/// Newton iterations) self-heals via binary search on the CSR row, so
-/// correctness never depends on the cache being right.
-#[derive(Debug, Default, Clone)]
-pub struct StampSlots {
-    seq: Vec<(usize, usize, usize)>,
-    cursor: usize,
-    missing: bool,
-}
-
-impl StampSlots {
-    /// Starts a new assembly pass at the head of the cached sequence.
-    pub fn begin_pass(&mut self) {
-        self.cursor = 0;
-        self.missing = false;
-    }
-
-    /// Reserves room for at least `writes` cached stamp pointers.
-    pub fn reserve(&mut self, writes: usize) {
-        self.seq.reserve(writes);
-    }
-
-    /// Whether a write in the last pass hit a position absent from the
-    /// matrix pattern — the signal for the analysis driver to rebuild
-    /// the pattern (or fall back to dense assembly).
-    #[must_use]
-    pub fn missing(&self) -> bool {
-        self.missing
-    }
-}
-
 /// One write of a recording [`Stamper`], in call order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum StampWrite {
@@ -153,10 +116,11 @@ enum MatSink<'a> {
     /// once per topology to discover the sparsity pattern.
     Pattern(&'a mut Vec<(usize, usize)>),
     /// Accumulate into the reserved slots of a fixed-pattern CSR matrix,
-    /// with stamp-pointer caching through `slots`.
+    /// each found by binary search. `missing` records a write outside
+    /// the pattern.
     Sparse {
         mat: &'a mut CsrMatrix,
-        slots: &'a mut StampSlots,
+        missing: bool,
     },
     /// Record every matrix *and* RHS write, with its value, in call
     /// order; nothing is accumulated.
@@ -166,11 +130,12 @@ enum MatSink<'a> {
 /// Write access to the real MNA matrix and right-hand side, with
 /// ground-aware indexing.
 ///
-/// The matrix side is pluggable: analyses that have a still-valid cached
-/// Jacobian (see factorization reuse in `analysis`) construct the stamper
-/// with [`Stamper::rhs_only`] and every matrix write is dropped; the
-/// sparse solve path uses [`Stamper::pattern`] once per topology and
-/// [`Stamper::sparse`] on every subsequent assembly.
+/// The matrix side is pluggable: analyses that need only the right-hand
+/// side (the transient's source vector) construct the stamper with
+/// [`Stamper::rhs_only`] and every matrix write is dropped; the sparse
+/// solve path uses [`Stamper::pattern`] once per topology and
+/// [`Stamper::sparse`] for every element outside the MOSFET device
+/// table on each assembly.
 #[derive(Debug)]
 pub struct Stamper<'a> {
     matrix: MatSink<'a>,
@@ -216,19 +181,24 @@ impl<'a> Stamper<'a> {
 
     /// Creates a stamper that accumulates matrix writes directly into the
     /// reserved nonzero slots of `matrix` (a fixed-pattern CSR built by
-    /// the analysis), using — and maintaining — the stamp-pointer cache
-    /// in `slots`. Call [`StampSlots::begin_pass`] before each assembly.
-    pub fn sparse(
-        matrix: &'a mut CsrMatrix,
-        slots: &'a mut StampSlots,
-        rhs: &'a mut [f64],
-        n_nodes: usize,
-    ) -> Self {
+    /// the analysis). A write outside the pattern is dropped and
+    /// reported by [`Stamper::missed_pattern`].
+    pub fn sparse(matrix: &'a mut CsrMatrix, rhs: &'a mut [f64], n_nodes: usize) -> Self {
         Stamper {
-            matrix: MatSink::Sparse { mat: matrix, slots },
+            matrix: MatSink::Sparse {
+                mat: matrix,
+                missing: false,
+            },
             rhs,
             n_nodes,
         }
+    }
+
+    /// Whether a write of a [`sparse`](Self::sparse) stamper hit a
+    /// position absent from the matrix pattern.
+    #[must_use]
+    pub fn missed_pattern(&self) -> bool {
+        matches!(self.matrix, MatSink::Sparse { missing: true, .. })
     }
 
     /// Creates a stamper that records every non-ground matrix and RHS
@@ -258,30 +228,10 @@ impl<'a> Stamper<'a> {
             MatSink::Dense(m) => m[(r, c)] += v,
             MatSink::Pattern(p) => p.push((r, c)),
             MatSink::Record(w) => w.push(StampWrite::Mat(r, c, v)),
-            MatSink::Sparse { mat, slots } => {
-                let cur = slots.cursor;
-                if let Some(&(er, ec, es)) = slots.seq.get(cur) {
-                    if er == r && ec == c {
-                        mat.vals_mut()[es] += v;
-                        slots.cursor = cur + 1;
-                        return;
-                    }
-                }
-                // Cache miss: the write order changed since the cache was
-                // recorded. Repair this position and keep going.
-                match mat.find(r, c) {
-                    Some(s) => {
-                        mat.vals_mut()[s] += v;
-                        if cur < slots.seq.len() {
-                            slots.seq[cur] = (r, c, s);
-                        } else {
-                            slots.seq.push((r, c, s));
-                        }
-                        slots.cursor = cur + 1;
-                    }
-                    None => slots.missing = true,
-                }
-            }
+            MatSink::Sparse { mat, missing } => match mat.find(r, c) {
+                Some(s) => mat.vals_mut()[s] += v,
+                None => *missing = true,
+            },
         }
     }
 
@@ -324,9 +274,8 @@ enum AcMatSink<'a> {
     /// pattern of `G + jωC`.
     Pattern(&'a mut Vec<(usize, usize)>),
     /// Accumulate into the reserved slots of a fixed-pattern complex CSR
-    /// matrix, found by binary search (a sweep stamps once, so there is
-    /// nothing for a stamp-pointer cache to reuse). `missing` records a
-    /// write outside the pattern.
+    /// matrix, each found by binary search. `missing` records a write
+    /// outside the pattern.
     Sparse {
         mat: &'a mut CsrMatrix<Complex64>,
         missing: bool,
@@ -594,23 +543,10 @@ pub trait Element: fmt::Debug + Send + Sync {
     /// above).
     fn stamp(&self, ctx: &StampCtx<'_>, out: &mut Stamper<'_>);
 
-    /// [`stamp`](Element::stamp) with `card` (when given) in place of the
-    /// element's own MOSFET model card: how the batched solver's scalar
-    /// ladder re-solves an evicted lane with that lane's `vth0`/`kp`.
-    /// Elements without a card keep the default, which ignores it.
-    fn stamp_with_card(
-        &self,
-        ctx: &StampCtx<'_>,
-        _card: Option<&MosParams>,
-        out: &mut Stamper<'_>,
-    ) {
-        self.stamp(ctx, out);
-    }
-
-    /// The MOSFET behind this element, if it is one. The transient solver
-    /// stamps MOSFETs from a device table built once per circuit rather
-    /// than through [`Element::stamp`]; every other element keeps the
-    /// `None` default.
+    /// The MOSFET behind this element, if it is one. The solver stamps
+    /// MOSFETs from a device table built once per circuit rather than
+    /// through [`Element::stamp`]; every other element keeps the `None`
+    /// default.
     fn as_mosfet(&self) -> Option<&Mosfet> {
         None
     }

@@ -1,7 +1,7 @@
 # Development task runner. Same gates as .github/workflows/ci.yml.
 
 # Run every CI gate locally.
-ci: fmt-check clippy doc test test-release perfbench-smoke lint-circuits perf-budgets-smoke
+ci: fmt-check loc clippy doc test test-release perfbench-smoke lint-circuits perf-budgets-smoke
 
 # Formatting gate.
 fmt-check:

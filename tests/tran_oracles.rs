@@ -12,7 +12,9 @@
 //!   far end, under the same sine has a modal closed form: its KCL
 //!   matrix is tridiagonal with known eigenpairs. The trapezoidal error
 //!   over every node must fall about ÷4 per halving of `dt` and stay
-//!   under a fixed bound at the finest step.
+//!   under a fixed bound at the finest step. These runs also pin the
+//!   linear circuit's kept LU: one factorization per step size, every
+//!   other transient iteration a reuse hit.
 //! * **Seed independence.** Newton starts every transient step from the
 //!   polynomial predictor. Where it starts must not move the answer
 //!   beyond the Newton tolerance band: a default-tolerance run of the
@@ -322,11 +324,41 @@ fn rc_ladder_exact(modes: &[(f64, Vec<f64>)], t: f64) -> Vec<f64> {
 }
 
 /// Largest error of any ladder node at any accepted point against the
-/// closed form.
+/// closed form. Also checks the run's factorization counters: a linear
+/// circuit keeps its LU for every iteration of every solve with the step
+/// size and method it was factored for, so past the initial operating
+/// point a fixed-step run factors once per distinct step size it solves
+/// at, and every other iteration is a reuse hit.
 fn rc_ladder_error(n: usize, cfg: &TranConfig) -> f64 {
     let (ckt, nodes) = rc_ladder(n);
     let modes = ladder_modes(n);
-    let res = tran::run(&ckt, cfg).expect("ladder transient");
+    let tel = Telemetry::enabled();
+    let res = tran::run_traced(&ckt, cfg, &tel).expect("ladder transient");
+    let c = tel.report().counters;
+    let op = Telemetry::enabled();
+    op::solve_traced(&ckt, &cfg.newton, Some(0.0), &op).expect("operating point");
+    let op_iterations = op.report().counters.newton_iterations;
+    // The fixed-step grid: steps of `min(dt, t_stop − t)` until `t_stop`.
+    let (mut t, mut grid, mut steps) = (0.0, vec![0.0], Vec::new());
+    while t < cfg.t_stop - 1e-18 {
+        let dt = cfg.dt.min(cfg.t_stop - t);
+        if !steps.contains(&dt.to_bits()) {
+            steps.push(dt.to_bits());
+        }
+        t += dt;
+        grid.push(t);
+    }
+    assert_eq!(res.times(), grid, "{n} stages, dt {:e}: grid", cfg.dt);
+    let factorizations = c.full_factorizations + c.refactorizations;
+    assert_eq!(
+        (factorizations, c.factor_reuse_hits),
+        (
+            op_iterations + steps.len() as u64,
+            c.newton_iterations - op_iterations - steps.len() as u64
+        ),
+        "{n} stages, dt {:e}: (factorizations, reuse hits)",
+        cfg.dt
+    );
     let v: Vec<Vec<f64>> = nodes.iter().map(|&node| res.voltage(node)).collect();
     let mut worst = 0.0f64;
     for (k, &t) in res.times().iter().enumerate() {

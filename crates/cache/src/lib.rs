@@ -3,8 +3,8 @@
 //!
 //! Every expensive pre-numeric artifact in the simulator — recorded
 //! stamp patterns, symbolic Gilbert–Peierls analyses, factored AC
-//! reference states, lint verdicts — is a pure function of circuit
-//! structure (and, for value-dependent artifacts, of a content digest).
+//! reference states — is a pure function of circuit structure (and, for
+//! value-dependent artifacts, of the values they were derived from).
 //! This crate interns them in memory
 //! ([`intern`]): a sharded `RwLock` map from [`Key`] to `Arc`-shared
 //! artifacts. Compute-under-write-lock guarantees exactly one cold
@@ -48,9 +48,6 @@ pub enum ArtifactKind {
     /// entry per topology; the consumer bit-compares the assembled
     /// matrix before use and replaces the entry on a mismatch).
     AcFactor = 4,
-    /// A passing lint precheck verdict (content-keyed, so a value edit
-    /// re-lints).
-    LintVerdict = 5,
 }
 
 impl ArtifactKind {

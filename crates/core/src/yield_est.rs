@@ -553,10 +553,14 @@ fn pair_circuit(
     (ckt, outp, outn)
 }
 
+/// One transistor-level trial's draw: its corner index, the per-stage
+/// pair mismatches ΔV_TH in stage order, and its importance weight.
+type PairDraw = (usize, Vec<f64>, f64);
+
 /// The deterministic draw of one transistor-level trial: which corner,
 /// the per-stage pair mismatches ΔV_TH (from the widened
 /// distribution, in stage order), and the trial's importance weight.
-fn pair_draw(cfg: &YieldConfig, spec: &PairYieldSpec, idx: usize) -> (usize, Vec<f64>, f64) {
+fn pair_draw(cfg: &YieldConfig, spec: &PairYieldSpec, idx: usize) -> PairDraw {
     let corner_idx = idx % spec.corners.len();
     let sigma = spec.sigma_dvth();
     let sigma_w = sigma * cfg.sigma_scale;
@@ -575,14 +579,35 @@ fn pair_draw(cfg: &YieldConfig, spec: &PairYieldSpec, idx: usize) -> (usize, Vec
     (corner_idx, dvths, w)
 }
 
+/// The batch columns of `draws` on the chain: each draw's corner card
+/// (`cards[corner]`) with its ΔV_TH split ±ΔV_TH/2 becomes the `vth0`
+/// and `kp` columns of both pair devices of every stage, as
+/// [`pair_circuit`] builds them.
+fn chain_columns(names: &ChainNames, cards: &[MosParams], draws: &[PairDraw]) -> ParamColumns {
+    let mut cols = ParamColumns::new(draws.len());
+    for (s, n) in names.0.iter().enumerate() {
+        for (name, sign) in [(&n.m_p, 1.0), (&n.m_n, -1.0)] {
+            let vth0 = draws
+                .iter()
+                .map(|(ci, dv, _)| cards[*ci].vth0 + sign * dv[s] / 2.0);
+            let kp = draws.iter().map(|(ci, _, _)| cards[*ci].kp);
+            cols = cols.column(name, MosField::Vth0, vth0.collect());
+            cols = cols.column(name, MosField::Kp, kp.collect());
+        }
+    }
+    cols
+}
+
 /// What every chunk of a transistor sweep shares, set up once per
-/// sweep: the chain names, each corner's PDK and nominal bias point, and
-/// the one nominal circuit every batched chunk solves.
+/// sweep: the chain names, each corner's PDK, pair card and nominal
+/// bias point, and the one nominal circuit every batched chunk solves.
 struct PairSweep<'a> {
     cfg: &'a YieldConfig,
     spec: &'a PairYieldSpec,
     names: ChainNames,
     pdks: Vec<Pdk018>,
+    /// Per-corner pair-device cards.
+    cards: Vec<MosParams>,
     /// Per-corner nominal solutions: the warm starts.
     warms: Vec<Vec<f64>>,
     /// Per-corner nominal output offsets, volts.
@@ -592,8 +617,10 @@ struct PairSweep<'a> {
 }
 
 impl<'a> PairSweep<'a> {
-    /// Validates the inputs and solves each corner's nominal bias point
-    /// before any chunk runs, so nothing depends on scheduling.
+    /// Validates the inputs and solves every corner's nominal bias point
+    /// before any chunk runs, so nothing depends on scheduling. The
+    /// corners differ only in the pair devices' `vth0` and `kp`, so their
+    /// nominals are one cold, untraced batch over the chain.
     fn new(cfg: &'a YieldConfig, spec: &'a PairYieldSpec) -> Result<Self, SpiceError> {
         cfg.validate();
         spec.validate();
@@ -604,19 +631,25 @@ impl<'a> PairSweep<'a> {
             .iter()
             .map(|&c| Pdk018::new(c, spec.temp_c))
             .collect();
-        let (mut warms, mut nominal_offsets) = (Vec::new(), Vec::new());
-        for pdk in &pdks {
-            let (ckt, outp, outn) = pair_circuit(spec, pdk, &nominal_dvths, &names);
-            let nominal = op::solve_with(&ckt, &NewtonOptions::default(), None)?;
-            nominal_offsets.push(nominal.voltage(outp) - nominal.voltage(outn));
-            warms.push(nominal.solution().to_vec());
-        }
+        let cards: Vec<MosParams> = pdks.iter().map(|p| p.nmos(spec.w, spec.l)).collect();
         let chain = pair_circuit(spec, &pdks[0], &nominal_dvths, &names);
+        let nominals: Vec<PairDraw> = (0..pdks.len())
+            .map(|ci| (ci, nominal_dvths.clone(), 1.0))
+            .collect();
+        let cols = chain_columns(&names, &cards, &nominals);
+        let (ckt, outp, outn) = &chain;
+        let tel = Telemetry::disabled();
+        let res = batch::op_batch(ckt, &cols, &NewtonOptions::default(), &[], &tel)?;
+        let nominal_offsets = (0..res.len())
+            .map(|ci| res.voltage(ci, *outp) - res.voltage(ci, *outn))
+            .collect();
+        let warms = (0..res.len()).map(|ci| res.solution(ci).to_vec()).collect();
         Ok(PairSweep {
             cfg,
             spec,
             names,
             pdks,
+            cards,
             warms,
             nominal_offsets,
             chain,
@@ -634,22 +667,10 @@ impl<'a> PairSweep<'a> {
         len: usize,
         tel: &Telemetry,
     ) -> Result<(Vec<(f64, f64)>, u64), SpiceError> {
-        let spec = self.spec;
-        let cards: Vec<MosParams> = self.pdks.iter().map(|p| p.nmos(spec.w, spec.l)).collect();
         let draws: Vec<_> = (start..start + len)
-            .map(|idx| pair_draw(self.cfg, spec, idx))
+            .map(|idx| pair_draw(self.cfg, self.spec, idx))
             .collect();
-        let mut cols = ParamColumns::new(len);
-        for (s, n) in self.names.0.iter().enumerate() {
-            for (name, sign) in [(&n.m_p, 1.0), (&n.m_n, -1.0)] {
-                let vth0 = draws
-                    .iter()
-                    .map(|(ci, dv, _)| cards[*ci].vth0 + sign * dv[s] / 2.0);
-                let kp = draws.iter().map(|(ci, _, _)| cards[*ci].kp);
-                cols = cols.column(name, MosField::Vth0, vth0.collect());
-                cols = cols.column(name, MosField::Kp, kp.collect());
-            }
-        }
+        let cols = chain_columns(&self.names, &self.cards, &draws);
         let warm = if self.cfg.warm_start {
             draws.iter().map(|d| self.warms[d.0].as_slice()).collect()
         } else {
@@ -985,6 +1006,34 @@ mod tests {
             let c = tel.report().counters;
             assert_eq!(c.batch_solves, 10, "{} stages", spec.stages);
             assert_eq!(c.lane_fallbacks, 0);
+        }
+    }
+
+    /// The corner nominals come from one batch over the chain built at
+    /// the first corner; each warm start and nominal offset is bitwise the
+    /// scalar operating point of the circuit built with its own corner's
+    /// PDK.
+    #[test]
+    fn batched_corner_nominals_equal_scalar_solves_bit_for_bit() {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for spec in [PairYieldSpec::paper_default(), PairYieldSpec::paper_chain()] {
+            let spec = spec.all_corners();
+            let cfg = YieldConfig::new(1, 1);
+            let sweep = PairSweep::new(&cfg, &spec).unwrap();
+            assert_eq!(sweep.warms.len(), spec.corners.len());
+            let nominal_dvths = vec![0.0; spec.stages];
+            for (ci, pdk) in sweep.pdks.iter().enumerate() {
+                let (ckt, outp, outn) = pair_circuit(&spec, pdk, &nominal_dvths, &sweep.names);
+                let s = op::solve_with(&ckt, &NewtonOptions::default(), None).unwrap();
+                let what = format!("{} stages, corner {:?}", spec.stages, spec.corners[ci]);
+                assert_eq!(bits(&sweep.warms[ci]), bits(s.solution()), "{what}");
+                let offset = s.voltage(outp) - s.voltage(outn);
+                assert_eq!(
+                    sweep.nominal_offsets[ci].to_bits(),
+                    offset.to_bits(),
+                    "{what}"
+                );
+            }
         }
     }
 

@@ -154,7 +154,7 @@ pub fn sweep_traced(
 ) -> Result<AcResult, SpiceError> {
     {
         let _t = tel.timer(Phase::LintPrecheck);
-        cache::lint_precheck_cached(ckt, opts.cache, tel)?;
+        crate::lint::precheck(ckt)?;
     }
     tel.count(|c| c.lint_prechecks += 1);
     sweep_prechecked(ckt, x_op, freqs, opts, threads, tel)

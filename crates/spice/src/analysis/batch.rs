@@ -6,39 +6,41 @@
 //! perturbed MOSFET cards. [`op_batch`] takes that circuit once, plus
 //! [`ParamColumns`]: per-variant `vth0`/`kp` values of named MOSFETs,
 //! column-major. One MNA system, one lint precheck and one sparsity
-//! pattern serve every variant. Variants are packed eight at a time into
-//! the lanes of an [`F64x8`] (a batch that is not a multiple of eight
-//! runs its last group with the tail lanes masked off), and each group's
-//! iterates stay lane-packed for its whole lockstep. A stamp program
-//! compiled once per pattern assembles every lane at once into a
-//! lane-packed CSR matrix: it walks the elements in element order,
+//! pattern serve every variant. The variants **stream** through the
+//! eight lanes of an [`F64x8`]: the first eight start together, and
+//! whenever a lane's variant converges or is evicted, the next variant
+//! is loaded into that lane (its warm start or zeros into the
+//! lane-packed iterate, its cards into the lane's channels) before the
+//! next lockstep pass. Each lane counts its own passes against
+//! `max_iter`, so no lane idles while a slower one finishes. A stamp
+//! program compiled once per pattern assembles every lane at once into
+//! a lane-packed CSR matrix: it walks the elements in element order,
 //! adding each linear element's recorded writes to all lanes,
 //! linearizing each MOSFET's device-table row in all eight lanes at once
-//! with lane selects over the scalar square law (the lane channels are
-//! read once per group from the rows each variant is loaded into), and
-//! stamping any other nonlinear element lane by lane from a scratch copy
-//! of its lane's iterate; gmin comes last. Every slot so sums in the
-//! scalar assembly's order, and each lane's matrix is bitwise its
-//! variant's scalar one. The matrix's pivot order is frozen after the
-//! first factorization and replayed across iterations and lane groups. The damped-Newton update
+//! with lane selects over the scalar square law (each lane's channel is
+//! read from the rows its variant was loaded into), and stamping any
+//! other nonlinear element lane by lane from a scratch copy of its
+//! lane's iterate; gmin comes last. Every slot so sums in the scalar
+//! assembly's order, and each lane's matrix is bitwise its variant's
+//! scalar one. The matrix's pivot order is frozen after the first
+//! factorization, taken on the first eight variants at their first
+//! iterate, and replayed for every later pass. The damped-Newton update
 //! and its convergence test run lane-wise on the packed vectors, each
-//! lane the scalar arithmetic, and the lockstep tracks convergence **per
-//! lane**: a lane that converges freezes while the others keep
-//! iterating, and a lane whose frozen pivot dies or whose iterate
-//! diverges is quarantined by the masked LU entry point
+//! lane the scalar arithmetic, so a variant's result does not depend on
+//! its lane or on when it was loaded. A lane whose frozen pivot dies or
+//! whose iterate diverges is quarantined by the masked LU entry point
 //! ([`SparseLu::refactor_frozen_masked`]: the sparse LU's one replay
 //! kernel, the same one scalar and AC solves run, with a pivot guard
 //! that heals dead lanes) and re-solved through the scalar
 //! `op::solve_system` homotopy ladder — one bad variant never stalls or
 //! corrupts the batch. A variant's cards live in the system's MOSFET
-//! device-table rows: loading a variant writes its channels there, the
-//! lane channels are read from them, and the ladder stamps from them,
-//! sparse or dense. The ladder is
-//! also the only degradation: a group whose stamps miss the pattern goes
-//! to it whole (the pattern is rebuilt once for the next group), and a
-//! batch whose pattern cannot be built or misses twice sends every later
-//! variant there. The batch ignores `opts.sparse_threshold`; the ladder
-//! honours it. See DESIGN.md §13.
+//! device-table rows: loading a variant writes its channels there, and
+//! the ladder stamps from them, sparse or dense. The ladder is also the
+//! only degradation: on a pattern miss every active lane goes to it and
+//! the pattern is rebuilt from the next variant, and a batch whose
+//! pattern cannot be built or misses twice sends every later variant
+//! there. The batch ignores `opts.sparse_threshold`; the ladder honours
+//! it. See DESIGN.md §13.
 //!
 //! Every eviction increments the `lane_fallbacks` counter; batch
 //! efficiency shows as `lane_occupancy` / `lane_fallback_rate` in the
@@ -53,7 +55,6 @@ use crate::SpiceError;
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{F64x8, LaneScalar, Scalar, SparseLu};
 use cml_telemetry::{Phase, Telemetry};
-use std::ops::Range;
 
 /// A MOSFET model-card field the batched solver varies per lane. Process
 /// corners differ in exactly these two fields, and threshold mismatch
@@ -171,11 +172,15 @@ impl BatchOpResult {
     }
 }
 
-/// Batched operating point of `ckt` over the variants of `cols`. With a
-/// non-empty `warm` (one slice per variant) each lane begins its
-/// lockstep Newton from its own known nearby solution (typically its
-/// corner's nominal operating point) instead of from zero, which is the
-/// main throughput lever for Monte-Carlo sweeps of small perturbations.
+/// Batched operating point of `ckt` over the variants of `cols`,
+/// streamed through the eight lanes of one lockstep Newton solve (see
+/// the [module docs](self)). With a non-empty `warm` (one slice per
+/// variant) each variant begins its lockstep Newton from its own known
+/// nearby solution (typically its corner's nominal operating point)
+/// instead of from zero, which is the main throughput lever for
+/// Monte-Carlo sweeps of small perturbations. Each variant's solution is
+/// bitwise what the lockstep arithmetic gives it in any lane at any
+/// point of the stream.
 ///
 /// # Errors
 ///
@@ -197,9 +202,10 @@ pub fn op_batch(
     res
 }
 
-/// The one MNA system of a batch plus its columns resolved to
-/// device-table rows; [`Lanes::load`] puts one variant's cards into the
-/// rows they vary.
+/// The one MNA system of a batch, its columns resolved to device-table
+/// rows, and every row's channel in each of the eight lanes.
+/// [`Lanes::load`] puts one variant's cards into the rows they vary;
+/// [`Lanes::fill`] also puts them into one lane's channels.
 struct Lanes<'a> {
     sys: System<'a>,
     /// `(index into cards, field, values)` of every column.
@@ -207,8 +213,11 @@ struct Lanes<'a> {
     /// `(device-table row, card)` of every MOSFET a column names, the
     /// card holding the variant last loaded.
     cards: Vec<(usize, MosParams)>,
-    /// Every row's channel of its own card, as [`System::new`] built it.
-    own: Vec<Channel>,
+    /// Every device-table row's channel in each lane: in the rows a
+    /// column names, lane `l` holds the variant last filled into `l`;
+    /// every other row holds its own card's channel in all lanes, as
+    /// [`System::new`] built it.
+    channels: Vec<LaneChannel>,
 }
 
 impl<'a> Lanes<'a> {
@@ -251,12 +260,16 @@ impl<'a> Lanes<'a> {
             }
             resolved.push((card, *field, values.as_slice()));
         }
-        let own = sys.mos.iter().map(|d| d.channel()).collect();
+        let channels = sys
+            .mos
+            .iter()
+            .map(|d| LaneChannel::splat(&d.channel()))
+            .collect();
         Ok(Lanes {
             sys,
             cols: resolved,
             cards,
-            own,
+            channels,
         })
     }
 
@@ -272,42 +285,130 @@ impl<'a> Lanes<'a> {
         &self.sys
     }
 
-    /// Writes every device-table row's channel in each lane of `group`
-    /// into `out`: the lane variant's where a column names the device,
-    /// the device's own elsewhere and in the lanes past the group.
-    fn channels(&mut self, group: Range<usize>, out: &mut Vec<LaneChannel>) {
-        out.clear();
-        out.extend(self.own.iter().map(LaneChannel::splat));
-        for (l, v) in group.enumerate() {
-            self.load(v);
-            for &(row, _) in &self.cards {
-                out[row].set_lane(l, &self.sys.mos[row].channel());
-            }
+    /// Loads variant `v` and puts its channels into lane `l`.
+    fn fill(&mut self, l: usize, v: usize) {
+        self.load(v);
+        for &(row, _) in &self.cards {
+            self.channels[row].set_lane(l, &self.sys.mos[row].channel());
         }
     }
 }
 
 /// Why one lockstep linear-solve iteration could not continue.
 enum StepFail {
-    /// Every still-active lane died; the survivors-so-far stand, the
-    /// rest go to the scalar fallback.
-    GroupDead,
-    /// A stamp missed the cached sparsity pattern; the whole group goes
-    /// scalar and the pattern is rebuilt for the next group.
+    /// Every active lane died; they all go to the scalar ladder.
+    LanesDead,
+    /// A stamp missed the pattern; every active lane goes to the scalar
+    /// ladder and the pattern is rebuilt from the next variant.
     PatternMiss,
 }
 
-/// The lockstep kernel of one batch driver call: the sparse lane state,
-/// shared across lane groups so the pattern, stamp program and frozen
-/// pivot order amortize over *all* variants, plus the degradation state
-/// that sends lanes straight to the scalar ladder.
-#[derive(Default)]
-struct BatchKernel<'a> {
-    sparse: Option<BatchSparse<'a>>,
-    /// Set when the pattern could not be built or missed twice: every
-    /// later lane goes to the scalar ladder.
-    scalar_only: bool,
-    pattern_misses: u32,
+/// Streams every variant through the eight lanes of one lockstep
+/// damped-Newton DC solve. Before each lockstep pass, every idle lane is
+/// refilled, in lane order, with the next variant: its warm start (or
+/// zeros) goes into the packed iterate and its cards into the lane's
+/// channels. Each lane counts its own passes against `opts.max_iter`.
+/// A lane that converges writes its solution into `solutions` at its
+/// variant; a lane whose frozen pivot dies, whose iterate diverges,
+/// whose stamps miss the pattern or whose passes run out is marked in
+/// `evicted`, as is every variant the stream never loads, for the
+/// caller's scalar ladder.
+///
+/// The pattern, stamp program and frozen pivot order serve the whole
+/// stream. A pattern miss rebuilds them from the next variant; a second
+/// miss, or a pattern that cannot be built, ends the stream.
+fn stream(
+    lanes: &mut Lanes<'_>,
+    warm: &[&[f64]],
+    opts: &NewtonOptions,
+    tel: &Telemetry,
+    solutions: &mut [Vec<f64>],
+    evicted: &mut [bool],
+) {
+    const LANES: usize = F64x8::LANES;
+    let _t = tel.timer(Phase::BatchSolve);
+    let (n, n_nodes) = (solutions.len(), lanes.sys.n_nodes());
+    let mut xs = vec![F64x8::ZERO; lanes.sys.dim()];
+    let mut sparse: Option<BatchSparse<'_>> = None;
+    // No pass budget leaves every variant to the ladder.
+    let (mut scalar_only, mut pattern_misses) = (opts.max_iter == 0, 0);
+    // Each lane's variant and the lockstep passes it has taken.
+    let (mut variant, mut passes) = ([0; LANES], [0; LANES]);
+    let (mut next, mut active) = (0, 0u64);
+    loop {
+        for l in 0..LANES {
+            if scalar_only || next == n || active & (1 << l) != 0 {
+                continue;
+            }
+            lanes.fill(l, next);
+            for (i, x) in xs.iter_mut().enumerate() {
+                x.set_lane(l, warm.get(next).map_or(0.0, |w| w[i]));
+            }
+            (variant[l], passes[l]) = (next, 0);
+            active |= 1 << l;
+            next += 1;
+        }
+        if active == 0 {
+            break;
+        }
+        // A pattern is only (re)built when every lane was just refilled,
+        // so lane 0 holds the earliest of them.
+        if sparse.is_none() {
+            let x0: Vec<f64> = xs.iter().map(|x| x.lane(0)).collect();
+            sparse = BatchSparse::build(lanes.load(variant[0]), &x0, opts, tel);
+            scalar_only = sparse.is_none();
+        }
+        let mut quit = active;
+        if let Some(bs) = sparse.as_mut() {
+            tel.count(|c| {
+                c.batch_solves += 1;
+                c.batch_lane_slots += LANES as u64;
+                c.batch_lanes_active += u64::from(active.count_ones());
+            });
+            match bs.iteration(lanes, &xs, active, tel) {
+                Ok(newly_dead) => {
+                    // Per-lane convergence check + damping, the exact
+                    // scalar `newton_attempt` update on every live lane.
+                    let live = active & !newly_dead;
+                    let (failed, damped, non_finite) =
+                        newton_update_lanes(&mut xs, &bs.packed_x, live, n_nodes, opts);
+                    let healthy = live & !non_finite;
+                    let done = healthy & !failed & !damped;
+                    quit = active & !healthy;
+                    for l in (0..LANES).filter(|l| active & (1 << l) != 0) {
+                        passes[l] += 1;
+                        if done & (1 << l) != 0 {
+                            solutions[variant[l]] = xs.iter().map(|x| x.lane(l)).collect();
+                        } else if passes[l] >= opts.max_iter {
+                            quit |= 1 << l;
+                        }
+                    }
+                    active &= !done;
+                }
+                Err(StepFail::LanesDead) => {}
+                Err(StepFail::PatternMiss) => {
+                    // One rebuild allowance, as in the scalar driver,
+                    // then scalar only.
+                    sparse = None;
+                    pattern_misses += 1;
+                    tel.count(|c| c.pattern_rebuilds += 1);
+                    if pattern_misses >= 2 {
+                        scalar_only = true;
+                        tel.degradation(
+                            "batch-pattern-scalar-fallback",
+                            "batched solve pattern missed twice; every later \
+                             variant of this batch goes to the scalar ladder",
+                        );
+                    }
+                }
+            }
+        }
+        for l in (0..LANES).filter(|l| quit & (1 << l) != 0) {
+            evicted[variant[l]] = true;
+        }
+        active &= !quit;
+    }
+    evicted[next..].fill(true);
 }
 
 /// One step of a batch's stamp program, in element order.
@@ -340,16 +441,13 @@ struct BatchSparse<'a> {
     /// Lane-packed values on the batch's pattern.
     packed: CsrMatrix<F64x8>,
     /// Shared-pivot LU; pivot order frozen after the first full factor
-    /// and replayed (masked) for every later iteration and group.
+    /// and replayed (masked) for every later iteration.
     lu: SparseLu<F64x8>,
     factored: bool,
     /// The stamp program, compiled once per pattern.
     ops: Vec<Op<'a>>,
     /// Value slots of each device-table row's writes.
     mos_slots: Vec<MosSlots>,
-    /// Each device-table row's channel in every lane of the current
-    /// group.
-    channels: Vec<LaneChannel>,
     /// The recorded writes of one generic stamp.
     writes: Vec<StampWrite>,
     /// Each lane's iterate, unpacked for the generic stamps.
@@ -357,82 +455,6 @@ struct BatchSparse<'a> {
     packed_rhs: Vec<F64x8>,
     /// Raw lockstep Newton solution before damping.
     packed_x: Vec<F64x8>,
-}
-
-impl<'a> BatchKernel<'a> {
-    /// One lockstep damped-Newton DC solve over up to `F64x8::LANES`
-    /// variants. `xs` holds the lane-packed initial guesses in and the
-    /// iterates out. Returns the mask of converged lanes, whose lanes of
-    /// `xs` are their solutions; every other lane was quarantined (pivot
-    /// death, divergence, iteration exhaustion or a pattern miss), its
-    /// lane is garbage, and the caller re-solves it through the scalar
-    /// path.
-    fn newton_lockstep(
-        &mut self,
-        lanes: &mut Lanes<'a>,
-        group: Range<usize>,
-        xs: &mut [F64x8],
-        opts: &NewtonOptions,
-        tel: &Telemetry,
-    ) -> u64 {
-        let k = group.len();
-        debug_assert!((1..=F64x8::LANES).contains(&k));
-        let n_nodes = lanes.sys.n_nodes();
-        let _t = tel.timer(Phase::BatchSolve);
-        if !self.scalar_only && self.sparse.is_none() {
-            let x0: Vec<f64> = xs.iter().map(|x| x.lane(0)).collect();
-            self.sparse = BatchSparse::build(lanes.load(group.start), &x0, opts, tel);
-            self.scalar_only = self.sparse.is_none();
-        }
-        let Some(bs) = self.sparse.as_mut() else {
-            return 0;
-        };
-        lanes.channels(group, &mut bs.channels);
-        let mut converged_lanes = 0u64;
-        let mut active: u64 = (1u64 << k) - 1;
-        for _iter in 0..opts.max_iter {
-            if active == 0 {
-                break;
-            }
-            tel.count(|c| {
-                c.batch_solves += 1;
-                c.batch_lane_slots += F64x8::LANES as u64;
-                c.batch_lanes_active += u64::from(active.count_ones());
-            });
-            let newly_dead = match bs.iteration(&lanes.sys, k, xs, active, tel) {
-                Ok(d) => d,
-                Err(StepFail::GroupDead) => return converged_lanes,
-                Err(StepFail::PatternMiss) => {
-                    // One rebuild allowance, as in the scalar driver,
-                    // then scalar only. Either way this group has a
-                    // half-stamped matrix — send it down the ladder.
-                    self.sparse = None;
-                    self.pattern_misses += 1;
-                    tel.count(|c| c.pattern_rebuilds += 1);
-                    if self.pattern_misses >= 2 {
-                        self.scalar_only = true;
-                        tel.degradation(
-                            "batch-pattern-scalar-fallback",
-                            "batched solve pattern missed twice; every later \
-                             variant of this batch goes to the scalar ladder",
-                        );
-                    }
-                    return converged_lanes;
-                }
-            };
-            // Per-lane convergence check + damping, the exact scalar
-            // `newton_attempt` update on every live lane at once.
-            let live = active & !newly_dead;
-            let (failed, damped, non_finite) =
-                newton_update_lanes(xs, &bs.packed_x, live, n_nodes, opts);
-            active = live & !non_finite;
-            let done = active & !failed & !damped;
-            converged_lanes |= done;
-            active &= !done;
-        }
-        // Lanes still active exhausted the iteration budget: fallback.
-        converged_lanes
-    }
 }
 
 /// The damped Newton update of `super::newton_update` on every lane of
@@ -495,7 +517,6 @@ impl<'a> BatchSparse<'a> {
                 factored: false,
                 ops,
                 mos_slots: sp.mos_slots,
-                channels: Vec::new(),
                 writes: Vec::new(),
                 guesses: vec![Vec::new(); F64x8::LANES],
                 packed_rhs: vec![F64x8::ZERO; dim],
@@ -552,10 +573,11 @@ impl<'a> BatchSparse<'a> {
     /// linear part and gmin alone. A MOSFET is linearized in all lanes at
     /// once; any other nonlinear element is stamped lane by lane from a
     /// scratch copy of that lane's guess.
-    fn assemble(&mut self, sys: &System<'_>, xs: &[F64x8], active: u64) -> Result<(), StepFail> {
+    fn assemble(&mut self, lanes: &Lanes<'_>, xs: &[F64x8], active: u64) -> Result<(), StepFail> {
+        let sys = &lanes.sys;
         self.packed.clear_vals();
         self.packed_rhs.fill(F64x8::ZERO);
-        let lanes = || (0..F64x8::LANES).filter(move |l| active & (1 << l) != 0);
+        let each_active = || (0..F64x8::LANES).filter(move |l| active & (1 << l) != 0);
         let mut unpacked = false;
         let mut hit = true;
         for &op in &self.ops {
@@ -564,7 +586,7 @@ impl<'a> BatchSparse<'a> {
                 Op::Rhs(r, v) => self.packed_rhs[r] += F64x8::splat(v),
                 Op::Nonlinear(Visit::Mos(k)) => {
                     hit &= sys.mos[k].stamp_lanes(
-                        &self.channels[k],
+                        &lanes.channels[k],
                         &self.mos_slots[k],
                         xs,
                         active,
@@ -574,13 +596,13 @@ impl<'a> BatchSparse<'a> {
                 }
                 Op::Nonlinear(Visit::Element(idx, e)) => {
                     if !unpacked {
-                        for l in lanes() {
+                        for l in each_active() {
                             self.guesses[l].clear();
                             self.guesses[l].extend(xs.iter().map(|x| x.lane(l)));
                         }
                         unpacked = true;
                     }
-                    for l in lanes() {
+                    for l in each_active() {
                         self.writes.clear();
                         let ctx = sys.ctx(idx, &self.guesses[l], StampMode::dc());
                         e.stamp(&ctx, &mut Stamper::record(&mut self.writes, sys.n_nodes()));
@@ -608,28 +630,25 @@ impl<'a> BatchSparse<'a> {
         }
     }
 
-    /// One lockstep iteration over a group of `k` lanes: the stamp
+    /// One lockstep iteration over the `active` lanes: the stamp
     /// program, masked frozen-pivot replay and substitution. Returns the
     /// lanes that died during factorization.
     fn iteration(
         &mut self,
-        sys: &System<'_>,
-        k: usize,
+        lanes: &Lanes<'_>,
         xs: &[F64x8],
         active: u64,
         tel: &Telemetry,
     ) -> Result<u64, StepFail> {
-        self.assemble(sys, xs, active)?;
-        // Before the first full factorization the unused lanes (k..N)
-        // hold the linear part alone, which would wreck the shared pivot
-        // metric (min over *all* lanes). Mirror lane 0 into them once;
-        // after that every replay is masked and ignores non-live lanes.
-        if !self.factored && k < F64x8::LANES {
+        self.assemble(lanes, xs, active)?;
+        // Before the first full factorization the idle lanes hold the
+        // linear part alone, which would wreck the shared pivot metric
+        // (min over *all* lanes). Mirror lane 0, always active then, into
+        // them once; after that every replay is masked and ignores
+        // non-live lanes.
+        if !self.factored {
             for v in self.packed.vals_mut() {
-                let v0 = v.lane(0);
-                for j in k..F64x8::LANES {
-                    v.set_lane(j, v0);
-                }
+                *v = F64x8::select(active, *v, F64x8::splat(v.lane(0)));
             }
         }
         let newly_dead = if self.factored {
@@ -642,7 +661,7 @@ impl<'a> BatchSparse<'a> {
                     tel.count(|c| c.refactorizations += 1);
                     d
                 }
-                Err(_) => return Err(StepFail::GroupDead),
+                Err(_) => return Err(StepFail::LanesDead),
             }
         } else {
             let res = {
@@ -655,7 +674,7 @@ impl<'a> BatchSparse<'a> {
                     super::note_refactor(tel, oc, self.lu.last_dead_pivot());
                     0
                 }
-                Err(_) => return Err(StepFail::GroupDead),
+                Err(_) => return Err(StepFail::LanesDead),
             }
         };
         {
@@ -665,7 +684,7 @@ impl<'a> BatchSparse<'a> {
                 .solve_into(&self.packed_rhs, &mut self.packed_x)
                 .is_err()
             {
-                return Err(StepFail::GroupDead);
+                return Err(StepFail::LanesDead);
             }
         }
         tel.count(|c| c.sparse_solves += 1);
@@ -686,7 +705,7 @@ fn op_batch_impl(
     // connectivity checks.
     {
         let _t = tel.timer(Phase::LintPrecheck);
-        cache::lint_precheck_cached(ckt, opts.cache, tel)?;
+        crate::lint::precheck(ckt)?;
         tel.count(|c| c.lint_prechecks += 1);
     }
     let mut lanes = Lanes::new(ckt, cols)?;
@@ -699,28 +718,12 @@ fn op_batch_impl(
             ),
         });
     }
-    let mut kernel = BatchKernel::default();
-    let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n);
-    let mut fallbacks = Vec::with_capacity(n);
-    let mut xs = vec![F64x8::ZERO; dim];
-    for start in (0..n).step_by(F64x8::LANES) {
-        let group = start..n.min(start + F64x8::LANES);
-        // Each lane starts from its warm start, or from zero without
-        // one, as do the lanes past the batch's end.
-        for (i, x) in xs.iter_mut().enumerate() {
-            *x = F64x8::from_fn(|l| warm.get(start + l).map_or(0.0, |w| w[i]));
-        }
-        let converged = kernel.newton_lockstep(&mut lanes, group.clone(), &mut xs, opts, tel);
-        for (l, v) in group.enumerate() {
-            let fell_back = converged & (1 << l) == 0;
-            if fell_back {
-                tel.count(|c| c.lane_fallbacks += 1);
-                solutions.push(solve_system(lanes.load(v), opts, None, tel)?);
-            } else {
-                solutions.push(xs.iter().map(|x| x.lane(l)).collect());
-            }
-            fallbacks.push(fell_back);
-        }
+    let mut solutions = vec![Vec::new(); n];
+    let mut fallbacks = vec![false; n];
+    stream(&mut lanes, warm, opts, tel, &mut solutions, &mut fallbacks);
+    for (v, _) in fallbacks.iter().enumerate().filter(|(_, &f)| f) {
+        tel.count(|c| c.lane_fallbacks += 1);
+        solutions[v] = solve_system(lanes.load(v), opts, None, tel)?;
     }
     Ok(BatchOpResult {
         solutions,
@@ -813,9 +816,9 @@ mod tests {
         }
     }
 
-    /// Batch sizes below, at and past one eight-lane group, so the tail
-    /// group runs with masked lanes and the kernel is reused across
-    /// groups, against the dense and the sparse scalar reference.
+    /// Batch sizes below, at and past eight lanes, so the stream runs
+    /// with idle lanes at its start or its end and refills lanes, against
+    /// the dense and the sparse scalar reference.
     #[test]
     fn variants_match_scalar_every_group_size() {
         for n in [1usize, 7, 8, 9, 17] {
@@ -906,8 +909,8 @@ mod tests {
 
     /// A sick lane (see [`sick_cards`]) must fall back to the scalar
     /// homotopy ladder. The healthy lanes converge in lockstep and must
-    /// be untouched. One sick lane sits in the full first group, one in
-    /// the masked tail group.
+    /// be untouched. One sick variant is among the first eight, one among
+    /// the refills.
     #[test]
     fn lane_falls_back_to_scalar_ladder() {
         let sick = [1, 9];
@@ -933,6 +936,65 @@ mod tests {
             let s = op::solve_with(&diff_pair(m1, m2), &opts, None).unwrap();
             assert_eq!(res.solution(v), s.solution(), "variant {v}");
         }
+    }
+
+    /// Nineteen variants whose scalar Newton iteration counts differ
+    /// stream through the lanes: every lane that converges is refilled
+    /// with the next variant before the next lockstep pass, and its pass
+    /// budget starts afresh. Each solution
+    /// is bitwise its scalar operating point, and the lockstep pass count
+    /// is the eight-lane refill schedule of the scalar iteration counts:
+    /// each variant, in order, takes the lane that frees first (the
+    /// lowest such lane on a tie) and holds it for its count.
+    #[test]
+    fn refilled_lanes_follow_the_scalar_iteration_counts() {
+        // A weaker pair carries the tail current with its source further
+        // below ground, which damped Newton reaches in more steps.
+        let cards: Vec<Cards> = (0..19)
+            .map(|i| {
+                let vth0 = 0.4 + 0.1 * ((i * 7) % 19) as f64 / 18.0;
+                let kp = KP * [1.0, 0.003, 0.1, 0.01, 0.3, 0.03][i % 6];
+                ((vth0, kp), (vth0 + 0.01 * (i % 3) as f64, kp))
+            })
+            .collect();
+        let opts = NewtonOptions::default();
+        let iterations: Vec<u64> = cards
+            .iter()
+            .map(|&(m1, m2)| {
+                let tel = Telemetry::enabled();
+                op::solve_traced(&diff_pair(m1, m2), &opts, None, &tel).unwrap();
+                let c = tel.report().counters;
+                assert_eq!((c.newton_solves, c.newton_retries), (1, 0));
+                c.newton_iterations
+            })
+            .collect();
+        let mut distinct = iterations.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(distinct.len() >= 4, "iteration counts {iterations:?}");
+        // The slowest variant needs the whole budget, which each lane
+        // counts from its own refill.
+        let budget = NewtonOptions {
+            max_iter: *iterations.iter().max().unwrap() as usize,
+            ..opts
+        };
+        let tel = Telemetry::enabled();
+        let res = op_batch(&nominal(), &pair_columns(&cards), &budget, &[], &tel).unwrap();
+        assert_eq!(res.fallback_count(), 0);
+        for (v, &(m1, m2)) in cards.iter().enumerate() {
+            let s = op::solve_with(&diff_pair(m1, m2), &opts, None).unwrap();
+            assert_eq!(bits(res.solution(v)), bits(s.solution()), "variant {v}");
+        }
+        let mut free_at = [0u64; F64x8::LANES];
+        for &k in &iterations {
+            let first = (0..F64x8::LANES).min_by_key(|&l| free_at[l]).unwrap();
+            free_at[first] += k;
+        }
+        let passes = free_at.into_iter().max().unwrap();
+        let c = tel.report().counters;
+        assert_eq!(c.batch_solves, passes, "iteration counts {iterations:?}");
+        assert_eq!(c.batch_lanes_active, iterations.iter().sum::<u64>());
+        assert_eq!(c.batch_lane_slots, passes * F64x8::LANES as u64);
     }
 
     /// An evicted lane re-solved through the dense scalar ladder
@@ -988,9 +1050,9 @@ mod tests {
         fn stamp_ac(&self, _x_op: &[f64], _bb: usize, _omega: f64, _out: &mut AcStamper<'_>) {}
     }
 
-    /// The pattern misses in the first group and again in the second,
-    /// after its rebuild; from then on every lane goes straight to the
-    /// scalar ladder, the single-lane third group included.
+    /// The pattern misses on the first eight variants and again on the
+    /// next eight, after its rebuild from variant 8; from then on every
+    /// variant goes straight to the scalar ladder, the last one included.
     #[test]
     fn pattern_misses_send_every_lane_to_the_scalar_ladder() {
         let mut ckt = Circuit::new();
@@ -1126,9 +1188,11 @@ mod tests {
             let packed: Vec<_> = (0..dim)
                 .map(|i| F64x8::from_fn(|l| xs.get(l).map_or(0.0, |x| x[i])))
                 .collect();
-            lanes.channels(group.clone(), &mut bs.channels);
+            for (l, v) in group.clone().enumerate() {
+                lanes.fill(l, v);
+            }
             let active = (1 << group.len()) - 1;
-            assert!(bs.assemble(&lanes.sys, &packed, active).is_ok());
+            assert!(bs.assemble(&lanes, &packed, active).is_ok());
             for (l, v) in group.enumerate() {
                 let scalar = lanes.load(v).assemble_sparse_full(
                     &xs[l],
@@ -1201,8 +1265,10 @@ mod tests {
             }
         }
         let packed: Vec<F64x8> = (0..dim).map(|i| F64x8::from_fn(|l| xs[l][i])).collect();
-        lanes.channels(0..n, &mut bs.channels);
-        assert!(bs.assemble(&lanes.sys, &packed, 0xff).is_ok());
+        for l in 0..n {
+            lanes.fill(l, l);
+        }
+        assert!(bs.assemble(&lanes, &packed, 0xff).is_ok());
         let mut rhs = Vec::new();
         for (l, x) in xs.iter().enumerate() {
             let scalar = lanes.load(l).assemble_sparse_full(
@@ -1334,7 +1400,7 @@ mod tests {
     }
 
     /// Eleven variants of the chain: the frozen sparse pivot order of
-    /// the first group is replayed into a second, partly masked one.
+    /// the first eight is replayed for the three refills.
     #[test]
     fn sparse_path_matches_scalar() {
         let n = 11;

@@ -4,8 +4,10 @@
 //! Everything cached here is an artifact the solver would otherwise
 //! re-derive per analysis invocation even though it is a pure function
 //! of circuit structure: DC/transient Jacobian stamp patterns with
-//! their symbolic LU analyses, the AC `G + jωC` pattern, the factored
-//! AC reference state and lint verdicts.
+//! their symbolic LU analyses, the AC `G + jωC` pattern and the
+//! factored AC reference state. Lint verdicts are not cached: the lint
+//! precheck costs less than the content hash a verdict would be keyed
+//! by.
 //!
 //! # Soundness
 //!
@@ -25,9 +27,6 @@
 //!   design point of the same topology) is an ordinary miss that
 //!   factors fresh and replaces the entry. A hit hands out a clone of
 //!   the solver exactly as the cold path left it after factoring.
-//! * **Lint verdicts**: only *passing* verdicts are interned (keyed by
-//!   the content hash, so a value edit re-lints); failures re-lint on
-//!   every call and keep their diagnostics fresh.
 //!
 //! # Telemetry
 //!
@@ -39,9 +38,7 @@
 //! key process-wide), these totals are thread-count-invariant.
 
 use super::{AcSparseState, ModeKind, SparseState, System};
-use crate::circuit::Circuit;
 use crate::element::StampMode;
-use crate::SpiceError;
 use cml_cache::{intern, ArtifactKind, Fnv64, Key};
 use cml_numeric::sparse::CsrMatrix;
 use cml_numeric::{Complex64, SparseLu};
@@ -192,56 +189,4 @@ pub(super) fn prepare_ac_sparse_cached(
         }),
     );
     Some(sp)
-}
-
-// ---------------------------------------------------------------------
-// Lint verdicts
-// ---------------------------------------------------------------------
-
-/// Cached variant of [`crate::lint::precheck`]: a *passing* verdict is
-/// interned under the circuit's content hash, so repeated analyses of
-/// an unchanged netlist skip the lint passes entirely. Failing
-/// verdicts are never cached — every failing call re-lints and carries
-/// freshly built diagnostics. With `use_cache` false this is exactly
-/// the uncached precheck.
-///
-/// # Errors
-///
-/// [`SpiceError::LintRejected`] as [`crate::lint::precheck`].
-pub(crate) fn lint_precheck_cached(
-    ckt: &Circuit,
-    use_cache: bool,
-    tel: &Telemetry,
-) -> Result<(), SpiceError> {
-    if !use_cache {
-        return crate::lint::precheck(ckt);
-    }
-    let mut h = Fnv64::new();
-    h.write_u64(ckt.content_hash());
-    let key = Key::new(ArtifactKind::LintVerdict, h.finish());
-    let mut err: Option<SpiceError> = None;
-    let got = intern::get_or_insert_with::<(), _>(key, || match crate::lint::precheck(ckt) {
-        Ok(()) => Some(Arc::new(())),
-        Err(e) => {
-            err = Some(e);
-            None
-        }
-    });
-    match got {
-        Some((_ok, was_hit)) => {
-            count_outcome(tel, was_hit);
-            Ok(())
-        }
-        None => {
-            tel.count(|c| c.cache_misses += 1);
-            match err {
-                Some(e) => Err(e),
-                // Unreachable: the closure only returns None after
-                // setting `err`; keep a typed error rather than a panic.
-                None => Err(SpiceError::Internal {
-                    message: "lint verdict cache lost its error".to_string(),
-                }),
-            }
-        }
-    }
 }

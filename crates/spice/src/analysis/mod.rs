@@ -51,9 +51,8 @@ pub struct NewtonOptions {
     /// ladder honours this field.
     pub sparse_threshold: usize,
     /// Use the content-addressed topology artifact cache (`cml-cache`)
-    /// for stamp patterns, symbolic LU analyses, frozen AC pivot
-    /// orders and lint verdicts. Defaults on; this field is the only
-    /// switch. The cache is advisory — disabling it changes cost, never
+    /// for stamp patterns, symbolic LU analyses and frozen AC pivot
+    /// orders. Defaults on; this field is the only switch. The cache is advisory — disabling it changes cost, never
     /// results.
     pub cache: bool,
 }

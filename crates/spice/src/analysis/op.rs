@@ -131,7 +131,7 @@ fn solve_traced_impl(
     let _span = tel.span("analysis", "op");
     {
         let _t = tel.timer(Phase::LintPrecheck);
-        if let Err(e) = super::cache::lint_precheck_cached(ckt, opts.cache, tel) {
+        if let Err(e) = crate::lint::precheck(ckt) {
             if let SpiceError::LintRejected { diagnostics } = &e {
                 let errors = diagnostics.len() as u32;
                 tel.event(|| EventKind::LintRejected { errors });

@@ -302,7 +302,7 @@ fn run_streaming_impl(
     }
     {
         let _t = tel.timer(Phase::LintPrecheck);
-        super::cache::lint_precheck_cached(ckt, config.newton.cache, tel)?;
+        crate::lint::precheck(ckt)?;
     }
     tel.count(|c| c.lint_prechecks += 1);
     let sys = System::new(ckt);

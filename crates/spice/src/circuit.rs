@@ -268,9 +268,9 @@ impl Circuit {
     /// values, via each element's full `Debug` rendering (derived for
     /// every builtin element, so `f64` fields print with lossless
     /// shortest-roundtrip formatting). Folds in
-    /// [`topology_hash`](Self::topology_hash). Used to key artifacts
-    /// that depend on values, like lint verdicts; two
-    /// circuits with equal content hashes are the same netlist.
+    /// [`topology_hash`](Self::topology_hash). Flight bundles record it
+    /// next to the topology hash; two circuits with equal content hashes
+    /// are the same netlist.
     #[must_use]
     pub fn content_hash(&self) -> u64 {
         *self.content_hash.get_or_init(|| {

@@ -9,8 +9,7 @@
 //! solver, so a malformed netlist is rejected with an actionable
 //! [`SpiceError::LintRejected`] instead of failing deep inside Newton
 //! with a bare `SingularMatrix` (or converging to gmin-rescued garbage).
-//! The precheck always runs; with `NewtonOptions::cache` on, a passing
-//! verdict is cached by circuit content.
+//! The precheck always runs and is never cached.
 //!
 //! # Passes
 //!

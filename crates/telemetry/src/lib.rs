@@ -183,22 +183,22 @@ pub struct Counters {
     /// Monte-Carlo trials evaluated by the yield / batch workload
     /// layers (batched and scalar alike).
     pub trials_total: u64,
-    /// Batched lockstep linear solves: one lane-packed factor+solve
-    /// serving up to `LANES` variants at once.
+    /// Batched lockstep iterations: one pass of lane-packed stamping,
+    /// factor and solve over up to `LANES` variants at once.
     pub batch_solves: u64,
-    /// Lane slots offered across all batched solves
+    /// Lane slots offered across all batched iterations
     /// (`batch_solves × LANES`); the occupancy denominator.
     pub batch_lane_slots: u64,
-    /// Lane slots actually carrying a live, unconverged variant; the
-    /// occupancy numerator (see [`Counters::lane_occupancy`]).
+    /// Lane slots actually carrying a live, unconverged variant in a
+    /// batched iteration, so the sum of the variants' lockstep iteration
+    /// counts; the occupancy numerator (see [`Counters::lane_occupancy`]).
     pub batch_lanes_active: u64,
     /// Variants evicted from a batch (pivot death, divergence, or
     /// non-convergence) and re-solved on the scalar path.
     pub lane_fallbacks: u64,
     /// Topology-cache artifacts served from the in-memory interner
-    /// (`cml-cache`): a symbolic analysis, stamp pattern, factored AC
-    /// reference state, or lint verdict was reused instead of
-    /// re-derived. Counted at the single-compute-per-key call sites, so
+    /// (`cml-cache`): a symbolic analysis, stamp pattern or factored AC
+    /// reference state was reused instead of re-derived. Counted at the single-compute-per-key call sites, so
     /// the total is thread-count-invariant.
     pub cache_hits: u64,
     /// Topology-cache lookups that required a cold derivation (the
@@ -369,9 +369,9 @@ impl Counters {
     /// Batch lane occupancy: fraction of offered lane slots that
     /// carried a live, unconverged variant
     /// (`batch_lanes_active / batch_lane_slots`); 0 when no batched
-    /// solve ran. Low occupancy means batches drain unevenly — variants
-    /// converging at very different iteration counts — and the SIMD
-    /// width is being wasted on frozen lanes.
+    /// solve ran. The batch refills a lane as soon as its variant
+    /// converges or is evicted, so only the end of a batch (or its
+    /// start, below eight variants) leaves lanes idle.
     #[must_use]
     pub fn lane_occupancy(&self) -> f64 {
         if self.batch_lane_slots == 0 {

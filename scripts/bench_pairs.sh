@@ -9,7 +9,9 @@
 # .bench_build/ (ignored by git), once, before any timed run. Then runs N
 # pairs of `<command> --workload WORKLOAD --seed SEED --seconds SECONDS
 # --trace 0`, A first in even pairs and B first in odd ones, each in its
-# own tree. SECONDS defaults to BENCHMARK.json's `run_seconds`, SEED
+# own tree. Before pair 0 it runs one untimed full-length warm-up per
+# side, whose result is printed but kept out of the medians and pair
+# counts: the first run after the builds reads as an outlier. SECONDS defaults to BENCHMARK.json's `run_seconds`, SEED
 # to 1. Prints every run's end-to-end metrics beside its raw wall job and
 # calibration medians, then per metric the median and q1–q3 of each
 # side and the pairs B won, then each side's median of the two raw
@@ -109,6 +111,13 @@ for side in A B; do
         echo "build or smoke run of $side failed; see $out/build-$side.log" >&2
         exit 1
     }
+done
+
+for side in A B; do
+    run "$(tree_of $side)" "$build/target-$side" "warmup-$side" "$seconds" ||
+        echo "warm-up run $side failed" >&2
+    printf 'warm-up %s (not counted): ' "$side"
+    summary "$out/warmup-$side.log"
 done
 
 i=0
